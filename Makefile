@@ -11,7 +11,8 @@ all: build vet test
 
 help:
 	@echo "WSPeer make targets:"
-	@echo "  check            vet + full test suite under -race (the pre-commit gate)"
+	@echo "  check            vet + full test suite under -race, then vet + test of the"
+	@echo "                   benchmark module in bench/ (the pre-commit gate)"
 	@echo "  build/vet/test   the individual pieces of 'all'"
 	@echo "  bench            run every Go benchmark with -benchmem"
 	@echo "  bench-baseline   regenerate $(BENCH_BASELINE) (experiments A3+A4)."
@@ -27,10 +28,14 @@ help:
 	@echo "  examples         run every example program once"
 	@echo "  loc              count lines of Go"
 
-# The pre-commit gate: static analysis plus the racy test suite.
+# The pre-commit gate: static analysis plus the racy test suite, then the
+# benchmark module (bench/ has its own go.mod, so ./... does not reach it):
+# a signature change to anything bench/ imports fails here, before the
+# benchmark driver does.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 build:
 	$(GO) build ./...

@@ -2,6 +2,7 @@ package binding
 
 import (
 	"context"
+	"fmt"
 
 	"wspeer/internal/core"
 	"wspeer/internal/engine"
@@ -10,6 +11,7 @@ import (
 	"wspeer/internal/soap"
 	"wspeer/internal/transport"
 	"wspeer/internal/wsaddr"
+	"wspeer/internal/wsdl"
 )
 
 // ExchangeHeaders reads the WS-Addressing headers the exchange layer
@@ -20,48 +22,33 @@ func ExchangeHeaders(c *pipeline.Call) *wsaddr.MessageHeaders {
 	return hdr
 }
 
-// InvokeExchange carries one exchange-layer invocation over a transport
-// registry: the request envelope is stamped with the caller's
-// WS-Addressing headers (To/Action filled in from the resolved endpoint)
-// and sent according to the exchange pattern on the carrier — one-way and
-// callback sends return after the transport-level ack with no reply
-// decoded, request/response round-trips on the back channel as usual.
-// Registry-backed invokers (HTTP, in-memory) share this path; the P2PS
-// binding has its own pipe-level equivalent.
-func InvokeExchange(c *pipeline.Call, reg *transport.Registry, svc *core.ServiceInfo, op string, params []engine.Param, hdr *wsaddr.MessageHeaders) (*engine.Result, error) {
+// Invoke performs one invocation over a transport registry, the one path
+// of the registry-backed invokers (HTTP, in-memory): a dynamic stub over
+// the located service's definitions builds the request, the
+// scheme-selected transport carries it, and request and raw response are
+// published on the pipeline carrier for client interceptors. Exchange
+// headers on the carrier are stamped on the envelope, and a one-way or
+// callback send returns after the transport-level ack, nothing decoded.
+func Invoke(c *pipeline.Call, reg *transport.Registry, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+	if svc.Definitions == nil {
+		return nil, fmt.Errorf("binding: service %q has no definitions", svc.Name)
+	}
 	stub := engine.NewStub(svc.Definitions, reg)
-	env, det, err := stub.PrepareEnvelope(op, params...)
+	stub.EndpointOverride = svc.Endpoint
+	hdr := ExchangeHeaders(c)
+	req, det, err := buildRequest(stub, hdr, op, params)
 	if err != nil {
 		return nil, err
 	}
-	endpoint := det.Address
-	if svc.Endpoint != "" {
-		endpoint = svc.Endpoint
-	}
-	// Copy the headers: hedged or retried attempts share one Meta value and
-	// must not see each other's To/Action.
-	h := *hdr
-	h.To = endpoint
-	h.Action = det.SOAPAction
-	if h.MessageID == "" {
-		h.MessageID = wsaddr.NewMessageID()
-	}
-	if err := h.Apply(env); err != nil {
-		return nil, err
-	}
-	req := &transport.Request{
-		Endpoint:    endpoint,
-		Action:      det.SOAPAction,
-		ContentType: soap.ContentType,
-		Body:        env.Marshal(),
-	}
 	c.Request = req
-	if p, _ := c.GetMeta(exchange.MetaPattern).(exchange.Pattern); p == exchange.OneWay || p == exchange.Callback {
-		if err := reg.Post(c.Ctx, req); err != nil {
-			return nil, err
+	if hdr != nil {
+		if p, _ := c.GetMeta(exchange.MetaPattern).(exchange.Pattern); p == exchange.OneWay || p == exchange.Callback {
+			if err := reg.Post(c.Ctx, req); err != nil {
+				return nil, err
+			}
+			c.Response = &transport.Response{}
+			return nil, nil
 		}
-		c.Response = &transport.Response{}
-		return nil, nil
 	}
 	resp, err := reg.Call(c.Ctx, req)
 	if err != nil {
@@ -72,6 +59,40 @@ func InvokeExchange(c *pipeline.Call, reg *transport.Registry, svc *core.Service
 		return nil, nil
 	}
 	return engine.DecodeResponse(resp.Body, det)
+}
+
+// buildRequest is Stub.BuildRequest, with the caller's WS-Addressing
+// headers (To/Action filled in from the resolved endpoint) applied to the
+// envelope when there are any.
+func buildRequest(stub *engine.Stub, hdr *wsaddr.MessageHeaders, op string, params []engine.Param) (*transport.Request, *wsdl.OperationDetail, error) {
+	if hdr == nil {
+		return stub.BuildRequest(op, params...)
+	}
+	env, det, err := stub.PrepareEnvelope(op, params...)
+	if err != nil {
+		return nil, nil, err
+	}
+	endpoint := det.Address
+	if stub.EndpointOverride != "" {
+		endpoint = stub.EndpointOverride
+	}
+	// Copy the headers: hedged or retried attempts share one Meta value and
+	// must not see each other's To/Action.
+	h := *hdr
+	h.To = endpoint
+	h.Action = det.SOAPAction
+	if h.MessageID == "" {
+		h.MessageID = wsaddr.NewMessageID()
+	}
+	if err := h.Apply(env); err != nil {
+		return nil, nil, err
+	}
+	return &transport.Request{
+		Endpoint:    endpoint,
+		Action:      det.SOAPAction,
+		ContentType: soap.ContentType,
+		Body:        env.Marshal(),
+	}, det, nil
 }
 
 // PostReplySender adapts a transport registry to engine.ReplySender:

@@ -323,42 +323,16 @@ func (b *Binding) Invoker() core.Invoker { return invoker{b} }
 // Schemes implements core.Invoker.
 func (i invoker) Schemes() []string { return []string{"mem"} }
 
-// Invoke implements core.Invoker using a dynamic stub over the located
-// service's definitions.
+// Invoke implements core.Invoker.
 func (i invoker) Invoke(ctx context.Context, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
-	if svc.Definitions == nil {
-		return nil, fmt.Errorf("inmembind: service %q has no definitions", svc.Name)
-	}
-	stub := engine.NewStub(svc.Definitions, i.b.reg)
-	stub.EndpointOverride = svc.Endpoint
-	return stub.Invoke(ctx, op, params...)
+	return binding.Invoke(&pipeline.Call{Ctx: ctx}, i.b.reg, svc, op, params)
 }
 
-// InvokeCall implements core.CallInvoker: the same exchange with the
-// wire-level request and response published on the pipeline carrier.
+// InvokeCall implements core.CallInvoker: the exchange is published on the
+// pipeline carrier and the terminal stage is visibly the scheme-selected
+// transport.
 func (i invoker) InvokeCall(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
-	if svc.Definitions == nil {
-		return nil, fmt.Errorf("inmembind: service %q has no definitions", svc.Name)
-	}
-	if hdr := binding.ExchangeHeaders(c); hdr != nil {
-		return binding.InvokeExchange(c, i.b.reg, svc, op, params, hdr)
-	}
-	stub := engine.NewStub(svc.Definitions, i.b.reg)
-	stub.EndpointOverride = svc.Endpoint
-	req, det, err := stub.BuildRequest(op, params...)
-	if err != nil {
-		return nil, err
-	}
-	c.Request = req
-	resp, err := i.b.reg.Call(c.Ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	c.Response = resp
-	if det.Operation.OneWay() {
-		return nil, nil
-	}
-	return engine.DecodeResponse(resp.Body, det)
+	return binding.Invoke(c, i.b.reg, svc, op, params)
 }
 
 // memReplyEndpoint is a reply handler registered on the in-memory network.

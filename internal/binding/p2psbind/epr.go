@@ -4,6 +4,15 @@
 // discovered by in-network queries, and invoked by sending SOAP down
 // unidirectional pipes, with WS-Addressing ReplyTo headers carrying the
 // consumer's reply-pipe advertisement to make the exchange bidirectional.
+//
+// Request/response is the callback exchange pattern with the caller
+// waiting. Every message leaves through one function, invoker.InvokeCall;
+// a consumer binding hosts one persistent reply pipe and an exchange.Table
+// in which each synchronous call waits for the reply whose RelatesTo names
+// it, retransmitting the identical request until it comes. A provider
+// parses, drops or replays duplicates from an exchange.Window of recent
+// request MessageIDs, and dispatches; the engine's DeliverReply stamps
+// and sends every reply, through the binding's ReplySender.
 package p2psbind
 
 import (

@@ -2,6 +2,7 @@ package p2psbind
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -27,6 +28,9 @@ const (
 	// DefinitionPipeName is the pipe the WSDL is retrieved from — the
 	// "definition pipe" extension the paper adds to P2PS service adverts.
 	DefinitionPipeName = "definition"
+	// ReplyPipeName is the persistent input pipe a consumer binding hosts
+	// to receive the replies to its synchronous invocations.
+	ReplyPipeName = "replies"
 	// CallbackPipeName is the persistent input pipe a consumer hosts to
 	// receive decoupled callback replies (core.CallbackHoster).
 	CallbackPipeName = "callback-replies"
@@ -70,27 +74,43 @@ type Binding struct {
 	deployed    map[string]*deployedService
 	foreignPubs map[string]*deployedService // advert ID -> definition-pipe state
 	advertAttrs map[string]map[string]string
+	replyPipes  []*p2ps.InputPipe // every hosted reply pipe, for Close
 	closed      bool
 
 	// inflight counts pipe dispatches in progress so Close can drain them.
 	inflight sync.WaitGroup
 
-	// Duplicate suppression: requests are retransmitted on loss, so each
-	// deployed service remembers recent MessageIDs and their responses.
-	dedupMu    sync.Mutex
-	dedupByID  map[string][]byte // MessageID -> serialized reply ("" while in flight)
-	dedupOrder []string
+	// Consumer side: synchronous invocations wait in pending for the reply
+	// that arrives on the one reply pipe, hosted on first use.
+	pending   *exchange.Table
+	replyOnce sync.Once
+	reply     core.ReplyEndpoint
+	replyErr  error
+
+	// Provider side: requests are retransmitted on loss, so the binding
+	// remembers recent request MessageIDs and the replies sent for them.
+	servedMu sync.Mutex
+	served   *exchange.Window
 }
 
-// dedupCap bounds the duplicate-suppression window.
-const dedupCap = 4096
+// servedWindow is how many request MessageIDs a provider remembers.
+const servedWindow = 4096
 
-// deployedService is the binding-private deployment state.
+// deployedService is the binding-private state of one advertised service:
+// a definition pipe serving its WSDL and, for the binding's own
+// deployments, a request pipe (nil for a foreign publication).
 type deployedService struct {
 	name      string
 	reqPipe   *p2ps.InputPipe
 	defPipe   *p2ps.InputPipe
 	wsdlBytes []byte
+}
+
+func (ds *deployedService) closePipes() {
+	if ds.reqPipe != nil {
+		ds.reqPipe.Close()
+	}
+	ds.defPipe.Close()
 }
 
 // New builds the binding over an existing P2PS peer.
@@ -121,7 +141,8 @@ func New(opts Options) (*Binding, error) {
 		deployed:         make(map[string]*deployedService),
 		foreignPubs:      make(map[string]*deployedService),
 		advertAttrs:      make(map[string]map[string]string),
-		dedupByID:        make(map[string][]byte),
+		pending:          exchange.NewTable(exchange.TableOptions{TTL: opts.ReplyTimeout}),
+		served:           exchange.NewWindow(servedWindow),
 	}
 	b.Base = binding.NewBase("p2ps", []string{core.P2PSScheme}, opts.Engine, binding.Components{
 		Deployer:   b.Deployer(),
@@ -129,56 +150,130 @@ func New(opts Options) (*Binding, error) {
 		Locators:   []core.ServiceLocator{b.Locator()},
 		Invokers:   []core.Invoker{b.Invoker()},
 	})
-	// Every P2PS request carries a non-anonymous ReplyTo (a pipe-advert
-	// EPR), so with this sender registered the engine delivers replies
-	// itself; the legacy reply path in handleRequest remains as a fallback.
+	// Every P2PS request that wants an answer carries a non-anonymous
+	// ReplyTo (a pipe-advert EPR): with this sender registered the engine
+	// delivers every reply, fault or not, itself.
 	opts.Engine.RegisterReplySender(core.P2PSScheme, b.ReplySender())
 	return b, nil
 }
 
-// ReplySender delivers decoupled replies by resolving the reply EPR's pipe
-// advertisement and writing the message down a fresh output pipe. Each
-// reply is also recorded in the duplicate-suppression window keyed by the
-// request MessageID it relates to, so a retransmitted request replays the
-// same response instead of being redispatched. Register it on another
-// binding's engine to let that substrate answer requests whose ReplyTo is
-// a P2PS pipe.
+// ReplySender delivers decoupled replies down the pipe the reply EPR
+// advertises. Each reply is also recorded in the served-request window
+// keyed by the request MessageID it relates to, so a retransmitted request
+// replays the same response instead of being redispatched. Register it on
+// another binding's engine to let that substrate answer requests whose
+// ReplyTo is a P2PS pipe.
+//
+// A reply produced by one of this binding's own request-pipe dispatches is
+// not written here but parked in the dispatch's heldReply, and leaves once
+// the dispatch has returned (see handleRequest).
 func (b *Binding) ReplySender() engine.ReplySender {
 	return engine.ReplySenderFunc(func(ctx context.Context, to *wsaddr.EndpointReference, msg *exchange.Message) error {
 		if msg.Headers != nil && msg.Headers.RelatesTo != "" {
-			b.dedupStore(msg.Headers.RelatesTo, msg.Body)
+			b.servedMu.Lock()
+			b.served.Store(msg.Headers.RelatesTo, msg.Body)
+			b.servedMu.Unlock()
 		}
-		pipe, err := EPRToPipe(to)
-		if err != nil {
-			return err
+		if held, ok := ctx.Value(heldReplyKey{}).(*heldReply); ok {
+			held.to, held.body = to, msg.Body
+			return nil
 		}
-		out, err := b.openPipe(pipe)
-		if err != nil {
-			return err
-		}
-		return out.Send(msg.Body)
+		return b.sendToEPR(to, msg.Body)
 	})
+}
+
+// heldReply is the reply of one request-pipe dispatch, parked by the
+// ReplySender until the dispatch has returned. Written from inside the
+// dispatch it could reach the caller, and the caller's next request this
+// provider, while the dispatch still held its admission slot and had not
+// recorded its span and call row; an HTTP response has that ordering free.
+type heldReply struct {
+	to   *wsaddr.EndpointReference
+	body []byte
+}
+
+type heldReplyKey struct{}
+
+// sendToEPR resolves a reply EPR to an output pipe and sends data down it.
+func (b *Binding) sendToEPR(epr *wsaddr.EndpointReference, data []byte) error {
+	pipe, err := EPRToPipe(epr)
+	if err != nil {
+		return err
+	}
+	out, err := b.openPipe(pipe)
+	if err != nil {
+		return err
+	}
+	return out.Send(data)
 }
 
 // Peer exposes the underlying P2PS peer.
 func (b *Binding) Peer() *p2ps.Peer { return b.pp }
 
-// enter marks a pipe dispatch in flight; it reports false once the binding
-// has been closed, in which case the dispatch must be dropped.
-func (b *Binding) enter() bool {
+// listen feeds a pipe's inbound messages to handle, counting each dispatch
+// in flight so Close can drain them; messages arriving once the binding has
+// been closed are dropped.
+func (b *Binding) listen(pipe *p2ps.InputPipe, handle func(data []byte)) {
+	pipe.AddListener(func(_ p2ps.PeerID, data []byte) {
+		b.mu.Lock()
+		if b.closed {
+			b.mu.Unlock()
+			return
+		}
+		b.inflight.Add(1)
+		b.mu.Unlock()
+		defer b.inflight.Done()
+		handle(data)
+	})
+}
+
+// servePipes creates the input pipes of one advertised service: the
+// definition pipe serving wsdlBytes and, when requests is set, the request
+// pipe invocations are sent down.
+func (b *Binding) servePipes(name string, wsdlBytes []byte, requests bool) (*deployedService, error) {
+	b.mu.Lock()
+	closed := b.closed
+	b.mu.Unlock()
+	if closed {
+		return nil, fmt.Errorf("p2psbind: binding is closed")
+	}
+	ds := &deployedService{name: name, wsdlBytes: wsdlBytes}
+	var err error
+	if ds.defPipe, err = b.pp.CreateInputPipe(DefinitionPipeName); err != nil {
+		return nil, err
+	}
+	b.listen(ds.defPipe, func(data []byte) { b.handleDefinitionRequest(ds, data) })
+	if requests {
+		if ds.reqPipe, err = b.pp.CreateInputPipe(RequestPipeName); err != nil {
+			ds.defPipe.Close()
+			return nil, err
+		}
+		b.listen(ds.reqPipe, func(data []byte) { b.handleRequest(ds, data) })
+	}
+	return ds, nil
+}
+
+// advertAttrsFor builds a service's advertisement attributes: the binding
+// marker, a foreign deployment's endpoint, then whatever SetAdvertAttrs
+// attached.
+func (b *Binding) advertAttrsFor(service, foreignEndpoint string) map[string]string {
+	attrs := map[string]string{"binding": "wspeer-p2ps"}
+	if foreignEndpoint != "" {
+		attrs[EndpointAttr] = foreignEndpoint
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return false
+	for k, v := range b.advertAttrs[service] {
+		attrs[k] = v
 	}
-	b.inflight.Add(1)
-	return true
+	return attrs
 }
 
 // Close stops the binding's substrate: every deployed service's pipes are
 // closed (foreign-publication definition pipes included), the services are
-// undeployed from the engine, and in-flight pipe dispatches are drained.
-// Close is idempotent.
+// undeployed from the engine, every hosted reply pipe is closed, pending
+// synchronous invocations fail with exchange.ErrClosed, and in-flight pipe
+// dispatches are drained. Close is idempotent.
 func (b *Binding) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -188,24 +283,23 @@ func (b *Binding) Close() error {
 	b.closed = true
 	deployed := b.deployed
 	foreign := b.foreignPubs
+	replyPipes := b.replyPipes
 	b.deployed = make(map[string]*deployedService)
 	b.foreignPubs = make(map[string]*deployedService)
+	b.replyPipes = nil
 	b.mu.Unlock()
 
 	for _, ds := range deployed {
-		if ds.reqPipe != nil {
-			ds.reqPipe.Close()
-		}
-		if ds.defPipe != nil {
-			ds.defPipe.Close()
-		}
+		ds.closePipes()
 		b.Engine().Undeploy(ds.name)
 	}
 	for _, ds := range foreign {
-		if ds.defPipe != nil {
-			ds.defPipe.Close()
-		}
+		ds.closePipes()
 	}
+	for _, pipe := range replyPipes {
+		pipe.Close()
+	}
+	b.pending.Close()
 	b.inflight.Wait()
 	return nil
 }
@@ -225,60 +319,24 @@ func (d deployer) Name() string { return "p2ps" }
 // and a definition pipe, and its WSDL is bound to its p2ps:// URI.
 func (d deployer) Deploy(def engine.ServiceDef) (*core.Deployment, error) {
 	b := d.b
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return nil, fmt.Errorf("p2psbind: binding is closed")
-	}
-	b.mu.Unlock()
 	svc, err := b.Engine().Deploy(def)
 	if err != nil {
 		return nil, err
 	}
-	cleanup := func() { b.Engine().Undeploy(def.Name) }
-
-	reqPipe, err := b.pp.CreateInputPipe(RequestPipeName)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	defPipe, err := b.pp.CreateInputPipe(DefinitionPipeName)
-	if err != nil {
-		reqPipe.Close()
-		cleanup()
-		return nil, err
-	}
 	endpoint := core.P2PSURI{Peer: string(b.pp.ID()), Service: def.Name}.String()
 	defs, err := svc.WSDL(wsdl.TransportP2PS, endpoint)
+	var raw []byte
+	if err == nil {
+		raw, err = defs.Marshal()
+	}
+	var ds *deployedService
+	if err == nil {
+		ds, err = b.servePipes(def.Name, raw, true)
+	}
 	if err != nil {
-		reqPipe.Close()
-		defPipe.Close()
-		cleanup()
+		b.Engine().Undeploy(def.Name)
 		return nil, err
 	}
-	raw, err := defs.Marshal()
-	if err != nil {
-		reqPipe.Close()
-		defPipe.Close()
-		cleanup()
-		return nil, err
-	}
-	ds := &deployedService{name: def.Name, reqPipe: reqPipe, defPipe: defPipe, wsdlBytes: raw}
-	reqPipe.AddListener(func(from p2ps.PeerID, data []byte) {
-		if !b.enter() {
-			return
-		}
-		defer b.inflight.Done()
-		b.handleRequest(ds, data)
-	})
-	defPipe.AddListener(func(from p2ps.PeerID, data []byte) {
-		if !b.enter() {
-			return
-		}
-		defer b.inflight.Done()
-		b.handleDefinitionRequest(ds, data)
-	})
-
 	b.mu.Lock()
 	b.deployed[def.Name] = ds
 	b.mu.Unlock()
@@ -301,8 +359,7 @@ func (d deployer) Undeploy(service string) error {
 	if ds == nil {
 		return fmt.Errorf("p2psbind: service %q not deployed", service)
 	}
-	ds.reqPipe.Close()
-	ds.defPipe.Close()
+	ds.closePipes()
 	if !b.Engine().Undeploy(service) {
 		return fmt.Errorf("p2psbind: engine had no service %q", service)
 	}
@@ -310,41 +367,9 @@ func (d deployer) Undeploy(service string) error {
 }
 
 // handleRequest implements the provider side of figures 5/6: parse the
-// SOAP request, dispatch it through the engine, and send the response down
-// the pipe advertised in the request's ReplyTo header.
-// dedupCheck returns (replay, done): when done is true the request is a
-// duplicate — replay (possibly nil for one-way/in-flight) is what should be
-// resent. When done is false the MessageID has been marked in flight.
-func (b *Binding) dedupCheck(id string) (replay []byte, done bool) {
-	if id == "" {
-		return nil, false // unidentified requests cannot be deduplicated
-	}
-	b.dedupMu.Lock()
-	defer b.dedupMu.Unlock()
-	if reply, seen := b.dedupByID[id]; seen {
-		return reply, true
-	}
-	if len(b.dedupOrder) >= dedupCap {
-		oldest := b.dedupOrder[0]
-		b.dedupOrder = b.dedupOrder[1:]
-		delete(b.dedupByID, oldest)
-	}
-	b.dedupByID[id] = nil // in flight
-	b.dedupOrder = append(b.dedupOrder, id)
-	return nil, false
-}
-
-func (b *Binding) dedupStore(id string, reply []byte) {
-	if id == "" {
-		return
-	}
-	b.dedupMu.Lock()
-	defer b.dedupMu.Unlock()
-	if _, seen := b.dedupByID[id]; seen {
-		b.dedupByID[id] = reply
-	}
-}
-
+// SOAP request, suppress duplicates, adopt the caller's deadline and
+// dispatch through the engine, which sends the response down the pipe
+// advertised in the request's ReplyTo (FaultTo for faults) header.
 func (b *Binding) handleRequest(ds *deployedService, data []byte) {
 	env, err := soap.Parse(data)
 	if err != nil {
@@ -355,23 +380,25 @@ func (b *Binding) handleRequest(ds *deployedService, data []byte) {
 		return
 	}
 	// Duplicate suppression: a retransmitted request replays the original
-	// response rather than re-invoking the operation.
-	if replay, dup := b.dedupCheck(hdr.MessageID); dup {
-		if len(replay) > 0 && hdr.ReplyTo != nil {
-			b.sendToEPR(hdr.ReplyTo, replay)
+	// response rather than re-invoking the operation. Nothing is replayed
+	// while the first copy is in flight or when it was never answered
+	// (one-way). Unidentified requests cannot be deduplicated.
+	if hdr.MessageID != "" {
+		b.servedMu.Lock()
+		replay, dup := b.served.Mark(hdr.MessageID)
+		b.servedMu.Unlock()
+		if dup {
+			if len(replay) > 0 && hdr.ReplyTo != nil {
+				_ = b.sendToEPR(hdr.ReplyTo, replay) // pipes are datagrams: a lost replay is retransmitted for again
+			}
+			return
 		}
-		return
-	}
-	req := &transport.Request{
-		Endpoint:    hdr.To,
-		Action:      hdr.Action,
-		ContentType: soap.ContentType,
-		Body:        data,
 	}
 	// Adopt the caller's propagated deadline (the envelope-substrate twin
 	// of the HTTP X-Wspeer-Deadline header): the engine drops dispatches
 	// the caller has already abandoned instead of answering into the void.
-	ctx := context.Background()
+	var held heldReply
+	ctx := context.WithValue(context.Background(), heldReplyKey{}, &held)
 	if dlHdr := env.Header(xmlutil.N(transport.DeadlineNS, transport.DeadlineElement)); dlHdr != nil {
 		if dl, ok := transport.ParseDeadline(dlHdr.TrimmedText()); ok {
 			var cancel context.CancelFunc
@@ -379,43 +406,28 @@ func (b *Binding) handleRequest(ds *deployedService, data []byte) {
 			defer cancel()
 		}
 	}
-	resp, err := b.Engine().ServeRequest(ctx, ds.name, req)
+	_, err = b.Engine().ServeRequest(ctx, ds.name, &transport.Request{
+		Endpoint:    hdr.To,
+		Action:      hdr.Action,
+		ContentType: soap.ContentType,
+		Body:        data,
+	})
 	if err != nil {
+		// The engine refused the request before dispatch. An overload
+		// becomes the P2PS equivalent of HTTP 503 + Retry-After: a Server
+		// fault whose detail advertises the backoff in seconds.
 		f := soap.ServerFault(err)
 		if o, ok := resilience.AsOverload(err); ok {
-			// The P2PS equivalent of HTTP 503 + Retry-After: a Server
-			// fault whose detail advertises the backoff in seconds.
 			f = o.Fault()
 		}
-		resp = &transport.Response{
-			Body:    soap.NewEnvelope().SetFault(f).Marshal(),
-			Faulted: true,
-		}
+		b.Engine().DeliverReply(ctx, hdr, soap.NewEnvelope().SetFault(f))
 	}
-	if len(resp.Body) == 0 {
-		return // one-way; the dedup entry stays nil so duplicates are dropped
+	// The dispatch is over (slot released, span and call row recorded):
+	// now the reply the engine handed to the ReplySender may leave. None
+	// was held for a one-way, or a request with nowhere to reply.
+	if held.to != nil {
+		_ = b.sendToEPR(held.to, held.body) // pipes are datagrams: the caller retransmits for a lost reply
 	}
-	replyEnv, err := soap.Parse(resp.Body)
-	if err != nil {
-		return
-	}
-	// Faults are routed to FaultTo when the request carries one; normal
-	// responses (and faults without a FaultTo) go to ReplyTo.
-	target := hdr.ReplyTo
-	if replyEnv.IsFault() && hdr.FaultTo != nil {
-		target = hdr.FaultTo
-	}
-	if target == nil {
-		return // nowhere to reply
-	}
-	replyHdr := wsaddr.HeadersFor(target, hdr.Action+"#response")
-	replyHdr.RelatesTo = hdr.MessageID
-	if err := replyHdr.Apply(replyEnv); err != nil {
-		return
-	}
-	wire := replyEnv.Marshal()
-	b.dedupStore(hdr.MessageID, wire)
-	b.sendToEPR(target, wire)
 }
 
 // handleDefinitionRequest serves the WSDL down the requester's reply pipe:
@@ -430,7 +442,7 @@ func (b *Binding) handleDefinitionRequest(ds *deployedService, data []byte) {
 	if err != nil || hdr.ReplyTo == nil {
 		return
 	}
-	b.sendToEPR(hdr.ReplyTo, ds.wsdlBytes)
+	_ = b.sendToEPR(hdr.ReplyTo, ds.wsdlBytes) // the requester times out and asks again
 }
 
 // openPipe opens an output pipe, falling back to an in-network endpoint
@@ -448,19 +460,6 @@ func (b *Binding) openPipe(adv *p2ps.PipeAdvertisement) (*p2ps.OutputPipe, error
 		return nil, fmt.Errorf("p2psbind: cannot resolve peer %s", adv.Peer)
 	}
 	return b.pp.OpenOutputPipe(adv)
-}
-
-// sendToEPR resolves a reply EPR to an output pipe and sends data down it.
-func (b *Binding) sendToEPR(epr *wsaddr.EndpointReference, data []byte) {
-	pipe, err := EPRToPipe(epr)
-	if err != nil {
-		return
-	}
-	out, err := b.openPipe(pipe)
-	if err != nil {
-		return
-	}
-	_ = out.Send(data)
 }
 
 // ---------------------------------------------------------------------------
@@ -495,17 +494,11 @@ func (p publisher) Publish(ctx context.Context, dep *core.Deployment) (string, e
 	if !ok {
 		return p.b.publishForeign(dep)
 	}
-	attrs := map[string]string{"binding": "wspeer-p2ps"}
-	p.b.mu.Lock()
-	for k, v := range p.b.advertAttrs[ds.name] {
-		attrs[k] = v
-	}
-	p.b.mu.Unlock()
 	adv := &p2ps.ServiceAdvertisement{
 		Name:           ds.name,
 		Pipes:          []p2ps.PipeAdvertisement{*ds.reqPipe.Advertisement()},
 		DefinitionPipe: ds.defPipe.Advertisement(),
-		Attrs:          attrs,
+		Attrs:          p.b.advertAttrsFor(ds.name, ""),
 	}
 	published, err := p.b.pp.PublishService(adv)
 	if err != nil {
@@ -529,38 +522,17 @@ func (b *Binding) publishForeign(dep *core.Deployment) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return "", fmt.Errorf("p2psbind: binding is closed")
-	}
-	b.mu.Unlock()
-	defPipe, err := b.pp.CreateInputPipe(DefinitionPipeName)
+	ds, err := b.servePipes(name, raw, false)
 	if err != nil {
 		return "", err
 	}
-	ds := &deployedService{name: name, defPipe: defPipe, wsdlBytes: raw}
-	defPipe.AddListener(func(from p2ps.PeerID, data []byte) {
-		if !b.enter() {
-			return
-		}
-		defer b.inflight.Done()
-		b.handleDefinitionRequest(ds, data)
-	})
-	attrs := map[string]string{"binding": "wspeer-p2ps", EndpointAttr: dep.Endpoint}
-	b.mu.Lock()
-	for k, v := range b.advertAttrs[name] {
-		attrs[k] = v
-	}
-	b.mu.Unlock()
-	adv := &p2ps.ServiceAdvertisement{
+	published, err := b.pp.PublishService(&p2ps.ServiceAdvertisement{
 		Name:           name,
-		DefinitionPipe: defPipe.Advertisement(),
-		Attrs:          attrs,
-	}
-	published, err := b.pp.PublishService(adv)
+		DefinitionPipe: ds.defPipe.Advertisement(),
+		Attrs:          b.advertAttrsFor(name, dep.Endpoint),
+	})
 	if err != nil {
-		defPipe.Close()
+		ds.closePipes()
 		return "", err
 	}
 	b.mu.Lock()
@@ -576,120 +548,13 @@ func (p publisher) Unpublish(ctx context.Context, location string) error {
 	ds := b.foreignPubs[location]
 	delete(b.foreignPubs, location)
 	b.mu.Unlock()
-	if ds != nil && ds.defPipe != nil {
-		ds.defPipe.Close()
+	if ds != nil {
+		ds.closePipes()
 	}
 	if !b.pp.UnpublishService(location) {
 		return fmt.Errorf("p2psbind: no advert %q", location)
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Locator
-
-type locator struct{ b *Binding }
-
-// Locator returns the in-network discovery locator.
-func (b *Binding) Locator() core.ServiceLocator { return locator{b} }
-
-// Name implements core.ServiceLocator.
-func (l locator) Name() string { return "p2ps" }
-
-// Locate implements core.ServiceLocator: discover adverts, then retrieve
-// each service's WSDL through its definition pipe.
-func (l locator) Locate(ctx context.Context, q core.ServiceQuery, found func(*core.ServiceInfo)) error {
-	b := l.b
-	pq := p2ps.Query{Name: q.QueryName()}
-	switch qq := q.(type) {
-	case core.NameQuery:
-		pq.Attrs = qq.Attrs
-	case core.ExprQuery:
-		pq.Expr = qq.Expr // evaluated in-network by every peer reached
-	}
-	d := b.pp.Discover(pq, b.discoveryTimeout)
-	select {
-	case <-d.Done():
-	case <-ctx.Done():
-		d.Cancel()
-		return ctx.Err()
-	}
-	var firstErr error
-	for _, adv := range d.Matches() {
-		info, err := b.infoFromAdvert(ctx, adv)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("p2psbind: advert %q: %w", adv.Name, err)
-			}
-			continue
-		}
-		found(info)
-	}
-	return firstErr
-}
-
-func (b *Binding) infoFromAdvert(ctx context.Context, adv *p2ps.ServiceAdvertisement) (*core.ServiceInfo, error) {
-	defs, err := b.FetchDefinitions(ctx, adv)
-	if err != nil {
-		return nil, err
-	}
-	// A foreign advert (no request pipe) carries the service's real endpoint
-	// in an attribute: surface that, so invocation is routed by its scheme.
-	endpoint := core.P2PSURI{Peer: string(adv.Peer), Service: adv.Name}.String()
-	if ep := adv.Attrs[EndpointAttr]; ep != "" && adv.Pipe(RequestPipeName) == nil {
-		endpoint = ep
-	}
-	return &core.ServiceInfo{
-		Name:        adv.Name,
-		Definitions: defs,
-		Endpoint:    endpoint,
-		Locator:     "p2ps",
-		Meta:        map[string]string{"advertID": adv.ID},
-		Extra:       adv,
-	}, nil
-}
-
-// FetchDefinitions retrieves a service's WSDL through its definition pipe
-// using the ReplyTo pattern.
-func (b *Binding) FetchDefinitions(ctx context.Context, adv *p2ps.ServiceAdvertisement) (*wsdl.Definitions, error) {
-	if adv.DefinitionPipe == nil {
-		return nil, fmt.Errorf("advert has no definition pipe")
-	}
-	reply, err := b.pp.CreateInputPipe("wsdl-reply")
-	if err != nil {
-		return nil, err
-	}
-	defer reply.Close()
-	ch := make(chan []byte, 1)
-	reply.AddListener(func(_ p2ps.PeerID, data []byte) {
-		select {
-		case ch <- data:
-		default:
-		}
-	})
-
-	env := soap.NewEnvelope()
-	env.AddBodyElement(xmlutil.NewElement(xmlutil.N(p2ps.Namespace, "GetDefinition")))
-	hdr := wsaddr.HeadersFor(PipeToEPR(adv.DefinitionPipe, adv.Name), ActionFor(adv.Peer, adv.Name, DefinitionPipeName))
-	hdr.ReplyTo = PipeToEPR(reply.Advertisement(), "")
-	if err := hdr.Apply(env); err != nil {
-		return nil, err
-	}
-	out, err := b.openPipe(adv.DefinitionPipe)
-	if err != nil {
-		return nil, err
-	}
-	if err := out.Send(env.Marshal()); err != nil {
-		return nil, err
-	}
-	select {
-	case data := <-ch:
-		return wsdl.Parse(data)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-time.After(b.replyTimeout):
-		return nil, fmt.Errorf("timed out retrieving WSDL from definition pipe")
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -703,157 +568,23 @@ func (b *Binding) Invoker() core.Invoker { return invoker{b} }
 // Schemes implements core.Invoker.
 func (i invoker) Schemes() []string { return []string{core.P2PSScheme} }
 
-// advertFor resolves the P2PS advertisement backing a service. A service
-// located through the p2ps locator carries its advert in Extra; a service
-// located elsewhere — e.g. a UDDI record with a p2ps:// endpoint, the
-// mixed UDDI-locator + P2PS-invoker composition — is resolved by
-// discovering an advert matching the endpoint's peer and service name.
-// The ServiceInfo is never mutated: it may be shared across goroutines.
-func (b *Binding) advertFor(ctx context.Context, svc *core.ServiceInfo) (*p2ps.ServiceAdvertisement, error) {
-	if adv, ok := svc.Extra.(*p2ps.ServiceAdvertisement); ok {
-		return adv, nil
-	}
-	uri, err := core.ParseP2PSURI(svc.Endpoint)
-	if err != nil {
-		return nil, fmt.Errorf("p2psbind: service %q carries no P2PS advertisement and no p2ps:// endpoint: %w", svc.Name, err)
-	}
-	d := b.pp.Discover(p2ps.Query{Name: uri.Service}, b.discoveryTimeout)
-	select {
-	case <-d.Done():
-	case <-ctx.Done():
-		d.Cancel()
-		return nil, ctx.Err()
-	}
-	for _, adv := range d.Matches() {
-		if string(adv.Peer) == uri.Peer && adv.Pipe(RequestPipeName) != nil {
-			return adv, nil
-		}
-	}
-	return nil, fmt.Errorf("p2psbind: no advertisement found for %s", svc.Endpoint)
-}
-
-// Invoke implements core.Invoker: figures 5 and 6 in code. A request pipe
-// is resolved from the service advert, a reply pipe is created and
-// serialized into the ReplyTo header, and the SOAP request travels down
-// the remote pipe; the response is correlated by RelatesTo.
+// Invoke implements core.Invoker.
 func (i invoker) Invoke(ctx context.Context, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
-	b := i.b
-	adv, err := b.advertFor(ctx, svc)
-	if err != nil {
-		return nil, err
-	}
-	reqPipeAdv := adv.Pipe(RequestPipeName)
-	if reqPipeAdv == nil {
-		return nil, fmt.Errorf("p2psbind: advert %q has no %q pipe", adv.Name, RequestPipeName)
-	}
-	if svc.Definitions == nil {
-		return nil, fmt.Errorf("p2psbind: service %q has no definitions", svc.Name)
-	}
-	stub := engine.NewStub(svc.Definitions, nil)
-	env, det, err := stub.PrepareEnvelope(op, params...)
-	if err != nil {
-		return nil, err
-	}
-
-	// Fig. 5 step 1-2: request an input pipe to receive the response on.
-	reply, err := b.pp.CreateInputPipe("reply")
-	if err != nil {
-		return nil, err
-	}
-	defer reply.Close()
-	ch := make(chan []byte, 4)
-	reply.AddListener(func(_ p2ps.PeerID, data []byte) {
-		select {
-		case ch <- data:
-		default:
-		}
-	})
-
-	// Fig. 5 step 3: serialize the pipe advert to WS-Addressing standards
-	// and add it to the SOAP request.
-	hdr := wsaddr.HeadersFor(PipeToEPR(reqPipeAdv, adv.Name), ActionFor(adv.Peer, adv.Name, RequestPipeName))
-	hdr.ReplyTo = PipeToEPR(reply.Advertisement(), "")
-	if err := hdr.Apply(env); err != nil {
-		return nil, err
-	}
-	// Propagate the caller's deadline as a (non-mustUnderstand) SOAP
-	// header, the pipe substrate's equivalent of X-Wspeer-Deadline.
-	if dl, ok := ctx.Deadline(); ok {
-		env.AddHeader(xmlutil.NewElement(xmlutil.N(transport.DeadlineNS, transport.DeadlineElement)).
-			SetText(transport.FormatDeadline(dl)))
-	}
-
-	// Fig. 5 step 5: send the SOAP down the remote pipe.
-	out, err := b.openPipe(reqPipeAdv)
-	if err != nil {
-		return nil, err
-	}
-	wire := env.Marshal()
-	if err := out.Send(wire); err != nil {
-		return nil, err
-	}
-	if det.Operation.OneWay() {
-		return nil, nil
-	}
-
-	// Fig. 5 step 6-8: await the response on the reply pipe, correlating
-	// by RelatesTo. Pipes are datagrams, so an unanswered request is
-	// retransmitted within the reply window; the provider's duplicate
-	// suppression makes that safe.
-	attempts := b.retries + 1
-	perAttempt := b.replyTimeout / time.Duration(attempts)
-	deadline := time.After(b.replyTimeout)
-	retry := time.NewTimer(perAttempt)
-	defer retry.Stop()
-	sent := 1
-	for {
-		select {
-		case data := <-ch:
-			respEnv, err := soap.Parse(data)
-			if err != nil {
-				continue // garbage on the reply pipe: keep waiting
-			}
-			respHdr, err := wsaddr.FromEnvelope(respEnv)
-			if err == nil && respHdr.RelatesTo != "" && respHdr.RelatesTo != hdr.MessageID {
-				continue // response to someone else's request
-			}
-			return engine.DecodeResponseEnvelope(respEnv, det)
-		case <-retry.C:
-			if sent < attempts {
-				sent++
-				_ = out.Send(wire) // identical MessageID: a retransmission
-				retry.Reset(perAttempt)
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-deadline:
-			return nil, fmt.Errorf("p2psbind: no response from %s within %v (%d attempts)", svc.Endpoint, b.replyTimeout, sent)
-		}
-	}
+	return i.InvokeCall(&pipeline.Call{Ctx: ctx}, svc, op, params)
 }
 
-// InvokeCall implements core.CallInvoker. Without exchange-layer headers
-// on the carrier it is the synchronous invocation above; with them it
-// sends per the requested exchange pattern. P2PS correlates replies by
-// WS-Addressing natively, so a stamped request/response call is simply the
-// normal invocation — only the one-way and callback patterns change the
-// wire behaviour (no reply pipe is created and nothing is awaited).
+// InvokeCall implements core.CallInvoker: figures 5 and 6 in code, and the
+// one way a message leaves this binding. The request pipe is resolved from
+// the service advert, the envelope is stamped with WS-Addressing headers
+// and the caller's deadline, and the SOAP travels down the remote pipe.
+// One-way and callback sends (exchange headers on the carrier, minted by
+// core) return once the pipe write completes, the transport-level ack.
+// Everything else is request/response: ReplyTo names the binding's own
+// persistent reply pipe, the MessageID is registered in the pending table
+// and the call waits on the Future the reply's RelatesTo resolves — except
+// that a WSDL one-way operation registers nothing and returns after the
+// write.
 func (i invoker) InvokeCall(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
-	hdr := binding.ExchangeHeaders(c)
-	if hdr == nil {
-		return i.Invoke(c.Ctx, svc, op, params)
-	}
-	if p, _ := c.GetMeta(exchange.MetaPattern).(exchange.Pattern); p == exchange.RequestResponse {
-		return i.Invoke(c.Ctx, svc, op, params)
-	}
-	return i.invokeExchange(c, svc, op, params, hdr)
-}
-
-// invokeExchange sends one one-way or callback message down the service's
-// request pipe: the core-minted MessageID keys the correlation table, the
-// ReplyTo (when present) names the consumer's hosted callback pipe, and a
-// completed pipe write is the transport-level ack.
-func (i invoker) invokeExchange(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param, xh *wsaddr.MessageHeaders) (*engine.Result, error) {
 	b := i.b
 	ctx := c.Ctx
 	adv, err := b.advertFor(ctx, svc)
@@ -867,24 +598,44 @@ func (i invoker) invokeExchange(c *pipeline.Call, svc *core.ServiceInfo, op stri
 	if svc.Definitions == nil {
 		return nil, fmt.Errorf("p2psbind: service %q has no definitions", svc.Name)
 	}
-	stub := engine.NewStub(svc.Definitions, nil)
-	env, _, err := stub.PrepareEnvelope(op, params...)
+	env, det, err := engine.NewStub(svc.Definitions, nil).PrepareEnvelope(op, params...)
 	if err != nil {
 		return nil, err
 	}
+
+	// Fig. 5 steps 1-3: the pipe the response should come back on,
+	// serialized to WS-Addressing standards, rides in the SOAP request.
 	hdr := wsaddr.HeadersFor(PipeToEPR(reqPipeAdv, adv.Name), ActionFor(adv.Peer, adv.Name, RequestPipeName))
-	if xh.MessageID != "" {
-		hdr.MessageID = xh.MessageID // the ID the correlation table is keyed by
+	await := false
+	xh := binding.ExchangeHeaders(c)
+	if p, _ := c.GetMeta(exchange.MetaPattern).(exchange.Pattern); xh != nil && p != exchange.RequestResponse {
+		if xh.MessageID != "" {
+			hdr.MessageID = xh.MessageID // the ID the client's table is keyed by
+		}
+		hdr.ReplyTo = xh.ReplyTo // nil for one-way: no reply is expected
+		hdr.FaultTo = xh.FaultTo
+	} else if await = !det.Operation.OneWay(); await {
+		ep, err := b.replyEndpoint()
+		if err != nil {
+			return nil, err
+		}
+		hdr.ReplyTo = ep.EPR()
 	}
-	hdr.ReplyTo = xh.ReplyTo // nil for one-way: no reply is expected
-	hdr.FaultTo = xh.FaultTo
 	if err := hdr.Apply(env); err != nil {
 		return nil, err
 	}
+	// Propagate the caller's deadline as a (non-mustUnderstand) SOAP
+	// header, the pipe substrate's equivalent of X-Wspeer-Deadline.
+	ttl := b.replyTimeout
 	if dl, ok := ctx.Deadline(); ok {
 		env.AddHeader(xmlutil.NewElement(xmlutil.N(transport.DeadlineNS, transport.DeadlineElement)).
 			SetText(transport.FormatDeadline(dl)))
+		if until := time.Until(dl); until < ttl {
+			ttl = until
+		}
 	}
+
+	// Fig. 5 step 5: send the SOAP down the remote pipe.
 	out, err := b.openPipe(reqPipeAdv)
 	if err != nil {
 		return nil, err
@@ -896,14 +647,56 @@ func (i invoker) invokeExchange(c *pipeline.Call, svc *core.ServiceInfo, op stri
 		ContentType: soap.ContentType,
 		Body:        wire,
 	}
+	if !await {
+		if err := out.Send(wire); err != nil {
+			return nil, err
+		}
+		c.Response = &transport.Response{}
+		return nil, nil
+	}
+	reply, err := b.pending.Register(hdr.MessageID, ttl)
+	if err != nil {
+		return nil, err
+	}
+	defer b.pending.Cancel(hdr.MessageID) // a no-op once the reply resolved it
 	if err := out.Send(wire); err != nil {
 		return nil, err
 	}
-	c.Response = &transport.Response{}
-	return nil, nil
+
+	// Fig. 5 steps 6-8: await the response on the reply pipe. Pipes are
+	// datagrams, so an unanswered request is retransmitted — the identical
+	// bytes, hence the identical MessageID — within the reply window; the
+	// provider's duplicate suppression makes that safe.
+	attempts := b.retries + 1
+	perAttempt := b.replyTimeout / time.Duration(attempts)
+	retry := time.NewTimer(perAttempt)
+	defer retry.Stop()
+	for sent := 1; ; {
+		select {
+		case <-reply.Done():
+			msg, err := reply.Wait(ctx)
+			var expired *exchange.ExpiredError
+			if errors.As(err, &expired) {
+				return nil, fmt.Errorf("p2psbind: no response from %s (%d attempts): %w", svc.Endpoint, sent, err)
+			}
+			if err != nil {
+				return nil, err
+			}
+			c.Response = &transport.Response{Body: msg.Body, Faulted: msg.Envelope.IsFault()}
+			return engine.DecodeResponseEnvelope(msg.Envelope, det)
+		case <-retry.C:
+			if sent < attempts {
+				sent++
+				_ = out.Send(wire) // a lost copy is what the next attempt is for
+				retry.Reset(perAttempt)
+			}
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 }
 
-// pipeReplyEndpoint is a consumer-hosted callback pipe.
+// pipeReplyEndpoint is a consumer-hosted persistent reply pipe.
 type pipeReplyEndpoint struct {
 	epr  *wsaddr.EndpointReference
 	pipe *p2ps.InputPipe
@@ -918,23 +711,39 @@ func (e *pipeReplyEndpoint) Close() error {
 	return nil
 }
 
-// HostReplyEndpoint implements core.CallbackHoster: unlike the per-call
-// reply pipes of the synchronous path, the callback pattern hosts one
-// persistent input pipe whose advert EPR is stamped as the ReplyTo of
-// every callback invocation; inbound replies are fed to deliver and
-// correlated by the client's table.
-func (i invoker) HostReplyEndpoint(deliver func(body []byte)) (core.ReplyEndpoint, error) {
-	b := i.b
-	pipe, err := b.pp.CreateInputPipe(CallbackPipeName)
+// hostReplyPipe creates a persistent input pipe whose inbound messages are
+// fed to deliver; its advert EPR is what requests carry as ReplyTo. The
+// pipe lives until its Close or the binding's.
+func (b *Binding) hostReplyPipe(name string, deliver func(body []byte)) (core.ReplyEndpoint, error) {
+	pipe, err := b.pp.CreateInputPipe(name)
 	if err != nil {
 		return nil, err
 	}
-	pipe.AddListener(func(_ p2ps.PeerID, data []byte) {
-		if !b.enter() {
-			return
-		}
-		defer b.inflight.Done()
-		deliver(data)
-	})
+	b.listen(pipe, deliver)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		pipe.Close()
+		return nil, fmt.Errorf("p2psbind: binding is closed")
+	}
+	b.replyPipes = append(b.replyPipes, pipe)
 	return &pipeReplyEndpoint{epr: PipeToEPR(pipe.Advertisement(), ""), pipe: pipe}, nil
+}
+
+// replyEndpoint returns the reply pipe of the binding's own synchronous
+// invocations, hosting it on first use: its messages resolve the pending
+// table.
+func (b *Binding) replyEndpoint() (core.ReplyEndpoint, error) {
+	b.replyOnce.Do(func() {
+		b.reply, b.replyErr = b.hostReplyPipe(ReplyPipeName, b.pending.Deliver)
+	})
+	return b.reply, b.replyErr
+}
+
+// HostReplyEndpoint implements core.CallbackHoster: the callback pattern
+// hosts a persistent input pipe of the client's own, whose advert EPR is
+// stamped as the ReplyTo of every callback invocation; inbound replies are
+// fed to deliver and correlated by the client's table.
+func (i invoker) HostReplyEndpoint(deliver func(body []byte)) (core.ReplyEndpoint, error) {
+	return i.b.hostReplyPipe(CallbackPipeName, deliver)
 }

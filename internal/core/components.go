@@ -140,7 +140,7 @@ type Invoker interface {
 // The client pipeline prefers InvokeCall when available: the invoker runs
 // under the carrier's (possibly interceptor-derived) context c.Ctx and
 // publishes its wire-level exchange on c.Request/c.Response, so
-// interceptors like CallStats and Events see the actual bytes moved by
+// interceptors like Events see the actual bytes moved by
 // the scheme-selected transport.
 type CallInvoker interface {
 	Invoker

@@ -10,19 +10,15 @@ import (
 	"wspeer/internal/exchange"
 	"wspeer/internal/pipeline"
 	"wspeer/internal/resilience"
-	"wspeer/internal/soap"
 	"wspeer/internal/telemetry"
 	"wspeer/internal/transport"
 	"wspeer/internal/wsaddr"
 )
 
-// Exchange-layer instruments: messages sent per pattern and replies that
-// arrived at a reply endpoint but could not be parsed at all.
+// Exchange-layer instruments: messages sent per pattern.
 var (
-	mOneWaySent     = telemetry.Default().Meter.Counter("exchange.oneway.sent")
-	mCallbackSent   = telemetry.Default().Meter.Counter("exchange.callback.sent")
-	mReplyUnparsed  = telemetry.Default().Meter.Counter("exchange.reply.unparsed")
-	mReplyDelivered = telemetry.Default().Meter.Counter("exchange.reply.in")
+	mOneWaySent   = telemetry.Default().Meter.Counter("exchange.oneway.sent")
+	mCallbackSent = telemetry.Default().Meter.Counter("exchange.callback.sent")
 )
 
 // ReplyEndpoint is a live inbound endpoint a client hosts to receive
@@ -146,30 +142,9 @@ func (c *Client) replyEndpoint(scheme string, h CallbackHoster) (ReplyEndpoint, 
 }
 
 // handleReply is the deliver function every hosted reply endpoint feeds:
-// parse the envelope, recover the WS-Addressing headers, and route the
-// message to its pending exchange by RelatesTo. Unparseable and
-// uncorrelatable messages are counted, never fatal — a reply endpoint is
-// reachable from the network and must shrug off junk.
-func (c *Client) handleReply(body []byte) {
-	mReplyDelivered.Inc()
-	env, err := soap.Parse(body)
-	if err != nil {
-		mReplyUnparsed.Inc()
-		return
-	}
-	hdr, err := wsaddr.FromEnvelope(env)
-	if err != nil || hdr.RelatesTo == "" {
-		mReplyUnparsed.Inc()
-		return
-	}
-	c.exchangeTable().Resolve(hdr.RelatesTo, &exchange.Message{
-		Endpoint:    hdr.To,
-		Action:      hdr.Action,
-		ContentType: env.Version().ContentType(),
-		Body:        body,
-		Headers:     hdr,
-	})
-}
+// the client's correlation table parses the message and routes it to its
+// pending exchange.
+func (c *Client) handleReply(body []byte) { c.exchangeTable().Deliver(body) }
 
 // stampExchange engages the exchange layer on a plain request/response
 // invocation when the client opted in via StampRequestResponse.
@@ -213,34 +188,24 @@ func recordFlight(c *pipeline.Call, span *telemetry.Span, start time.Time, elaps
 	telemetry.Default().Flight.Record(rec, err)
 }
 
-// newExchangeCall builds the pipeline carrier for an exchange-layer
-// invocation against the primary target, mirroring Invoke's setup.
-func (inv *Invocation) newExchangeCall(span *telemetry.Span, op string) *pipeline.Call {
+// sendExchange runs one exchange-layer send (one-way or callback) against
+// the primary target through the client pipeline, with the span, call
+// table and flight record a plain Invoke gets. The pattern and headers
+// ride on the carrier's Meta for the binding to act on.
+func (inv *Invocation) sendExchange(ctx context.Context, spanName string, pattern exchange.Pattern, hdr *wsaddr.MessageHeaders, op string, params []engine.Param) error {
 	primary := inv.targets[0]
-	c := &pipeline.Call{Dir: pipeline.ClientCall, Service: primary.svc.Name, Op: op, Span: span}
-	c.SetMeta(resilience.MetaEndpoint, primary.svc.Endpoint)
-	if budget := inv.client.pipelineBudget(); budget != nil {
-		c.SetMeta(pipeline.MetaRetryBudget, budget)
-	}
-	return c
-}
-
-// InvokeOneWay sends the operation as a fire-and-forget message through
-// the client pipeline: the call returns once the substrate has accepted
-// the message (an HTTP 202, a completed pipe write, a completed in-memory
-// dispatch) and no reply is ever decoded. The invocation targets the
-// primary endpoint only.
-func (inv *Invocation) InvokeOneWay(ctx context.Context, op string, params ...engine.Param) error {
-	primary := inv.targets[0]
-	span, ctx := telemetry.Default().Tracer.StartSpan(ctx, "client.invoke.oneway")
+	span, ctx := telemetry.Default().Tracer.StartSpan(ctx, spanName)
 	span.SetService(primary.svc.Name)
 	span.SetOp(op)
 	span.SetDir(telemetry.DirClient)
 	span.SetEndpoint(primary.svc.Endpoint)
-	c := inv.newExchangeCall(span, op)
-	c.Ctx = ctx
-	c.SetMeta(exchange.MetaPattern, exchange.OneWay)
-	c.SetMeta(exchange.MetaHeaders, &wsaddr.MessageHeaders{MessageID: wsaddr.NewMessageID()})
+	c := &pipeline.Call{Ctx: ctx, Dir: pipeline.ClientCall, Service: primary.svc.Name, Op: op, Span: span}
+	c.SetMeta(resilience.MetaEndpoint, primary.svc.Endpoint)
+	if budget := inv.client.pipelineBudget(); budget != nil {
+		c.SetMeta(pipeline.MetaRetryBudget, budget)
+	}
+	c.SetMeta(exchange.MetaPattern, pattern)
+	c.SetMeta(exchange.MetaHeaders, hdr)
 	start := time.Now()
 	err := inv.client.chain.Run(c, func(c *pipeline.Call) error {
 		_, err := invokeTarget(c, primary, op, params)
@@ -253,6 +218,17 @@ func (inv *Invocation) InvokeOneWay(ctx context.Context, op string, params ...en
 		span.SetError(err)
 		span.End()
 	}
+	return err
+}
+
+// InvokeOneWay sends the operation as a fire-and-forget message through
+// the client pipeline: the call returns once the substrate has accepted
+// the message (an HTTP 202, a completed pipe write, a completed in-memory
+// dispatch) and no reply is ever decoded. The invocation targets the
+// primary endpoint only.
+func (inv *Invocation) InvokeOneWay(ctx context.Context, op string, params ...engine.Param) error {
+	err := inv.sendExchange(ctx, "client.invoke.oneway", exchange.OneWay,
+		&wsaddr.MessageHeaders{MessageID: wsaddr.NewMessageID()}, op, params)
 	if err == nil {
 		mOneWaySent.Inc()
 	}
@@ -281,11 +257,7 @@ func (p *PendingReply) Wait(ctx context.Context) (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, err := soap.Parse(msg.Body)
-	if err != nil {
-		return nil, fmt.Errorf("core: callback reply: %w", err)
-	}
-	return engine.ResultFromEnvelope(env)
+	return engine.ResultFromEnvelope(msg.Envelope)
 }
 
 // InvokeCallback sends the operation with a wsa:ReplyTo naming a reply
@@ -323,27 +295,8 @@ func (inv *Invocation) InvokeCallback(ctx context.Context, op string, params ...
 		return nil, err
 	}
 
-	span, ctx := telemetry.Default().Tracer.StartSpan(ctx, "client.invoke.callback")
-	span.SetService(primary.svc.Name)
-	span.SetOp(op)
-	span.SetDir(telemetry.DirClient)
-	span.SetEndpoint(primary.svc.Endpoint)
-	c := inv.newExchangeCall(span, op)
-	c.Ctx = ctx
-	c.SetMeta(exchange.MetaPattern, exchange.Callback)
-	c.SetMeta(exchange.MetaHeaders, &wsaddr.MessageHeaders{MessageID: msgID, ReplyTo: ep.EPR()})
-	start := time.Now()
-	err = inv.client.chain.Run(c, func(c *pipeline.Call) error {
-		_, err := invokeTarget(c, primary, op, params)
-		return err
-	})
-	elapsed := time.Since(start)
-	telemetry.Default().Calls.Record(primary.svc.Name, telemetry.DirClient, elapsed, err != nil)
-	recordFlight(c, span, start, elapsed, primary.svc.Endpoint, err)
-	if span != nil {
-		span.SetError(err)
-		span.End()
-	}
+	err = inv.sendExchange(ctx, "client.invoke.callback", exchange.Callback,
+		&wsaddr.MessageHeaders{MessageID: msgID, ReplyTo: ep.EPR()}, op, params)
 	if err != nil {
 		// The request never left (or the substrate rejected it): no reply
 		// can arrive, so withdraw the pending entry rather than letting it

@@ -108,8 +108,8 @@ type Client struct {
 	exch clientExchange
 }
 
-// Use installs client-side pipeline interceptors (Deadline, Retry,
-// CallStats, or custom ones) around every invocation made through this
+// Use installs client-side pipeline interceptors (Deadline, Retry, or
+// custom ones) around every invocation made through this
 // client, existing Invocations included. Earlier-installed interceptors
 // run outermost.
 func (c *Client) Use(ics ...pipeline.Interceptor) { c.chain.Use(ics...) }

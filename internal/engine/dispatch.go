@@ -295,18 +295,12 @@ func (e *Engine) serveCall(c *pipeline.Call) error {
 			"service", c.Service, "op", c.Op, "code", fault.Code.Local, "fault", fault.String)
 		respEnv = soap.NewEnvelopeV(version).SetFault(fault)
 	}
-	if target := replyTarget(hdr, respEnv.IsFault()); target != nil && target.Address != wsaddr.Anonymous {
-		if sender := e.replySender(transport.SchemeOf(target.Address)); sender != nil {
-			if e.sendDecoupledReply(c.Ctx, hdr, target, respEnv, sender) == nil {
-				// Reply delivered out-of-band: the request connection gets
-				// only the transport-level ack (hosts answer 202 Accepted).
-				c.SetMeta(exchange.MetaPattern, exchange.Callback)
-				c.Response = &transport.Response{}
-				return nil
-			}
-			// Delivery failed (counted in exchange.reply.failed): fall back
-			// to the back channel so the response is not lost outright.
-		}
+	if e.DeliverReply(c.Ctx, hdr, respEnv) {
+		// Reply delivered out-of-band: the request connection gets only
+		// the transport-level ack (hosts answer 202 Accepted).
+		c.SetMeta(exchange.MetaPattern, exchange.Callback)
+		c.Response = &transport.Response{}
+		return nil
 	}
 	if hdr != nil && hdr.MessageID != "" && respEnv.Header(wsaddr.RelatesToName) == nil {
 		respEnv.AddHeader(xmlutil.NewElement(wsaddr.RelatesToName).SetText(hdr.MessageID))

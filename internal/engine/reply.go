@@ -2,11 +2,11 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"wspeer/internal/exchange"
 	"wspeer/internal/soap"
 	"wspeer/internal/telemetry"
+	"wspeer/internal/transport"
 	"wspeer/internal/wsaddr"
 )
 
@@ -64,49 +64,56 @@ func (e *Engine) replySender(scheme string) ReplySender {
 	return e.replySenders[scheme]
 }
 
-// replyTarget picks where a reply should be delivered per WS-Addressing:
-// faults prefer FaultTo when the request carried one, everything else
-// follows ReplyTo.
-func replyTarget(h *wsaddr.MessageHeaders, fault bool) *wsaddr.EndpointReference {
-	if h == nil {
-		return nil
+// DeliverReply is the one place a reply becomes a separate outbound
+// message. It picks the target per WS-Addressing (faults prefer FaultTo
+// when the request carried one, everything else follows ReplyTo), looks up
+// the ReplySender for the target's URI scheme, stamps the reply headers
+// (RelatesTo = request MessageID, To = the reply endpoint, Action =
+// request action + #response or #fault) onto respEnv and sends it. It
+// reports whether the reply was delivered; false — no headers, an
+// anonymous or absent target, no sender for the scheme, or a failed
+// delivery (counted in exchange.reply.failed) — leaves the caller to
+// answer on the transport back channel. Dispatch goes through it, and so
+// do hosts answering a request the engine refused before dispatch (shed by
+// admission, caller deadline already expired).
+func (e *Engine) DeliverReply(ctx context.Context, req *wsaddr.MessageHeaders, respEnv *soap.Envelope) bool {
+	if req == nil {
+		return false
 	}
-	if fault && h.FaultTo != nil {
-		return h.FaultTo
-	}
-	return h.ReplyTo
-}
-
-// sendDecoupledReply stamps the WS-Addressing reply headers (RelatesTo =
-// request MessageID, To = the reply endpoint) onto respEnv and hands it to
-// the sender as a separate outbound message. On failure the caller falls
-// back to the transport back channel.
-func (e *Engine) sendDecoupledReply(ctx context.Context, req *wsaddr.MessageHeaders, target *wsaddr.EndpointReference, respEnv *soap.Envelope, sender ReplySender) error {
 	fault := respEnv.IsFault()
+	target := req.ReplyTo
+	if fault && req.FaultTo != nil {
+		target = req.FaultTo
+	}
+	if target == nil || target.Address == wsaddr.Anonymous {
+		return false
+	}
+	sender := e.replySender(transport.SchemeOf(target.Address))
+	if sender == nil {
+		return false
+	}
 	action := req.Action + "#response"
 	if fault {
 		action = req.Action + "#fault"
 	}
-	rh, err := req.Reply(action, fault)
+	rh := wsaddr.HeadersFor(target, action)
+	rh.RelatesTo = req.MessageID
+	err := rh.Apply(respEnv)
+	if err == nil {
+		err = sender.SendReply(ctx, target, &exchange.Message{
+			Endpoint:    target.Address,
+			Action:      action,
+			ContentType: respEnv.Version().ContentType(),
+			Body:        respEnv.Marshal(),
+			Headers:     rh,
+		})
+	}
 	if err != nil {
-		return err
-	}
-	if err := rh.Apply(respEnv); err != nil {
-		return fmt.Errorf("engine: stamping reply headers: %w", err)
-	}
-	msg := &exchange.Message{
-		Endpoint:    target.Address,
-		Action:      action,
-		ContentType: respEnv.Version().ContentType(),
-		Body:        respEnv.Marshal(),
-		Headers:     rh,
-	}
-	if err := sender.SendReply(ctx, target, msg); err != nil {
 		mExchangeReplyFailed.Inc()
 		telemetry.Default().Log.Warn(ctx, "engine: decoupled reply delivery failed, falling back to back channel",
 			"endpoint", target.Address, "action", action, "err", err)
-		return err
+		return false
 	}
 	mExchangeReplyOut.Inc()
-	return nil
+	return true
 }

@@ -1,0 +1,101 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"wspeer/internal/exchange"
+	"wspeer/internal/soap"
+	"wspeer/internal/wsaddr"
+	"wspeer/internal/xmlutil"
+)
+
+// TestDeliverReplyAddressing pins the WS-Addressing reply rule in the one
+// place that applies it: faults go to FaultTo when the request carries one
+// and to ReplyTo otherwise, everything else follows ReplyTo, and the reply
+// relates to the request's MessageID under a fresh one of its own.
+func TestDeliverReplyAddressing(t *testing.T) {
+	e := New()
+	type sent struct {
+		to  *wsaddr.EndpointReference
+		msg *exchange.Message
+	}
+	var got []sent
+	var sendErr error
+	e.RegisterReplySender("test", ReplySenderFunc(func(_ context.Context, to *wsaddr.EndpointReference, msg *exchange.Message) error {
+		got = append(got, sent{to, msg})
+		return sendErr
+	}))
+	replies := wsaddr.NewEndpointReference("test://consumer/replies")
+	replies.AddReferenceProperty(xmlutil.NewElement(xmlutil.N("urn:t", "Pipe")).SetText("reply"))
+	req := &wsaddr.MessageHeaders{
+		To: "test://provider/Echo", Action: "urn:op", MessageID: "urn:uuid:req-1",
+		ReplyTo: replies,
+		FaultTo: wsaddr.NewEndpointReference("test://consumer/faults"),
+	}
+	response := func() *soap.Envelope {
+		env := soap.NewEnvelope()
+		env.AddBodyElement(xmlutil.NewElement(xmlutil.N("urn:t", "echoResponse")))
+		return env
+	}
+	fault := func() *soap.Envelope {
+		return soap.NewEnvelope().SetFault(soap.ServerFault(errors.New("boom")))
+	}
+	ctx := context.Background()
+
+	// A normal reply follows ReplyTo even when FaultTo is present.
+	if !e.DeliverReply(ctx, req, response()) || len(got) != 1 {
+		t.Fatalf("response not delivered (%d sends)", len(got))
+	}
+	h := got[0].msg.Headers
+	if got[0].to != replies || h.To != replies.Address || got[0].msg.Endpoint != replies.Address {
+		t.Fatalf("response addressed to %q / %q", got[0].to.Address, h.To)
+	}
+	if h.RelatesTo != req.MessageID || h.MessageID == "" || h.MessageID == req.MessageID {
+		t.Fatalf("response correlation: RelatesTo %q MessageID %q", h.RelatesTo, h.MessageID)
+	}
+	if h.Action != "urn:op#response" || len(h.RefProps) != 1 {
+		t.Fatalf("response Action %q, %d reference properties", h.Action, len(h.RefProps))
+	}
+	// The stamped headers are on the wire, not only on the Message.
+	env, err := soap.Parse(got[0].msg.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire, err := wsaddr.FromEnvelope(env); err != nil || wire.RelatesTo != req.MessageID || wire.To != replies.Address {
+		t.Fatalf("wire headers = %+v, %v", wire, err)
+	}
+
+	// Faults go to FaultTo when the request carries one...
+	if !e.DeliverReply(ctx, req, fault()) || len(got) != 2 {
+		t.Fatal("fault not delivered")
+	}
+	if h := got[1].msg.Headers; got[1].to != req.FaultTo || h.Action != "urn:op#fault" || h.RelatesTo != req.MessageID {
+		t.Fatalf("fault addressed to %q, Action %q, RelatesTo %q", got[1].to.Address, h.Action, h.RelatesTo)
+	}
+	// ...and fall back to ReplyTo without one.
+	noFaultTo := *req
+	noFaultTo.FaultTo = nil
+	if !e.DeliverReply(ctx, &noFaultTo, fault()) || got[2].to != replies {
+		t.Fatal("fault without FaultTo did not follow ReplyTo")
+	}
+
+	// Nothing is sent, and the caller is told to use the back channel, for
+	// a request without headers, without a reply target, with an anonymous
+	// one, with one no sender serves — or when the send fails.
+	for name, hdr := range map[string]*wsaddr.MessageHeaders{
+		"no headers": nil,
+		"no ReplyTo": {Action: "urn:op", MessageID: "m"},
+		"anonymous":  {Action: "urn:op", MessageID: "m", ReplyTo: wsaddr.NewEndpointReference(wsaddr.Anonymous)},
+		"no sender":  {Action: "urn:op", MessageID: "m", ReplyTo: wsaddr.NewEndpointReference("other://x")},
+	} {
+		if e.DeliverReply(ctx, hdr, response()) || len(got) != 3 {
+			t.Fatalf("%s: reported delivered, or sent (%d sends)", name, len(got))
+		}
+	}
+	sendErr = errors.New("pipe gone")
+	if e.DeliverReply(ctx, req, response()) {
+		t.Fatal("failed send reported as delivered")
+	}
+}

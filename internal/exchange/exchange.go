@@ -17,6 +17,7 @@ package exchange
 import (
 	"fmt"
 
+	"wspeer/internal/soap"
 	"wspeer/internal/wsaddr"
 )
 
@@ -75,4 +76,8 @@ type Message struct {
 	Body []byte
 	// Headers are the parsed WS-Addressing message headers, when known.
 	Headers *wsaddr.MessageHeaders
+	// Envelope is Body parsed, when the message came in through
+	// Table.Deliver: whoever waits on the reply decodes it from here
+	// instead of parsing Body a second time.
+	Envelope *soap.Envelope
 }

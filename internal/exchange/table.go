@@ -7,7 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"wspeer/internal/soap"
 	"wspeer/internal/telemetry"
+	"wspeer/internal/wsaddr"
 )
 
 // Errors surfaced by the correlation table.
@@ -139,12 +141,10 @@ type Table struct {
 
 	mu      sync.Mutex
 	entries map[string]*tableEntry
-	// recent is a bounded ring of completed MessageIDs so retransmitted
-	// replies classify as Duplicate rather than Orphan.
-	recent    map[string]struct{}
-	recentBuf []string
-	recentPos int
-	closed    bool
+	// recent remembers completed MessageIDs so retransmitted replies
+	// classify as Duplicate rather than Orphan.
+	recent *Window
+	closed bool
 
 	// Local stats (the telemetry instruments below are process-global and
 	// shared across tables).
@@ -155,20 +155,25 @@ type Table struct {
 	orphanCtr     *telemetry.Counter
 	duplicateCtr  *telemetry.Counter
 	latencyHist   *telemetry.Histogram
+	deliveredCtr  *telemetry.Counter
+	unparsedCtr   *telemetry.Counter
 }
 
 // NewTable returns a correlation table with the given bounds.
 func NewTable(opts TableOptions) *Table {
 	m := telemetry.Default().Meter
+	opts = opts.withDefaults()
 	return &Table{
-		opts:          opts.withDefaults(),
+		opts:          opts,
 		entries:       make(map[string]*tableEntry),
-		recent:        make(map[string]struct{}),
+		recent:        NewWindow(opts.DedupWindow),
 		inflightGauge: m.Gauge("exchange.inflight"),
 		expiredCtr:    m.Counter("exchange.expired"),
 		orphanCtr:     m.Counter("exchange.orphan"),
 		duplicateCtr:  m.Counter("exchange.duplicate"),
 		latencyHist:   m.Histogram("exchange.callback.latency"),
+		deliveredCtr:  m.Counter("exchange.reply.in"),
+		unparsedCtr:   m.Counter("exchange.reply.unparsed"),
 	}
 }
 
@@ -211,7 +216,7 @@ func (t *Table) Resolve(relatesTo string, msg *Message) Outcome {
 	t.mu.Lock()
 	e, ok := t.entries[relatesTo]
 	if !ok {
-		if _, dup := t.recent[relatesTo]; dup {
+		if t.recent.Seen(relatesTo) {
 			t.duplicates++
 			t.mu.Unlock()
 			t.duplicateCtr.Inc()
@@ -227,7 +232,7 @@ func (t *Table) Resolve(relatesTo string, msg *Message) Outcome {
 		return Orphan
 	}
 	delete(t.entries, relatesTo)
-	t.remember(relatesTo)
+	t.recent.Mark(relatesTo)
 	t.resolved++
 	elapsed := time.Since(e.start)
 	t.mu.Unlock()
@@ -237,6 +242,35 @@ func (t *Table) Resolve(relatesTo string, msg *Message) Outcome {
 	t.latencyHist.Observe(elapsed)
 	e.f.complete(msg, nil)
 	return Resolved
+}
+
+// Deliver is the function a hosted reply endpoint feeds every inbound
+// message to: parse the envelope, recover the WS-Addressing headers, and
+// route the message to its pending exchange by RelatesTo. The message
+// handed to the Future carries the parsed envelope, so the reply is parsed
+// exactly once. Unparseable and uncorrelatable messages are counted, never
+// fatal — a reply endpoint is reachable from the network and must shrug
+// off junk.
+func (t *Table) Deliver(body []byte) {
+	t.deliveredCtr.Inc()
+	env, err := soap.Parse(body)
+	if err != nil {
+		t.unparsedCtr.Inc()
+		return
+	}
+	hdr, err := wsaddr.FromEnvelope(env)
+	if err != nil || hdr.RelatesTo == "" {
+		t.unparsedCtr.Inc()
+		return
+	}
+	t.Resolve(hdr.RelatesTo, &Message{
+		Endpoint:    hdr.To,
+		Action:      hdr.Action,
+		ContentType: env.Version().ContentType(),
+		Body:        body,
+		Headers:     hdr,
+		Envelope:    env,
+	})
 }
 
 // Cancel withdraws a pending exchange without completing its Future —
@@ -250,7 +284,7 @@ func (t *Table) Cancel(messageID string) bool {
 		return false
 	}
 	delete(t.entries, messageID)
-	t.remember(messageID)
+	t.recent.Mark(messageID)
 	t.mu.Unlock()
 
 	e.timer.Stop()
@@ -268,7 +302,7 @@ func (t *Table) expire(messageID string, ttl time.Duration) {
 		return // resolved concurrently
 	}
 	delete(t.entries, messageID)
-	t.remember(messageID)
+	t.recent.Mark(messageID)
 	t.expired++
 	t.mu.Unlock()
 
@@ -277,19 +311,6 @@ func (t *Table) expire(messageID string, ttl time.Duration) {
 	telemetry.Default().Log.Warn(nil, "exchange: pending exchange expired, reply never arrived",
 		"message_id", messageID, "ttl", ttl)
 	e.f.complete(nil, &ExpiredError{MessageID: messageID, TTL: ttl})
-}
-
-// remember records a completed MessageID in the bounded dedup ring.
-// Callers hold t.mu.
-func (t *Table) remember(id string) {
-	if len(t.recentBuf) < t.opts.DedupWindow {
-		t.recentBuf = append(t.recentBuf, id)
-	} else {
-		delete(t.recent, t.recentBuf[t.recentPos])
-		t.recentBuf[t.recentPos] = id
-		t.recentPos = (t.recentPos + 1) % t.opts.DedupWindow
-	}
-	t.recent[id] = struct{}{}
 }
 
 // Len reports the number of pending exchanges.
@@ -311,7 +332,7 @@ func (t *Table) Close() {
 	pending := make([]*tableEntry, 0, len(t.entries))
 	for id, e := range t.entries {
 		delete(t.entries, id)
-		t.remember(id)
+		t.recent.Mark(id)
 		pending = append(pending, e)
 	}
 	t.mu.Unlock()

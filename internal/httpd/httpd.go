@@ -64,15 +64,6 @@ const maxRequestBytes = 64 << 20
 // unchanged; returning handled=true short-circuits with the given response.
 type Interceptor func(service string, req *transport.Request) (resp *transport.Response, handled bool, err error)
 
-// Observer receives raw request/response notifications either side of
-// engine processing (the hook the core layer turns into ServerMessageEvents).
-//
-// Deprecated: the observer seam is kept for API compatibility; it fires
-// from the same instrumented point that feeds the telemetry spine. New
-// code should attach a telemetry.Sink to the Default tracer (for spans)
-// or read the spine's snapshot (for counts) instead.
-type Observer func(service string, req *transport.Request, resp *transport.Response)
-
 // Options configures a Host.
 type Options struct {
 	// ListenAddr is the TCP address to bind when the first service is
@@ -108,7 +99,6 @@ type Host struct {
 	started     bool
 	closed      bool
 	interceptor Interceptor
-	observer    Observer
 	deployed    map[string]bool
 	callbacks   map[string]func(body []byte)
 	callbackSeq int64
@@ -139,13 +129,6 @@ func (h *Host) SetInterceptor(i Interceptor) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.interceptor = i
-}
-
-// SetObserver installs a request/response observer.
-func (h *Host) SetObserver(o Observer) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.observer = o
 }
 
 // Started reports whether the lazy listener is up.
@@ -350,7 +333,6 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	known := h.deployed[service]
 	interceptor := h.interceptor
-	observer := h.observer
 	h.mu.Unlock()
 	if !known {
 		http.NotFound(w, r)
@@ -445,9 +427,6 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 			writeFault(w, soap.ServerFault(err))
 			return
 		}
-	}
-	if observer != nil {
-		observer(service, req, resp)
 	}
 	if len(resp.Body) == 0 {
 		w.WriteHeader(http.StatusAccepted) // one-way

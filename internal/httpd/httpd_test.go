@@ -222,23 +222,30 @@ func TestInterceptorError(t *testing.T) {
 	}
 }
 
-func TestObserver(t *testing.T) {
+// TestSpineCounters checks the httpd.* counters the telemetry spine reads:
+// one httpd.requests tick per exchange, and an httpd.faults tick only when
+// the host answered with a fault.
+func TestSpineCounters(t *testing.T) {
 	h := newHost(t, Options{})
 	if _, err := h.Deploy(echoDef()); err != nil {
 		t.Fatal(err)
 	}
-	var seen atomic.Int64
-	h.SetObserver(func(service string, req *transport.Request, resp *transport.Response) {
-		if service == "Echo" && len(req.Body) > 0 && len(resp.Body) > 0 {
-			seen.Add(1)
-		}
-	})
 	stub := stubFor(t, h, "Echo", nil)
+	requests, faults := mHostRequests.Value(), mHostFaults.Value()
 	if _, err := stub.Invoke(context.Background(), "echoString", engine.P("msg", "x")); err != nil {
 		t.Fatal(err)
 	}
-	if seen.Load() != 1 {
-		t.Fatalf("observer saw %d exchanges", seen.Load())
+	if dr, df := mHostRequests.Value()-requests, mHostFaults.Value()-faults; dr != 1 || df != 0 {
+		t.Fatalf("after a good call: httpd.requests +%d, httpd.faults +%d", dr, df)
+	}
+	h.SetInterceptor(func(string, *transport.Request) (*transport.Response, bool, error) {
+		return nil, false, errors.New("refused")
+	})
+	if _, err := stub.Invoke(context.Background(), "echoString", engine.P("msg", "x")); err == nil {
+		t.Fatal("refused call succeeded")
+	}
+	if dr, df := mHostRequests.Value()-requests, mHostFaults.Value()-faults; dr != 2 || df != 1 {
+		t.Fatalf("after a faulted call: httpd.requests +%d, httpd.faults +%d", dr, df)
 	}
 }
 

@@ -31,10 +31,19 @@ type TCPTransport struct {
 
 	mu       sync.Mutex
 	recv     func(from string, data []byte)
-	conns    map[string]net.Conn // outbound, keyed by destination
+	conns    map[string]*tcpConn // outbound, keyed by destination
 	accepted map[net.Conn]bool   // inbound
 	closed   bool
 	wg       sync.WaitGroup
+}
+
+// tcpConn is one cached outbound connection. Every sender to a destination
+// shares it, so a frame's header and body are written under wmu: without
+// it concurrent senders interleave their writes and the receiver loses
+// framing.
+type tcpConn struct {
+	net.Conn
+	wmu sync.Mutex
 }
 
 // NewTCPTransport listens on addr ("127.0.0.1:0" for an ephemeral port).
@@ -43,7 +52,7 @@ func NewTCPTransport(addr string) (*TCPTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("p2ps: tcp listen: %w", err)
 	}
-	t := &TCPTransport{ln: ln, conns: make(map[string]net.Conn), accepted: make(map[net.Conn]bool)}
+	t := &TCPTransport{ln: ln, conns: make(map[string]*tcpConn), accepted: make(map[net.Conn]bool)}
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -68,7 +77,7 @@ func (t *TCPTransport) Close() error {
 	}
 	t.closed = true
 	conns := t.conns
-	t.conns = map[string]net.Conn{}
+	t.conns = map[string]*tcpConn{}
 	inbound := t.accepted
 	t.accepted = map[net.Conn]bool{}
 	t.mu.Unlock()
@@ -96,11 +105,11 @@ func (t *TCPTransport) Send(to string, data []byte) error {
 	conn, ok := t.conns[to]
 	t.mu.Unlock()
 	if !ok {
-		var err error
-		conn, err = (&net.Dialer{Timeout: dialTimeout}).Dial("tcp", to)
+		nc, err := (&net.Dialer{Timeout: dialTimeout}).Dial("tcp", to)
 		if err != nil {
 			return nil // unreachable destination: datagram drop
 		}
+		conn = &tcpConn{Conn: nc}
 		t.mu.Lock()
 		if existing, raced := t.conns[to]; raced {
 			conn.Close()
@@ -110,8 +119,11 @@ func (t *TCPTransport) Send(to string, data []byte) error {
 		}
 		t.mu.Unlock()
 	}
+	conn.wmu.Lock()
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if err := writeFrame(conn, data); err != nil {
+	err := writeFrame(conn, data)
+	conn.wmu.Unlock()
+	if err != nil {
 		// Connection went bad: forget it. The datagram is lost.
 		t.mu.Lock()
 		if t.conns[to] == conn {

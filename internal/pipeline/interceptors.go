@@ -281,109 +281,3 @@ func Events(observe func(c *Call)) Interceptor {
 		}
 	}
 }
-
-// numLatencyBuckets counts the histogram buckets: one per bound plus the
-// unbounded overflow bucket. The bounds are the telemetry spine's.
-const numLatencyBuckets = telemetry.NumBuckets
-
-// LatencyBucketBounds returns the histogram's upper bounds (the final,
-// unbounded bucket is not listed — a Snapshot's Buckets slice has one more
-// entry than this). They are the telemetry spine's shared bounds.
-func LatencyBucketBounds() []time.Duration {
-	return telemetry.BucketBounds()
-}
-
-// CallStats measures the calls passing through its interceptor:
-// per-service, per-direction counts, failures and a latency histogram.
-// One CallStats may be installed on several chains; Snapshot aggregates
-// everything it has seen.
-//
-// Deprecated: CallStats is a thin adapter over telemetry.CallTable, kept
-// for API compatibility. The Default telemetry hub already maintains an
-// always-on table fed by core invocations and engine dispatches — read it
-// with telemetry.Default().Calls (or the facade's Snapshot()) instead of
-// installing this interceptor.
-type CallStats struct {
-	table *telemetry.CallTable
-}
-
-// NewCallStats returns an empty recorder.
-func NewCallStats() *CallStats {
-	return &CallStats{table: telemetry.NewCallTable()}
-}
-
-// Interceptor returns the measuring stage. Install it inside Retry to
-// count individual attempts, outside to count logical calls.
-func (s *CallStats) Interceptor() Interceptor {
-	return func(next CallFunc) CallFunc {
-		return func(c *Call) error {
-			start := time.Now()
-			err := next(c)
-			s.table.Record(c.Service, c.Dir.String(), time.Since(start), err != nil)
-			return err
-		}
-	}
-}
-
-// ServiceSnapshot is one service+direction row of a CallStats snapshot.
-type ServiceSnapshot struct {
-	Service  string
-	Dir      Direction
-	Calls    int64
-	Failures int64
-	// TotalLatency summed over all calls; divide by Calls for the mean.
-	TotalLatency time.Duration
-	MinLatency   time.Duration
-	MaxLatency   time.Duration
-	// Buckets counts calls at or under each LatencyBucketBounds entry,
-	// plus a final overflow bucket.
-	Buckets []int64
-}
-
-// Mean returns the average latency (0 with no calls).
-func (s ServiceSnapshot) Mean() time.Duration {
-	if s.Calls == 0 {
-		return 0
-	}
-	return s.TotalLatency / time.Duration(s.Calls)
-}
-
-// directionOf maps a telemetry direction string back onto Direction.
-func directionOf(dir string) Direction {
-	if dir == telemetry.DirServer {
-		return ServerDispatch
-	}
-	return ClientCall
-}
-
-func fromCallSnapshot(row telemetry.CallSnapshot) ServiceSnapshot {
-	return ServiceSnapshot{
-		Service:      row.Service,
-		Dir:          directionOf(row.Dir),
-		Calls:        row.Calls,
-		Failures:     row.Failures,
-		TotalLatency: row.TotalLatency,
-		MinLatency:   row.MinLatency,
-		MaxLatency:   row.MaxLatency,
-		Buckets:      row.Buckets,
-	}
-}
-
-// Snapshot returns a consistent copy of everything recorded so far,
-// ordered by service name then direction.
-func (s *CallStats) Snapshot() []ServiceSnapshot {
-	rows := s.table.Snapshot()
-	out := make([]ServiceSnapshot, len(rows))
-	for i, row := range rows {
-		out[i] = fromCallSnapshot(row)
-	}
-	return out
-}
-
-// Service returns the snapshot row for one service+direction (zero row
-// when the pair has not been seen).
-func (s *CallStats) Service(service string, dir Direction) ServiceSnapshot {
-	row := fromCallSnapshot(s.table.Service(service, dir.String()))
-	row.Service, row.Dir = service, dir
-	return row
-}

@@ -13,9 +13,8 @@
 //
 // Stock interceptors ship in this package: Deadline (per-call timeout
 // enforcement), Retry (idempotent-safe retransmission with exponential
-// backoff and jitter), Events (one choke point for client/server message
-// events) and CallStats (atomic per-service counters and a latency
-// histogram). Layers above install them via core.Client.Use,
+// backoff and jitter) and Events (one choke point for client/server message
+// events). Layers above install them via core.Client.Use,
 // engine.Engine.Use, or a binding's Use method.
 package pipeline
 

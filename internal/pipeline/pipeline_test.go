@@ -280,69 +280,6 @@ func TestEventsObservesOncePerLogicalCall(t *testing.T) {
 	}
 }
 
-func TestCallStatsSnapshot(t *testing.T) {
-	stats := NewCallStats()
-	fn := stats.Interceptor()(func(c *Call) error {
-		if c.Service == "Bad" {
-			return errors.New("fail")
-		}
-		return nil
-	})
-	for i := 0; i < 5; i++ {
-		fn(&Call{Ctx: context.Background(), Service: "Echo", Dir: ClientCall})
-	}
-	for i := 0; i < 2; i++ {
-		fn(&Call{Ctx: context.Background(), Service: "Bad", Dir: ServerDispatch})
-	}
-	snap := stats.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("rows = %d", len(snap))
-	}
-	bad, echo := snap[0], snap[1] // sorted by name
-	if bad.Service != "Bad" || bad.Calls != 2 || bad.Failures != 2 || bad.Dir != ServerDispatch {
-		t.Fatalf("bad row = %+v", bad)
-	}
-	if echo.Service != "Echo" || echo.Calls != 5 || echo.Failures != 0 {
-		t.Fatalf("echo row = %+v", echo)
-	}
-	var bucketTotal int64
-	for _, n := range echo.Buckets {
-		bucketTotal += n
-	}
-	if bucketTotal != echo.Calls {
-		t.Fatalf("bucket total %d != calls %d", bucketTotal, echo.Calls)
-	}
-	if echo.MinLatency < 0 || echo.MaxLatency < echo.MinLatency || echo.TotalLatency < echo.MaxLatency {
-		t.Fatalf("latency ordering: %+v", echo)
-	}
-	if got := stats.Service("Echo", ClientCall); got.Calls != 5 {
-		t.Fatalf("Service() = %+v", got)
-	}
-	if got := stats.Service("Nope", ClientCall); got.Calls != 0 {
-		t.Fatalf("unseen Service() = %+v", got)
-	}
-}
-
-func TestCallStatsConcurrent(t *testing.T) {
-	stats := NewCallStats()
-	fn := stats.Interceptor()(func(*Call) error { return nil })
-	var wg sync.WaitGroup
-	const goroutines, per = 8, 250
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				fn(&Call{Ctx: context.Background(), Service: "S", Dir: ClientCall})
-			}
-		}()
-	}
-	wg.Wait()
-	if got := stats.Service("S", ClientCall).Calls; got != goroutines*per {
-		t.Fatalf("calls = %d", got)
-	}
-}
-
 func TestDirectionString(t *testing.T) {
 	if ClientCall.String() != "client" || ServerDispatch.String() != "server" {
 		t.Fatal("direction strings")

@@ -16,8 +16,7 @@ import (
 //
 // The Default hub's table is fed by the core client (one row per invoked
 // service, direction "client") and the engine's server terminal (one row
-// per dispatched service, direction "server"); pipeline.CallStats is a
-// deprecated adapter over a private instance of this type.
+// per dispatched service, direction "server").
 type CallTable struct {
 	mu   sync.RWMutex
 	rows map[callKey]*callRow

@@ -1,9 +1,8 @@
 // Package telemetry is WSPeer's observation spine: one zero-dependency
-// layer every other package emits its operational signals through. Before
-// it existed the repo observed itself through four disconnected
-// mechanisms — pipeline.CallStats counters, the httpd Observer hook,
-// resilience breaker OnChange callbacks and the core event-listener tree.
-// Those all survive as thin adapters, but the data now originates here.
+// layer every other package emits its operational signals through. The
+// callback-style hooks that remain — resilience breaker OnChange and the
+// core event-listener tree — fire from the same instrumented points that
+// feed it.
 //
 // Three primitives make up the spine:
 //
@@ -121,8 +120,7 @@ const (
 
 // latencyBuckets are the upper bounds of every latency histogram in the
 // spine (the CallTable's and the Meter's); the final bucket is unbounded.
-// They mirror the bounds pipeline.CallStats has always used, so historic
-// snapshots remain comparable.
+// They have never changed, so historic snapshots remain comparable.
 var latencyBuckets = [...]time.Duration{
 	100 * time.Microsecond,
 	time.Millisecond,

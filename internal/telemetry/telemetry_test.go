@@ -105,6 +105,16 @@ func TestCallTable(t *testing.T) {
 	if row.MeanLatency != 3*time.Millisecond {
 		t.Fatalf("mean = %v", row.MeanLatency)
 	}
+	if row.TotalLatency != 6*time.Millisecond {
+		t.Fatalf("total = %v", row.TotalLatency)
+	}
+	var bucketTotal int64
+	for _, n := range row.Buckets {
+		bucketTotal += n
+	}
+	if bucketTotal != row.Calls {
+		t.Fatalf("bucket total %d != calls %d", bucketTotal, row.Calls)
+	}
 	empty := tab.Service("Nope", DirServer)
 	if empty.Calls != 0 || len(empty.Buckets) != NumBuckets {
 		t.Fatalf("empty row = %+v", empty)

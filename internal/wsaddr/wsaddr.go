@@ -216,22 +216,3 @@ func FromEnvelope(env *soap.Envelope) (*MessageHeaders, error) {
 	}
 	return h, nil
 }
-
-// Reply builds the headers for a response that relates to the request
-// headers h: it addresses the request's ReplyTo (copying its reference
-// properties) and sets RelatesTo to the request's MessageID. When fault is
-// true and the request carries a FaultTo, the reply is addressed there
-// instead, per the WS-Addressing fault-delivery rule (FaultTo when
-// present, else ReplyTo).
-func (h *MessageHeaders) Reply(action string, fault bool) (*MessageHeaders, error) {
-	target := h.ReplyTo
-	if fault && h.FaultTo != nil {
-		target = h.FaultTo
-	}
-	if target == nil {
-		return nil, fmt.Errorf("wsaddr: request carries no ReplyTo")
-	}
-	r := HeadersFor(target, action)
-	r.RelatesTo = h.MessageID
-	return r, nil
-}

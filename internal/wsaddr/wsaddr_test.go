@@ -123,77 +123,6 @@ func TestApplyMandatoryFields(t *testing.T) {
 	}
 }
 
-func TestReply(t *testing.T) {
-	req := &MessageHeaders{
-		To:        "p2ps://provider/Echo",
-		Action:    "urn:op",
-		MessageID: "urn:uuid:req-1",
-	}
-	if _, err := req.Reply("urn:op:response", false); err == nil {
-		t.Fatal("reply without ReplyTo accepted")
-	}
-	req.ReplyTo = NewEndpointReference("p2ps://consumer")
-	req.ReplyTo.AddReferenceProperty(pipeProp("reply"))
-	resp, err := req.Reply("urn:op:response", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.To != "p2ps://consumer" {
-		t.Fatalf("reply To = %q", resp.To)
-	}
-	if resp.RelatesTo != "urn:uuid:req-1" {
-		t.Fatalf("RelatesTo = %q", resp.RelatesTo)
-	}
-	if resp.Action != "urn:op:response" {
-		t.Fatalf("Action = %q", resp.Action)
-	}
-	// Reference properties of the reply EPR become header blocks.
-	if len(resp.RefProps) != 1 {
-		t.Fatalf("reply RefProps: %v", resp.RefProps)
-	}
-	if resp.MessageID == "" || resp.MessageID == req.MessageID {
-		t.Fatal("reply needs a fresh MessageID")
-	}
-}
-
-func TestReplyHonorsFaultToForFaults(t *testing.T) {
-	req := &MessageHeaders{
-		To:        "p2ps://provider/Echo",
-		Action:    "urn:op",
-		MessageID: "urn:uuid:req-2",
-		ReplyTo:   NewEndpointReference("p2ps://consumer/replies"),
-		FaultTo:   NewEndpointReference("p2ps://consumer/faults"),
-	}
-	// Normal replies still follow ReplyTo even when FaultTo is present.
-	ok, err := req.Reply("urn:op:response", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok.To != "p2ps://consumer/replies" {
-		t.Fatalf("non-fault reply To = %q", ok.To)
-	}
-	// Faults go to FaultTo when the request carries one.
-	flt, err := req.Reply("urn:op:fault", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flt.To != "p2ps://consumer/faults" {
-		t.Fatalf("fault reply To = %q", flt.To)
-	}
-	if flt.RelatesTo != "urn:uuid:req-2" {
-		t.Fatalf("fault RelatesTo = %q", flt.RelatesTo)
-	}
-	// Without FaultTo, faults fall back to ReplyTo.
-	req.FaultTo = nil
-	flt, err = req.Reply("urn:op:fault", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flt.To != "p2ps://consumer/replies" {
-		t.Fatalf("fault fallback To = %q", flt.To)
-	}
-}
-
 func TestFaultToAndFrom(t *testing.T) {
 	h := &MessageHeaders{
 		To:      "urn:to",

@@ -158,13 +158,6 @@ type (
 	CallDirection = pipeline.Direction
 	// RetryOptions tunes the Retry interceptor.
 	RetryOptions = pipeline.RetryOptions
-	// CallStats aggregates per-service call counts and latency.
-	//
-	// Deprecated: a thin adapter over the telemetry spine's call table;
-	// read Snapshot() instead of installing a CallStats interceptor.
-	CallStats = pipeline.CallStats
-	// ServiceSnapshot is one service's aggregated statistics.
-	ServiceSnapshot = pipeline.ServiceSnapshot
 )
 
 // The telemetry spine (DESIGN.md §12): every layer — pipeline
@@ -277,10 +270,6 @@ func Deadline(d time.Duration) CallInterceptor { return pipeline.Deadline(d) }
 // Retry returns an interceptor that retries failed idempotent calls with
 // exponential backoff; see MarkIdempotent and Idempotent.
 func Retry(opts RetryOptions) CallInterceptor { return pipeline.Retry(opts) }
-
-// NewCallStats returns an empty statistics collector; install it with
-// Client.Use / a binding's Use and read it with Snapshot.
-func NewCallStats() *CallStats { return pipeline.NewCallStats() }
 
 // MarkIdempotent flags a call as safe to retry.
 func MarkIdempotent(c *PipelineCall) { pipeline.MarkIdempotent(c) }
