@@ -5,7 +5,7 @@
 GO ?= go
 BENCH_BASELINE ?= bench_baseline.json
 
-.PHONY: all help build vet test race bench bench-baseline bench-compare bench-throughput harness chaos examples loc clean check
+.PHONY: all help build vet test race bench bench-baseline bench-compare bench-throughput harness chaos fuzz-smoke examples loc clean check
 
 all: build vet test
 
@@ -25,6 +25,7 @@ help:
 	@echo "  bench-throughput throughput experiments (A4) in calls/sec"
 	@echo "  harness          regenerate every experiment table (E1-E10, A1-A4, R1, R2)"
 	@echo "  chaos            the deterministic chaos suite under -race"
+	@echo "  fuzz-smoke       ten seconds of native fuzzing on the P2PS frame decoder"
 	@echo "  examples         run every example program once"
 	@echo "  loc              count lines of Go"
 
@@ -80,6 +81,12 @@ harness:
 # same fault schedule bit for bit.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Overload|Breaker|Admission|Injector|Hedge|Budget|Deadline|Exchange|Callback|OneWay|Table|Future' . ./internal/resilience/ ./internal/httpd/ ./internal/core/ ./internal/pipeline/ ./internal/exchange/
+
+# Ten seconds of native fuzzing on the P2PS frame decoder, seeded from
+# internal/p2ps/testdata/fuzz: long enough to catch a decoder that panics
+# or a field that does not survive encode/decode, short enough for CI.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/p2ps
 
 # Run every example program once.
 examples:

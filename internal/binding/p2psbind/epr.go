@@ -10,9 +10,10 @@
 // a consumer binding hosts one persistent reply pipe and an exchange.Table
 // in which each synchronous call waits for the reply whose RelatesTo names
 // it, retransmitting the identical request until it comes. A provider
-// parses, drops or replays duplicates from an exchange.Window of recent
-// request MessageIDs, and dispatches; the engine's DeliverReply stamps
-// and sends every reply, through the binding's ReplySender.
+// parses a request once, drops or replays duplicates from an
+// exchange.Window of recent request MessageIDs, and hands the engine the
+// parsed envelope to dispatch; the engine's DeliverReply stamps and sends
+// every reply, through the binding's ReplySender.
 package p2psbind
 
 import (

@@ -120,12 +120,14 @@ func (b *Binding) FetchDefinitions(ctx context.Context, adv *p2ps.ServiceAdverti
 	if err := out.Send(env.Marshal()); err != nil {
 		return nil, err
 	}
+	timeout := time.NewTimer(b.replyTimeout)
+	defer timeout.Stop()
 	select {
 	case data := <-ch:
 		return wsdl.Parse(data)
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-time.After(b.replyTimeout):
+	case <-timeout.C:
 		return nil, fmt.Errorf("timed out retrieving WSDL from definition pipe")
 	}
 }

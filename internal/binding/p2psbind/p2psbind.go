@@ -367,9 +367,10 @@ func (d deployer) Undeploy(service string) error {
 }
 
 // handleRequest implements the provider side of figures 5/6: parse the
-// SOAP request, suppress duplicates, adopt the caller's deadline and
-// dispatch through the engine, which sends the response down the pipe
-// advertised in the request's ReplyTo (FaultTo for faults) header.
+// SOAP request — once: the engine is handed the envelope and headers read
+// here — suppress duplicates, adopt the caller's deadline and dispatch
+// through the engine, which sends the response down the pipe advertised in
+// the request's ReplyTo (FaultTo for faults) header.
 func (b *Binding) handleRequest(ds *deployedService, data []byte) {
 	env, err := soap.Parse(data)
 	if err != nil {
@@ -406,12 +407,12 @@ func (b *Binding) handleRequest(ds *deployedService, data []byte) {
 			defer cancel()
 		}
 	}
-	_, err = b.Engine().ServeRequest(ctx, ds.name, &transport.Request{
+	_, err = b.Engine().ServeParsed(ctx, ds.name, &transport.Request{
 		Endpoint:    hdr.To,
 		Action:      hdr.Action,
 		ContentType: soap.ContentType,
 		Body:        data,
-	})
+	}, env, hdr)
 	if err != nil {
 		// The engine refused the request before dispatch. An overload
 		// becomes the P2PS equivalent of HTTP 503 + Retry-After: a Server

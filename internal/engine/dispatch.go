@@ -173,6 +173,24 @@ func (e *Engine) Handler(serviceName string) transport.Handler {
 // interceptor refusing the call — yields a Go error. One-way requests
 // produce an empty response.
 func (e *Engine) ServeRequest(ctx context.Context, serviceName string, req *transport.Request) (*transport.Response, error) {
+	return e.serve(ctx, serviceName, req, e.serveCall)
+}
+
+// ServeParsed is ServeRequest for a host that had to parse the request to
+// route it (the P2PS binding reads MessageID, ReplyTo and the deadline
+// header before it can dispatch): env is req.Body parsed and hdr its
+// addressing headers, and the terminal uses them instead of parsing again.
+// Everything else — deadline drop, admission, interceptors, mustUnderstand
+// processing, reply delivery — is ServeRequest's.
+func (e *Engine) ServeParsed(ctx context.Context, serviceName string, req *transport.Request, env *soap.Envelope, hdr *wsaddr.MessageHeaders) (*transport.Response, error) {
+	return e.serve(ctx, serviceName, req, func(c *pipeline.Call) error {
+		return e.serveEnvelope(c, env, hdr, e.checkUnderstood(env))
+	})
+}
+
+// serve runs one request through admission and the server pipeline down to
+// terminal, and records the call.
+func (e *Engine) serve(ctx context.Context, serviceName string, req *transport.Request, terminal pipeline.CallFunc) (*transport.Response, error) {
 	// A caller deadline — propagated across the wire by the hosts, or
 	// native on the in-memory substrate — that has already passed means
 	// the caller is gone: drop the request before admission and dispatch
@@ -207,7 +225,7 @@ func (e *Engine) ServeRequest(ctx context.Context, serviceName string, req *tran
 		Span:    span,
 	}
 	start := time.Now()
-	err := e.pipe.Run(c, e.serveCall)
+	err := e.pipe.Run(c, terminal)
 	elapsed := time.Since(start)
 	faulted := c.Response != nil && c.Response.Faulted
 	telemetry.Default().Calls.Record(serviceName, telemetry.DirServer, elapsed, err != nil || faulted)
@@ -245,24 +263,10 @@ func (e *Engine) ServeRequest(ctx context.Context, serviceName string, req *tran
 	return c.Response, nil
 }
 
-// serveCall is the server pipeline's terminal: parse, run the handler
-// chains and the operation, encode. It fills c.Response (faults included)
-// and reserves the error return for the pipeline above it.
-//
-// Requests carrying WS-Addressing headers get exchange-pattern treatment:
-// a non-anonymous ReplyTo (FaultTo for faults) whose scheme has a
-// registered ReplySender receives the response as a separate outbound
-// message — the back channel carries only the transport-level ack — and
-// in-band replies are stamped with RelatesTo so the caller can correlate.
-// Requests without headers take exactly the pre-exchange path.
+// serveCall is ServeRequest's terminal: parse the request body, check its
+// mustUnderstand headers, extract the addressing headers, then serve.
 func (e *Engine) serveCall(c *pipeline.Call) error {
-	e.nRequests.Add(1)
-	mEngineRequests.Inc()
 	env, fault := e.parseAndCheck(c.Request)
-	version := soap.SOAP11
-	if env != nil {
-		version = env.Version() // answer in the caller's SOAP version
-	}
 	// Parse addressing headers only when header blocks exist at all, so
 	// the plain synchronous path pays nothing for the exchange layer.
 	var hdr *wsaddr.MessageHeaders
@@ -272,6 +276,28 @@ func (e *Engine) serveCall(c *pipeline.Call) error {
 			hdr = nil
 			fault = soap.NewFault(soap.FaultClient, "invalid addressing headers: %s", err)
 		}
+	}
+	return e.serveEnvelope(c, env, hdr, fault)
+}
+
+// serveEnvelope is the part of the terminal every entry point shares: run
+// the handler chains and the operation on a parsed request — or answer
+// the fault its parsing produced (env is nil when it did not parse at
+// all) — and encode. It fills c.Response (faults included) and reserves
+// the error return for the pipeline above it.
+//
+// Requests carrying WS-Addressing headers get exchange-pattern treatment:
+// a non-anonymous ReplyTo (FaultTo for faults) whose scheme has a
+// registered ReplySender receives the response as a separate outbound
+// message — the back channel carries only the transport-level ack — and
+// in-band replies are stamped with RelatesTo so the caller can correlate.
+// Requests without headers take exactly the pre-exchange path.
+func (e *Engine) serveEnvelope(c *pipeline.Call, env *soap.Envelope, hdr *wsaddr.MessageHeaders, fault *soap.Fault) error {
+	e.nRequests.Add(1)
+	mEngineRequests.Inc()
+	version := soap.SOAP11
+	if env != nil {
+		version = env.Version() // answer in the caller's SOAP version
 	}
 	var respEnv *soap.Envelope
 	var oneWay bool
@@ -321,8 +347,16 @@ func (e *Engine) parseAndCheck(req *transport.Request) (*soap.Envelope, *soap.Fa
 		}
 		return nil, soap.NewFault(soap.FaultClient, "malformed envelope: %s", err)
 	}
-	// mustUnderstand processing: WS-Addressing headers are understood
-	// natively; anything else must have been registered via Understand.
+	if fault := e.checkUnderstood(env); fault != nil {
+		return nil, fault
+	}
+	return env, nil
+}
+
+// checkUnderstood is mustUnderstand processing: WS-Addressing headers are
+// understood natively; anything else must have been registered via
+// Understand.
+func (e *Engine) checkUnderstood(env *soap.Envelope) *soap.Fault {
 	for _, h := range env.Headers() {
 		if !soap.MustUnderstand(h) {
 			continue
@@ -331,11 +365,11 @@ func (e *Engine) parseAndCheck(req *transport.Request) (*soap.Envelope, *soap.Fa
 			continue
 		}
 		if !e.understands(h.Name.Space) {
-			return nil, soap.NewFault(soap.FaultMustUnderstand,
+			return soap.NewFault(soap.FaultMustUnderstand,
 				"header %s not understood", h.Name)
 		}
 	}
-	return env, nil
+	return nil
 }
 
 // dispatch runs the handler chains and the operation as an envelope-level

@@ -7,6 +7,7 @@ import (
 
 	"wspeer/internal/exchange"
 	"wspeer/internal/soap"
+	"wspeer/internal/transport"
 	"wspeer/internal/wsaddr"
 	"wspeer/internal/xmlutil"
 )
@@ -97,5 +98,72 @@ func TestDeliverReplyAddressing(t *testing.T) {
 	sendErr = errors.New("pipe gone")
 	if e.DeliverReply(ctx, req, response()) {
 		t.Fatal("failed send reported as delivered")
+	}
+}
+
+// TestServeParsedUsesWhatItIsHanded: the entry point for a host that has
+// already parsed the request neither parses the body nor reads the
+// addressing headers off the envelope again. The body it is given here does
+// not parse, and the headers disagree with the envelope's (which has none):
+// the operation still runs on the envelope's parameters and the reply goes
+// where, and relates to what, the handed-in headers say. mustUnderstand
+// processing still runs, on the handed-in envelope.
+func TestServeParsedUsesWhatItIsHanded(t *testing.T) {
+	e := New()
+	if _, err := e.Deploy(echoDef()); err != nil {
+		t.Fatal(err)
+	}
+	var to *wsaddr.EndpointReference
+	var reply *exchange.Message
+	e.RegisterReplySender("test", ReplySenderFunc(func(_ context.Context, epr *wsaddr.EndpointReference, msg *exchange.Message) error {
+		to, reply = epr, msg
+		return nil
+	}))
+	request := func() *soap.Envelope {
+		env := soap.NewEnvelope()
+		wrapper := xmlutil.NewElement(xmlutil.N(DefaultNamespacePrefix+"Echo", "echoString"))
+		wrapper.NewChild(xmlutil.N(DefaultNamespacePrefix+"Echo", "msg")).SetText("handed in")
+		env.AddBodyElement(wrapper)
+		return env
+	}
+	hdr := &wsaddr.MessageHeaders{
+		To: "test://provider/Echo", Action: "urn:op", MessageID: "urn:uuid:handed-in",
+		ReplyTo: wsaddr.NewEndpointReference("test://consumer/replies"),
+	}
+	unparseable := &transport.Request{Body: []byte("<not an envelope")}
+	ctx := context.Background()
+
+	resp, err := e.ServeParsed(ctx, "Echo", unparseable, request(), hdr)
+	if err != nil || resp == nil || len(resp.Body) != 0 {
+		t.Fatalf("ServeParsed = %+v, %v; want the bare ack of a reply delivered out of band", resp, err)
+	}
+	if reply == nil || to != hdr.ReplyTo || reply.Headers.RelatesTo != hdr.MessageID {
+		t.Fatalf("reply %+v to %+v: not addressed by the handed-in headers", reply, to)
+	}
+	env, err := soap.Parse(reply.Body)
+	if err != nil || env.IsFault() {
+		t.Fatalf("reply is not a response: %v, %+v", err, env.Fault())
+	}
+	if got := env.FirstBodyElement().ChildLocal("return"); got == nil || got.Text() != "handed in" {
+		t.Fatalf("operation did not run on the handed-in envelope: %s", reply.Body)
+	}
+
+	// An unknown mustUnderstand header on the handed-in envelope faults.
+	strict := request()
+	security := xmlutil.NewElement(xmlutil.N("urn:ext", "Security"))
+	soap.SetMustUnderstand(security)
+	strict.AddHeader(security)
+	reply = nil
+	if _, err := e.ServeParsed(ctx, "Echo", unparseable, strict, hdr); err != nil {
+		t.Fatal(err)
+	}
+	if reply == nil {
+		t.Fatal("no reply to a request with a header that is not understood")
+	}
+	if env, err = soap.Parse(reply.Body); err != nil || !env.IsFault() || env.Fault().Code != soap.FaultMustUnderstand {
+		t.Fatalf("want MustUnderstand fault, got %v, %s", err, reply.Body)
+	}
+	if reply.Headers.Action != "urn:op#fault" || reply.Headers.RelatesTo != hdr.MessageID {
+		t.Fatalf("fault reply headers = %+v", reply.Headers)
 	}
 }

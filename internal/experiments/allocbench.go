@@ -60,7 +60,24 @@ func RunAllocBenches() ([]AllocBenchResult, error) {
 	var out []AllocBenchResult
 	var setupErr error
 
-	// HTTPInvoke: steady-state invocation over real HTTP.
+	// benchInvoke measures steady-state synchronous invocation.
+	benchInvoke := func(name string, inv *wspeer.Invocation) error {
+		ctx := context.Background()
+		var invokeErr error
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := inv.Invoke(ctx, "echo", wspeer.P("msg", "x")); err != nil {
+					invokeErr = err
+					b.FailNow()
+				}
+			}
+		})
+		out = append(out, toResult(name, r))
+		return invokeErr
+	}
+
+	// HTTPInvoke: over real HTTP.
 	{
 		peer := wspeer.NewPeer()
 		binding, err := wspeer.NewHTTPBinding(wspeer.HTTPOptions{})
@@ -76,25 +93,39 @@ func RunAllocBenches() ([]AllocBenchResult, error) {
 		inv, err := peer.Client().NewInvocation(&wspeer.ServiceInfo{
 			Name: "Echo", Endpoint: dep.Endpoint, Definitions: dep.Definitions,
 		})
+		if err == nil {
+			err = benchInvoke("HTTPInvoke", inv)
+		}
+		binding.Close()
 		if err != nil {
-			binding.Close()
+			return nil, err
+		}
+	}
+
+	// P2PSInvoke: over pipes on the in-process overlay — request frame,
+	// provider dispatch, reply frame, correlation on the reply pipe.
+	{
+		provider, consumer, closeAll, err := newP2PSPair()
+		if err != nil {
 			return nil, err
 		}
 		ctx := context.Background()
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := inv.Invoke(ctx, "echo", wspeer.P("msg", "x")); err != nil {
-					setupErr = err
-					b.FailNow()
-				}
-			}
-		})
-		binding.Close()
-		if setupErr != nil {
-			return nil, setupErr
+		_, err = provider.Server().DeployAndPublish(ctx, allocEchoDef())
+		var info *wspeer.ServiceInfo
+		if err == nil {
+			info, err = locateP2PS(ctx, consumer, "Echo")
 		}
-		out = append(out, toResult("HTTPInvoke", r))
+		var inv *wspeer.Invocation
+		if err == nil {
+			inv, err = consumer.Client().NewInvocation(info)
+		}
+		if err == nil {
+			err = benchInvoke("P2PSInvoke", inv)
+		}
+		closeAll()
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// EngineDispatch: parse + dispatch + encode, no transport.

@@ -103,41 +103,66 @@ func RunHTTPLifecycle(concurrency []int, invokesPerLevel int) (*LifecycleResult,
 	return res, nil
 }
 
+// newP2PSPair stands up a rendezvous and two P2PS-bound peers attached to
+// it on an in-process overlay; closeAll detaches all three.
+func newP2PSPair() (provider, consumer *wspeer.Peer, closeAll func(), err error) {
+	overlay := p2ps.NewLocalNetwork()
+	rdv, err := p2ps.NewPeer(p2ps.Config{Transport: overlay.NewEndpoint(), Rendezvous: true})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	nodes := []*p2ps.Peer{rdv}
+	closeAll = func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}
+	mk := func() (*wspeer.Peer, error) {
+		node, err := p2ps.NewPeer(p2ps.Config{Transport: overlay.NewEndpoint(), Seeds: []string{rdv.Addr()}})
+		if err != nil {
+			return nil, err
+		}
+		nodes = append(nodes, node)
+		b, err := wspeer.NewP2PSBinding(wspeer.P2PSOptions{Peer: node, DiscoveryTimeout: 250 * time.Millisecond})
+		if err != nil {
+			return nil, err
+		}
+		p := wspeer.NewPeer()
+		b.Attach(p)
+		return p, nil
+	}
+	if provider, err = mk(); err == nil {
+		consumer, err = mk()
+	}
+	if err != nil {
+		closeAll()
+		return nil, nil, nil, err
+	}
+	return provider, consumer, closeAll, nil
+}
+
+// locateP2PS retries LocateOne until the advert has propagated: publication
+// on the overlay is asynchronous.
+func locateP2PS(ctx context.Context, consumer *wspeer.Peer, name string) (*wspeer.ServiceInfo, error) {
+	var err error
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		var info *wspeer.ServiceInfo
+		if info, err = consumer.Client().LocateOne(ctx, wspeer.NameQuery{Name: name}); err == nil {
+			return info, nil
+		}
+	}
+	return nil, fmt.Errorf("p2ps locate never succeeded: %v", err)
+}
+
 // RunP2PSLifecycle measures E3: the same four phases over the P2PS
 // binding on an in-process overlay.
 func RunP2PSLifecycle(concurrency []int, invokesPerLevel int) (*LifecycleResult, error) {
 	ctx := context.Background()
-	overlay := p2ps.NewLocalNetwork()
-	rdv, err := p2ps.NewPeer(p2ps.Config{Transport: overlay.NewEndpoint(), Rendezvous: true})
+	provider, consumer, closeAll, err := newP2PSPair()
 	if err != nil {
 		return nil, err
 	}
-	defer rdv.Close()
-
-	mk := func() (*wspeer.Peer, func(), error) {
-		node, err := p2ps.NewPeer(p2ps.Config{Transport: overlay.NewEndpoint(), Seeds: []string{rdv.Addr()}})
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := wspeer.NewP2PSBinding(wspeer.P2PSOptions{Peer: node, DiscoveryTimeout: 250 * time.Millisecond})
-		if err != nil {
-			node.Close()
-			return nil, nil, err
-		}
-		p := wspeer.NewPeer()
-		b.Attach(p)
-		return p, func() { node.Close() }, nil
-	}
-	provider, closeProv, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	defer closeProv()
-	consumer, closeCons, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	defer closeCons()
+	defer closeAll()
 
 	res := &LifecycleResult{Binding: "p2ps", Throughput: map[int]float64{}}
 
@@ -154,18 +179,10 @@ func RunP2PSLifecycle(concurrency []int, invokesPerLevel int) (*LifecycleResult,
 	}
 	res.Publish = time.Since(start)
 
-	// Locate with retry: advert propagation is asynchronous.
 	start = time.Now()
-	var info *wspeer.ServiceInfo
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		info, err = consumer.Client().LocateOne(ctx, wspeer.NameQuery{Name: "Echo"})
-		if err == nil {
-			break
-		}
-	}
-	if info == nil {
-		return nil, fmt.Errorf("p2ps locate never succeeded: %v", err)
+	info, err := locateP2PS(ctx, consumer, "Echo")
+	if err != nil {
+		return nil, err
 	}
 	res.Locate = time.Since(start)
 

@@ -2,7 +2,6 @@ package p2ps
 
 import (
 	"testing"
-	"testing/quick"
 
 	"wspeer/internal/xmlutil"
 )
@@ -131,97 +130,6 @@ func TestQueryMatches(t *testing.T) {
 	groupless := &ServiceAdvertisement{ID: "b", Name: "X"}
 	if !(Query{Group: "g"}).Matches(groupless) {
 		t.Error("groupless advert should match")
-	}
-}
-
-func TestMessageRoundTrips(t *testing.T) {
-	msgs := []*message{
-		{Type: msgAttach, From: "p1", Addr: "sim://a", Group: "g",
-			PeerAdv: &PeerAdvertisement{ID: "p1", Addr: "sim://a", Group: "g", Rendezvous: true}},
-		{Type: msgAttachResponse, From: "p2", Addr: "sim://b",
-			PeerAdv:  &PeerAdvertisement{ID: "p2", Addr: "sim://b"},
-			RdvAddrs: []string{"sim://r1", "sim://r2"}},
-		{Type: msgPublish, From: "p1", Addr: "sim://a",
-			ServiceAdv: &ServiceAdvertisement{ID: "adv-1", Name: "Echo", Peer: "p1"}},
-		{Type: msgUnpublish, From: "p1", Addr: "sim://a", Name: "adv-1"},
-		{Type: msgQuery, From: "p1", Addr: "sim://a", Group: "g", TTL: 5, Hops: 2,
-			QueryID: "q-1", Name: "Echo*", Attrs: map[string]string{"kind": "echo"}},
-		{Type: msgQueryResponse, From: "p2", Addr: "sim://b", QueryID: "q-1", Hops: 3,
-			ServiceAdv:   &ServiceAdvertisement{ID: "adv-1", Name: "Echo", Peer: "p1"},
-			ResolvedAddr: "sim://a"},
-		{Type: msgResolve, From: "p1", Addr: "sim://a", QueryID: "r-1", TTL: 4, TargetPeer: "p9"},
-		{Type: msgResolveResponse, From: "p2", Addr: "sim://b", QueryID: "r-1",
-			TargetPeer: "p9", ResolvedAddr: "sim://z"},
-		{Type: msgData, From: "p1", Addr: "sim://a", PipeID: "pipe-1",
-			Data: []byte{0, 1, 2, 0xff, '<', '&'}},
-	}
-	for _, in := range msgs {
-		out, err := decodeMessage(in.encode())
-		if err != nil {
-			t.Fatalf("%s: %v", in.Type, err)
-		}
-		if out.Type != in.Type || out.From != in.From || out.Addr != in.Addr ||
-			out.Group != in.Group || out.TTL != in.TTL || out.Hops != in.Hops ||
-			out.QueryID != in.QueryID || out.Name != in.Name ||
-			out.TargetPeer != in.TargetPeer || out.ResolvedAddr != in.ResolvedAddr ||
-			out.PipeID != in.PipeID {
-			t.Fatalf("%s: scalars differ:\nin  %+v\nout %+v", in.Type, in, out)
-		}
-		if in.Data != nil {
-			if string(out.Data) != string(in.Data) {
-				t.Fatalf("%s: data differs", in.Type)
-			}
-		}
-		if len(in.Attrs) != len(out.Attrs) {
-			t.Fatalf("%s: attrs differ", in.Type)
-		}
-		if len(in.RdvAddrs) != len(out.RdvAddrs) {
-			t.Fatalf("%s: rdv addrs differ", in.Type)
-		}
-		if (in.PeerAdv == nil) != (out.PeerAdv == nil) || (in.ServiceAdv == nil) != (out.ServiceAdv == nil) {
-			t.Fatalf("%s: adverts differ", in.Type)
-		}
-	}
-}
-
-func TestMessageDecodeErrors(t *testing.T) {
-	if _, err := decodeMessage([]byte("not xml")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := decodeMessage([]byte("<x/>")); err == nil {
-		t.Fatal("wrong root accepted")
-	}
-	noType := xmlutil.NewElement(messageName)
-	if _, err := decodeMessage(xmlutil.Marshal(noType)); err == nil {
-		t.Fatal("missing type accepted")
-	}
-	badTTL := xmlutil.NewElement(messageName)
-	badTTL.SetAttr(xmlutil.N("", "type"), "query")
-	badTTL.SetAttr(xmlutil.N("", "ttl"), "zz")
-	if _, err := decodeMessage(xmlutil.Marshal(badTTL)); err == nil {
-		t.Fatal("bad ttl accepted")
-	}
-}
-
-func TestQuickDataPayloadRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		in := &message{Type: msgData, From: "p", Addr: "a", PipeID: "x", Data: data}
-		out, err := decodeMessage(in.encode())
-		if err != nil {
-			return false
-		}
-		if len(out.Data) != len(data) {
-			return false
-		}
-		for i := range data {
-			if out.Data[i] != data[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

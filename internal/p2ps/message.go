@@ -1,10 +1,9 @@
 package p2ps
 
 import (
-	"encoding/base64"
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"wspeer/internal/query"
@@ -25,8 +24,24 @@ const (
 )
 
 // message is the P2PS wire unit. Everything peers exchange — adverts,
-// queries, resolutions and pipe data — travels as one of these, serialized
-// as XML.
+// queries, resolutions and pipe data — travels as one of these, encoded as
+// a binary frame:
+//
+//	'P' 'S' version, then fields: tag byte, uvarint length, value
+//
+// Only fields that are set are written, in tag order; a decoder rejects a
+// tag its version does not define (the version byte is how the format
+// changes). Strings and Data are their raw bytes, TTL and Hops signed
+// varints, an attribute a uvarint key length, the key, then the value.
+// The two adverts are the bytes of their XML documents (Element /
+// ...FromElement): the advertisement format is XML, as in the paper; the
+// envelope around it is not.
+//
+// decodeMessage does not copy Data: it is a sub-slice of the frame it was
+// handed. That is sound only because every Transport (tcp.readFrame,
+// LocalEndpoint.Send, netsim's Endpoint.Send) hands the receiver a buffer
+// it never writes again, and pipe listeners treat what they are given as
+// read-only.
 type message struct {
 	Type  string
 	From  PeerID
@@ -42,144 +57,261 @@ type message struct {
 	PeerAdv      *PeerAdvertisement
 	ServiceAdv   *ServiceAdvertisement
 	PipeID       string
-	Data         []byte
+	Data         []byte   // nil (absent) and empty are distinct on the wire
 	RdvAddrs     []string // rendezvous gossip
 	TargetPeer   PeerID
 	ResolvedAddr string
 }
 
-var messageName = xmlutil.N(Namespace, "Message")
+const (
+	frameMagic   = "PS"
+	frameVersion = 1
+	frameHeader  = len(frameMagic) + 1
+)
+
+// Field tags. A frame carries each at most once, except tagAttr and
+// tagRdvAddr, which repeat.
+const (
+	tagType byte = iota + 1
+	tagFrom
+	tagAddr
+	tagGroup
+	tagTTL
+	tagHops
+	tagQueryID
+	tagName
+	tagExpr
+	tagAttr
+	tagPeerAdv
+	tagServiceAdv
+	tagPipeID
+	tagData
+	tagRdvAddr
+	tagTargetPeer
+	tagResolvedAddr
+)
+
+// frameWriter lays a message's fields out twice over the same code: with
+// buf nil it only adds up the frame's size, with buf set it appends, so
+// the frame is built in one buffer of exactly the right capacity.
+type frameWriter struct {
+	buf  []byte
+	size int
+}
+
+func (w *frameWriter) header(tag byte, n int) {
+	if w.buf == nil {
+		w.size += 1 + uvarintLen(uint64(n)) + n
+		return
+	}
+	w.buf = append(w.buf, tag)
+	w.buf = binary.AppendUvarint(w.buf, uint64(n))
+}
+
+// str writes a string field, or nothing for the empty string.
+func (w *frameWriter) str(tag byte, s string) {
+	if s != "" {
+		w.strAlways(tag, s)
+	}
+}
+
+func (w *frameWriter) strAlways(tag byte, s string) {
+	w.header(tag, len(s))
+	if w.buf != nil {
+		w.buf = append(w.buf, s...)
+	}
+}
+
+func (w *frameWriter) bytes(tag byte, b []byte) {
+	if b == nil {
+		return
+	}
+	w.header(tag, len(b))
+	if w.buf != nil {
+		w.buf = append(w.buf, b...)
+	}
+}
+
+func (w *frameWriter) int(tag byte, v int) {
+	if v == 0 {
+		return
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	w.bytes(tag, tmp[:binary.PutVarint(tmp[:], int64(v))])
+}
+
+func (w *frameWriter) attr(k, v string) {
+	kl := uvarintLen(uint64(len(k)))
+	w.header(tagAttr, kl+len(k)+len(v))
+	if w.buf != nil {
+		w.buf = binary.AppendUvarint(w.buf, uint64(len(k)))
+		w.buf = append(w.buf, k...)
+		w.buf = append(w.buf, v...)
+	}
+}
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// writeFields is the one list of what a frame holds and in what order.
+func (m *message) writeFields(w *frameWriter, attrKeys []string, peerAdv, serviceAdv []byte) {
+	w.str(tagType, m.Type)
+	w.str(tagFrom, string(m.From))
+	w.str(tagAddr, m.Addr)
+	w.str(tagGroup, m.Group)
+	w.int(tagTTL, m.TTL)
+	w.int(tagHops, m.Hops)
+	w.str(tagQueryID, m.QueryID)
+	w.str(tagName, m.Name)
+	w.str(tagExpr, m.Expr)
+	for _, k := range attrKeys {
+		w.attr(k, m.Attrs[k])
+	}
+	w.bytes(tagPeerAdv, peerAdv)
+	w.bytes(tagServiceAdv, serviceAdv)
+	w.str(tagPipeID, m.PipeID)
+	w.bytes(tagData, m.Data)
+	for _, a := range m.RdvAddrs {
+		w.strAlways(tagRdvAddr, a) // even when empty: the list keeps its length
+	}
+	w.str(tagTargetPeer, string(m.TargetPeer))
+	w.str(tagResolvedAddr, m.ResolvedAddr)
+}
 
 func (m *message) encode() []byte {
-	el := xmlutil.NewElement(messageName)
-	el.SetAttr(xmlutil.N("", "type"), m.Type)
-	el.SetAttr(xmlutil.N("", "from"), string(m.From))
-	el.SetAttr(xmlutil.N("", "addr"), m.Addr)
-	if m.Group != "" {
-		el.SetAttr(xmlutil.N("", "group"), m.Group)
-	}
-	if m.TTL != 0 {
-		el.SetAttr(xmlutil.N("", "ttl"), strconv.Itoa(m.TTL))
-	}
-	if m.Hops != 0 {
-		el.SetAttr(xmlutil.N("", "hops"), strconv.Itoa(m.Hops))
-	}
-	if m.QueryID != "" {
-		el.SetAttr(xmlutil.N("", "queryId"), m.QueryID)
-	}
-	if m.Name != "" {
-		el.NewChild(xmlutil.N(Namespace, "Name")).SetText(m.Name)
-	}
-	if m.Expr != "" {
-		el.NewChild(xmlutil.N(Namespace, "Expr")).SetText(m.Expr)
-	}
+	var attrKeys []string
 	if len(m.Attrs) > 0 {
-		attrs := el.NewChild(xmlutil.N(Namespace, "QueryAttributes"))
-		keys := make([]string, 0, len(m.Attrs))
+		attrKeys = make([]string, 0, len(m.Attrs))
 		for k := range m.Attrs {
-			keys = append(keys, k)
+			attrKeys = append(attrKeys, k)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			a := attrs.NewChild(xmlutil.N(Namespace, "Attribute"))
-			a.SetAttr(xmlutil.N("", "name"), k)
-			a.SetText(m.Attrs[k])
-		}
+		sort.Strings(attrKeys)
 	}
+	var peerAdv, serviceAdv []byte
 	if m.PeerAdv != nil {
-		el.AddChild(m.PeerAdv.Element())
+		peerAdv = xmlutil.Marshal(m.PeerAdv.Element())
 	}
 	if m.ServiceAdv != nil {
-		el.AddChild(m.ServiceAdv.Element())
+		serviceAdv = xmlutil.Marshal(m.ServiceAdv.Element())
 	}
-	if m.PipeID != "" {
-		el.NewChild(xmlutil.N(Namespace, "Pipe")).SetText(m.PipeID)
+	w := frameWriter{size: frameHeader}
+	m.writeFields(&w, attrKeys, peerAdv, serviceAdv)
+	w.buf = append(append(make([]byte, 0, w.size), frameMagic...), frameVersion)
+	m.writeFields(&w, attrKeys, peerAdv, serviceAdv)
+	return w.buf
+}
+
+var messageTypes = [...]string{
+	msgAttach, msgAttachResponse, msgPublish, msgUnpublish, msgQuery,
+	msgQueryResponse, msgResolve, msgResolveResponse, msgData,
+}
+
+// messageType returns the constant for a known wire type, so decoding the
+// type of every frame allocates nothing.
+func messageType(b []byte) string {
+	for _, t := range messageTypes {
+		if string(b) == t {
+			return t
+		}
 	}
-	if m.Data != nil {
-		el.NewChild(xmlutil.N(Namespace, "Data")).SetText(base64.StdEncoding.EncodeToString(m.Data))
+	return string(b)
+}
+
+// frameInt decodes a TTL or hop count: one signed varint filling the field.
+func frameInt(what string, val []byte) (int, error) {
+	v, n := binary.Varint(val)
+	if n <= 0 || n != len(val) || int64(int(v)) != v {
+		return 0, fmt.Errorf("bad %s % x", what, val)
 	}
-	for _, addr := range m.RdvAddrs {
-		el.NewChild(xmlutil.N(Namespace, "RendezvousAddr")).SetText(addr)
-	}
-	if m.TargetPeer != "" {
-		el.NewChild(xmlutil.N(Namespace, "TargetPeer")).SetText(string(m.TargetPeer))
-	}
-	if m.ResolvedAddr != "" {
-		el.NewChild(xmlutil.N(Namespace, "ResolvedAddr")).SetText(m.ResolvedAddr)
-	}
-	return xmlutil.Marshal(el)
+	return int(v), nil
 }
 
 func decodeMessage(data []byte) (*message, error) {
-	el, err := xmlutil.ParseBytes(data)
-	if err != nil {
-		return nil, fmt.Errorf("p2ps: message: %w", err)
+	if len(data) < frameHeader || string(data[:len(frameMagic)]) != frameMagic {
+		return nil, fmt.Errorf("p2ps: not a message frame")
 	}
-	if el.Name != messageName {
-		return nil, fmt.Errorf("p2ps: unexpected document element %v", el.Name)
+	if v := data[len(frameMagic)]; v != frameVersion {
+		return nil, fmt.Errorf("p2ps: unknown frame version %d", v)
 	}
 	m := &message{}
-	m.Type, _ = el.Attr(xmlutil.N("", "type"))
+	for rest := data[frameHeader:]; len(rest) > 0; {
+		tag := rest[0]
+		n, ln := binary.Uvarint(rest[1:])
+		if ln <= 0 {
+			return nil, fmt.Errorf("p2ps: field %d: bad length", tag)
+		}
+		if n > maxFrame {
+			return nil, fmt.Errorf("p2ps: field %d of %d bytes exceeds limit", tag, n)
+		}
+		rest = rest[1+ln:]
+		if n > uint64(len(rest)) {
+			return nil, fmt.Errorf("p2ps: field %d of %d bytes runs past the frame", tag, n)
+		}
+		val := rest[:n:n]
+		rest = rest[n:]
+		var err error
+		switch tag {
+		case tagType:
+			m.Type = messageType(val)
+		case tagFrom:
+			m.From = PeerID(val)
+		case tagAddr:
+			m.Addr = string(val)
+		case tagGroup:
+			m.Group = string(val)
+		case tagTTL:
+			m.TTL, err = frameInt("ttl", val)
+		case tagHops:
+			m.Hops, err = frameInt("hops", val)
+		case tagQueryID:
+			m.QueryID = string(val)
+		case tagName:
+			m.Name = string(val)
+		case tagExpr:
+			m.Expr = string(val)
+		case tagAttr:
+			kn, kl := binary.Uvarint(val)
+			if kl <= 0 || kn > uint64(len(val)-kl) {
+				return nil, fmt.Errorf("p2ps: bad attribute field")
+			}
+			if m.Attrs == nil {
+				m.Attrs = make(map[string]string)
+			}
+			m.Attrs[string(val[kl:kl+int(kn)])] = string(val[kl+int(kn):])
+		case tagPeerAdv:
+			var el *xmlutil.Element
+			if el, err = xmlutil.ParseBytes(val); err == nil {
+				m.PeerAdv, err = PeerAdvertisementFromElement(el)
+			}
+		case tagServiceAdv:
+			var el *xmlutil.Element
+			if el, err = xmlutil.ParseBytes(val); err == nil {
+				m.ServiceAdv, err = ServiceAdvertisementFromElement(el)
+			}
+		case tagPipeID:
+			m.PipeID = string(val)
+		case tagData:
+			m.Data = val
+		case tagRdvAddr:
+			m.RdvAddrs = append(m.RdvAddrs, string(val))
+		case tagTargetPeer:
+			m.TargetPeer = PeerID(val)
+		case tagResolvedAddr:
+			m.ResolvedAddr = string(val)
+		default:
+			return nil, fmt.Errorf("p2ps: unknown field %d", tag)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("p2ps: message: %w", err)
+		}
+	}
 	if m.Type == "" {
 		return nil, fmt.Errorf("p2ps: message without type")
-	}
-	from, _ := el.Attr(xmlutil.N("", "from"))
-	m.From = PeerID(from)
-	m.Addr, _ = el.Attr(xmlutil.N("", "addr"))
-	m.Group, _ = el.Attr(xmlutil.N("", "group"))
-	if v, ok := el.Attr(xmlutil.N("", "ttl")); ok {
-		if m.TTL, err = strconv.Atoi(v); err != nil {
-			return nil, fmt.Errorf("p2ps: bad ttl %q", v)
-		}
-	}
-	if v, ok := el.Attr(xmlutil.N("", "hops")); ok {
-		if m.Hops, err = strconv.Atoi(v); err != nil {
-			return nil, fmt.Errorf("p2ps: bad hops %q", v)
-		}
-	}
-	m.QueryID, _ = el.Attr(xmlutil.N("", "queryId"))
-	if c := el.Child(xmlutil.N(Namespace, "Name")); c != nil {
-		m.Name = c.TrimmedText()
-	}
-	if c := el.Child(xmlutil.N(Namespace, "Expr")); c != nil {
-		m.Expr = c.TrimmedText()
-	}
-	if attrs := el.Child(xmlutil.N(Namespace, "QueryAttributes")); attrs != nil {
-		m.Attrs = make(map[string]string)
-		for _, a := range attrs.Children(xmlutil.N(Namespace, "Attribute")) {
-			name, _ := a.Attr(xmlutil.N("", "name"))
-			if name != "" {
-				m.Attrs[name] = a.TrimmedText()
-			}
-		}
-	}
-	if pel := el.Child(peerAdvName); pel != nil {
-		if m.PeerAdv, err = PeerAdvertisementFromElement(pel); err != nil {
-			return nil, err
-		}
-	}
-	if sel := el.Child(serviceAdvName); sel != nil {
-		if m.ServiceAdv, err = ServiceAdvertisementFromElement(sel); err != nil {
-			return nil, err
-		}
-	}
-	if c := el.Child(xmlutil.N(Namespace, "Pipe")); c != nil {
-		m.PipeID = c.TrimmedText()
-	}
-	if c := el.Child(xmlutil.N(Namespace, "Data")); c != nil {
-		m.Data, err = base64.StdEncoding.DecodeString(strings.TrimSpace(c.Text()))
-		if err != nil {
-			return nil, fmt.Errorf("p2ps: bad data payload: %w", err)
-		}
-	}
-	for _, c := range el.Children(xmlutil.N(Namespace, "RendezvousAddr")) {
-		m.RdvAddrs = append(m.RdvAddrs, c.TrimmedText())
-	}
-	if c := el.Child(xmlutil.N(Namespace, "TargetPeer")); c != nil {
-		m.TargetPeer = PeerID(c.TrimmedText())
-	}
-	if c := el.Child(xmlutil.N(Namespace, "ResolvedAddr")); c != nil {
-		m.ResolvedAddr = c.TrimmedText()
 	}
 	return m, nil
 }

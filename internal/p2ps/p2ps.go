@@ -4,6 +4,8 @@
 //
 //   - peers identified by logical IDs rather than physical addresses;
 //   - XML advertisements describing peers, pipes and services;
+//   - one wire unit, a binary frame (message.go), carrying a pipe payload
+//     as raw bytes or an advertisement as its XML document;
 //   - unidirectional pipes with listener-based delivery;
 //   - endpoint resolvers that turn logical pipe endpoints into transport
 //     addresses;
@@ -24,7 +26,8 @@ import (
 	"time"
 )
 
-// Namespace is the XML namespace of P2PS adverts and wire messages.
+// Namespace is the XML namespace of P2PS advertisements. Wire messages are
+// binary frames and have none.
 const Namespace = "http://wspeer.dev/p2ps"
 
 // PeerID is a peer's logical identity.

@@ -79,7 +79,8 @@ type Peer struct {
 	discoveries  map[string]*Discovery
 	resolves     map[string]*ResolveOp
 	seenQueries  map[string]bool
-	seenOrder    []string
+	seenOrder    []string // ring of the last seenQueryCap IDs, oldest at seenPos once full
+	seenPos      int
 	leaseCancels map[string]func() // advert ID -> expiry-timer cancel
 	closed       bool
 
@@ -419,6 +420,8 @@ func (p *Peer) seedTargets() []string {
 type Discovery struct {
 	ID string
 
+	peer *Peer // forgets the handle when the discovery finishes
+
 	mu      sync.Mutex
 	matches []*ServiceAdvertisement
 	seen    map[string]bool
@@ -489,6 +492,9 @@ func (d *Discovery) finish() {
 	if cancel != nil {
 		cancel()
 	}
+	d.peer.mu.Lock()
+	delete(d.peer.discoveries, d.ID)
+	d.peer.mu.Unlock()
 	close(d.done)
 }
 
@@ -531,11 +537,11 @@ func (p *Peer) Discover(q Query, timeout time.Duration) *Discovery {
 	_ = q.Prepare() // compile once; malformed expressions match nothing
 	d := &Discovery{
 		ID:   "q-" + randomHex(8),
+		peer: p,
 		seen: make(map[string]bool),
 		hops: make(map[string]int),
 		done: make(chan struct{}),
 	}
-	d.setCancel(p.clock.AfterFunc(timeout, d.finish))
 
 	p.mu.Lock()
 	p.discoveries[d.ID] = d
@@ -548,6 +554,8 @@ func (p *Peer) Discover(q Query, timeout time.Duration) *Discovery {
 	}
 	targets := p.originTargetsLocked()
 	p.mu.Unlock()
+	// Armed only now that the handle is registered: finish is what removes it.
+	d.setCancel(p.clock.AfterFunc(timeout, d.finish))
 
 	for _, adv := range local {
 		d.add(adv)
@@ -570,14 +578,6 @@ func (p *Peer) Discover(q Query, timeout time.Duration) *Discovery {
 	for _, t := range targets {
 		p.send(t, m)
 	}
-
-	// Reap the handle when done so the map does not grow unboundedly.
-	go func() {
-		<-d.done
-		p.mu.Lock()
-		delete(p.discoveries, d.ID)
-		p.mu.Unlock()
-	}()
 	return d
 }
 
@@ -609,17 +609,26 @@ func (p *Peer) DiscoverOne(q Query, timeout time.Duration) *ServiceAdvertisement
 	}
 }
 
+// markQuerySeenLocked records a query or resolve ID and reports whether it
+// was new. The window is the last seenQueryCap IDs: seenOrder grows to
+// exactly that capacity and is then overwritten in place, oldest first.
 func (p *Peer) markQuerySeenLocked(id string) bool {
 	if p.seenQueries[id] {
 		return false
 	}
-	p.seenQueries[id] = true
-	p.seenOrder = append(p.seenOrder, id)
-	if len(p.seenOrder) > seenQueryCap {
-		old := p.seenOrder[0]
-		p.seenOrder = p.seenOrder[1:]
-		delete(p.seenQueries, old)
+	if n := len(p.seenOrder); n == seenQueryCap {
+		delete(p.seenQueries, p.seenOrder[p.seenPos])
+		p.seenOrder[p.seenPos] = id
+		p.seenPos = (p.seenPos + 1) % seenQueryCap
+	} else {
+		if n == cap(p.seenOrder) {
+			grown := make([]string, n, min(max(2*n, 16), seenQueryCap))
+			copy(grown, p.seenOrder)
+			p.seenOrder = grown
+		}
+		p.seenOrder = append(p.seenOrder, id)
 	}
+	p.seenQueries[id] = true
 	return true
 }
 

@@ -2,6 +2,7 @@ package p2ps
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -693,5 +694,104 @@ func TestExprQueryDiscovery(t *testing.T) {
 	r.settle()
 	if len(d.Matches()) != 0 {
 		t.Fatal("malformed expression matched")
+	}
+}
+
+// TestSeenQueryWindowIsAFixedRing pushes far more query IDs through one peer
+// than the window holds: the window keeps exactly the last seenQueryCap of
+// them in a buffer that stops growing at that capacity.
+func TestSeenQueryWindowIsAFixedRing(t *testing.T) {
+	const total = 50000
+	r := newRig(t, 41)
+	p := r.peer(Config{})
+	id := func(i int) string { return fmt.Sprintf("q-%d", i) }
+	for i := 0; i < total; i++ {
+		p.onReceive("sim://x", (&message{Type: msgQuery, From: "other", Addr: "sim://x", QueryID: id(i), Name: "None"}).encode())
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.seenQueries) != seenQueryCap || len(p.seenOrder) != seenQueryCap || cap(p.seenOrder) != seenQueryCap {
+		t.Fatalf("window holds %d IDs in a ring of len %d cap %d, want %d throughout",
+			len(p.seenQueries), len(p.seenOrder), cap(p.seenOrder), seenQueryCap)
+	}
+	if p.seenQueries[id(0)] || p.seenQueries[id(total-seenQueryCap-1)] {
+		t.Fatal("an ID older than the window is still remembered")
+	}
+	for i := total - seenQueryCap; i < total; i++ {
+		if !p.seenQueries[id(i)] {
+			t.Fatalf("ID %d of the last %d was forgotten", i, seenQueryCap)
+		}
+	}
+	if p.markQuerySeenLocked(id(total - 1)) {
+		t.Fatal("a remembered ID was reported new")
+	}
+}
+
+// TestDiscoveryFinishForgetsHandle: a finished discovery — cancelled or
+// timed out — is gone from the peer at once, with no goroutine left waiting
+// on it.
+func TestDiscoveryFinishForgetsHandle(t *testing.T) {
+	handles := func(p *Peer) int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.discoveries)
+	}
+	ep := NewLocalNetwork().NewEndpoint()
+	p, err := NewPeer(Config{Transport: ep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	baseline := runtime.NumGoroutine()
+	var ds []*Discovery
+	for i := 0; i < 100; i++ {
+		ds = append(ds, p.Discover(Query{Name: "X"}, time.Hour))
+	}
+	if n := handles(p); n != 100 {
+		t.Fatalf("%d handles registered, want 100", n)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("100 open discoveries hold %d goroutines", n-baseline)
+	}
+	for _, d := range ds {
+		d.Cancel()
+	}
+	if n := handles(p); n != 0 {
+		t.Fatalf("%d handles left right after Cancel", n)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("goroutines: %d, want the baseline %d right after Cancel", n, baseline)
+	}
+
+	// The timeout path, on virtual time.
+	r := newRig(t, 42)
+	sp := r.peer(Config{})
+	d := sp.Discover(Query{Name: "X"}, time.Second)
+	r.sim.RunFor(2 * time.Second)
+	select {
+	case <-d.Done():
+	default:
+		t.Fatal("discovery outlived its timeout")
+	}
+	if n := handles(sp); n != 0 {
+		t.Fatalf("%d handles left after the timeout", n)
+	}
+}
+
+func TestTCPTransportAddrIsFixed(t *testing.T) {
+	tr, err := NewTCPTransport("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := tr.Addr()
+	if want := "tcp://" + tr.ln.Addr().String(); addr != want {
+		t.Fatalf("Addr() = %q, want %q", addr, want)
+	}
+	tr.Close()
+	if tr.Addr() != addr {
+		t.Fatal("Addr() changed after Close")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = tr.Addr() }); n != 0 {
+		t.Fatalf("Addr() allocates %v times a call", n)
 	}
 }

@@ -27,7 +27,8 @@ const (
 // connections are read until EOF. It satisfies the Transport interface for
 // real (non-simulated) deployments, addressed as "tcp://host:port".
 type TCPTransport struct {
-	ln net.Listener
+	ln   net.Listener
+	addr string // "tcp://host:port", fixed once listening
 
 	mu       sync.Mutex
 	recv     func(from string, data []byte)
@@ -52,14 +53,19 @@ func NewTCPTransport(addr string) (*TCPTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("p2ps: tcp listen: %w", err)
 	}
-	t := &TCPTransport{ln: ln, conns: make(map[string]*tcpConn), accepted: make(map[net.Conn]bool)}
+	t := &TCPTransport{
+		ln:       ln,
+		addr:     "tcp://" + ln.Addr().String(),
+		conns:    make(map[string]*tcpConn),
+		accepted: make(map[net.Conn]bool),
+	}
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
 }
 
 // Addr returns the transport address ("tcp://host:port").
-func (t *TCPTransport) Addr() string { return "tcp://" + t.ln.Addr().String() }
+func (t *TCPTransport) Addr() string { return t.addr }
 
 // SetReceiver implements Transport.
 func (t *TCPTransport) SetReceiver(fn func(from string, data []byte)) {

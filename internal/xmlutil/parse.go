@@ -1,6 +1,7 @@
 package xmlutil
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
@@ -23,10 +24,16 @@ import (
 const xmlNamespace = "http://www.w3.org/XML/1998/namespace"
 
 const (
-	internMapMax  = 1024     // entries kept in a pooled intern map
-	internTextMax = 64       // longest string worth interning
-	elementSlab   = 32       // Elements allocated per batch
-	scratchMax    = 64 << 10 // largest entity-decoding buffer worth pooling
+	internMapMax   = 1024     // entries kept in a pooled intern map
+	internTextMax  = 64       // longest string worth interning
+	elementSlab    = 32       // Elements allocated per batch
+	slabSizedBelow = 8 << 10  // inputs this long or longer start with a full slab
+	scratchMax     = 64 << 10 // largest entity-decoding buffer worth pooling
+)
+
+var (
+	ltMark     = []byte("<")
+	endTagMark = []byte("</")
 )
 
 type rawName struct {
@@ -106,7 +113,17 @@ func (p *parser) str(b []byte) string {
 
 func (p *parser) newElement(name Name) *Element {
 	if len(p.slab) == 0 {
-		p.slab = make([]Element, elementSlab)
+		n := elementSlab
+		if p.slab == nil && len(p.data) < slabSizedBelow {
+			// The document's first slab (ParseBytes starts from a nil
+			// one; a used-up slab is empty, not nil) is sized from the
+			// input. Every element opens with a '<' that no end tag
+			// accounts for, so this never under-counts (comments, CDATA
+			// and PIs only add to it) and a small document does not pay
+			// for 32 Elements.
+			n = max(1, min(n, bytes.Count(p.data, ltMark)-bytes.Count(p.data, endTagMark)))
+		}
+		p.slab = make([]Element, n)
 	}
 	el := &p.slab[0]
 	p.slab = p.slab[1:]
