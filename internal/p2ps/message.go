@@ -38,7 +38,7 @@ const (
 // envelope around it is not.
 //
 // decodeMessage does not copy Data: it is a sub-slice of the frame it was
-// handed. That is sound only because every Transport (tcp.readFrame,
+// handed. That is sound only because every Transport (tcp's frameReader,
 // LocalEndpoint.Send, netsim's Endpoint.Send) hands the receiver a buffer
 // it never writes again, and pipe listeners treat what they are given as
 // read-only.

@@ -1,6 +1,7 @@
 package p2ps
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -39,12 +40,17 @@ type TCPTransport struct {
 }
 
 // tcpConn is one cached outbound connection. Every sender to a destination
-// shares it, so a frame's header and body are written under wmu: without
-// it concurrent senders interleave their writes and the receiver loses
-// framing.
+// shares it, so a frame is written under wmu: a large frame takes several
+// system calls, and without the lock concurrent senders interleave them and
+// the receiver loses framing.
 type tcpConn struct {
 	net.Conn
 	wmu sync.Mutex
+	// The frame being written, under wmu: its length prefix and the two
+	// buffers of the one vectored write, kept here so that a send
+	// allocates nothing.
+	hdr [4]byte
+	vec [2][]byte
 }
 
 // NewTCPTransport listens on addr ("127.0.0.1:0" for an ephemeral port).
@@ -127,7 +133,7 @@ func (t *TCPTransport) Send(to string, data []byte) error {
 	}
 	conn.wmu.Lock()
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	err := writeFrame(conn, data)
+	err := conn.writeFrame(data)
 	conn.wmu.Unlock()
 	if err != nil {
 		// Connection went bad: forget it. The datagram is lost.
@@ -170,8 +176,9 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	from := "tcp://" + conn.RemoteAddr().String()
+	r := frameReader{conn: conn, br: bufio.NewReader(conn)}
 	for {
-		data, err := readFrame(conn)
+		data, err := r.next()
 		if err != nil {
 			return
 		}
@@ -188,32 +195,53 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 	}
 }
 
-func writeFrame(w io.Writer, data []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
+// writeFrame sends the length prefix and the body as one vectored write,
+// so a frame reaches the receiver whole: written apart, the prefix wakes
+// the reader, which then finds the body there or not depending on how the
+// two sides happen to be scheduled. The caller holds wmu.
+func (c *tcpConn) writeFrame(data []byte) error {
+	binary.BigEndian.PutUint32(c.hdr[:], uint32(len(data)))
+	c.vec[0], c.vec[1] = c.hdr[:], data
+	bufs := net.Buffers(c.vec[:])
+	_, err := bufs.WriteTo(c.Conn)
+	c.vec[1] = nil
 	return err
 }
 
-func readFrame(conn net.Conn) ([]byte, error) {
+// frameReader reads one connection's frames through a buffer, so a frame
+// that arrived whole costs one read.
+type frameReader struct {
+	conn  net.Conn
+	br    *bufio.Reader
+	timed bool // a read deadline is set on conn
+}
+
+// next returns the next frame's body in a buffer of its own, which nothing
+// writes again: receivers may keep slices of it (see decodeMessage).
+func (r *frameReader) next() ([]byte, error) {
 	// Waiting for the next frame is unbounded: idle pipes are legitimate.
-	conn.SetReadDeadline(time.Time{})
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	if r.timed {
+		r.conn.SetReadDeadline(time.Time{})
+		r.timed = false
+	}
+	hdr, err := r.br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("p2ps: frame of %d bytes exceeds limit", n)
 	}
+	r.br.Discard(4)
 	// A started frame must finish promptly; a peer that goes silent
-	// mid-frame would otherwise hold this read loop hostage forever.
-	conn.SetReadDeadline(time.Now().Add(frameTimeout))
+	// mid-frame would otherwise hold this read loop hostage forever. A
+	// body that is already here needs no deadline.
+	if uint32(r.br.Buffered()) < n {
+		r.conn.SetReadDeadline(time.Now().Add(frameTimeout))
+		r.timed = true
+	}
 	data := make([]byte, n)
-	if _, err := io.ReadFull(conn, data); err != nil {
+	if _, err := io.ReadFull(r.br, data); err != nil {
 		return nil, err
 	}
 	return data, nil
