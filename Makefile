@@ -25,7 +25,8 @@ help:
 	@echo "  bench-throughput throughput experiments (A4) in calls/sec"
 	@echo "  harness          regenerate every experiment table (E1-E10, A1-A4, R1, R2)"
 	@echo "  chaos            the deterministic chaos suite under -race"
-	@echo "  fuzz-smoke       ten seconds of native fuzzing on the P2PS frame decoder"
+	@echo "  fuzz-smoke       ten seconds of native fuzzing on each fuzz target (P2PS frame"
+	@echo "                   decoder, XML parser against encoding/xml)"
 	@echo "  examples         run every example program once"
 	@echo "  loc              count lines of Go"
 
@@ -82,11 +83,18 @@ harness:
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Overload|Breaker|Admission|Injector|Hedge|Budget|Deadline|Exchange|Callback|OneWay|Table|Future' . ./internal/resilience/ ./internal/httpd/ ./internal/core/ ./internal/pipeline/ ./internal/exchange/
 
-# Ten seconds of native fuzzing on the P2PS frame decoder, seeded from
-# internal/p2ps/testdata/fuzz: long enough to catch a decoder that panics
-# or a field that does not survive encode/decode, short enough for CI.
+# Ten seconds of native fuzzing on each target, seeded from the package's
+# testdata/fuzz: long enough to catch a decoder that panics, a field that
+# does not survive encode/decode or a document the XML parser and
+# encoding/xml read differently, short enough for CI. `go test -fuzz` takes
+# one target and one package at a time, hence the loop.
+FUZZ_TARGETS = internal/p2ps:FuzzDecodeMessage internal/xmlutil:FuzzParseBytes
+
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/p2ps
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t#*:} (./$${t%%:*}, 10s)"; \
+		$(GO) test -run='^$$' -fuzz="^$${t#*:}$$" -fuzztime=10s ./$${t%%:*} || exit 1; \
+	done
 
 # Run every example program once.
 examples:

@@ -38,8 +38,7 @@ func fastpathRig(t *testing.T) (*wsdl.Definitions, *transport.Registry) {
 // TestConcurrentStubInvokeSharedDefinitions drives Invoke from many
 // goroutines — some sharing one Stub, some with a private Stub over the
 // same shared Definitions — under the race detector. This covers the
-// stub-level plan map and the Definitions-level detail cache on their
-// concurrent first touch.
+// Definitions-level detail cache on its concurrent first touch.
 func TestConcurrentStubInvokeSharedDefinitions(t *testing.T) {
 	defs, reg := fastpathRig(t)
 	shared := NewStub(defs, reg)
@@ -71,7 +70,7 @@ func TestConcurrentStubInvokeSharedDefinitions(t *testing.T) {
 }
 
 // TestGoldenEnvelopeColdVsWarm pins byte-identical serialization across
-// the caches: a request built on a cold plan cache, one built warm, and
+// the detail cache: a request built on a cold cache, one built warm, and
 // one built over freshly re-parsed Definitions must all produce the same
 // bytes.
 func TestGoldenEnvelopeColdVsWarm(t *testing.T) {
@@ -82,7 +81,7 @@ func TestGoldenEnvelopeColdVsWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm: same stub, plan and detail now cached.
+	// Warm: same stub, detail now cached.
 	req2, _, err := cold.BuildRequest("echo", P("msg", "golden & <value>"))
 	if err != nil {
 		t.Fatal(err)
@@ -118,5 +117,34 @@ func TestGoldenEnvelopeColdVsWarm(t *testing.T) {
 		`</soapenv:Envelope>`
 	if string(req1.Body) != golden {
 		t.Fatalf("envelope drifted from golden form:\n got: %s\nwant: %s", req1.Body, golden)
+	}
+}
+
+// TestStubHonoursInvalidateDetails: Definitions.Detail is the one memo of
+// what is derivable from the WSDL, so a stub that has already served a
+// call sees a mutation of its Definitions as soon as InvalidateDetails has
+// been called — it keeps no copy of its own to go stale.
+func TestStubHonoursInvalidateDetails(t *testing.T) {
+	defs, _ := fastpathRig(t)
+	stub := NewStub(defs, nil)
+	req, det, err := stub.BuildRequest("echo", P("msg", "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Endpoint != "mem://h/Echo" {
+		t.Fatalf("endpoint = %q", req.Endpoint)
+	}
+
+	defs.Services[0].Ports[0].Address = "mem://moved/Echo"
+	defs.InvalidateDetails()
+	req, moved, err := stub.BuildRequest("echo", P("msg", "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Endpoint != "mem://moved/Echo" || moved.Address != "mem://moved/Echo" {
+		t.Fatalf("after InvalidateDetails the stub still builds for %q (detail %q)", req.Endpoint, moved.Address)
+	}
+	if det.Address != "mem://h/Echo" {
+		t.Fatalf("the detail handed out earlier was mutated: %q", det.Address)
 	}
 }

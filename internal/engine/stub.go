@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sync"
 
 	"wspeer/internal/soap"
 	"wspeer/internal/transport"
@@ -26,39 +25,11 @@ type Stub struct {
 	// EndpointOverride, when non-empty, replaces the WSDL port address.
 	// Locators use it to point a stub at a freshly resolved endpoint.
 	EndpointOverride string
-
-	// plans caches the per-operation invocation plan (operation name →
-	// *opPlan) so repeated Invoke calls on one stub skip even the
-	// Definitions-level detail lookup. Stubs must not be copied by value.
-	plans sync.Map
-}
-
-// opPlan is the precompiled client-side invocation plan for one operation:
-// everything Invoke needs that is derivable from the WSDL alone, resolved
-// once. The embedded OperationDetail is shared and immutable.
-type opPlan struct {
-	det *wsdl.OperationDetail
 }
 
 // NewStub builds a stub over parsed definitions and a transport registry.
 func NewStub(defs *wsdl.Definitions, reg *transport.Registry) *Stub {
 	return &Stub{defs: defs, reg: reg}
-}
-
-// planFor resolves (and memoizes) the invocation plan for an operation.
-// The underlying wsdl.Definitions cache makes this cheap even for
-// short-lived stubs; the stub-local map removes the remaining lookup for
-// long-lived ones.
-func (s *Stub) planFor(op string) (*opPlan, error) {
-	if p, ok := s.plans.Load(op); ok {
-		return p.(*opPlan), nil
-	}
-	det, err := s.defs.Detail(op)
-	if err != nil {
-		return nil, err
-	}
-	p, _ := s.plans.LoadOrStore(op, &opPlan{det: det})
-	return p.(*opPlan), nil
 }
 
 // Definitions returns the stub's WSDL.
@@ -75,13 +46,14 @@ func P(name string, value interface{}) Param { return Param{Name: name, Value: v
 
 // PrepareEnvelope builds the request envelope for an operation. Bindings
 // that add their own headers (the P2PS binding's WS-Addressing blocks) call
-// this and then transmit the envelope themselves.
+// this and then transmit the envelope themselves. Everything derivable
+// from the WSDL alone comes from Definitions.Detail, which memoizes it per
+// operation: a stub is as cheap to build per call as to keep.
 func (s *Stub) PrepareEnvelope(op string, params ...Param) (*soap.Envelope, *wsdl.OperationDetail, error) {
-	plan, err := s.planFor(op)
+	det, err := s.defs.Detail(op)
 	if err != nil {
 		return nil, nil, err
 	}
-	det := plan.det
 	env := soap.NewEnvelope()
 	wrapper := xmlutil.NewElement(det.Input)
 	ns := det.Input.Space

@@ -103,8 +103,8 @@ type healthStatus struct {
 func (h *Host) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	draining := h.closed
-	services := len(h.deployed)
 	h.mu.Unlock()
+	services := len(h.routes.Load().deployed)
 
 	st := healthStatus{Status: "ok", Live: true, Ready: true, Services: services}
 	if a := h.eng.Admission(); a != nil {

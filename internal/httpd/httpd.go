@@ -21,12 +21,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wspeer/internal/engine"
@@ -56,8 +58,13 @@ var (
 	mHostOverloads = telemetry.Default().Meter.Counter("httpd.overloads")
 )
 
-// maxRequestBytes bounds request bodies accepted from the network.
+// maxRequestBytes bounds request bodies accepted from the network; a
+// larger one is refused with 413, never cut short.
 const maxRequestBytes = 64 << 20
+
+// soapContentType is the Content-Type value of nearly every response,
+// shared between them: net/http only reads a header's value slice.
+var soapContentType = []string{soap.ContentType}
 
 // Interceptor lets the hosting application handle a raw request before the
 // messaging engine sees it. Returning handled=false passes the request on
@@ -93,15 +100,62 @@ type Host struct {
 	eng  *engine.Engine
 	opts Options
 
-	mu          sync.Mutex
+	mu          sync.Mutex // guards the fields below and every routes update
 	ln          net.Listener
 	srv         *http.Server
 	started     bool
 	closed      bool
+	callbackSeq int64
+
+	// routes is what a request needs to find its handler. Requests load
+	// it without taking mu; writers (under mu) publish a modified copy,
+	// so a change is visible to every request that starts after it.
+	routes atomic.Pointer[routes]
+}
+
+// routes is an immutable snapshot of the host's routing state. An update
+// copies only the map it changes and shares the rest.
+type routes struct {
 	interceptor Interceptor
 	deployed    map[string]bool
 	callbacks   map[string]func(body []byte)
-	callbackSeq int64
+}
+
+// updateRoutes publishes a modified copy of the current snapshot.
+func (h *Host) updateRoutes(modify func(rt *routes)) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	rt := *h.routes.Load()
+	modify(&rt)
+	h.routes.Store(&rt)
+}
+
+// withEntry returns a copy of m with key set to value.
+func withEntry[V any](m map[string]V, key string, value V) map[string]V {
+	out := maps.Clone(m)
+	if out == nil {
+		out = make(map[string]V, 1)
+	}
+	out[key] = value
+	return out
+}
+
+// withoutEntry returns a copy of m with key deleted.
+func withoutEntry[V any](m map[string]V, key string) map[string]V {
+	out := maps.Clone(m)
+	delete(out, key)
+	return out
+}
+
+// serviceNames lists the deployed services in name order.
+func (h *Host) serviceNames() []string {
+	deployed := h.routes.Load().deployed
+	names := make([]string, 0, len(deployed))
+	for n := range deployed {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // New returns a host for the engine's services. The HTTP listener is NOT
@@ -119,16 +173,16 @@ func New(eng *engine.Engine, opts Options) *Host {
 	if opts.Admission != nil {
 		eng.SetAdmission(opts.Admission)
 	}
-	return &Host{eng: eng, opts: opts, deployed: make(map[string]bool)}
+	h := &Host{eng: eng, opts: opts}
+	h.routes.Store(&routes{})
+	return h
 }
 
 // SetInterceptor installs the application's raw-request hook. For
 // applications that "do not wish to deal with server-side message
 // processing" (paper §IV-A) simply never install one.
 func (h *Host) SetInterceptor(i Interceptor) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.interceptor = i
+	h.updateRoutes(func(rt *routes) { rt.interceptor = i })
 }
 
 // Started reports whether the lazy listener is up.
@@ -149,18 +203,14 @@ func (h *Host) Deploy(def engine.ServiceDef) (string, error) {
 		h.eng.Undeploy(def.Name)
 		return "", err
 	}
-	h.mu.Lock()
-	h.deployed[def.Name] = true
-	h.mu.Unlock()
+	h.updateRoutes(func(rt *routes) { rt.deployed = withEntry(rt.deployed, def.Name, true) })
 	return h.Endpoint(def.Name), nil
 }
 
 // Undeploy removes a service from the engine and the host listing. The
 // listener keeps running for remaining services.
 func (h *Host) Undeploy(name string) bool {
-	h.mu.Lock()
-	delete(h.deployed, name)
-	h.mu.Unlock()
+	h.updateRoutes(func(rt *routes) { rt.deployed = withoutEntry(rt.deployed, name) })
 	return h.eng.Undeploy(name)
 }
 
@@ -200,30 +250,68 @@ func (h *Host) HostCallback(deliver func(body []byte)) (url string, cancel func(
 	if err := h.ensureStarted(); err != nil {
 		return "", nil, err
 	}
-	h.mu.Lock()
-	h.callbackSeq++
-	id := strconv.FormatInt(h.callbackSeq, 10)
-	if h.callbacks == nil {
-		h.callbacks = make(map[string]func([]byte))
-	}
-	h.callbacks[id] = deliver
-	url = fmt.Sprintf("%s://%s%s%s", h.opts.Profile, h.ln.Addr().String(), CallbackPath, id)
-	h.mu.Unlock()
+	var id string
+	h.updateRoutes(func(rt *routes) {
+		h.callbackSeq++
+		id = strconv.FormatInt(h.callbackSeq, 10)
+		rt.callbacks = withEntry(rt.callbacks, id, deliver)
+		url = fmt.Sprintf("%s://%s%s%s", h.opts.Profile, h.ln.Addr().String(), CallbackPath, id)
+	})
 	return url, func() {
-		h.mu.Lock()
-		delete(h.callbacks, id)
-		h.mu.Unlock()
+		h.updateRoutes(func(rt *routes) { rt.callbacks = withoutEntry(rt.callbacks, id) })
 	}, nil
+}
+
+// readBody reads a POSTed body of at most limit bytes whole, answering the
+// request itself (ok is false) when it cannot: 413 for a body over the
+// limit — refused from its Content-Length before a byte is read, or once
+// limit+1 bytes of a chunked one have arrived — and 400 for one that ends
+// short of its declared length. A declared length costs one allocation of
+// exactly that size.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	tooLarge := func() ([]byte, bool) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	n := r.ContentLength
+	if n > limit {
+		return tooLarge()
+	}
+	var err error
+	if n >= 0 {
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(r.Body, limit+1))
+		if int64(len(body)) > limit {
+			return tooLarge()
+		}
+	}
+	if err != nil {
+		http.Error(w, "reading request body", http.StatusBadRequest)
+		return nil, false
+	}
+	return body, true
+}
+
+// authentic checks the httpg proof over the complete body (always true on
+// the plain profile), answering 403 itself when the proof does not hold.
+func (h *Host) authentic(w http.ResponseWriter, r *http.Request, body []byte) bool {
+	if h.opts.Profile != "httpg" {
+		return true
+	}
+	if transport.VerifyHTTPG(h.opts.Secret, body, r.Header.Get(transport.HTTPGAuthHeader)) {
+		return true
+	}
+	http.Error(w, "httpg authentication failed", http.StatusForbidden)
+	return false
 }
 
 // handleCallback accepts a decoupled reply addressed to a hosted callback
 // endpoint. Delivery is acknowledged with 202 Accepted and an empty body:
 // the reply to a reply is nothing.
 func (h *Host) handleCallback(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, CallbackPath)
-	h.mu.Lock()
-	deliver := h.callbacks[id]
-	h.mu.Unlock()
+	deliver := h.routes.Load().callbacks[strings.TrimPrefix(r.URL.Path, CallbackPath)]
 	if deliver == nil {
 		http.NotFound(w, r)
 		return
@@ -232,17 +320,9 @@ func (h *Host) handleCallback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err != nil {
-		http.Error(w, "reading reply", http.StatusBadRequest)
+	body, ok := readBody(w, r, maxRequestBytes)
+	if !ok || !h.authentic(w, r, body) {
 		return
-	}
-	if h.opts.Profile == "httpg" {
-		proof := r.Header.Get(transport.HTTPGAuthHeader)
-		if !transport.VerifyHTTPG(h.opts.Secret, body, proof) {
-			http.Error(w, "httpg authentication failed", http.StatusForbidden)
-			return
-		}
 	}
 	deliver(body)
 	w.WriteHeader(http.StatusAccepted)
@@ -310,16 +390,9 @@ func (h *Host) handleIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	h.mu.Lock()
-	names := make([]string, 0, len(h.deployed))
-	for n := range h.deployed {
-		names = append(names, n)
-	}
-	h.mu.Unlock()
-	sort.Strings(names)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "WSPeer services:")
-	for _, n := range names {
+	for _, n := range h.serviceNames() {
 		fmt.Fprintf(w, "  %s%s (?wsdl for description)\n", BasePath, n)
 	}
 }
@@ -330,11 +403,8 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 		h.handleIndex(w, r)
 		return
 	}
-	h.mu.Lock()
-	known := h.deployed[service]
-	interceptor := h.interceptor
-	h.mu.Unlock()
-	if !known {
+	rt := h.routes.Load()
+	if !rt.deployed[service] {
 		http.NotFound(w, r)
 		return
 	}
@@ -363,24 +433,18 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err != nil {
-		http.Error(w, "reading request", http.StatusBadRequest)
+	body, ok := readBody(w, r, maxRequestBytes)
+	if !ok || !h.authentic(w, r, body) {
 		return
-	}
-	if h.opts.Profile == "httpg" {
-		proof := r.Header.Get(transport.HTTPGAuthHeader)
-		if !transport.VerifyHTTPG(h.opts.Secret, body, proof) {
-			http.Error(w, "httpg authentication failed", http.StatusForbidden)
-			return
-		}
 	}
 
 	req := &transport.Request{
-		Endpoint:    r.URL.String(),
-		Action:      strings.Trim(r.Header.Get(transport.SOAPActionHeader), `"`),
+		Endpoint:    r.RequestURI, // as received; r.URL.String() would re-render it
 		ContentType: r.Header.Get("Content-Type"),
 		Body:        body,
+	}
+	if v := r.Header[transport.SOAPActionKey]; len(v) > 0 {
+		req.Action = strings.Trim(v[0], `"`)
 	}
 
 	mHostRequests.Inc()
@@ -399,10 +463,13 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	var resp *transport.Response
-	handled := false
-	if interceptor != nil {
-		resp, handled, err = interceptor(service, req)
+	var (
+		resp    *transport.Response
+		handled bool
+		err     error
+	)
+	if rt.interceptor != nil {
+		resp, handled, err = rt.interceptor(service, req)
 		if err != nil {
 			mHostFaults.Inc()
 			telemetry.Default().Log.Warn(ctx, "httpd: interceptor failed request",
@@ -432,11 +499,11 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusAccepted) // one-way
 		return
 	}
-	ct := resp.ContentType
-	if ct == "" {
-		ct = soap.ContentType
+	if ct := resp.ContentType; ct == "" || ct == soap.ContentType {
+		w.Header()["Content-Type"] = soapContentType
+	} else {
+		w.Header().Set("Content-Type", ct)
 	}
-	w.Header().Set("Content-Type", ct)
 	if resp.Faulted {
 		mHostFaults.Inc()
 		w.WriteHeader(http.StatusInternalServerError)
@@ -472,18 +539,11 @@ type overloadDebug struct {
 }
 
 func (h *Host) handleDebug(w http.ResponseWriter, r *http.Request) {
-	h.mu.Lock()
-	names := make([]string, 0, len(h.deployed))
-	for n := range h.deployed {
-		names = append(names, n)
-	}
-	h.mu.Unlock()
-	sort.Strings(names)
 	snap := debugSnapshot{
 		Telemetry: telemetry.Default().Snapshot(),
 		Engine:    h.eng.Stats(),
 		Flight:    telemetry.Default().Flight.Stats(),
-		Services:  names,
+		Services:  h.serviceNames(),
 	}
 	snap.Overload = overloadDebug{
 		AdmissionLimit:      snap.Telemetry.Gauges["resilience.admission.limit"],
@@ -510,7 +570,7 @@ func (h *Host) handleDebug(w http.ResponseWriter, r *http.Request) {
 
 func writeFault(w http.ResponseWriter, f *soap.Fault) {
 	env := soap.NewEnvelope().SetFault(f)
-	w.Header().Set("Content-Type", soap.ContentType)
+	w.Header()["Content-Type"] = soapContentType
 	w.WriteHeader(http.StatusInternalServerError)
 	// MarshalTo streams through the pooled XML writer straight into the
 	// response, skipping the intermediate copy Marshal would make.
@@ -522,7 +582,7 @@ func writeFault(w http.ResponseWriter, f *soap.Fault) {
 // clients back off instead of hammering a saturated host.
 func writeOverload(w http.ResponseWriter, o *resilience.OverloadError) {
 	env := soap.NewEnvelope().SetFault(o.Fault())
-	w.Header().Set("Content-Type", soap.ContentType)
+	w.Header()["Content-Type"] = soapContentType
 	w.Header().Set("Retry-After", strconv.Itoa(o.RetryAfterSeconds()))
 	w.WriteHeader(http.StatusServiceUnavailable)
 	env.MarshalTo(w)

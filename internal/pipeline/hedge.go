@@ -173,12 +173,11 @@ func runHedged(c *Call, next CallFunc, threshold time.Duration, opts HedgeOption
 		// outcome regardless of which attempt produced it.
 		c.Request = res.call.Request
 		c.Response = res.call.Response
-		for k, v := range res.call.Meta {
-			if k == MetaHedgeAttempt {
-				continue
+		res.call.eachMeta(func(k string, v interface{}) {
+			if k != MetaHedgeAttempt {
+				c.SetMeta(k, v)
 			}
-			c.SetMeta(k, v)
-		}
+		})
 		if launched > 1 {
 			c.SetMeta(MetaHedges, launched-1)
 		}

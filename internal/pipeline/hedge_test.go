@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -343,13 +344,60 @@ func TestRetryHintBelowBackoffIsIgnored(t *testing.T) {
 func TestCallCloneIsolation(t *testing.T) {
 	c := hedgeCall()
 	c.SetMeta("k", "orig")
+	for i := 0; i < metaInline; i++ { // enough keys that some spill
+		c.SetMeta(fmt.Sprintf("fill%d", i), "orig")
+	}
+	spilled := fmt.Sprintf("fill%d", metaInline-1)
 	cp := c.Clone(context.Background())
 	cp.SetMeta("k", "copy")
+	cp.SetMeta(spilled, "copy")
 	cp.SetMeta("extra", 1)
 	if got := c.GetMeta("k"); got != "orig" {
 		t.Fatalf("clone mutation leaked into the original: %v", got)
 	}
+	if got := c.GetMeta(spilled); got != "orig" {
+		t.Fatalf("clone mutation of a spilled key leaked into the original: %v", got)
+	}
 	if got := c.GetMeta("extra"); got != nil {
 		t.Fatalf("clone-only key leaked into the original: %v", got)
+	}
+	c.SetMeta("k", "orig2")
+	c.SetMeta(spilled, "orig2")
+	if cp.GetMeta("k") != "copy" || cp.GetMeta(spilled) != "copy" {
+		t.Fatalf("original's mutation leaked into the clone: %v, %v", cp.GetMeta("k"), cp.GetMeta(spilled))
+	}
+}
+
+// TestHedgeFinishCopiesWinnersMeta: whatever the winning attempt stored on
+// its clone — however many keys, inline or spilled — is on the caller's
+// Call afterwards, except the attempt index, which is the attempt's own.
+func TestHedgeFinishCopiesWinnersMeta(t *testing.T) {
+	const keys = 2 * metaInline
+	fn := Compose(func(c *Call) error {
+		for i := 0; i < keys; i++ {
+			c.SetMeta(fmt.Sprintf("won%d", i), i)
+		}
+		c.SetMeta("shared", "from the attempt")
+		return nil
+	}, Hedge(HedgeOptions{Threshold: time.Hour, Hedgeable: func(*Call) bool { return true }}))
+	c := hedgeCall()
+	c.SetMeta("shared", "from the caller")
+	c.SetMeta("untouched", true)
+	if err := fn(c); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		if got := c.GetMeta(fmt.Sprintf("won%d", i)); got != i {
+			t.Errorf("won%d = %v, want %d", i, got, i)
+		}
+	}
+	if got := c.GetMeta("shared"); got != "from the attempt" {
+		t.Errorf("shared = %v, want the winning attempt's value", got)
+	}
+	if got := c.GetMeta("untouched"); got != true {
+		t.Errorf("untouched = %v", got)
+	}
+	if got := c.GetMeta(MetaHedgeAttempt); got != nil {
+		t.Errorf("the attempt index %v was copied back", got)
 	}
 }

@@ -62,8 +62,12 @@ type Call struct {
 	Request *transport.Request
 	// Response is the wire-level response, populated by the terminal.
 	Response *transport.Response
-	// Meta carries cross-interceptor state, lazily allocated (see SetMeta).
-	Meta map[string]interface{}
+	// meta and metaMore carry cross-interceptor state (SetMeta, GetMeta): a
+	// call sets two or three keys, so the first metaInline pairs live in
+	// the carrier itself and only a call with more spills into a map.
+	meta     [metaInline]metaPair
+	metaLen  int
+	metaMore map[string]interface{}
 	// Err is the call's recorded outcome: Chain.Run stores the composed
 	// stack's error here before returning, so observers installed outside
 	// the error return path (Events) see it.
@@ -75,35 +79,68 @@ type Call struct {
 	Span *telemetry.Span
 }
 
-// SetMeta stores a cross-interceptor value, allocating Meta on first use.
+// metaInline is how many meta pairs a Call holds without allocating.
+const metaInline = 4
+
+type metaPair struct {
+	key   string
+	value interface{}
+}
+
+// SetMeta stores a cross-interceptor value, overwriting an earlier value
+// for the same key.
 func (c *Call) SetMeta(key string, value interface{}) {
-	if c.Meta == nil {
-		c.Meta = make(map[string]interface{}, 4)
+	for i := range c.meta[:c.metaLen] {
+		if c.meta[i].key == key {
+			c.meta[i].value = value
+			return
+		}
 	}
-	c.Meta[key] = value
+	if c.metaLen < metaInline { // slots are never freed: nothing has spilled yet
+		c.meta[c.metaLen] = metaPair{key, value}
+		c.metaLen++
+		return
+	}
+	if c.metaMore == nil {
+		c.metaMore = make(map[string]interface{}, metaInline)
+	}
+	c.metaMore[key] = value
 }
 
 // GetMeta reads a cross-interceptor value ("" key conventions are the
 // installing package's business; nil when absent).
 func (c *Call) GetMeta(key string) interface{} {
-	if c.Meta == nil {
-		return nil
+	for i := range c.meta[:c.metaLen] {
+		if c.meta[i].key == key {
+			return c.meta[i].value
+		}
 	}
-	return c.Meta[key]
+	return c.metaMore[key]
+}
+
+// eachMeta calls f for every stored pair.
+func (c *Call) eachMeta(f func(key string, value interface{})) {
+	for _, p := range c.meta[:c.metaLen] {
+		f(p.key, p.value)
+	}
+	for k, v := range c.metaMore {
+		f(k, v)
+	}
 }
 
 // Clone returns an independent copy of the call running under ctx: the
-// scalar fields are copied, Meta is deep-copied so concurrent attempts
-// cannot race on each other's state, and the Span is shared (Span methods
-// are concurrency- and nil-safe). Hedge uses it to race attempts of one
-// logical call without aliasing the carrier.
+// scalar fields and the inline meta pairs are copied by value, spilled meta
+// is deep-copied so concurrent attempts cannot race on each other's state,
+// and the Span is shared (Span methods are concurrency- and nil-safe).
+// Hedge uses it to race attempts of one logical call without aliasing the
+// carrier.
 func (c *Call) Clone(ctx context.Context) *Call {
 	cp := *c
 	cp.Ctx = ctx
-	if c.Meta != nil {
-		cp.Meta = make(map[string]interface{}, len(c.Meta)+1)
-		for k, v := range c.Meta {
-			cp.Meta[k] = v
+	if c.metaMore != nil {
+		cp.metaMore = make(map[string]interface{}, len(c.metaMore)+1)
+		for k, v := range c.metaMore {
+			cp.metaMore[k] = v
 		}
 	}
 	return &cp

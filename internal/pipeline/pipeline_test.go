@@ -296,3 +296,58 @@ func TestMetaLazyAllocation(t *testing.T) {
 		t.Fatal("meta roundtrip")
 	}
 }
+
+// TestMetaStore: the first metaInline keys live in the carrier, later
+// ones in a map, and neither SetMeta nor GetMeta shows which: every key
+// reads back, an overwrite replaces in place whichever side the key is on,
+// and a call with the usual few keys allocates nothing for them.
+func TestMetaStore(t *testing.T) {
+	c := &Call{}
+	const keys = 2*metaInline + 1
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	for i := 0; i < keys; i++ {
+		c.SetMeta(key(i), i)
+	}
+	for i := 0; i < keys; i++ {
+		if got := c.GetMeta(key(i)); got != i {
+			t.Fatalf("%s = %v, want %d", key(i), got, i)
+		}
+	}
+	if c.metaLen != metaInline || len(c.metaMore) != keys-metaInline {
+		t.Fatalf("%d inline + %d spilled, want %d + %d", c.metaLen, len(c.metaMore), metaInline, keys-metaInline)
+	}
+	for _, i := range []int{0, metaInline - 1, metaInline, keys - 1} {
+		c.SetMeta(key(i), -i)
+		if got := c.GetMeta(key(i)); got != -i {
+			t.Fatalf("overwritten %s = %v, want %d", key(i), got, -i)
+		}
+	}
+	seen := map[string]int{}
+	c.eachMeta(func(k string, v interface{}) { seen[k]++ })
+	if len(seen) != keys {
+		t.Fatalf("eachMeta visited %d keys, want %d: %v", len(seen), keys, seen)
+	}
+	for k, n := range seen {
+		if n != 1 {
+			t.Fatalf("eachMeta visited %s %d times", k, n)
+		}
+	}
+	if c.GetMeta("absent") != nil {
+		t.Fatal("absent key")
+	}
+
+	flag := interface{}(true) // boxed once, outside the measurement
+	if got := testing.AllocsPerRun(100, func() {
+		var c Call
+		for i := 0; i < metaInline; i++ {
+			c.SetMeta(metaKeys[i], flag)
+		}
+		if c.GetMeta(metaKeys[0]) == nil {
+			t.Fatal("lost a key")
+		}
+	}); got != 0 {
+		t.Fatalf("%d keys cost %v allocations, want 0", metaInline, got)
+	}
+}
+
+var metaKeys = [metaInline]string{"a", "b", "c", "d"}

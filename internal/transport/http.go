@@ -26,11 +26,22 @@ var (
 	mHTTPErrors = telemetry.Default().Meter.Counter("transport.http.errors")
 )
 
-// maxResponseBytes bounds response bodies read from the network.
+// maxResponseBytes bounds response bodies read from the network; a larger
+// one fails the call, it is never cut short.
 const maxResponseBytes = 64 << 20
 
 // SOAPActionHeader is the HTTP request header carrying the SOAPAction.
 const SOAPActionHeader = "SOAPAction"
+
+// SOAPActionKey is SOAPActionHeader as net/http stores and sends it.
+// "SOAPAction" is not in canonical form, so Header.Get and Header.Set
+// allocate the canonical key on every call; both sides of the wire index
+// the header map with it directly.
+const SOAPActionKey = "Soapaction"
+
+// soapContentType is the Content-Type value of nearly every request,
+// shared between them: net/http only reads a header's value slice.
+var soapContentType = []string{soap.ContentType}
 
 // sharedHTTPTransport is the tuned connection pool every HTTP-family
 // transport shares by default. SOAP invocation is many small POSTs to few
@@ -56,10 +67,11 @@ var sharedHTTPTransport = &http.Transport{
 // keep-alive connections as the invocation path.
 func SharedHTTPTransport() *http.Transport { return sharedHTTPTransport }
 
-// respBufPool recycles response-read buffers: bodies are accumulated into
-// a pooled buffer (reusing its grown capacity across calls) and then
-// copied out at exact size, so the per-call garbage is one right-sized
-// slice instead of every intermediate growth step.
+// respBufPool recycles the buffers chunked responses are accumulated in
+// (reusing their grown capacity across calls) before being copied out at
+// exact size, so the per-call garbage is one right-sized slice instead of
+// every intermediate growth step. A response with a Content-Length needs
+// no buffer: it is read straight into a slice of that size.
 var respBufPool = sync.Pool{
 	New: func() interface{} { return new(bytes.Buffer) },
 }
@@ -67,7 +79,19 @@ var respBufPool = sync.Pool{
 // maxPooledRespBuf bounds the buffer capacity the pool retains.
 const maxPooledRespBuf = 1 << 20
 
-func readBody(r io.Reader) ([]byte, error) {
+// readBody reads a response body whole: length is its Content-Length (-1
+// when the reply is chunked) and limit the largest body accepted. A body
+// over the limit is an error, found from the declared length before a
+// byte is read or once limit+1 bytes of a chunked one have arrived.
+func readBody(r io.Reader, length, limit int64) ([]byte, error) {
+	if length > limit {
+		return nil, fmt.Errorf("response body of %d bytes exceeds the %d-byte limit", length, limit)
+	}
+	if length >= 0 {
+		body := make([]byte, length)
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
 	buf := respBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	// Return the buffer on every exit — success, read error, or panic in
@@ -77,8 +101,11 @@ func readBody(r io.Reader) ([]byte, error) {
 			respBufPool.Put(buf)
 		}
 	}()
-	if _, err := buf.ReadFrom(io.LimitReader(r, maxResponseBytes)); err != nil {
+	if _, err := buf.ReadFrom(io.LimitReader(r, limit+1)); err != nil {
 		return nil, err
+	}
+	if int64(buf.Len()) > limit {
+		return nil, fmt.Errorf("response body exceeds the %d-byte limit", limit)
 	}
 	body := make([]byte, buf.Len())
 	copy(body, buf.Bytes())
@@ -123,13 +150,13 @@ func (t *HTTPTransport) post(ctx context.Context, url string, req *Request, deco
 	if err != nil {
 		return nil, fmt.Errorf("transport/http: %w", err)
 	}
-	ct := req.ContentType
-	if ct == "" {
-		ct = soap.ContentType
+	if ct := req.ContentType; ct == "" || ct == soap.ContentType {
+		hr.Header["Content-Type"] = soapContentType
+	} else {
+		hr.Header.Set("Content-Type", ct)
 	}
-	hr.Header.Set("Content-Type", ct)
 	// SOAP 1.1 requires the SOAPAction header, quoted.
-	hr.Header.Set(SOAPActionHeader, `"`+req.Action+`"`)
+	hr.Header[SOAPActionKey] = []string{`"` + req.Action + `"`}
 	// Propagate the caller's trace across the wire so the server-side
 	// dispatch span links to the client invocation span.
 	if sc, ok := telemetry.SpanContextFromContext(ctx); ok {
@@ -154,7 +181,7 @@ func (t *HTTPTransport) post(ctx context.Context, url string, req *Request, deco
 		return nil, fmt.Errorf("transport/http: POST %s: %w", url, err)
 	}
 	defer resp.Body.Close()
-	body, err := readBody(resp.Body)
+	body, err := readBody(resp.Body, resp.ContentLength, maxResponseBytes)
 	if err != nil {
 		mHTTPErrors.Inc()
 		return nil, fmt.Errorf("transport/http: reading response: %w", err)

@@ -1,0 +1,159 @@
+package xmlutil
+
+import (
+	"bytes"
+	"encoding/xml"
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+)
+
+// referenceParse builds the tree for doc with encoding/xml's Decoder, the
+// parser this package's own replaced: one document element, namespace
+// declarations as scope rather than attributes, comments, processing
+// instructions and directives skipped, character data outside the document
+// element ignored.
+func referenceParse(doc []byte) (*Element, error) {
+	dec := xml.NewDecoder(bytes.NewReader(doc))
+	var root, cur *Element
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		switch tok := tok.(type) {
+		case xml.StartElement:
+			el := NewElement(N(tok.Name.Space, tok.Name.Local))
+			for _, a := range tok.Attr {
+				if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
+					continue
+				}
+				el.Attrs = append(el.Attrs, Attr{Name: N(a.Name.Space, a.Name.Local), Value: a.Value})
+			}
+			switch {
+			case cur != nil:
+				cur.AddChild(el)
+			case root != nil:
+				return nil, errors.New("multiple document elements")
+			default:
+				root = el
+			}
+			cur = el
+		case xml.EndElement:
+			cur = cur.Parent()
+		case xml.CharData:
+			if cur != nil {
+				cur.AddText(string(tok))
+			}
+		}
+	}
+	if root == nil {
+		return nil, errors.New("empty document")
+	}
+	return root, nil
+}
+
+// dump renders a tree with nothing left out and nothing normalized but the
+// split of character data into runs: names in Clark notation, attributes
+// in document order, text quoted.
+func dump(b *strings.Builder, e *Element) {
+	fmt.Fprintf(b, "<%s", e.Name)
+	for _, a := range e.Attrs {
+		fmt.Fprintf(b, " %s=%q", a.Name, a.Value)
+	}
+	b.WriteByte('>')
+	if len(e.children) == 0 {
+		fmt.Fprintf(b, "%q", e.text)
+	}
+	run := ""
+	for _, n := range e.children {
+		switch n := n.(type) {
+		case Text:
+			run += string(n)
+		case *Element:
+			fmt.Fprintf(b, "%q", run)
+			run = ""
+			dump(b, n)
+		}
+	}
+	if len(e.children) != 0 {
+		fmt.Fprintf(b, "%q", run)
+	}
+	b.WriteString("</>")
+}
+
+func dumpString(e *Element) string {
+	var b strings.Builder
+	dump(&b, e)
+	return b.String()
+}
+
+// lenientAbout lists what this parser accepts and encoding/xml rejects, by
+// the message of encoding/xml's SyntaxError. The parser's header comment
+// states the leniency; the protocols here never produce such documents, and
+// checking for them would put a table lookup on every byte of every
+// message.
+var lenientAbout = []string{
+	"invalid UTF-8",                       // bytes are copied, not decoded
+	"illegal character code",              // control characters and U+FFFE/F in content
+	"invalid XML name",                    // name characters are not validated ...
+	"expected element name after <",       // ... nor a name's first character
+	"expected attribute name in element",  // ... in either position
+	"attribute name without = in element", // ... so "x!y" is one name, not "x" then junk
+	"invalid characters between </",       // ... nor in end tags
+	"unescaped ]]> not in CDATA section",  // "]]>" in character data
+	"unescaped < inside quoted string",    // '<' in an attribute value
+	`invalid sequence "--" not allowed in comments`,
+	"unsupported version", // the XML declaration is skipped unread ...
+	"declared but Decoder.CharsetReader is nil",
+	"invalid character entity",      // "&#xD800;": surrogates are not refused
+	"expected target name after <?", // processing instructions are skipped unread
+	"xml declaration must",
+}
+
+func tolerated(err error) bool {
+	for _, frag := range lenientAbout {
+		if strings.Contains(err.Error(), frag) {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzParseBytes is differential against encoding/xml: on any input the two
+// parsers build the same tree or both reject it (but for lenientAbout), and
+// a tree both accept marshals to a document that parses and marshals to the
+// same bytes again. The seed corpus is testdata/fuzz/FuzzParseBytes.
+func FuzzParseBytes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		got, err := ParseBytes(doc)
+		want, refErr := referenceParse(doc)
+		switch {
+		case err != nil && refErr != nil:
+			return
+		case err != nil:
+			t.Fatalf("rejected (%v) what encoding/xml accepts as %s", err, dumpString(want))
+		case refErr != nil:
+			if !tolerated(refErr) {
+				t.Fatalf("accepted as %s what encoding/xml rejects: %v", dumpString(got), refErr)
+			}
+			return
+		}
+		if g, w := dumpString(got), dumpString(want); g != w {
+			t.Fatalf("trees differ:\n got %s\nwant %s", g, w)
+		}
+		out := Marshal(got)
+		again, err := ParseBytes(out)
+		if err != nil {
+			t.Fatalf("marshalled tree %s does not parse: %v", out, err)
+		}
+		if second := Marshal(again); !bytes.Equal(second, out) {
+			t.Fatalf("marshalled tree parses to a different one:\nfirst  %s\nsecond %s", out, second)
+		}
+	})
+}

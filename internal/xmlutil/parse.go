@@ -19,6 +19,12 @@ import (
 // skipped, as before). DTD entity definitions are not supported; only the
 // five predefined entities and character references are expanded, which
 // matches encoding/xml's default behaviour with no custom Entity map.
+//
+// FuzzParseBytes holds the two to "same tree or both reject". Where this
+// parser is knowingly more lenient — it does not validate name characters,
+// UTF-8 or control characters, lets "]]>" in text, '<' in attribute values
+// and "--" in comments pass, and skips the XML declaration unread — the
+// fuzz target lists the leniency by encoding/xml's error message.
 
 // xmlNamespace is the URI the reserved "xml" prefix is bound to.
 const xmlNamespace = "http://www.w3.org/XML/1998/namespace"
@@ -32,8 +38,9 @@ const (
 )
 
 var (
-	ltMark     = []byte("<")
-	endTagMark = []byte("</")
+	ltMark      = []byte("<")
+	endTagMark  = []byte("</")
+	commentOpen = []byte("!--") // after the '<'
 )
 
 type rawName struct {
@@ -94,8 +101,10 @@ func (p *parser) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("xmlutil: parse: "+format, args...)
 }
 
-// str interns a byte slice as a string: recurring names and whitespace
-// runs are allocated once per pooled parser, not once per occurrence.
+// str interns a byte slice as a string: what recurs from document to
+// document — names, prefixes, namespace URIs, attribute values and
+// whitespace runs — is allocated once per pooled parser, not once per
+// occurrence.
 func (p *parser) str(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -107,6 +116,26 @@ func (p *parser) str(b []byte) string {
 		s := string(b)
 		p.intern[s] = s
 		return s
+	}
+	return string(b)
+}
+
+// charData turns a decoded character-data run into a string. Payload text
+// is mostly unique, so interning it would only fill the map with one-shot
+// entries; it is copied at exact size. Whitespace-only runs (indentation)
+// do recur and are interned.
+func (p *parser) charData(b []byte) string {
+	if len(b) <= internTextMax {
+		ws := true
+		for _, c := range b {
+			if !isXMLSpace(c) {
+				ws = false
+				break
+			}
+		}
+		if ws {
+			return p.str(b)
+		}
 	}
 	return string(b)
 }
@@ -154,9 +183,14 @@ func (p *parser) name() []byte {
 	return p.data[start:p.pos]
 }
 
+// splitQName splits a lexical name at its first colon. A colon with
+// nothing on one side of it is part of the local name, as in encoding/xml.
 func splitQName(b []byte) rawName {
 	for i, c := range b {
 		if c == ':' {
+			if i == 0 || i == len(b)-1 {
+				break
+			}
 			return rawName{prefix: b[:i], local: b[i+1:]}
 		}
 	}
@@ -185,32 +219,35 @@ func resolveSpace(el *Element, prefix string, isElement bool) string {
 	return prefix
 }
 
-// text decodes character data (entity references expanded, \r\n and \r
-// normalized to \n) and returns it interned when short.
-func (p *parser) text(raw []byte) (string, error) {
+// decode normalizes \r\n and \r to \n in character data or an attribute
+// value and, outside a CDATA section, expands entity references. The
+// result is raw itself when there was nothing to do, otherwise the parser's
+// scratch buffer: the caller turns it into a string (str or charData)
+// before decoding again.
+func (p *parser) decode(raw []byte, cdata bool) ([]byte, error) {
 	plain := true
 	for _, c := range raw {
-		if c == '&' || c == '\r' {
+		if c == '\r' || (c == '&' && !cdata) {
 			plain = false
 			break
 		}
 	}
 	if plain {
-		return p.str(raw), nil
+		return raw, nil
 	}
 	out := p.scratch[:0]
 	for i := 0; i < len(raw); {
-		switch c := raw[i]; c {
-		case '\r':
+		switch c := raw[i]; {
+		case c == '\r':
 			out = append(out, '\n')
 			i++
 			if i < len(raw) && raw[i] == '\n' {
 				i++
 			}
-		case '&':
+		case c == '&' && !cdata:
 			rep, n, err := decodeEntity(raw[i:])
 			if err != nil {
-				return "", err
+				return nil, err
 			}
 			out = append(out, rep...)
 			i += n
@@ -220,7 +257,7 @@ func (p *parser) text(raw []byte) (string, error) {
 		}
 	}
 	p.scratch = out
-	return p.str(out), nil
+	return out, nil
 }
 
 // decodeEntity expands one entity or character reference at the start of
@@ -317,12 +354,16 @@ func (p *parser) parse() (*Element, error) {
 		for p.pos < len(p.data) && p.data[p.pos] != '<' {
 			p.pos++
 		}
-		if p.pos > start && cur != nil {
-			s, err := p.text(p.data[start:p.pos])
+		if p.pos > start {
+			// Outside the document element character data is checked
+			// and dropped.
+			b, err := p.decode(p.data[start:p.pos], false)
 			if err != nil {
 				return nil, err
 			}
-			cur.children = append(cur.children, Text(s))
+			if cur != nil {
+				cur.AddText(p.charData(b))
+			}
 		}
 		if p.pos >= len(p.data) {
 			break
@@ -387,12 +428,18 @@ func (p *parser) parse() (*Element, error) {
 func (p *parser) bang(cur *Element) error {
 	rest := p.data[p.pos:]
 	switch {
-	case len(rest) >= 3 && rest[1] == '-' && rest[2] == '-':
+	case len(rest) >= 2 && rest[1] == '-':
+		if len(rest) < 3 || rest[2] != '-' {
+			return p.errf("invalid sequence <!- not part of <!--")
+		}
 		p.pos += 3
 		if !p.skipPast("-->") {
 			return p.errf("unterminated comment")
 		}
-	case len(rest) >= 8 && string(rest[1:8]) == "[CDATA[":
+	case len(rest) >= 2 && rest[1] == '[':
+		if len(rest) < 8 || string(rest[2:8]) != "CDATA[" {
+			return p.errf("invalid <![ sequence")
+		}
 		p.pos += 8
 		start := p.pos
 		for {
@@ -405,23 +452,39 @@ func (p *parser) bang(cur *Element) error {
 			p.pos++
 		}
 		if cur != nil {
-			cur.children = append(cur.children, Text(p.str(p.data[start:p.pos])))
+			b, _ := p.decode(p.data[start:p.pos], true) // no entities, no error
+			cur.AddText(p.charData(b))
 		}
 		p.pos += 3
 	default:
-		// A directive (e.g. DOCTYPE); skip it, tracking bracket nesting
-		// for an internal subset.
-		depth := 1
+		// A directive (e.g. DOCTYPE); skip it the way encoding/xml scans
+		// one: the byte after "<!" is not looked at, quoted strings hide
+		// angle brackets, and nested <...> pairs (an internal subset) and
+		// comments are stepped over.
+		p.pos += 2
+		var quote byte
+		depth := 0
 		for p.pos < len(p.data) {
-			switch p.data[p.pos] {
-			case '<':
-				depth++
-			case '>':
-				depth--
-			}
+			c := p.data[p.pos]
 			p.pos++
-			if depth == 0 {
-				return nil
+			switch {
+			case quote != 0:
+				if c == quote {
+					quote = 0
+				}
+			case c == '\'' || c == '"':
+				quote = c
+			case c == '>':
+				if depth == 0 {
+					return nil
+				}
+				depth--
+			case c == '<':
+				if !bytes.HasPrefix(p.data[p.pos:], commentOpen) {
+					depth++
+				} else if p.pos += len(commentOpen); !p.skipPast("-->") {
+					return p.errf("unterminated comment in directive")
+				}
 			}
 		}
 		return p.errf("unterminated directive")
@@ -499,10 +562,11 @@ func (p *parser) startTag(parent *Element) (el *Element, selfClosed bool, err er
 		if p.pos >= len(p.data) {
 			return nil, false, p.errf("unterminated attribute value in <%s>", string(rawEl.local))
 		}
-		val, err := p.text(p.data[vstart:p.pos])
+		vb, err := p.decode(p.data[vstart:p.pos], false)
 		if err != nil {
 			return nil, false, err
 		}
+		val := p.str(vb)
 		p.pos++ // closing quote
 
 		switch {

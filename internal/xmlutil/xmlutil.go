@@ -57,9 +57,17 @@ func (Text) isNode()     {}
 func (*Element) isNode() {}
 
 // Element is a node in the tree.
+//
+// An element whose only child node is character data — every scalar in
+// every message — holds it in text and has no children slice. The moment a
+// second node arrives (spill) the text becomes children[0] and text is
+// emptied, so document order is kept and a non-empty text always means
+// "sole child". Only writes move character data between the two forms;
+// reads never do, so a parsed tree may be shared by concurrent readers.
 type Element struct {
 	Name     Name
 	Attrs    []Attr
+	text     string
 	children []Node
 	parent   *Element
 	// nsDecls maps prefix -> namespace URI declared on this element.
@@ -74,10 +82,6 @@ func NewElement(name Name) *Element {
 
 // Parent returns the enclosing element, or nil at the root.
 func (e *Element) Parent() *Element { return e.parent }
-
-// Nodes returns the child nodes in document order. The returned slice must
-// not be modified.
-func (e *Element) Nodes() []Node { return e.children }
 
 // Elements returns all child elements in document order.
 func (e *Element) Elements() []*Element {
@@ -164,8 +168,18 @@ func (e *Element) AddChild(child *Element) *Element {
 		child.parent.RemoveChild(child)
 	}
 	child.parent = e
+	e.spill()
 	e.children = append(e.children, child)
 	return child
+}
+
+// spill moves a sole text child into the general form, ahead of whatever
+// the caller appends next.
+func (e *Element) spill() {
+	if e.text != "" {
+		e.children = append(e.children, Text(e.text))
+		e.text = ""
+	}
 }
 
 // NewChild creates, appends and returns a new child element.
@@ -183,6 +197,7 @@ func (e *Element) DetachChildren() {
 		}
 	}
 	e.children = e.children[:0]
+	e.text = ""
 }
 
 // RemoveChild removes the first occurrence of child from e's children.
@@ -192,6 +207,11 @@ func (e *Element) RemoveChild(child *Element) bool {
 		if n == child {
 			e.children = append(e.children[:i], e.children[i+1:]...)
 			child.parent = nil
+			if len(e.children) == 1 {
+				if t, ok := e.children[0].(Text); ok { // sole text child again
+					e.text, e.children = string(t), e.children[:0]
+				}
+			}
 			return true
 		}
 	}
@@ -200,26 +220,29 @@ func (e *Element) RemoveChild(child *Element) bool {
 
 // AddText appends character data to e and returns e.
 func (e *Element) AddText(s string) *Element {
-	e.children = append(e.children, Text(s))
-	return e
-}
-
-// SetText replaces all children with a single text node.
-func (e *Element) SetText(s string) *Element {
-	for _, n := range e.children {
-		if el, ok := n.(*Element); ok {
-			el.parent = nil
-		}
-	}
-	e.children = e.children[:0]
-	if s != "" {
+	switch {
+	case s == "":
+	case e.text == "" && len(e.children) == 0:
+		e.text = s
+	default:
+		e.spill()
 		e.children = append(e.children, Text(s))
 	}
 	return e
 }
 
+// SetText replaces all children with a single text node.
+func (e *Element) SetText(s string) *Element {
+	e.DetachChildren()
+	e.text = s
+	return e
+}
+
 // Text returns the concatenation of all direct character-data children.
 func (e *Element) Text() string {
+	if len(e.children) == 0 {
+		return e.text
+	}
 	var b strings.Builder
 	for _, n := range e.children {
 		if t, ok := n.(Text); ok {
@@ -340,7 +363,7 @@ func (e *Element) ResolveQName(s string) (Name, error) {
 
 // Clone returns a deep copy of the element (detached from any parent).
 func (e *Element) Clone() *Element {
-	c := &Element{Name: e.Name}
+	c := &Element{Name: e.Name, text: e.text}
 	if len(e.Attrs) > 0 {
 		c.Attrs = append([]Attr(nil), e.Attrs...)
 	}
@@ -406,6 +429,9 @@ func Equal(a, b *Element) bool {
 
 // significantChildren drops whitespace-only text nodes (indentation).
 func significantChildren(e *Element) []Node {
+	if e.text != "" && !isInsignificantWS(e.text) {
+		return []Node{Text(e.text)}
+	}
 	var out []Node
 	for _, n := range e.children {
 		if t, ok := n.(Text); ok {
@@ -640,7 +666,7 @@ func (w *writer) element(e *Element, depth int) {
 	}
 	// Classify children without materializing the significant-child slice:
 	// whitespace-only text nodes (indentation) are not significant.
-	hasSig, textOnly := false, true
+	hasSig, textOnly := !isInsignificantWS(e.text), true
 	for _, n := range e.children {
 		switch n := n.(type) {
 		case Text:
@@ -657,6 +683,9 @@ func (w *writer) element(e *Element, depth int) {
 		return
 	}
 	w.b.WriteByte('>')
+	if len(e.children) == 0 {
+		w.escapeText(e.text)
+	}
 	for _, n := range e.children {
 		switch n := n.(type) {
 		case Text:
