@@ -3,9 +3,8 @@
 # it vets and runs the full test suite under the race detector.
 
 GO ?= go
-BENCH_BASELINE ?= bench_baseline.json
 
-.PHONY: all help build vet test race bench bench-baseline bench-compare bench-throughput harness chaos fuzz-smoke examples loc clean check
+.PHONY: all help build vet test race bench harness chaos census fuzz-smoke examples loc clean check
 
 all: build vet test
 
@@ -15,20 +14,14 @@ help:
 	@echo "                   benchmark module in bench/ (the pre-commit gate)"
 	@echo "  build/vet/test   the individual pieces of 'all'"
 	@echo "  bench            run every Go benchmark with -benchmem"
-	@echo "  bench-baseline   regenerate $(BENCH_BASELINE) (experiments A3+A4)."
-	@echo "                   The baseline is machine-specific: regenerate it on the"
-	@echo "                   machine that will run bench-compare, and regenerate it"
-	@echo "                   whenever an intentional perf change moves ns/op or"
-	@echo "                   allocs/op — allocs in particular are exact, so a stale"
-	@echo "                   baseline fails bench-compare on a one-alloc drift."
-	@echo "  bench-compare    re-measure and fail on >20% regression vs the baseline"
-	@echo "  bench-throughput throughput experiments (A4) in calls/sec"
-	@echo "  harness          regenerate every experiment table (E1-E10, A1-A4, R1, R2)"
+	@echo "  harness          regenerate every experiment table (E1-E10, E13, A1, R1, R2)"
 	@echo "  chaos            the deterministic chaos suite under -race"
+	@echo "  census           the exported-identifier census and the import layering, with"
+	@echo "                   their tables (arch_test.go)"
 	@echo "  fuzz-smoke       ten seconds of native fuzzing on each fuzz target (P2PS frame"
 	@echo "                   decoder, XML parser against encoding/xml)"
 	@echo "  examples         run every example program once"
-	@echo "  loc              count lines of Go"
+	@echo "  loc              count lines of Go: non-test outside bench/, and everything"
 
 # The pre-commit gate: static analysis plus the racy test suite, then the
 # benchmark module (bench/ has its own go.mod, so ./... does not reach it):
@@ -55,22 +48,7 @@ race:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Capture the invocation fast-path and throughput measurements as the
-# comparison baseline (calls/sec rides along in the JSON).
-bench-baseline:
-	$(GO) run ./cmd/benchharness -experiments A3,A4 -benchjson $(BENCH_BASELINE)
-
-# Re-measure and fail loudly on a >20% ns/op or allocs/op regression
-# against the saved baseline.
-bench-compare:
-	$(GO) run ./cmd/benchharness -experiments A3 -bench-compare $(BENCH_BASELINE)
-
-# Throughput experiments (A4): cached vs uncached resolution and the
-# scatter-gather burst, in calls per second.
-bench-throughput:
-	$(GO) run ./cmd/benchharness -experiments A4
-
-# Regenerate every experiment table (E1-E10, A1-A4, R1, R2).
+# Regenerate every experiment table (E1-E10, E13, A1, R1, R2).
 harness:
 	$(GO) run ./cmd/benchharness
 
@@ -82,6 +60,11 @@ harness:
 # same fault schedule bit for bit.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Overload|Breaker|Admission|Injector|Hedge|Budget|Deadline|Exchange|Callback|OneWay|Table|Future' . ./internal/resilience/ ./internal/httpd/ ./internal/core/ ./internal/pipeline/ ./internal/exchange/
+
+# The census of exported identifiers and option fields and the import
+# layering (arch_test.go): both fail on a finding; -v prints the tables.
+census:
+	$(GO) test -run 'TestCensus|TestLayering' -v .
 
 # Ten seconds of native fuzzing on each target, seeded from the package's
 # testdata/fuzz: long enough to catch a decoder that panics, a field that
@@ -105,8 +88,11 @@ examples:
 	$(GO) run ./examples/simulation -peers 300 -queries 50
 	$(GO) run ./examples/observability
 
+# Non-test Go outside bench/ is the size of the system itself (the number
+# a net-deletion target reads); the total counts tests and bench/ too.
 loc:
-	@find . -name '*.go' | xargs wc -l | tail -1
+	@echo "non-test Go outside bench/: $$(find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' -not -name '*_test.go' | xargs cat | wc -l) lines"
+	@echo "all Go:                     $$(find . -name '*.go' -not -path './.bench_build/*' | xargs cat | wc -l) lines"
 
 clean:
 	$(GO) clean ./...

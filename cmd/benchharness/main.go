@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	which := flag.String("experiments", "all", "comma-separated experiment IDs (E1..E10, E13, A1..A4, R1, R2) or 'all'")
+	which := flag.String("experiments", "all", "comma-separated experiment IDs (E1..E10, E13, A1, R1, R2) or 'all'")
 	seed := flag.Int64("seed", 42, "deterministic seed for simulated experiments")
 	peersFlag := flag.String("peers", "32,128,512", "network sizes for E5 (comma-separated)")
 	queries := flag.Int("queries", 100, "queries per configuration for E5/E6")
@@ -32,8 +32,6 @@ func main() {
 	churnReps := flag.Int("churn-reps", 3, "repetitions averaged for E6")
 	services := flag.Int("services", 64, "service population for E7")
 	iters := flag.Int("iters", 2000, "iterations for microbenchmark experiments")
-	benchJSON := flag.String("benchjson", "", "write A3 fast-path benchmark results (allocs/op, ns/op) to this JSON file")
-	benchCompare := flag.String("bench-compare", "", "compare A3 results against this baseline JSON; exit non-zero on >20% regression")
 	snapshotJSON := flag.String("snapshot", "", "after the run, write the telemetry snapshot (counters, call table, flight-recorder stats) to this JSON file")
 	flag.Parse()
 
@@ -44,9 +42,6 @@ func main() {
 		}
 		wanted["E13"] = true
 		wanted["A1"] = true
-		wanted["A2"] = true
-		wanted["A3"] = true
-		wanted["A4"] = true
 		wanted["R1"] = true
 		wanted["R2"] = true
 	} else {
@@ -121,11 +116,6 @@ func main() {
 		check(err)
 		experiments.TTLTable(rows).Print(os.Stdout)
 	}
-	if wanted["A2"] {
-		rows, err := experiments.RunChainDepth([]int{0, 4, 16, 64}, *iters)
-		check(err)
-		experiments.ChainDepthTable(rows).Print(os.Stdout)
-	}
 	if wanted["R1"] {
 		rows, err := experiments.RunResilienceSweep(*seed, 300, []float64{0, 0.1, 0.3})
 		check(err)
@@ -136,38 +126,10 @@ func main() {
 		check(err)
 		experiments.HedgeTable(rows).Print(os.Stdout)
 	}
-	var throughput []experiments.ThroughputResult
-	if wanted["A4"] {
-		rs, err := experiments.RunThroughput()
-		check(err)
-		experiments.ThroughputTable(rs).Print(os.Stdout)
-		throughput = rs
-	}
 	if wanted["E13"] {
 		rs, err := experiments.RunExchangePatterns()
 		check(err)
 		experiments.ExchangePatternsTable(rs).Print(os.Stdout)
-		throughput = append(throughput, rs...)
-	}
-	if wanted["A3"] || *benchJSON != "" || *benchCompare != "" {
-		rs, err := experiments.RunAllocBenches()
-		check(err)
-		experiments.AllocBenchTable(rs).Print(os.Stdout)
-		if *benchJSON != "" {
-			check(experiments.WriteAllocBenchJSON(*benchJSON, rs, throughput, experiments.CollectBenchTelemetry()))
-			fmt.Printf("wrote %s\n", *benchJSON)
-		}
-		if *benchCompare != "" {
-			baseline, err := experiments.ReadAllocBenchJSON(*benchCompare)
-			check(err)
-			if errs := experiments.CompareAllocBenches(baseline, rs, 0.20); len(errs) > 0 {
-				for _, e := range errs {
-					fmt.Fprintf(os.Stderr, "REGRESSION: %v\n", e)
-				}
-				log.Fatalf("benchharness: %d fast-path regression(s) against %s", len(errs), *benchCompare)
-			}
-			fmt.Printf("fast path within 20%% of baseline %s\n", *benchCompare)
-		}
 	}
 
 	if *snapshotJSON != "" {

@@ -5,14 +5,12 @@
 // client could use the UDDI enabled ServiceLocator defined in the standard
 // implementation". This package makes that claim structural:
 //
-//   - core.Binding (aliased here) is the contract every substrate
-//     implements: Name, Schemes, Components, Attach/Detach, Use, Close;
+//   - core.Binding is the contract every substrate implements: Name,
+//     Schemes, Components, Attach/Detach, Use, Close;
 //   - Base carries the attach/detach choreography every binding used to
 //     copy-paste: wire the component bundle into the peer, forward the
 //     engine pipeline's server-side exchanges as ServerMessageEvents,
 //     undo exactly that on detach — idempotently in both directions;
-//   - Registry keys live bindings by name and endpoint scheme, so hosts
-//     can route "which binding serves p2ps://…?" without hard-coding;
 //   - ComposeClient builds a peer from explicitly mixed parts (a UDDI
 //     locator with a P2PS invoker, a P2PS locator with an HTTP invoker).
 //
@@ -31,10 +29,6 @@ import (
 	"wspeer/internal/engine"
 	"wspeer/internal/pipeline"
 )
-
-// Binding is the substrate-binding contract (defined in core so the peer
-// can manage attached bindings without importing this package).
-type Binding = core.Binding
 
 // Components is the pluggable-component bundle a binding contributes.
 type Components = core.Components
@@ -160,153 +154,6 @@ func (b *Base) Detach(p *core.Peer) error {
 // engine — flows through them. Client-side interceptors belong on the
 // peer's Client (core.Client.Use).
 func (b *Base) Use(ics ...pipeline.Interceptor) { b.eng.Use(ics...) }
-
-// ---------------------------------------------------------------------------
-// Registry
-
-// Registry keys live bindings by name and by endpoint scheme — the lookup
-// a multi-substrate host needs to answer "which binding serves this
-// endpoint?" without hard-coding the substrate set.
-type Registry struct {
-	mu       sync.Mutex
-	byName   map[string]Binding
-	byScheme map[string]Binding
-	order    []string
-}
-
-// NewRegistry returns an empty binding registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		byName:   make(map[string]Binding),
-		byScheme: make(map[string]Binding),
-	}
-}
-
-// Register adds a binding, claiming its name and every scheme it serves.
-// A name or scheme already claimed by another binding is an error and
-// leaves the registry unchanged.
-func (r *Registry) Register(b Binding) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.byName[b.Name()]; dup {
-		return fmt.Errorf("binding: name %q already registered", b.Name())
-	}
-	schemes := b.Schemes()
-	for _, s := range schemes {
-		if prev, dup := r.byScheme[s]; dup {
-			return fmt.Errorf("binding: scheme %q already served by %q", s, prev.Name())
-		}
-	}
-	r.byName[b.Name()] = b
-	for _, s := range schemes {
-		r.byScheme[s] = b
-	}
-	r.order = append(r.order, b.Name())
-	return nil
-}
-
-// Deregister removes a binding by name, releasing its schemes; it returns
-// the removed binding (nil if the name was unknown).
-func (r *Registry) Deregister(name string) Binding {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.byName[name]
-	if !ok {
-		return nil
-	}
-	delete(r.byName, name)
-	for s, owner := range r.byScheme {
-		if owner == b {
-			delete(r.byScheme, s)
-		}
-	}
-	for i, n := range r.order {
-		if n == name {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return b
-}
-
-// ByName returns the binding registered under name, or nil.
-func (r *Registry) ByName(name string) Binding {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byName[name]
-}
-
-// ByScheme returns the binding serving an endpoint scheme, or nil.
-func (r *Registry) ByScheme(scheme string) Binding {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byScheme[scheme]
-}
-
-// Names lists registered binding names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
-// bindings snapshots the registered bindings in registration order.
-func (r *Registry) bindings() []Binding {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Binding, 0, len(r.order))
-	for _, n := range r.order {
-		out = append(out, r.byName[n])
-	}
-	return out
-}
-
-// AttachAll attaches every registered binding to the peer, in registration
-// order. The first error aborts the walk.
-func (r *Registry) AttachAll(p *core.Peer) error {
-	for _, b := range r.bindings() {
-		if err := p.AttachBinding(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DetachAll detaches every registered binding from the peer; errors are
-// collected, not short-circuited.
-func (r *Registry) DetachAll(p *core.Peer) error {
-	var errs []error
-	for _, b := range r.bindings() {
-		if err := p.DetachBinding(b); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", b.Name(), err))
-		}
-	}
-	return joinErrors(errs)
-}
-
-// Close closes every registered binding (registration order) and empties
-// the registry; errors are collected, not short-circuited.
-func (r *Registry) Close() error {
-	var errs []error
-	for _, b := range r.bindings() {
-		if err := b.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", b.Name(), err))
-		}
-		r.Deregister(b.Name())
-	}
-	return joinErrors(errs)
-}
-
-func joinErrors(errs []error) error {
-	switch len(errs) {
-	case 0:
-		return nil
-	case 1:
-		return errs[0]
-	default:
-		return fmt.Errorf("binding: %d errors, first: %w", len(errs), errs[0])
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Composition

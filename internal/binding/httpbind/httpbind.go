@@ -44,9 +44,6 @@ type Options struct {
 	// Registry supplies the client-side transports (a registry with HTTP —
 	// and HTTPG when Secret is set — when nil).
 	Registry *transport.Registry
-	// ShutdownTimeout bounds how long closing the HTTP host waits for
-	// in-flight requests (default 2s; see httpd.Options).
-	ShutdownTimeout time.Duration
 	// Admission, when non-nil, installs server-side admission control on
 	// the engine: shed requests are answered with a SOAP Server fault on
 	// HTTP 503 + Retry-After, and closing the binding drains in-flight
@@ -85,12 +82,11 @@ func New(opts Options) (*Binding, error) {
 	b := &Binding{
 		reg: opts.Registry,
 		host: httpd.New(opts.Engine, httpd.Options{
-			ListenAddr:      opts.ListenAddr,
-			Profile:         opts.Profile,
-			Secret:          opts.Secret,
-			ShutdownTimeout: opts.ShutdownTimeout,
-			Admission:       opts.Admission,
-			EnablePprof:     opts.EnablePprof,
+			ListenAddr:  opts.ListenAddr,
+			Profile:     opts.Profile,
+			Secret:      opts.Secret,
+			Admission:   opts.Admission,
+			EnablePprof: opts.EnablePprof,
 		}),
 		categories: make(map[string][]uddi.KeyedReference),
 	}
@@ -128,12 +124,6 @@ func New(opts Options) (*Binding, error) {
 func (b *Binding) ReplySender() engine.ReplySender {
 	return binding.PostReplySender(b.reg)
 }
-
-// Host exposes the underlying container-less host (for interceptors).
-func (b *Binding) Host() *httpd.Host { return b.host }
-
-// Registry exposes the client transport registry.
-func (b *Binding) Registry() *transport.Registry { return b.reg }
 
 // Close shuts the HTTP host down, draining in-flight requests.
 func (b *Binding) Close() error { return b.host.Close() }

@@ -58,7 +58,6 @@ type Binding struct {
 
 	mu       sync.Mutex
 	deployed map[string]string // service -> endpoint
-	attrs    map[string]map[string]string
 	closed   bool
 
 	// inflight counts dispatches in progress so Close can drain them.
@@ -87,7 +86,6 @@ func New(opts Options) (*Binding, error) {
 		host:     opts.Host,
 		reg:      reg,
 		deployed: make(map[string]string),
-		attrs:    make(map[string]map[string]string),
 	}
 	b.Base = binding.NewBase("inmem", []string{"mem"}, opts.Engine, binding.Components{
 		Deployer:   b.Deployer(),
@@ -108,12 +106,6 @@ func New(opts Options) (*Binding, error) {
 func (b *Binding) ReplySender() engine.ReplySender {
 	return binding.PostReplySender(b.reg)
 }
-
-// Network exposes the in-memory network the binding serves on.
-func (b *Binding) Network() *transport.InMemNetwork { return b.net }
-
-// Directory exposes the binding's service directory.
-func (b *Binding) Directory() *Directory { return b.dir }
 
 // Registry exposes the client transport registry.
 func (b *Binding) Registry() *transport.Registry { return b.reg }
@@ -241,33 +233,16 @@ func (b *Binding) Publisher() core.ServicePublisher { return publisher{b} }
 // Name implements core.ServicePublisher.
 func (p publisher) Name() string { return "inmem" }
 
-// SetAttrs attaches attributes to a service's directory record when it is
-// published (the analogue of P2PS advert attributes and UDDI categories).
-// Call it before Publish.
-func (b *Binding) SetAttrs(service string, attrs map[string]string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.attrs[service] = attrs
-}
-
 // Publish implements core.ServicePublisher. Foreign deployments (made by
 // another binding's deployer) publish as-is: the record simply carries
 // their endpoint and definitions, whatever the scheme.
 func (p publisher) Publish(ctx context.Context, dep *core.Deployment) (string, error) {
-	b := p.b
-	name := dep.Service.Name()
-	attrs := map[string]string{"binding": "wspeer-inmem"}
-	b.mu.Lock()
-	for k, v := range b.attrs[name] {
-		attrs[k] = v
-	}
-	b.mu.Unlock()
-	return b.dir.Publish(Record{
-		Name:        name,
+	return p.b.dir.Publish(Record{
+		Name:        dep.Service.Name(),
 		Description: "WSPeer-hosted service",
 		Endpoint:    dep.Endpoint,
 		Definitions: dep.Definitions,
-		Attrs:       attrs,
+		Attrs:       map[string]string{"binding": "wspeer-inmem"},
 	}), nil
 }
 

@@ -44,36 +44,13 @@ type CallbackHoster interface {
 	HostReplyEndpoint(deliver func(body []byte)) (ReplyEndpoint, error)
 }
 
-// ExchangeOptions configures the client side of the message-exchange
-// layer.
-type ExchangeOptions struct {
-	// Table bounds the correlation table behind InvokeCallback.
-	Table exchange.TableOptions
-	// StampRequestResponse, when set, engages the exchange layer on plain
-	// Invoke calls too: each request is stamped with a fresh wsa:MessageID
-	// and an anonymous wsa:ReplyTo, making explicit that request/response
-	// is just a correlated exchange on the transport back channel. Off by
-	// default — unstamped request/response is the zero-overhead fast path.
-	StampRequestResponse bool
-}
-
 // clientExchange is the Client's lazily-built exchange state: the
 // correlation table for pending callbacks and one hosted reply endpoint
 // per endpoint scheme.
 type clientExchange struct {
 	mu        sync.Mutex
-	opts      ExchangeOptions
 	table     *exchange.Table
 	endpoints map[string]ReplyEndpoint // by endpoint URI scheme
-}
-
-// ConfigureExchange sets the client's exchange-layer options. Call it
-// before the first InvokeCallback: the correlation table is built lazily
-// on first use and an existing table keeps its original bounds.
-func (c *Client) ConfigureExchange(opts ExchangeOptions) {
-	c.exch.mu.Lock()
-	defer c.exch.mu.Unlock()
-	c.exch.opts = opts
 }
 
 // exchangeTable returns the client's correlation table, building it on
@@ -82,7 +59,7 @@ func (c *Client) exchangeTable() *exchange.Table {
 	c.exch.mu.Lock()
 	defer c.exch.mu.Unlock()
 	if c.exch.table == nil {
-		c.exch.table = exchange.NewTable(c.exch.opts.Table)
+		c.exch.table = exchange.NewTable(exchange.TableOptions{})
 	}
 	return c.exch.table
 }
@@ -145,22 +122,6 @@ func (c *Client) replyEndpoint(scheme string, h CallbackHoster) (ReplyEndpoint, 
 // the client's correlation table parses the message and routes it to its
 // pending exchange.
 func (c *Client) handleReply(body []byte) { c.exchangeTable().Deliver(body) }
-
-// stampExchange engages the exchange layer on a plain request/response
-// invocation when the client opted in via StampRequestResponse.
-func (c *Client) stampExchange(pc *pipeline.Call) {
-	c.exch.mu.Lock()
-	stamp := c.exch.opts.StampRequestResponse
-	c.exch.mu.Unlock()
-	if !stamp {
-		return
-	}
-	pc.SetMeta(exchange.MetaPattern, exchange.RequestResponse)
-	pc.SetMeta(exchange.MetaHeaders, &wsaddr.MessageHeaders{
-		MessageID: wsaddr.NewMessageID(),
-		ReplyTo:   wsaddr.NewEndpointReference(wsaddr.Anonymous),
-	})
-}
 
 // recordFlight offers one completed client-side call to the Default
 // hub's flight recorder, pulling the retry/hedge/pattern annotations the
@@ -245,9 +206,6 @@ type PendingReply struct {
 
 // MessageID returns the wsa:MessageID the reply will relate to.
 func (p *PendingReply) MessageID() string { return p.id }
-
-// Done returns a channel closed when the reply (or an error) is ready.
-func (p *PendingReply) Done() <-chan struct{} { return p.future.Done() }
 
 // Wait blocks for the decoupled reply and decodes it. A reply that never
 // arrives surfaces as *exchange.ExpiredError once its TTL passes; a fault

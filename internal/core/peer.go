@@ -166,14 +166,6 @@ func (c *Client) ConfigureRetryBudget(opts resilience.BudgetOptions) *resilience
 	return b
 }
 
-// RetryBudget returns the client's retransmission budget, nil when none
-// is configured.
-func (c *Client) RetryBudget() *resilience.RetryBudget {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.budget
-}
-
 // pipelineBudget adapts the configured budget to the pipeline interface,
 // returning a true nil (not a typed nil) when none is configured.
 func (c *Client) pipelineBudget() pipeline.RetryBudget {
@@ -501,7 +493,6 @@ func (inv *Invocation) Invoke(ctx context.Context, op string, params ...engine.P
 	if budget != nil {
 		c.SetMeta(pipeline.MetaRetryBudget, budget)
 	}
-	inv.client.stampExchange(c)
 	var res *engine.Result
 	var err error
 	start := time.Now()

@@ -2,14 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"wspeer/internal/engine"
+	"wspeer/internal/exchange"
 	"wspeer/internal/pipeline"
 	"wspeer/internal/transport"
+	"wspeer/internal/wsaddr"
 )
 
 // The tests in this file exist to be run under -race (make check): they
@@ -194,5 +197,74 @@ func TestListenerChurnRacesEventDelivery(t *testing.T) {
 	}
 	if len(rec.client) != 200 {
 		t.Fatalf("stable listener saw %d/200 client events", len(rec.client))
+	}
+}
+
+// callbackInvoker is slowInvoker plus a reply endpoint nothing ever writes
+// to: enough for InvokeCallback to register a pending exchange.
+type callbackInvoker struct{ slowInvoker }
+
+func (callbackInvoker) HostReplyEndpoint(func([]byte)) (ReplyEndpoint, error) {
+	return idleReplyEndpoint{}, nil
+}
+
+type idleReplyEndpoint struct{}
+
+func (idleReplyEndpoint) EPR() *wsaddr.EndpointReference {
+	return wsaddr.NewEndpointReference("mem://consumer/callback")
+}
+func (idleReplyEndpoint) Close() error { return nil }
+
+// TestInvokeLeavesExchangeStateAlone: plain Invoke from many goroutines
+// never touches the client's exchange state; the correlation table is
+// built by the first InvokeCallback, with the default bounds.
+func TestInvokeLeavesExchangeStateAlone(t *testing.T) {
+	p := NewPeer()
+	p.Client().RegisterInvoker(callbackInvoker{})
+	inv, err := p.Client().NewInvocation(&ServiceInfo{Name: "Target", Endpoint: "mem://host/Target"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := inv.Invoke(ctx, "echo", engine.P("msg", "x")); err != nil {
+					t.Errorf("invoke: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p.Client().exch.table != nil {
+		t.Fatal("plain Invoke built the correlation table")
+	}
+
+	pending, err := inv.InvokeCallback(ctx, "echo", engine.P("msg", "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := p.Client().exch.table
+	if table == nil || p.Client().ExchangeStats().Inflight != 1 {
+		t.Fatalf("InvokeCallback did not register in a fresh table: %+v", p.Client().ExchangeStats())
+	}
+	// Default capacity: 4096 pending exchanges, the next one shed.
+	for i := 1; i < 4096; i++ {
+		if _, err := table.Register(fmt.Sprintf("urn:fill:%d", i), time.Minute); err != nil {
+			t.Fatalf("registration %d of 4096: %v", i+1, err)
+		}
+	}
+	if _, err := table.Register("urn:over", time.Minute); !errors.Is(err, exchange.ErrTableFull) {
+		t.Fatalf("registration 4097: %v, want ErrTableFull", err)
+	}
+	if err := p.Client().CloseExchange(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pending.Wait(ctx); !errors.Is(err, exchange.ErrClosed) {
+		t.Fatalf("pending reply after CloseExchange: %v, want ErrClosed", err)
 	}
 }

@@ -129,22 +129,6 @@ func (c *Client) NewFailoverInvocationFor(ctx context.Context, q ServiceQuery) (
 	return c.NewFailoverInvocation(infos...)
 }
 
-// NewHedgedInvocationFor resolves the query through the resolution cache
-// and binds a hedged invocation across every located endpoint in the
-// cache's (health-demoted) preference order: the primary attempt goes to
-// the first endpoint and a slow primary is raced by a hedge against the
-// next one. See Client.NewHedgedInvocation for the hedging semantics.
-func (c *Client) NewHedgedInvocationFor(ctx context.Context, q ServiceQuery, opts HedgeOptions) (*Invocation, error) {
-	infos, err := c.LocateCached(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if len(infos) == 0 {
-		return nil, fmt.Errorf("core: no service found for %q", q.QueryName())
-	}
-	return c.NewHedgedInvocation(opts, infos...)
-}
-
 // ---------------------------------------------------------------------------
 // Scheduler configuration and scatter-gather invocation
 

@@ -15,8 +15,7 @@ import (
 	"wspeer/internal/xmlutil"
 )
 
-// Spine counters for dispatch activity, mirroring the engine's own Stats
-// so both legacy Stats() and a telemetry Snapshot tell the same story.
+// Spine counters for dispatch activity.
 var (
 	mEngineRequests = telemetry.Default().Meter.Counter("engine.requests")
 	mEngineFaults   = telemetry.Default().Meter.Counter("engine.faults")
@@ -31,134 +30,6 @@ var (
 
 func nameInNS(ns, local string) xmlutil.Name { return xmlutil.N(ns, local) }
 
-// MessageContext flows through the handler chains around a dispatch, the
-// way an Axis MessageContext flows through its handler chain. Handlers may
-// inspect and modify the envelopes and stash cross-handler state in Props.
-type MessageContext struct {
-	Ctx       context.Context
-	Service   string
-	Operation string
-	Request   *soap.Envelope
-	Response  *soap.Envelope // nil on the in chain
-	Props     map[string]interface{}
-}
-
-// ChainHandler is one stage of the in or out pipeline. Returning an error
-// aborts processing; if the error is a *soap.Fault it is returned to the
-// caller verbatim.
-type ChainHandler interface {
-	Name() string
-	Handle(mc *MessageContext) error
-}
-
-// ChainFunc adapts a function to ChainHandler.
-type ChainFunc struct {
-	ChainName string
-	Func      func(mc *MessageContext) error
-}
-
-// Name implements ChainHandler.
-func (c ChainFunc) Name() string { return c.ChainName }
-
-// Handle implements ChainHandler.
-func (c ChainFunc) Handle(mc *MessageContext) error { return c.Func(mc) }
-
-// AddInHandler appends a handler to the inbound chain (runs after parsing,
-// before dispatch). The handler executes as a pipeline interceptor ahead
-// of the operation; the ChainHandler API is a thin adapter over the
-// unified call pipeline (see inHandlerInterceptor).
-func (e *Engine) AddInHandler(h ChainHandler) {
-	e.chainMu.Lock()
-	defer e.chainMu.Unlock()
-	e.inChain = append(e.inChain, h)
-	e.recompose()
-}
-
-// AddOutHandler appends a handler to the outbound chain (runs after the
-// operation, before serialization), adapted onto the pipeline like
-// AddInHandler.
-func (e *Engine) AddOutHandler(h ChainHandler) {
-	e.chainMu.Lock()
-	defer e.chainMu.Unlock()
-	e.outChain = append(e.outChain, h)
-	e.recompose()
-}
-
-func (e *Engine) chains() (in, out []ChainHandler) {
-	e.chainMu.RLock()
-	defer e.chainMu.RUnlock()
-	return append([]ChainHandler(nil), e.inChain...), append([]ChainHandler(nil), e.outChain...)
-}
-
-// recompose rebuilds the adapted interceptor chain. Caller holds chainMu.
-// In-handlers wrap ahead of the operation terminal; out-handlers run while
-// the stack unwinds (innermost first), so they are composed in reverse to
-// preserve registration order.
-func (e *Engine) recompose() {
-	ics := make([]pipeline.Interceptor, 0, len(e.inChain)+len(e.outChain))
-	for _, h := range e.inChain {
-		ics = append(ics, inHandlerInterceptor(h))
-	}
-	for i := len(e.outChain) - 1; i >= 0; i-- {
-		ics = append(ics, outHandlerInterceptor(e.outChain[i]))
-	}
-	e.composed = ics
-}
-
-// composedChain snapshots the pre-adapted handler interceptors.
-func (e *Engine) composedChain() []pipeline.Interceptor {
-	e.chainMu.RLock()
-	defer e.chainMu.RUnlock()
-	return e.composed
-}
-
-// MetaMessageContext is the pipeline Meta key under which dispatch
-// publishes its MessageContext, giving wire-level interceptors access to
-// the parsed envelopes after the terminal has run.
-const MetaMessageContext = "engine.messageContext"
-
-// MessageContextOf extracts the dispatch MessageContext from a pipeline
-// call (nil before dispatch has reached the service).
-func MessageContextOf(c *pipeline.Call) *MessageContext {
-	mc, _ := c.GetMeta(MetaMessageContext).(*MessageContext)
-	return mc
-}
-
-// inHandlerInterceptor adapts an inbound ChainHandler onto the pipeline:
-// the handler runs before the next stage, and its error aborts processing
-// exactly as the pre-pipeline chain runner did.
-func inHandlerInterceptor(h ChainHandler) pipeline.Interceptor {
-	return func(next pipeline.CallFunc) pipeline.CallFunc {
-		return func(c *pipeline.Call) error {
-			if err := h.Handle(MessageContextOf(c)); err != nil {
-				return soap.ServerFault(fmt.Errorf("in handler %q: %w", h.Name(), err))
-			}
-			return next(c)
-		}
-	}
-}
-
-// outHandlerInterceptor adapts an outbound ChainHandler onto the
-// pipeline: the handler runs after the operation has produced a response
-// envelope (never for one-way operations or faults).
-func outHandlerInterceptor(h ChainHandler) pipeline.Interceptor {
-	return func(next pipeline.CallFunc) pipeline.CallFunc {
-		return func(c *pipeline.Call) error {
-			if err := next(c); err != nil {
-				return err
-			}
-			mc := MessageContextOf(c)
-			if mc == nil || mc.Response == nil {
-				return nil // one-way: nothing for the out chain to see
-			}
-			if err := h.Handle(mc); err != nil {
-				return soap.ServerFault(fmt.Errorf("out handler %q: %w", h.Name(), err))
-			}
-			return nil
-		}
-	}
-}
-
 // Handler returns the transport-facing handler for one deployed service.
 func (e *Engine) Handler(serviceName string) transport.Handler {
 	return transport.HandlerFunc(func(ctx context.Context, req *transport.Request) (*transport.Response, error) {
@@ -168,7 +39,7 @@ func (e *Engine) Handler(serviceName string) transport.Handler {
 
 // ServeRequest processes one SOAP request for the named service through
 // the server pipeline: interceptors installed with Use wrap the parse /
-// handler-chain / dispatch terminal. SOAP-level problems are returned as
+// dispatch terminal. SOAP-level problems are returned as
 // fault envelopes with a nil error; only transport-level breakage — or an
 // interceptor refusing the call — yields a Go error. One-way requests
 // produce an empty response.
@@ -281,7 +152,7 @@ func (e *Engine) serveCall(c *pipeline.Call) error {
 }
 
 // serveEnvelope is the part of the terminal every entry point shares: run
-// the handler chains and the operation on a parsed request — or answer
+// the operation on a parsed request — or answer
 // the fault its parsing produced (env is nil when it did not parse at
 // all) — and encode. It fills c.Response (faults included) and reserves
 // the error return for the pipeline above it.
@@ -293,7 +164,6 @@ func (e *Engine) serveCall(c *pipeline.Call) error {
 // in-band replies are stamped with RelatesTo so the caller can correlate.
 // Requests without headers take exactly the pre-exchange path.
 func (e *Engine) serveEnvelope(c *pipeline.Call, env *soap.Envelope, hdr *wsaddr.MessageHeaders, fault *soap.Fault) error {
-	e.nRequests.Add(1)
 	mEngineRequests.Inc()
 	version := soap.SOAP11
 	if env != nil {
@@ -306,14 +176,12 @@ func (e *Engine) serveEnvelope(c *pipeline.Call, env *soap.Envelope, hdr *wsaddr
 		oneWay = fault == nil && respEnv == nil
 	}
 	if oneWay {
-		e.nOneWay.Add(1)
 		mEngineOneWay.Inc()
 		c.SetMeta(exchange.MetaPattern, exchange.OneWay)
 		c.Response = &transport.Response{}
 		return nil
 	}
 	if fault != nil {
-		e.nFaults.Add(1)
 		mEngineFaults.Inc()
 		// c.Ctx carries the dispatch span's identity, so this line joins
 		// the same trace as the span and the flight record.
@@ -372,16 +240,15 @@ func (e *Engine) checkUnderstood(env *soap.Envelope) *soap.Fault {
 	return nil
 }
 
-// dispatch runs the handler chains and the operation as an envelope-level
-// pipeline over the same Call carrier: in-handlers wrap ahead of the
-// operation terminal, out-handlers behind it, both in registration order.
-// A nil, nil return means the operation was one-way and produced no
-// response.
+// dispatch resolves the operation the request's first body element names,
+// invokes it and encodes the results into a response envelope in the
+// caller's SOAP version. A nil, nil return means the operation was one-way
+// and produced no response; a *soap.Fault the operation returned as its
+// error comes back verbatim.
 func (e *Engine) dispatch(c *pipeline.Call, env *soap.Envelope) (*soap.Envelope, *soap.Fault) {
-	serviceName := c.Service
-	svc := e.Service(serviceName)
+	svc := e.Service(c.Service)
 	if svc == nil {
-		return nil, soap.NewFault(soap.FaultClient, "no such service %q", serviceName)
+		return nil, soap.NewFault(soap.FaultClient, "no such service %q", c.Service)
 	}
 	body := env.FirstBodyElement()
 	if body == nil {
@@ -389,45 +256,21 @@ func (e *Engine) dispatch(c *pipeline.Call, env *soap.Envelope) (*soap.Envelope,
 	}
 	op, ok := svc.ops[body.Name.Local]
 	if !ok {
-		return nil, soap.NewFault(soap.FaultClient, "service %q has no operation %q", serviceName, body.Name.Local)
+		return nil, soap.NewFault(soap.FaultClient, "service %q has no operation %q", c.Service, body.Name.Local)
 	}
 	c.Op = op.name
 
-	mc := &MessageContext{
-		Ctx:       c.Ctx,
-		Service:   serviceName,
-		Operation: op.name,
-		Request:   env,
-		Props:     make(map[string]interface{}),
+	results, fault := invoke(c.Ctx, svc, op, body)
+	if fault != nil || op.oneWay {
+		return nil, fault
 	}
-	c.SetMeta(MetaMessageContext, mc)
-
-	ics := e.composedChain()
-
-	terminal := func(pc *pipeline.Call) error {
-		results, fault := invoke(mc.Ctx, svc, op, body)
-		if fault != nil {
-			return fault
+	wrapper := xmlutil.NewElement(xmlutil.N(svc.namespace, op.respName))
+	for i, rv := range results {
+		if err := op.outEncs[i](wrapper, svc.namespace, op.outNames[i], rv); err != nil {
+			return nil, soap.ServerFault(fmt.Errorf("encoding result %q: %w", op.outNames[i], err))
 		}
-		if op.oneWay {
-			return nil
-		}
-		respEnv := soap.NewEnvelopeV(env.Version())
-		wrapper := xmlutil.NewElement(xmlutil.N(svc.namespace, op.respName))
-		for i, rv := range results {
-			if err := op.outEncs[i](wrapper, svc.namespace, op.outNames[i], rv); err != nil {
-				return soap.ServerFault(fmt.Errorf("encoding result %q: %w", op.outNames[i], err))
-			}
-		}
-		respEnv.AddBodyElement(wrapper)
-		mc.Response = respEnv
-		return nil
 	}
-
-	if err := pipeline.Compose(terminal, ics...)(c); err != nil {
-		return nil, soap.ServerFault(err)
-	}
-	return mc.Response, nil
+	return soap.NewEnvelopeV(env.Version()).AddBodyElement(wrapper), nil
 }
 
 // invoke decodes parameters, calls the operation function (recovering

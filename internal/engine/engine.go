@@ -2,7 +2,7 @@
 // plays in the paper's Java implementation. It registers services backed by
 // plain Go functions or stateful objects, dispatches incoming SOAP
 // envelopes to them reflectively, generates their WSDL descriptions, runs
-// configurable in/out handler chains, and builds dynamic client stubs
+// the server-side interceptor pipeline, and builds dynamic client stubs
 // "directly to bytes, bypassing source generation and compilation"
 // (paper §IV-A).
 package engine
@@ -105,25 +105,14 @@ func (s *Service) Operations() []string {
 // system generates).
 var ncName = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9._-]*$`)
 
-// Engine owns the set of deployed services and the handler chains.
+// Engine owns the set of deployed services and the server pipeline.
 type Engine struct {
 	mu       sync.RWMutex
 	services map[string]*Service
 	order    []string
 
-	chainMu  sync.RWMutex
-	inChain  []ChainHandler
-	outChain []ChainHandler
-	// composed is the handler chains pre-adapted onto pipeline
-	// interceptors, rebuilt on registration (not per dispatch). The slice
-	// is replaced wholesale under chainMu, so readers may use a snapshot
-	// without copying.
-	composed []pipeline.Interceptor
-
 	// pipe is the server-side call pipeline every hosted request flows
-	// through: host → interceptors → parse/chains/dispatch (see
-	// ServeRequest). The ChainHandler lists above are adapted onto the
-	// same abstraction at the envelope level inside dispatch.
+	// through: host → interceptors → parse/dispatch (see ServeRequest).
 	pipe *pipeline.Chain
 
 	understoodMu sync.RWMutex
@@ -138,33 +127,9 @@ type Engine struct {
 	// admission, when set, gates every ServeRequest — from any host the
 	// engine is attached to — behind server-side admission control.
 	admission atomic.Pointer[resilience.Admission]
-
-	nRequests atomic.Int64
-	nFaults   atomic.Int64
-	nOneWay   atomic.Int64
 }
 
-// Stats counts an engine's dispatch activity.
-type Stats struct {
-	// Requests served (including those answered with faults).
-	Requests int64
-	// Faults returned (parse errors, unknown operations, application
-	// errors, panics).
-	Faults int64
-	// OneWay requests accepted without a response.
-	OneWay int64
-}
-
-// Stats returns a snapshot of the engine's dispatch counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Requests: e.nRequests.Load(),
-		Faults:   e.nFaults.Load(),
-		OneWay:   e.nOneWay.Load(),
-	}
-}
-
-// New returns an engine with no services and empty chains.
+// New returns an engine with no services and an empty pipeline.
 func New() *Engine {
 	return &Engine{
 		services:   make(map[string]*Service),
@@ -176,8 +141,9 @@ func New() *Engine {
 // Use installs server-side pipeline interceptors around request
 // processing: every ServeRequest — from any host the engine is attached
 // to — flows through them before parsing and dispatch. Earlier-installed
-// interceptors run outermost. This is the wire-level seam; for
-// envelope-level processing use AddInHandler/AddOutHandler.
+// interceptors run outermost. This is the one way to extend the server:
+// an interceptor sees the raw request before the engine processes it and
+// the raw response (or the error) after.
 func (e *Engine) Use(ics ...pipeline.Interceptor) { e.pipe.Use(ics...) }
 
 // Pipeline exposes the engine's server-side interceptor chain.

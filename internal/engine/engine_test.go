@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"wspeer/internal/pipeline"
 	"wspeer/internal/soap"
 	"wspeer/internal/transport"
 	"wspeer/internal/wsdl"
@@ -292,58 +293,115 @@ func TestMustUnderstand(t *testing.T) {
 	}
 }
 
+// TestHandlerChains: Engine.Use is the server's one extension seam.
+// Interceptors run in registration order, outermost first, around the
+// parse/dispatch terminal; they share state through the call's meta, see
+// the resolved operation and the raw response once the terminal has run,
+// and leave faults and one-way answers as the engine produced them.
 func TestHandlerChains(t *testing.T) {
 	e, stub, _ := harness(t)
 	var mu sync.Mutex
 	var trace []string
-	e.AddInHandler(ChainFunc{ChainName: "audit", Func: func(mc *MessageContext) error {
+	note := func(s string) {
 		mu.Lock()
 		defer mu.Unlock()
-		trace = append(trace, "in:"+mc.Operation)
-		mc.Props["seen"] = true
-		return nil
-	}})
-	e.AddInHandler(ChainFunc{ChainName: "second", Func: func(mc *MessageContext) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if mc.Props["seen"] != true {
-			t.Error("props not shared along chain")
+		trace = append(trace, s)
+	}
+	e.Use(func(next pipeline.CallFunc) pipeline.CallFunc {
+		return func(c *pipeline.Call) error {
+			note("outer:in:" + c.Service)
+			c.SetMeta("seen", true)
+			err := next(c)
+			faulted := c.Response != nil && c.Response.Faulted
+			note(fmt.Sprintf("outer:out:%s:faulted=%t:bytes=%t", c.Op, faulted, c.Response != nil && len(c.Response.Body) > 0))
+			return err
 		}
-		trace = append(trace, "in2:"+mc.Operation)
-		return nil
-	}})
-	e.AddOutHandler(ChainFunc{ChainName: "stamp", Func: func(mc *MessageContext) error {
+	})
+	e.Use(func(next pipeline.CallFunc) pipeline.CallFunc {
+		return func(c *pipeline.Call) error {
+			if c.GetMeta("seen") != true {
+				t.Error("meta not shared along the chain")
+			}
+			note("inner:in")
+			err := next(c)
+			note("inner:out")
+			return err
+		}
+	})
+	run := func(want ...string) {
+		t.Helper()
 		mu.Lock()
 		defer mu.Unlock()
-		trace = append(trace, "out:"+mc.Operation)
-		mc.Response.AddHeader(xmlutil.NewElement(xmlutil.N("urn:ext", "Stamp")).SetText("v1"))
-		return nil
-	}})
+		if strings.Join(trace, " ") != strings.Join(want, " ") {
+			t.Fatalf("trace = %v, want %v", trace, want)
+		}
+		trace = nil
+	}
+	ctx := context.Background()
 
-	res, err := stub.Invoke(context.Background(), "echoString", P("msg", "x"))
+	res, err := stub.Invoke(ctx, "echoString", P("msg", "x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := res.String("return"); got != "x" {
 		t.Fatalf("echo through chain = %q", got)
 	}
-	mu.Lock()
-	want := []string{"in:echoString", "in2:echoString", "out:echoString"}
-	if len(trace) != 3 || trace[0] != want[0] || trace[1] != want[1] || trace[2] != want[2] {
-		t.Fatalf("trace = %v", trace)
+	run("outer:in:Echo", "inner:in", "inner:out", "outer:out:echoString:faulted=false:bytes=true")
+
+	// A fault is the engine's answer, not an interceptor error: it comes
+	// back verbatim, and the interceptors see a faulted response.
+	_, err = stub.Invoke(ctx, "divide", P("in0", 1.0), P("in1", 0.0))
+	var f *soap.Fault
+	if !errors.As(err, &f) || !f.IsClient() || f.String != "division by zero" {
+		t.Fatalf("operation fault through chain: %v", err)
 	}
-	mu.Unlock()
+	run("outer:in:Echo", "inner:in", "inner:out", "outer:out:divide:faulted=true:bytes=true")
+
+	// A one-way dispatch still answers with the empty response.
+	if _, err := stub.Invoke(ctx, "fireAndForget", P("in0", "e")); err != nil {
+		t.Fatal(err)
+	}
+	run("outer:in:Echo", "inner:in", "inner:out", "outer:out:fireAndForget:faulted=false:bytes=false")
 }
 
+// TestHandlerChainAbort: an interceptor that refuses the call keeps it from
+// the operation, and its error reaches the transport for the host to turn
+// into its binding's failure (a SOAP Server fault on HTTP and P2PS; see
+// httpd's TestEngineInterceptorError).
 func TestHandlerChainAbort(t *testing.T) {
 	e, stub, _ := harness(t)
-	e.AddInHandler(ChainFunc{ChainName: "deny", Func: func(mc *MessageContext) error {
-		return errors.New("denied by policy")
-	}})
+	requests := mEngineRequests.Value()
+	e.Use(func(pipeline.CallFunc) pipeline.CallFunc {
+		return func(*pipeline.Call) error { return errors.New("denied by policy") }
+	})
 	_, err := stub.Invoke(context.Background(), "echoString", P("msg", "x"))
-	var f *soap.Fault
-	if !errors.As(err, &f) || !strings.Contains(f.String, "denied by policy") {
+	if err == nil || !strings.Contains(err.Error(), "denied by policy") {
 		t.Fatalf("chain abort: %v", err)
+	}
+	if d := mEngineRequests.Value() - requests; d != 0 {
+		t.Fatalf("refused call reached dispatch: engine.requests +%d", d)
+	}
+}
+
+// TestServeRequestAllocs pins the allocation count of the whole server
+// side — parse, dispatch, encode, span, call record — on the echo envelope.
+func TestServeRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	e, stub, _ := harness(t)
+	req, _, err := stub.BuildRequest("echoString", P("msg", "hello"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		if resp, err := e.ServeRequest(ctx, "Echo", req); err != nil || resp.Faulted {
+			t.Fatal(err, resp)
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("ServeRequest of the echo envelope: %.0f allocs, want <= 32", allocs)
 	}
 }
 
@@ -721,8 +779,10 @@ func TestSOAP12RequestGetsSOAP12Response(t *testing.T) {
 	}
 }
 
+// TestEngineStats: the spine counters are the engine's dispatch statistics.
 func TestEngineStats(t *testing.T) {
-	e, stub, _ := harness(t)
+	_, stub, _ := harness(t)
+	requests, faults, oneWay := mEngineRequests.Value(), mEngineFaults.Value(), mEngineOneWay.Value()
 	ctx := context.Background()
 	if _, err := stub.Invoke(ctx, "echoString", P("msg", "x")); err != nil {
 		t.Fatal(err)
@@ -733,9 +793,9 @@ func TestEngineStats(t *testing.T) {
 	if _, err := stub.Invoke(ctx, "panics"); err == nil {
 		t.Fatal("panic op should fault")
 	}
-	s := e.Stats()
-	if s.Requests != 3 || s.OneWay != 1 || s.Faults != 1 {
-		t.Fatalf("stats = %+v", s)
+	dr, df, do := mEngineRequests.Value()-requests, mEngineFaults.Value()-faults, mEngineOneWay.Value()-oneWay
+	if dr != 3 || do != 1 || df != 1 {
+		t.Fatalf("engine.requests +%d, engine.faults +%d, engine.oneway +%d", dr, df, do)
 	}
 }
 

@@ -50,13 +50,6 @@ func (e *Engine) RegisterReplySender(scheme string, s ReplySender) {
 	e.replySenders[scheme] = s
 }
 
-// UnregisterReplySender removes the sender for a scheme.
-func (e *Engine) UnregisterReplySender(scheme string) {
-	e.replyMu.Lock()
-	defer e.replyMu.Unlock()
-	delete(e.replySenders, scheme)
-}
-
 // replySender returns the sender for a scheme, or nil.
 func (e *Engine) replySender(scheme string) ReplySender {
 	e.replyMu.RLock()

@@ -32,9 +32,6 @@ func NewStub(defs *wsdl.Definitions, reg *transport.Registry) *Stub {
 	return &Stub{defs: defs, reg: reg}
 }
 
-// Definitions returns the stub's WSDL.
-func (s *Stub) Definitions() *wsdl.Definitions { return s.defs }
-
 // Param is one named input value for a dynamic invocation.
 type Param struct {
 	Name  string

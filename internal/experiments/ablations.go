@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"wspeer/internal/engine"
 	"wspeer/internal/netsim"
 	"wspeer/internal/p2ps"
-	"wspeer/internal/wsdl"
 )
 
 // TTLRow is one A1 measurement: query reach on a rendezvous chain as a
@@ -112,85 +109,5 @@ func TTLTable(rows []TTLRow) *Table {
 			fmt.Sprint(r.Messages), f64(r.Hops),
 		})
 	}
-	return t
-}
-
-// ChainDepthRow is one A2 measurement: engine dispatch cost as the
-// in/out handler chains grow.
-type ChainDepthRow struct {
-	Depth   int
-	PerCall time.Duration
-}
-
-// RunChainDepth measures A2: the cost of the Axis-style handler chain as
-// it deepens. Chains are WSPeer's extension seam; this quantifies what
-// each no-op stage costs on the dispatch path.
-func RunChainDepth(depths []int, iterations int) ([]ChainDepthRow, error) {
-	var rows []ChainDepthRow
-	for _, depth := range depths {
-		eng := engine.New()
-		if _, err := eng.Deploy(engine.ServiceDef{
-			Name: "Echo",
-			Operations: []engine.OperationDef{{
-				Name: "echo", Func: func(s string) string { return s }, ParamNames: []string{"msg"},
-			}},
-		}); err != nil {
-			return nil, err
-		}
-		for i := 0; i < depth; i++ {
-			eng.AddInHandler(engine.ChainFunc{
-				ChainName: fmt.Sprintf("in-%d", i),
-				Func:      func(*engine.MessageContext) error { return nil },
-			})
-			eng.AddOutHandler(engine.ChainFunc{
-				ChainName: fmt.Sprintf("out-%d", i),
-				Func:      func(*engine.MessageContext) error { return nil },
-			})
-		}
-		svc := eng.Service("Echo")
-		defs, err := svc.WSDL(wsdl.TransportHTTP, "mem://h/Echo")
-		if err != nil {
-			return nil, err
-		}
-		stub := engine.NewStub(defs, nil)
-		req, _, err := stub.BuildRequest("echo", engine.P("msg", "x"))
-		if err != nil {
-			return nil, err
-		}
-		ctx := context.Background()
-		// Warm up allocator and caches so the first depth isn't penalized.
-		for i := 0; i < iterations/10+10; i++ {
-			if _, err := eng.ServeRequest(ctx, "Echo", req); err != nil {
-				return nil, err
-			}
-		}
-		start := time.Now()
-		for i := 0; i < iterations; i++ {
-			resp, err := eng.ServeRequest(ctx, "Echo", req)
-			if err != nil || resp.Faulted {
-				return nil, fmt.Errorf("dispatch failed at depth %d: %v", depth, err)
-			}
-		}
-		rows = append(rows, ChainDepthRow{Depth: depth, PerCall: time.Since(start) / time.Duration(iterations)})
-	}
-	return rows, nil
-}
-
-// ChainDepthTable renders A2.
-func ChainDepthTable(rows []ChainDepthRow) *Table {
-	t := &Table{
-		ID:      "A2",
-		Title:   "ablation: handler-chain depth vs dispatch cost (in+out chains, no-op stages)",
-		Columns: []string{"stages per chain", "dispatch per call"},
-	}
-	base := rows[0].PerCall
-	for _, r := range rows {
-		overhead := ""
-		if r.Depth > 0 && base > 0 && r.PerCall > base {
-			overhead = fmt.Sprintf(" (+%s)", (r.PerCall - base).String())
-		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(r.Depth), r.PerCall.String() + overhead})
-	}
-	t.Notes = append(t.Notes, "shape check: no-op stages cost well under a microsecond each")
 	return t
 }

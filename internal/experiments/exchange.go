@@ -16,6 +16,28 @@ import (
 	"wspeer"
 )
 
+// ThroughputResult is one E13 row: a testing.Benchmark run expressed in
+// calls per second.
+type ThroughputResult struct {
+	Name string
+	// NsPerOp is wall time per iteration; one iteration makes CallsPerOp
+	// calls.
+	NsPerOp    float64
+	CallsPerOp int
+	// CallsPerSec is the sustained rate: CallsPerOp / (NsPerOp in s).
+	CallsPerSec float64
+}
+
+func toThroughput(name string, callsPerOp int, r testing.BenchmarkResult) ThroughputResult {
+	ns := float64(r.T.Nanoseconds()) / float64(r.N)
+	return ThroughputResult{
+		Name:        name,
+		NsPerOp:     ns,
+		CallsPerOp:  callsPerOp,
+		CallsPerSec: float64(callsPerOp) * 1e9 / ns,
+	}
+}
+
 // RunExchangePatterns measures request/response, one-way and callback
 // throughput against one in-memory echo service.
 func RunExchangePatterns() ([]ThroughputResult, error) {

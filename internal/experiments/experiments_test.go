@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -288,59 +287,5 @@ func TestTTLSweepShape(t *testing.T) {
 	TTLTable(rows).Print(&buf)
 	if !strings.Contains(buf.String(), "A1") {
 		t.Fatal("table did not render")
-	}
-}
-
-func TestChainDepthShape(t *testing.T) {
-	rows, err := RunChainDepth([]int{0, 8}, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].PerCall <= 0 || rows[1].PerCall <= 0 {
-		t.Fatalf("rows: %+v", rows)
-	}
-	var buf bytes.Buffer
-	ChainDepthTable(rows).Print(&buf)
-	if !strings.Contains(buf.String(), "A2") {
-		t.Fatal("table did not render")
-	}
-}
-
-func TestAllocBenchJSONForms(t *testing.T) {
-	rs := []AllocBenchResult{
-		{Name: "HTTPInvoke", N: 100, NsPerOp: 50000, BytesPerOp: 20000, AllocsPerOp: 195},
-		{Name: "EngineDispatch", N: 1000, NsPerOp: 6000, BytesPerOp: 5600, AllocsPerOp: 41},
-	}
-
-	// The current wrapper form round-trips with its telemetry snapshot.
-	wrapped := t.TempDir() + "/bench.json"
-	thr := []ThroughputResult{{Name: "LocateCached", N: 1000, NsPerOp: 1500, CallsPerOp: 1, CallsPerSec: 666666}}
-	if err := WriteAllocBenchJSON(wrapped, rs, thr, CollectBenchTelemetry()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAllocBenchJSON(wrapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Name != "HTTPInvoke" || got[1].AllocsPerOp != 41 {
-		t.Fatalf("wrapper round-trip = %+v", got)
-	}
-
-	// Pre-telemetry baselines are a bare array and must still load.
-	legacy := t.TempDir() + "/legacy.json"
-	if err := os.WriteFile(legacy, []byte(`[{"name":"HTTPInvoke","n":1,"ns_per_op":50000,"bytes_per_op":20000,"allocs_per_op":195}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old, err := ReadAllocBenchJSON(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old) != 1 || old[0].AllocsPerOp != 195 {
-		t.Fatalf("legacy round-trip = %+v", old)
-	}
-
-	// The comparison gate reads either form identically.
-	if errs := CompareAllocBenches(old, rs, 0.20); len(errs) != 0 {
-		t.Fatalf("unexpected regressions: %v", errs)
 	}
 }

@@ -62,6 +62,10 @@ var (
 // larger one is refused with 413, never cut short.
 const maxRequestBytes = 64 << 20
 
+// shutdownTimeout bounds how long Close waits for in-flight requests to
+// drain before forcing the listener down.
+const shutdownTimeout = 2 * time.Second
+
 // soapContentType is the Content-Type value of nearly every response,
 // shared between them: net/http only reads a header's value slice.
 var soapContentType = []string{soap.ContentType}
@@ -81,9 +85,6 @@ type Options struct {
 	Profile string
 	// Secret is the shared secret for the httpg profile.
 	Secret []byte
-	// ShutdownTimeout bounds how long Close waits for in-flight requests
-	// to drain before forcing the listener down (default 2s).
-	ShutdownTimeout time.Duration
 	// Admission, when non-nil, is installed on the engine at construction
 	// and drained by Close: requests the controller sheds are answered
 	// with a SOAP Server fault on HTTP 503 plus a Retry-After header.
@@ -166,9 +167,6 @@ func New(eng *engine.Engine, opts Options) *Host {
 	}
 	if opts.Profile == "" {
 		opts.Profile = "http"
-	}
-	if opts.ShutdownTimeout <= 0 {
-		opts.ShutdownTimeout = 2 * time.Second
 	}
 	if opts.Admission != nil {
 		eng.SetAdmission(opts.Admission)
@@ -354,7 +352,7 @@ func (h *Host) ensureStarted() error {
 	return nil
 }
 
-// Close shuts the listener down, waiting up to Options.ShutdownTimeout
+// Close shuts the listener down, waiting up to shutdownTimeout
 // for in-flight requests to finish. With an admission controller
 // installed the host drains first: new dispatches are shed (503) while
 // accepted ones run to completion, then the listener goes down.
@@ -371,7 +369,7 @@ func (h *Host) Close() error {
 	h.started = false
 	srv := h.srv
 	h.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), h.opts.ShutdownTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	var errs []error
 	if h.opts.Admission != nil {
@@ -514,7 +512,6 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 // debugSnapshot is the JSON document served at DebugPath.
 type debugSnapshot struct {
 	Telemetry telemetry.Snapshot      `json:"telemetry"`
-	Engine    engine.Stats            `json:"engine"`
 	Admission any                     `json:"admission,omitempty"`
 	Overload  overloadDebug           `json:"overload"`
 	Flight    telemetry.RecorderStats `json:"flight"`
@@ -541,7 +538,6 @@ type overloadDebug struct {
 func (h *Host) handleDebug(w http.ResponseWriter, r *http.Request) {
 	snap := debugSnapshot{
 		Telemetry: telemetry.Default().Snapshot(),
-		Engine:    h.eng.Stats(),
 		Flight:    telemetry.Default().Flight.Stats(),
 		Services:  h.serviceNames(),
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"wspeer/internal/engine"
+	"wspeer/internal/pipeline"
 	"wspeer/internal/soap"
 	"wspeer/internal/transport"
 	"wspeer/internal/wsdl"
@@ -219,6 +220,25 @@ func TestInterceptorError(t *testing.T) {
 	var f *soap.Fault
 	if !errors.As(err, &f) || !strings.Contains(f.String, "interceptor exploded") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestEngineInterceptorError: an error from a server-pipeline interceptor
+// (Engine.Use) reaches the caller as a SOAP Server fault carrying its text.
+func TestEngineInterceptorError(t *testing.T) {
+	eng := engine.New()
+	h := New(eng, Options{})
+	t.Cleanup(func() { h.Close() })
+	if _, err := h.Deploy(echoDef()); err != nil {
+		t.Fatal(err)
+	}
+	eng.Use(func(pipeline.CallFunc) pipeline.CallFunc {
+		return func(*pipeline.Call) error { return errors.New("denied by policy") }
+	})
+	_, err := stubFor(t, h, "Echo", nil).Invoke(context.Background(), "echoString", engine.P("msg", "x"))
+	var f *soap.Fault
+	if !errors.As(err, &f) || f.IsClient() || !strings.Contains(f.String, "denied by policy") {
+		t.Fatalf("err = %v, want a Server fault carrying the interceptor's text", err)
 	}
 }
 

@@ -88,10 +88,3 @@ func (realClock) AfterFunc(d time.Duration, fn func()) func() {
 
 // RealClock is the wall-clock Clock for live deployments.
 var RealClock Clock = realClock{}
-
-// EndpointResolver resolves a peer's logical ID to a transport address.
-// The paper: "P2PS uses an EndpointResolver interface to represent a
-// service that is capable of resolving certain endpoints."
-type EndpointResolver interface {
-	ResolveEndpoint(peer PeerID) (addr string, ok bool)
-}

@@ -24,8 +24,6 @@ type Config struct {
 	Clock Clock
 	// QueryTTL bounds query propagation across rendezvous hops (default 5).
 	QueryTTL int
-	// CacheSize bounds the advert cache.
-	CacheSize int
 	// DisableCache turns the rendezvous advert cache off: queries are
 	// flooded to attached peers instead of answered from the cache. This
 	// is the ablation knob for the discovery experiments.
@@ -116,7 +114,7 @@ func NewPeer(cfg Config) (*Peer, error) {
 		transport:    cfg.Transport,
 		clock:        cfg.Clock,
 		localAdverts: make(map[string]*ServiceAdvertisement),
-		cache:        NewAdvertCache(cfg.CacheSize),
+		cache:        NewAdvertCache(DefaultCacheSize),
 		pipes:        make(map[string]*InputPipe),
 		knownPeers:   make(map[PeerID]string),
 		children:     make(map[PeerID]string),
@@ -291,7 +289,8 @@ func (p *Peer) OpenOutputPipe(adv *PipeAdvertisement) (*OutputPipe, error) {
 	return &OutputPipe{peer: p, adv: *adv, addr: addr}, nil
 }
 
-// ResolveEndpoint implements EndpointResolver from local knowledge.
+// ResolveEndpoint turns a peer's logical ID into a transport address from
+// local knowledge — the role of the paper's P2PS EndpointResolver.
 func (p *Peer) ResolveEndpoint(peer PeerID) (string, bool) {
 	if peer == p.id {
 		return p.transport.Addr(), true
@@ -430,15 +429,6 @@ type Discovery struct {
 	done    chan struct{}
 	closed  bool
 	cancel  func()
-}
-
-// Hops returns how many rendezvous hops the query travelled before the
-// advert's responder answered (0 for local and first-hop matches).
-func (d *Discovery) Hops(advertID string) (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	h, ok := d.hops[advertID]
-	return h, ok
 }
 
 // MeanHops averages the hop counts over all matches.

@@ -27,12 +27,6 @@ func (p *InputPipe) Advertisement() *PipeAdvertisement {
 	return &adv
 }
 
-// ID returns the pipe's unique ID.
-func (p *InputPipe) ID() string { return p.adv.ID }
-
-// Name returns the pipe's name.
-func (p *InputPipe) Name() string { return p.adv.Name }
-
 // AddListener registers a delivery callback.
 func (p *InputPipe) AddListener(l PipeListener) {
 	p.mu.Lock()
@@ -72,13 +66,6 @@ type OutputPipe struct {
 	peer *Peer
 	adv  PipeAdvertisement
 	addr string
-}
-
-// Advertisement returns a copy of the advertisement this pipe was opened
-// from.
-func (o *OutputPipe) Advertisement() *PipeAdvertisement {
-	adv := o.adv
-	return &adv
 }
 
 // RemoteAddr returns the resolved transport address of the owning peer.

@@ -188,13 +188,6 @@ func (ch *Chain) Use(ics ...Interceptor) {
 	ch.ics = append(ch.ics, ics...)
 }
 
-// Len reports how many interceptors are installed.
-func (ch *Chain) Len() int {
-	ch.mu.RLock()
-	defer ch.mu.RUnlock()
-	return len(ch.ics)
-}
-
 // Interceptors returns a snapshot of the installed stack.
 func (ch *Chain) Interceptors() []Interceptor {
 	ch.mu.RLock()

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wspeer/internal/pipeline"
 	"wspeer/internal/soap"
 	"wspeer/internal/telemetry"
 	"wspeer/internal/xmlutil"
@@ -218,9 +217,6 @@ func NewAdmission(opts AdmissionOptions) *Admission {
 	gAdmLimit.Set(int64(a.limit))
 	return a
 }
-
-// Options returns the effective (defaulted) options.
-func (a *Admission) Options() AdmissionOptions { return a.opts }
 
 // Ticket is the receipt for one admitted dispatch. Done releases the slot
 // and feeds the dispatch's queue-wait and service-time samples back to
@@ -503,21 +499,4 @@ func (a *Admission) Drain(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// Interceptor exposes admission control as a server-side pipeline stage
-// for hosts that run dispatch through a chain themselves; the engine
-// integration (Engine.SetAdmission) is the usual wiring and admits
-// before any interceptor runs.
-func (a *Admission) Interceptor() pipeline.Interceptor {
-	return func(next pipeline.CallFunc) pipeline.CallFunc {
-		return func(c *pipeline.Call) error {
-			tk, err := a.Admit(c.Ctx)
-			if err != nil {
-				return err
-			}
-			defer tk.Done()
-			return next(c)
-		}
-	}
 }

@@ -124,9 +124,6 @@ func NewBreaker(endpoint string, opts BreakerOptions) *Breaker {
 	return &Breaker{endpoint: endpoint, opts: o, window: make([]bool, o.Window)}
 }
 
-// Endpoint returns the endpoint identity the breaker guards.
-func (b *Breaker) Endpoint() string { return b.endpoint }
-
 // State returns the current state (open breakers past their timeout still
 // report open until an Allow converts them to half-open).
 func (b *Breaker) State() BreakerState {

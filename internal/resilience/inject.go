@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"wspeer/internal/pipeline"
 	"wspeer/internal/transport"
 )
 
@@ -30,8 +29,6 @@ type FaultPlan struct {
 	HangRate float64
 	// Latency is added to every matching call.
 	Latency time.Duration
-	// Jitter adds a uniform random extra delay in [0, Jitter).
-	Jitter time.Duration
 }
 
 // InjectorOptions configures an Injector.
@@ -127,9 +124,6 @@ func (in *Injector) decide(endpoint string) decision {
 	d.fail = in.rng.Float64() < plan.ErrorRate
 	d.hang = in.rng.Float64() < plan.HangRate
 	d.delay = plan.Latency
-	if plan.Jitter > 0 {
-		d.delay += time.Duration(in.rng.Int63n(int64(plan.Jitter)))
-	}
 	if d.fail {
 		in.stats.Faults++
 	}
@@ -189,20 +183,6 @@ func (t *faultTransport) Call(ctx context.Context, req *transport.Request) (*tra
 		return nil, err
 	}
 	return t.inner.Call(ctx, req)
-}
-
-// Interceptor exposes the injector as a pipeline stage, for faulting
-// calls that never reach a wrapped transport (server dispatch, in-memory
-// paths). Keyed by the same endpoint identity as the breakers.
-func (in *Injector) Interceptor() pipeline.Interceptor {
-	return func(next pipeline.CallFunc) pipeline.CallFunc {
-		return func(c *pipeline.Call) error {
-			if err := in.apply(c.Ctx, EndpointOf(c)); err != nil {
-				return err
-			}
-			return next(c)
-		}
-	}
 }
 
 // LinkFault adapts the injector to netsim's per-link fault hook

@@ -98,14 +98,6 @@ func (l *Logger) SetLevel(v Level) {
 	}
 }
 
-// Level returns the current minimum level.
-func (l *Logger) Level() Level {
-	if l == nil {
-		return LevelOff
-	}
-	return Level(l.level.Load())
-}
-
 // Enabled reports whether entries at v would be emitted. Callers passing
 // expensive arguments should guard with it.
 func (l *Logger) Enabled(v Level) bool {

@@ -9,12 +9,6 @@ type Sink interface {
 	OnSpanEnd(SpanData)
 }
 
-// SinkFunc adapts a function to Sink.
-type SinkFunc func(SpanData)
-
-// OnSpanEnd implements Sink.
-func (f SinkFunc) OnSpanEnd(d SpanData) { f(d) }
-
 // Collector is a bounded in-memory Sink for tests and debugging: spans
 // accumulate in end order until the capacity is reached, after which new
 // spans are dropped (and counted).

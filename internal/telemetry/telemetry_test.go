@@ -287,10 +287,9 @@ func TestMeterRegistryConcurrent(t *testing.T) {
 	}
 }
 
-// TestDisabledTelemetryAllocs is the bench-compare guard in unit-test
-// form: with no sink attached, the per-call spine work — a disabled
-// StartSpan, counter increments and a CallTable record — must not
-// allocate at all.
+// TestDisabledTelemetryAllocs: with no sink attached, the per-call spine
+// work — a disabled StartSpan, counter increments and a CallTable record —
+// must not allocate at all.
 func TestDisabledTelemetryAllocs(t *testing.T) {
 	hub := New()
 	ctx := context.Background()

@@ -98,9 +98,6 @@ func (t *Tracer) SetSink(s Sink) Sink {
 	return old.s
 }
 
-// Enabled reports whether a sink is attached.
-func (t *Tracer) Enabled() bool { return t.sink.Load() != nil }
-
 // StartSpan begins a span. With no sink attached it returns (nil, ctx)
 // untouched — the zero-cost disabled path; every *Span method is safe on
 // the nil result. With a sink, the span links to any SpanContext already

@@ -447,17 +447,6 @@ func significantChildren(e *Element) []Node {
 // ---------------------------------------------------------------------------
 // Parsing
 
-// Parse reads a complete XML document from r and returns its root element.
-// The document is buffered in full; parsing itself is the byte-slice
-// parser in parse.go.
-func Parse(r io.Reader) (*Element, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("xmlutil: parse: %w", err)
-	}
-	return ParseBytes(data)
-}
-
 // ParseString parses an XML document held in s.
 func ParseString(s string) (*Element, error) { return ParseBytes([]byte(s)) }
 

@@ -18,9 +18,6 @@ import (
 // Namespace is the XML-Schema namespace.
 const Namespace = "http://www.w3.org/2001/XMLSchema"
 
-// XSINamespace is the schema-instance namespace (xsi:type, xsi:nil).
-const XSINamespace = "http://www.w3.org/2001/XMLSchema-instance"
-
 // Built-in simple type names.
 var (
 	String       = xmlutil.N(Namespace, "string")
@@ -35,9 +32,6 @@ var (
 	Double       = xmlutil.N(Namespace, "double")
 	DateTime     = xmlutil.N(Namespace, "dateTime")
 	Base64Binary = xmlutil.N(Namespace, "base64Binary")
-	AnyType      = xmlutil.N(Namespace, "anyType")
-	AnyURI       = xmlutil.N(Namespace, "anyURI")
-	QNameType    = xmlutil.N(Namespace, "QName")
 )
 
 var timeType = reflect.TypeOf(time.Time{})

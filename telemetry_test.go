@@ -245,11 +245,8 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 	var doc struct {
 		Telemetry wspeer.TelemetrySnapshot `json:"telemetry"`
-		Engine    struct {
-			Requests int64 `json:"Requests"`
-		} `json:"engine"`
-		Overload map[string]int64 `json:"overload"`
-		Services []string         `json:"services"`
+		Overload  map[string]int64         `json:"overload"`
+		Services  []string                 `json:"services"`
 	}
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("debug endpoint is not JSON: %v\n%s", err, body)
@@ -265,8 +262,8 @@ func TestDebugEndpoint(t *testing.T) {
 			t.Fatalf("overload section missing %q: %s", key, body)
 		}
 	}
-	if doc.Engine.Requests < 1 {
-		t.Fatalf("engine.Requests = %d, want >= 1", doc.Engine.Requests)
+	if n := doc.Telemetry.Counters["engine.requests"]; n < 1 {
+		t.Fatalf("engine.requests counter = %d, want >= 1", n)
 	}
 	if len(doc.Services) != 1 || doc.Services[0] != "DebugEcho" {
 		t.Fatalf("services = %v", doc.Services)

@@ -19,8 +19,7 @@
 //     directory — the deterministic substrate for tests and simulations.
 //
 // Every binding implements the same Binding contract (Attach/Detach/Use/
-// Close) and attaches with Peer.AttachBinding; a BindingRegistry keys live
-// bindings by name and endpoint scheme, and ComposeClient builds a peer
+// Close) and attaches with Peer.AttachBinding; ComposeClient builds a peer
 // from explicitly mixed components (e.g. the UDDI locator with the P2PS
 // invoker). Application code works exclusively with this package's types;
 // swapping or mixing bindings does not change it. See the examples/
@@ -322,7 +321,7 @@ type (
 	// budget).
 	HedgeOptions = pipeline.HedgeOptions
 	// InvocationHedgeOptions tunes a hedged invocation built with
-	// Client.NewHedgedInvocation / NewHedgedInvocationFor.
+	// Client.NewHedgedInvocation.
 	InvocationHedgeOptions = core.HedgeOptions
 )
 
@@ -407,12 +406,6 @@ func QueryKey(q ServiceQuery) string { return core.QueryKey(q) }
 // as a separate message to a client-hosted endpoint, correlated by
 // wsa:RelatesTo in a bounded table.
 type (
-	// ExchangeOptions configures the client side of the exchange layer;
-	// install with Client.ConfigureExchange.
-	ExchangeOptions = core.ExchangeOptions
-	// ExchangeTableOptions bounds the callback correlation table
-	// (capacity, TTL, duplicate-suppression window).
-	ExchangeTableOptions = exchange.TableOptions
 	// ExchangeTableStats is a point-in-time correlation-table counter
 	// snapshot (Client.ExchangeStats).
 	ExchangeTableStats = exchange.TableStats
@@ -469,8 +462,6 @@ type (
 	// BindingComponents is the pluggable-component bundle a binding
 	// contributes (deployer, publishers, locators, invokers).
 	BindingComponents = core.Components
-	// BindingRegistry keys live bindings by name and endpoint scheme.
-	BindingRegistry = binding.Registry
 	// HTTPBinding is the standard implementation (paper §IV-A).
 	HTTPBinding = httpbind.Binding
 	// HTTPOptions configures the standard binding.
@@ -572,9 +563,6 @@ func NewInMemNetwork() *InMemNetwork { return transport.NewInMemNetwork() }
 
 // NewInMemDirectory returns an empty in-memory service directory.
 func NewInMemDirectory() *InMemDirectory { return inmembind.NewDirectory() }
-
-// NewBindingRegistry returns an empty binding registry.
-func NewBindingRegistry() *BindingRegistry { return binding.NewRegistry() }
 
 // ComposeClient builds a peer from explicitly mixed binding components —
 // the paper's "P2PS client using the UDDI locator" made first-class:
