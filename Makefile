@@ -16,8 +16,8 @@ help:
 	@echo "  bench            run every Go benchmark with -benchmem"
 	@echo "  harness          regenerate every experiment table (E1-E10, E13, A1, R1, R2)"
 	@echo "  chaos            the deterministic chaos suite under -race"
-	@echo "  census           the exported-identifier census and the import layering, with"
-	@echo "                   their tables (arch_test.go)"
+	@echo "  census           the exported-identifier census (with the identifiers only tests"
+	@echo "                   use), the Meta-key rule and the import layering (arch_test.go)"
 	@echo "  fuzz-smoke       ten seconds of native fuzzing on each fuzz target (P2PS frame"
 	@echo "                   decoder, XML parser against encoding/xml)"
 	@echo "  examples         run every example program once"
@@ -61,10 +61,11 @@ harness:
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Overload|Breaker|Admission|Injector|Hedge|Budget|Deadline|Exchange|Callback|OneWay|Table|Future' . ./internal/resilience/ ./internal/httpd/ ./internal/core/ ./internal/pipeline/ ./internal/exchange/
 
-# The census of exported identifiers and option fields and the import
-# layering (arch_test.go): both fail on a finding; -v prints the tables.
+# The census of exported identifiers and option fields, the Meta-key rule
+# and the import layering (arch_test.go): each fails on a finding; -v prints
+# the tables and the identifiers only tests refer to.
 census:
-	$(GO) test -run 'TestCensus|TestLayering' -v .
+	$(GO) test -run 'TestCensus|TestMetaKeys|TestLayering' -v .
 
 # Ten seconds of native fuzzing on each target, seeded from the package's
 # testdata/fuzz: long enough to catch a decoder that panics, a field that

@@ -1,9 +1,10 @@
 package wspeer_test
 
 // The architecture tests: a census of every exported identifier and option
-// field (TestCensus) and the import layering (TestLayering), both read from
-// one parse and type-check of the whole module with the standard library's
-// go/parser and go/types. `make census` prints the tables.
+// field (TestCensus), the rule that a pipeline Meta key somebody writes has
+// a reader (TestMetaKeys) and the import layering (TestLayering), all read
+// from one parse and type-check of the whole module with the standard
+// library's go/parser and go/types. `make census` prints the tables.
 
 import (
 	"fmt"
@@ -38,6 +39,7 @@ type archUse struct {
 	pkg    string      // import path of the package holding the reference
 	owners []token.Pos // identifiers declared by the enclosing top-level declaration
 	set    bool        // a composite-literal key or the target of an assignment
+	meta   string      // "SetMeta" or "GetMeta" when the reference is that call's key argument
 }
 
 type archTree struct {
@@ -268,16 +270,23 @@ func (tr *archTree) check(path string, files []*ast.File, imp types.Importer) (*
 
 func (tr *archTree) record(info *types.Info, decl ast.Node, file, pkg string, owners []token.Pos) {
 	sets := map[*ast.Ident]bool{}
-	target := func(e ast.Expr) {
+	metas := map[*ast.Ident]string{}
+	named := func(e ast.Expr) *ast.Ident {
 		switch e := e.(type) {
 		case *ast.Ident:
-			sets[e] = true
+			return e
 		case *ast.SelectorExpr:
-			sets[e.Sel] = true
+			return e.Sel
 		}
+		return nil
 	}
+	target := func(e ast.Expr) { sets[named(e)] = true }
 	ast.Inspect(decl, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.CallExpr:
+			if fn, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) > 0 && (fn.Sel.Name == "SetMeta" || fn.Sel.Name == "GetMeta") {
+				metas[named(n.Args[0])] = fn.Sel.Name
+			}
 		case *ast.KeyValueExpr:
 			target(n.Key)
 		case *ast.AssignStmt:
@@ -291,7 +300,7 @@ func (tr *archTree) record(info *types.Info, decl ast.Node, file, pkg string, ow
 			if obj == nil || obj.Pkg() == nil || !obj.Exported() || tr.pkgs[obj.Pkg().Path()] == nil {
 				return true
 			}
-			tr.uses = append(tr.uses, archUse{obj: obj.Pos(), file: file, pkg: pkg, owners: owners, set: sets[n]})
+			tr.uses = append(tr.uses, archUse{obj: obj.Pos(), file: file, pkg: pkg, owners: owners, set: sets[n], meta: metas[n]})
 		}
 		return true
 	})
@@ -442,7 +451,7 @@ func TestCensus(t *testing.T) {
 
 	var internalN, elsewhere, own, tests, nowhere, viaIface int
 	var facadeN, optionN int
-	var facadeDead []string
+	var facadeDead, testsOnly []string
 	for _, id := range ids {
 		if id.facade {
 			facadeN++
@@ -459,6 +468,7 @@ func TestCensus(t *testing.T) {
 			own++
 		case id.tests > 0:
 			tests++
+			testsOnly = append(testsOnly, id.name)
 		case id.viaInterface:
 			viaIface++
 		default:
@@ -497,10 +507,85 @@ func TestCensus(t *testing.T) {
 	t.Logf("  referenced from another package's non-test code: %d", elsewhere)
 	t.Logf("  referenced only from their own package:          %d", own)
 	t.Logf("  referenced only from tests:                      %d", tests)
+	t.Logf("    %s", strings.Join(testsOnly, " "))
 	t.Logf("  referenced from nowhere:                         %d (+ %d methods reached through an interface)", nowhere, viaIface)
 	t.Logf("exported option fields (*Options, *Config, FaultPlan): %d", optionN)
 	t.Logf("facade (wspeer.go): %d exported identifiers, %d with no user in cmd/, examples/, bench/ or any test:", facadeN, len(facadeDead))
 	t.Logf("  %s", strings.Join(facadeDead, " "))
+}
+
+// reachedOnlyFromTests returns the identifiers of the census that no
+// non-test code reaches: those referred to from tests alone or from
+// nowhere and, transitively, those referred to only from the declarations
+// of such identifiers (EndpointOf, called by nothing but an interceptor
+// that only a test installed, was one).
+func (tr *archTree) reachedOnlyFromTests(ids []*archIdent) map[token.Pos]bool {
+	out := map[token.Pos]bool{}
+	for grew := true; grew; {
+		grew = false
+		live := map[token.Pos]bool{}
+		for _, u := range tr.uses {
+			ok := !strings.HasSuffix(u.file, "_test.go")
+			for _, o := range u.owners {
+				ok = ok && o != u.obj && !out[o]
+			}
+			if ok {
+				live[u.obj] = true
+			}
+		}
+		for _, id := range ids {
+			if !live[id.pos] && !id.viaInterface && !out[id.pos] {
+				out[id.pos], grew = true, true
+			}
+		}
+	}
+	return out
+}
+
+// metaKeyExceptions are exported Meta* keys that non-test code writes with
+// SetMeta and only tests, or nothing, read with GetMeta, each with the
+// reason it stays.
+var metaKeyExceptions = map[string]string{}
+
+// TestMetaKeys fails when non-test code stamps a pipeline Meta key on the
+// carrier (Call.SetMeta) that no code a non-test caller reaches ever reads
+// back (Call.GetMeta): every call pays for the write, and whatever the key
+// was meant to steer is either gone or reachable only from a test.
+func TestMetaKeys(t *testing.T) {
+	tr := loadArch(t)
+	ids := tr.census()
+	testOnly := tr.reachedOnlyFromTests(ids)
+	writes, reads := map[token.Pos]int{}, map[token.Pos]int{}
+	for _, u := range tr.uses {
+		live := !strings.HasSuffix(u.file, "_test.go")
+		for _, o := range u.owners {
+			live = live && !testOnly[o]
+		}
+		switch {
+		case live && u.meta == "SetMeta":
+			writes[u.obj]++
+		case live && u.meta == "GetMeta":
+			reads[u.obj]++
+		}
+	}
+	found := map[string]bool{}
+	for _, id := range ids {
+		if writes[id.pos] == 0 || reads[id.pos] > 0 || !strings.HasPrefix(id.name[strings.LastIndex(id.name, ".")+1:], "Meta") {
+			continue
+		}
+		found[id.name] = true
+		if why, ok := metaKeyExceptions[id.name]; ok {
+			t.Logf("Meta key written and never read outside tests, kept: %s (%s)", id.name, why)
+			continue
+		}
+		t.Errorf("%s: non-test code writes %s with SetMeta and nothing but tests reaches a GetMeta of it: delete the key and what reads it, or name it in metaKeyExceptions with the reason it stays",
+			tr.fset.Position(id.pos), id.name)
+	}
+	for name := range metaKeyExceptions {
+		if !found[name] {
+			t.Errorf("metaKeyExceptions names %s, which is gone or read now: drop the line", name)
+		}
+	}
 }
 
 func archHas(ids []*archIdent, name string, ok func(*archIdent) bool) bool {

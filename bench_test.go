@@ -565,10 +565,10 @@ func BenchmarkWorkflowRun(b *testing.B) {
 type benchMemInvoker struct{ reg *transport.Registry }
 
 func (i benchMemInvoker) Schemes() []string { return []string{"mem"} }
-func (i benchMemInvoker) Invoke(ctx context.Context, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+func (i benchMemInvoker) Invoke(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	stub := engine.NewStub(svc.Definitions, i.reg)
 	stub.EndpointOverride = svc.Endpoint
-	return stub.Invoke(ctx, op, params...)
+	return stub.Invoke(c.Ctx, op, params...)
 }
 
 // BenchmarkPipelineOverhead: per-call cost of the unified call pipeline.

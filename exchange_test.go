@@ -303,16 +303,12 @@ func TestCallbackReplyHTTPToP2PS(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { consumerHTTP.Close() })
-	ci, ok := consumerHTTP.Invoker().(core.CallInvoker)
-	if !ok {
-		t.Fatal("http invoker is not a CallInvoker")
-	}
 	msgID := wsaddr.NewMessageID()
 	call := &pipeline.Call{Dir: pipeline.ClientCall, Service: "CrossCallbackA", Op: "echoString", Ctx: ctx}
 	call.SetMeta(exchange.MetaPattern, exchange.Callback)
 	call.SetMeta(exchange.MetaHeaders, &wsaddr.MessageHeaders{MessageID: msgID, ReplyTo: ep.EPR()})
 	info := &core.ServiceInfo{Name: "CrossCallbackA", Endpoint: dep.Endpoint, Definitions: dep.Definitions}
-	if _, err := ci.InvokeCall(call, info, "echoString", []engine.Param{engine.P("msg", "h2p")}); err != nil {
+	if _, err := consumerHTTP.Invoker().Invoke(call, info, "echoString", []engine.Param{engine.P("msg", "h2p")}); err != nil {
 		t.Fatalf("callback send: %v", err)
 	}
 
@@ -431,15 +427,11 @@ func TestCallbackReplyP2PSToHTTP(t *testing.T) {
 			t.Fatalf("locate never succeeded: %v", err)
 		}
 	}
-	ci, ok := consumerP2PS.Invoker().(core.CallInvoker)
-	if !ok {
-		t.Fatal("p2ps invoker is not a CallInvoker")
-	}
 	msgID := wsaddr.NewMessageID()
 	call := &pipeline.Call{Dir: pipeline.ClientCall, Service: info.Name, Op: "echoString", Ctx: ctx}
 	call.SetMeta(exchange.MetaPattern, exchange.Callback)
 	call.SetMeta(exchange.MetaHeaders, &wsaddr.MessageHeaders{MessageID: msgID, ReplyTo: ep.EPR()})
-	if _, err := ci.InvokeCall(call, info, "echoString", []engine.Param{engine.P("msg", "p2h")}); err != nil {
+	if _, err := consumerP2PS.Invoker().Invoke(call, info, "echoString", []engine.Param{engine.P("msg", "p2h")}); err != nil {
 		t.Fatalf("callback send: %v", err)
 	}
 

@@ -11,6 +11,7 @@ import (
 	"wspeer/internal/core"
 	"wspeer/internal/engine"
 	"wspeer/internal/httpd"
+	"wspeer/internal/pipeline"
 	"wspeer/internal/uddi"
 )
 
@@ -289,7 +290,7 @@ func TestInvokerRequiresDefinitions(t *testing.T) {
 	}
 	defer b.Close()
 	inv := b.Invoker()
-	if _, err := inv.Invoke(context.Background(), &core.ServiceInfo{Name: "X", Endpoint: "http://x"}, "op", nil); err == nil {
+	if _, err := inv.Invoke(&pipeline.Call{Ctx: context.Background()}, &core.ServiceInfo{Name: "X", Endpoint: "http://x"}, "op", nil); err == nil {
 		t.Fatal("missing definitions accepted")
 	}
 }

@@ -298,15 +298,10 @@ func (b *Binding) Invoker() core.Invoker { return invoker{b} }
 // Schemes implements core.Invoker.
 func (i invoker) Schemes() []string { return []string{"mem"} }
 
-// Invoke implements core.Invoker.
-func (i invoker) Invoke(ctx context.Context, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
-	return binding.Invoke(&pipeline.Call{Ctx: ctx}, i.b.reg, svc, op, params)
-}
-
-// InvokeCall implements core.CallInvoker: the exchange is published on the
+// Invoke implements core.Invoker: the exchange is published on the
 // pipeline carrier and the terminal stage is visibly the scheme-selected
 // transport.
-func (i invoker) InvokeCall(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+func (i invoker) Invoke(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	return binding.Invoke(c, i.b.reg, svc, op, params)
 }
 

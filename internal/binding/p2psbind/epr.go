@@ -6,7 +6,7 @@
 // consumer's reply-pipe advertisement to make the exchange bidirectional.
 //
 // Request/response is the callback exchange pattern with the caller
-// waiting. Every message leaves through one function, invoker.InvokeCall;
+// waiting. Every message leaves through one function, invoker.Invoke;
 // a consumer binding hosts one persistent reply pipe and an exchange.Table
 // in which each synchronous call waits for the reply whose RelatesTo names
 // it, retransmitting the identical request until it comes. A provider

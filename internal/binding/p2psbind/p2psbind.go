@@ -569,12 +569,7 @@ func (b *Binding) Invoker() core.Invoker { return invoker{b} }
 // Schemes implements core.Invoker.
 func (i invoker) Schemes() []string { return []string{core.P2PSScheme} }
 
-// Invoke implements core.Invoker.
-func (i invoker) Invoke(ctx context.Context, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
-	return i.InvokeCall(&pipeline.Call{Ctx: ctx}, svc, op, params)
-}
-
-// InvokeCall implements core.CallInvoker: figures 5 and 6 in code, and the
+// Invoke implements core.Invoker: figures 5 and 6 in code, and the
 // one way a message leaves this binding. The request pipe is resolved from
 // the service advert, the envelope is stamped with WS-Addressing headers
 // and the caller's deadline, and the SOAP travels down the remote pipe.
@@ -585,7 +580,7 @@ func (i invoker) Invoke(ctx context.Context, svc *core.ServiceInfo, op string, p
 // and the call waits on the Future the reply's RelatesTo resolves — except
 // that a WSDL one-way operation registers nothing and returns after the
 // write.
-func (i invoker) InvokeCall(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+func (i invoker) Invoke(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	b := i.b
 	ctx := c.Ctx
 	adv, err := b.advertFor(ctx, svc)

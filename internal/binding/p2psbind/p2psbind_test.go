@@ -11,6 +11,7 @@ import (
 	"wspeer/internal/core"
 	"wspeer/internal/engine"
 	"wspeer/internal/p2ps"
+	"wspeer/internal/pipeline"
 	"wspeer/internal/soap"
 	"wspeer/internal/wsaddr"
 )
@@ -273,7 +274,7 @@ func TestInvokerRequiresAdvert(t *testing.T) {
 	o := newOverlay(t)
 	_, b := o.boundPeer()
 	inv := b.Invoker()
-	_, err := inv.Invoke(context.Background(), &core.ServiceInfo{Name: "X", Endpoint: "p2ps://p/X"}, "op", nil)
+	_, err := inv.Invoke(&pipeline.Call{Ctx: context.Background()}, &core.ServiceInfo{Name: "X", Endpoint: "p2ps://p/X"}, "op", nil)
 	if err == nil || !strings.Contains(err.Error(), "advertisement") {
 		t.Fatalf("err = %v", err)
 	}

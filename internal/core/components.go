@@ -131,22 +131,14 @@ type ServiceDeployer interface {
 type Invoker interface {
 	// Schemes lists the endpoint URI schemes this invoker serves.
 	Schemes() []string
-	// Invoke calls an operation; a nil result with nil error signals a
-	// one-way operation.
-	Invoke(ctx context.Context, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error)
-}
-
-// CallInvoker is an optional Invoker extension for wire-aware invokers.
-// The client pipeline prefers InvokeCall when available: the invoker runs
-// under the carrier's (possibly interceptor-derived) context c.Ctx and
-// publishes its wire-level exchange on c.Request/c.Response, so
-// interceptors like Events see the actual bytes moved by
-// the scheme-selected transport.
-type CallInvoker interface {
-	Invoker
-	// InvokeCall behaves like Invoke but reads its context from, and
-	// records the exchange on, the pipeline carrier.
-	InvokeCall(c *pipeline.Call, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error)
+	// Invoke performs one attempt of an operation as the terminal of the
+	// client pipeline: it runs under the carrier's (possibly
+	// interceptor-derived) context c.Ctx, reads the exchange pattern and
+	// headers from the carrier's Meta, and publishes the wire-level
+	// exchange on c.Request/c.Response, so interceptors like Events see
+	// the bytes the scheme-selected transport moved. A nil result with a
+	// nil error signals a one-way operation.
+	Invoke(c *pipeline.Call, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error)
 }
 
 // ErrNoLocator is returned when a Client has no locator registered.

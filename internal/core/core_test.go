@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"wspeer/internal/engine"
+	"wspeer/internal/pipeline"
 	"wspeer/internal/transport"
 )
 
@@ -49,7 +50,7 @@ type fakeInvoker struct {
 }
 
 func (f *fakeInvoker) Schemes() []string { return f.schemes }
-func (f *fakeInvoker) Invoke(ctx context.Context, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+func (f *fakeInvoker) Invoke(c *pipeline.Call, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	f.mu.Lock()
 	f.calls = append(f.calls, svc.Endpoint+"!"+op)
 	f.mu.Unlock()

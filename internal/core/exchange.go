@@ -9,7 +9,6 @@ import (
 	"wspeer/internal/engine"
 	"wspeer/internal/exchange"
 	"wspeer/internal/pipeline"
-	"wspeer/internal/resilience"
 	"wspeer/internal/telemetry"
 	"wspeer/internal/transport"
 	"wspeer/internal/wsaddr"
@@ -123,63 +122,66 @@ func (c *Client) replyEndpoint(scheme string, h CallbackHoster) (ReplyEndpoint, 
 // pending exchange.
 func (c *Client) handleReply(body []byte) { c.exchangeTable().Deliver(body) }
 
-// recordFlight offers one completed client-side call to the Default
-// hub's flight recorder, pulling the retry/hedge/pattern annotations the
-// pipeline stamped on the carrier. Sampling happens inside the recorder;
-// the sampled-out case allocates nothing, which keeps this safe on the
-// gated fast path.
-func recordFlight(c *pipeline.Call, span *telemetry.Span, start time.Time, elapsed time.Duration, endpoint string, err error) {
-	rec := telemetry.CallRecord{
-		Time:     start,
-		Service:  c.Service,
-		Op:       c.Op,
-		Dir:      telemetry.DirClient,
-		Endpoint: endpoint,
-		Latency:  elapsed,
-		Retries:  pipeline.RetryCount(c),
-		Hedges:   pipeline.HedgesLaunched(c),
-	}
-	if p, ok := c.GetMeta(exchange.MetaPattern).(exchange.Pattern); ok {
-		rec.Pattern = p.String()
-	}
-	if span != nil {
-		sc := span.Context()
-		rec.TraceID, rec.SpanID = sc.TraceID, sc.SpanID
-	}
-	telemetry.Default().Flight.Record(rec, err)
-}
-
-// sendExchange runs one exchange-layer send (one-way or callback) against
-// the primary target through the client pipeline, with the span, call
-// table and flight record a plain Invoke gets. The pattern and headers
-// ride on the carrier's Meta for the binding to act on.
-func (inv *Invocation) sendExchange(ctx context.Context, spanName string, pattern exchange.Pattern, hdr *wsaddr.MessageHeaders, op string, params []engine.Param) error {
-	primary := inv.targets[0]
+// call is the one frame every client-side invocation runs in, whatever its
+// exchange pattern: it opens the span, builds the carrier, runs the client
+// chain over the invocation's terminal and finishes (call table, flight
+// record, span end) through pipeline's Finish, as the engine's server side
+// does. A non-nil hdr makes it an exchange-layer send: pattern and headers
+// ride on the carrier's Meta for the binding to act on, and the send
+// targets the primary endpoint only.
+func (inv *Invocation) call(ctx context.Context, spanName string, pattern exchange.Pattern, hdr *wsaddr.MessageHeaders, op string, params []engine.Param) (*engine.Result, error) {
+	primary := inv.targets[0].svc
 	span, ctx := telemetry.Default().Tracer.StartSpan(ctx, spanName)
-	span.SetService(primary.svc.Name)
+	span.SetService(primary.Name)
 	span.SetOp(op)
 	span.SetDir(telemetry.DirClient)
-	span.SetEndpoint(primary.svc.Endpoint)
-	c := &pipeline.Call{Ctx: ctx, Dir: pipeline.ClientCall, Service: primary.svc.Name, Op: op, Span: span}
-	c.SetMeta(resilience.MetaEndpoint, primary.svc.Endpoint)
-	if budget := inv.client.pipelineBudget(); budget != nil {
+	span.SetEndpoint(primary.Endpoint)
+	c := &pipeline.Call{Ctx: ctx, Dir: pipeline.ClientCall, Service: primary.Name, Op: op, Span: span}
+	inv.client.mu.RLock()
+	budget := inv.client.budget
+	inv.client.mu.RUnlock()
+	if budget != nil {
 		c.SetMeta(pipeline.MetaRetryBudget, budget)
 	}
-	c.SetMeta(exchange.MetaPattern, pattern)
-	c.SetMeta(exchange.MetaHeaders, hdr)
+	patternName := ""
+	if hdr != nil {
+		patternName = pattern.String()
+		c.SetMeta(exchange.MetaPattern, pattern)
+		c.SetMeta(exchange.MetaHeaders, hdr)
+	}
 	start := time.Now()
 	err := inv.client.chain.Run(c, func(c *pipeline.Call) error {
-		_, err := invokeTarget(c, primary, op, params)
-		return err
+		switch {
+		case hdr == nil && inv.hedge != nil:
+			// Attempt n goes to the n-th endpoint (mod fan-out), so a hedge
+			// lands on a different host than the primary it is racing, and
+			// an open breaker's refusal makes Hedge try the next at once.
+			return inv.hedge(func(c *pipeline.Call) error {
+				t := inv.targets[pipeline.HedgeAttempt(c)%len(inv.targets)]
+				_, err := inv.guarded(c, t, op, params)
+				return err
+			})(c)
+		case hdr == nil && len(inv.targets) > 1:
+			return inv.failover(c, op, params)
+		default:
+			return inv.attempt(c, inv.targets[0], op, params)
+		}
 	})
-	elapsed := time.Since(start)
-	telemetry.Default().Calls.Record(primary.svc.Name, telemetry.DirClient, elapsed, err != nil)
-	recordFlight(c, span, start, elapsed, primary.svc.Endpoint, err)
-	if span != nil {
-		span.SetError(err)
-		span.End()
+	// The flight record and the span name the endpoint that answered: the
+	// last attempt's request, which Hedge copies back from the winner.
+	endpoint := primary.Endpoint
+	if c.Request != nil && c.Request.Endpoint != "" {
+		endpoint = c.Request.Endpoint
 	}
-	return err
+	c.Finish(start, endpoint, patternName, err)
+	if err != nil {
+		return nil, err
+	}
+	if budget != nil {
+		budget.Credit() // one credit per successful logical invocation
+	}
+	res, _ := c.GetMeta(MetaResult).(*engine.Result)
+	return res, nil
 }
 
 // InvokeOneWay sends the operation as a fire-and-forget message through
@@ -188,7 +190,7 @@ func (inv *Invocation) sendExchange(ctx context.Context, spanName string, patter
 // dispatch) and no reply is ever decoded. The invocation targets the
 // primary endpoint only.
 func (inv *Invocation) InvokeOneWay(ctx context.Context, op string, params ...engine.Param) error {
-	err := inv.sendExchange(ctx, "client.invoke.oneway", exchange.OneWay,
+	_, err := inv.call(ctx, "client.invoke.oneway", exchange.OneWay,
 		&wsaddr.MessageHeaders{MessageID: wsaddr.NewMessageID()}, op, params)
 	if err == nil {
 		mOneWaySent.Inc()
@@ -253,7 +255,7 @@ func (inv *Invocation) InvokeCallback(ctx context.Context, op string, params ...
 		return nil, err
 	}
 
-	err = inv.sendExchange(ctx, "client.invoke.callback", exchange.Callback,
+	_, err = inv.call(ctx, "client.invoke.callback", exchange.Callback,
 		&wsaddr.MessageHeaders{MessageID: msgID, ReplyTo: ep.EPR()}, op, params)
 	if err != nil {
 		// The request never left (or the substrate rejected it): no reply

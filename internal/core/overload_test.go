@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wspeer/internal/engine"
+	"wspeer/internal/pipeline"
 	"wspeer/internal/resilience"
 )
 
@@ -22,7 +23,7 @@ type blockingInvoker struct {
 }
 
 func (b *blockingInvoker) Schemes() []string { return b.schemes }
-func (b *blockingInvoker) Invoke(ctx context.Context, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+func (b *blockingInvoker) Invoke(c *pipeline.Call, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	b.calls.Add(1)
 	select {
 	case b.started <- struct{}{}:
@@ -108,14 +109,14 @@ type slowFastInvoker struct {
 }
 
 func (s *slowFastInvoker) Schemes() []string { return s.schemes }
-func (s *slowFastInvoker) Invoke(ctx context.Context, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+func (s *slowFastInvoker) Invoke(c *pipeline.Call, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	s.calls.Add(1)
 	if svc.Endpoint == s.slowEP {
 		s.slow.Add(1)
 		select {
 		case <-time.After(s.slowWait):
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		case <-c.Ctx.Done():
+			return nil, c.Ctx.Err()
 		}
 	}
 	return &engine.Result{}, nil

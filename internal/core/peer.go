@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"wspeer/internal/engine"
+	"wspeer/internal/exchange"
 	"wspeer/internal/pipeline"
 	"wspeer/internal/resilience"
 	"wspeer/internal/resolve"
@@ -140,8 +141,8 @@ func (c *Client) ConfigureBreakers(opts resilience.BreakerOptions) {
 }
 
 // Breakers returns the client's endpoint health registry: one circuit
-// breaker per endpoint this client has invoked with failover (or that an
-// installed Group interceptor has guarded).
+// breaker per endpoint this client has invoked through a failover or
+// hedged invocation.
 func (c *Client) Breakers() *resilience.Group {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -163,18 +164,6 @@ func (c *Client) ConfigureRetryBudget(opts resilience.BudgetOptions) *resilience
 	c.mu.Lock()
 	c.budget = b
 	c.mu.Unlock()
-	return b
-}
-
-// pipelineBudget adapts the configured budget to the pipeline interface,
-// returning a true nil (not a typed nil) when none is configured.
-func (c *Client) pipelineBudget() pipeline.RetryBudget {
-	c.mu.RLock()
-	b := c.budget
-	c.mu.RUnlock()
-	if b == nil {
-		return nil
-	}
 	return b
 }
 
@@ -341,11 +330,7 @@ func (c *Client) LocateOne(ctx context.Context, q ServiceQuery) (*ServiceInfo, e
 // NewInvocation binds an invocation to a located service, selecting the
 // invoker by the endpoint's URI scheme.
 func (c *Client) NewInvocation(svc *ServiceInfo) (*Invocation, error) {
-	t, err := c.resolveTarget(svc)
-	if err != nil {
-		return nil, err
-	}
-	return &Invocation{client: c, targets: []invTarget{t}}, nil
+	return c.bind(svc)
 }
 
 // NewFailoverInvocation binds an invocation to several located endpoints
@@ -358,18 +343,7 @@ func (c *Client) NewInvocation(svc *ServiceInfo) (*Invocation, error) {
 // outcome feeds the endpoint's breaker, so health transitions surface as
 // HealthEvents on the peer's event tree.
 func (c *Client) NewFailoverInvocation(svcs ...*ServiceInfo) (*Invocation, error) {
-	if len(svcs) == 0 {
-		return nil, fmt.Errorf("core: failover invocation needs at least one service")
-	}
-	inv := &Invocation{client: c, targets: make([]invTarget, 0, len(svcs))}
-	for _, svc := range svcs {
-		t, err := c.resolveTarget(svc)
-		if err != nil {
-			return nil, err
-		}
-		inv.targets = append(inv.targets, t)
-	}
-	return inv, nil
+	return c.bind(svcs...)
 }
 
 // NewHedgedInvocation binds a hedged invocation to one or more located
@@ -381,37 +355,54 @@ func (c *Client) NewFailoverInvocation(svcs ...*ServiceInfo) (*Invocation, error
 // one is configured (ConfigureRetryBudget), so hedging cannot multiply
 // load unboundedly.
 func (c *Client) NewHedgedInvocation(opts HedgeOptions, svcs ...*ServiceInfo) (*Invocation, error) {
-	if len(svcs) == 0 {
-		return nil, fmt.Errorf("core: hedged invocation needs at least one service")
+	inv, err := c.bind(svcs...)
+	if err != nil {
+		return nil, err
 	}
-	inv := &Invocation{client: c, targets: make([]invTarget, 0, len(svcs))}
-	for _, svc := range svcs {
-		t, err := c.resolveTarget(svc)
-		if err != nil {
-			return nil, err
-		}
-		inv.targets = append(inv.targets, t)
-	}
-	if opts.MaxHedges < 1 {
-		opts.MaxHedges = 1
-	}
-	inv.hedge = &hedgePlan{threshold: opts.Threshold, maxHedges: opts.MaxHedges}
+	inv.hedge = pipeline.Hedge(pipeline.HedgeOptions{
+		Threshold: DefaultHedgeThreshold,
+		// Unless opts fixes it the threshold adapts: the service's observed
+		// client-side p99 once enough calls have been recorded, Threshold
+		// (what a non-positive return falls back to) before that.
+		ThresholdFunc: func(pc *pipeline.Call) time.Duration {
+			if opts.Threshold > 0 {
+				return opts.Threshold
+			}
+			if row := telemetry.Default().Calls.Service(pc.Service, telemetry.DirClient); row.Calls >= hedgeMinSamples {
+				return row.P99
+			}
+			return 0
+		},
+		MaxHedges: opts.MaxHedges,
+		// The caller opted into hedging when building the invocation, so
+		// every call through it may hedge — MarkIdempotent is not also
+		// required.
+		Hedgeable: func(*pipeline.Call) bool { return true },
+	})
 	return inv, nil
 }
 
-// resolveTarget selects the invoker for a service's endpoint scheme.
-func (c *Client) resolveTarget(svc *ServiceInfo) (invTarget, error) {
-	if svc == nil || svc.Endpoint == "" {
-		return invTarget{}, fmt.Errorf("core: service info has no endpoint")
+// bind is the target-binding loop behind the three constructors: each
+// service's endpoint scheme selects its invoker.
+func (c *Client) bind(svcs ...*ServiceInfo) (*Invocation, error) {
+	if len(svcs) == 0 {
+		return nil, fmt.Errorf("core: an invocation needs at least one service")
 	}
-	scheme := transport.SchemeOf(svc.Endpoint)
-	c.mu.RLock()
-	inv, ok := c.invokers[scheme]
-	c.mu.RUnlock()
-	if !ok {
-		return invTarget{}, fmt.Errorf("core: no invoker registered for scheme %q (endpoint %s)", scheme, svc.Endpoint)
+	inv := &Invocation{client: c, targets: make([]invTarget, 0, len(svcs))}
+	for _, svc := range svcs {
+		if svc == nil || svc.Endpoint == "" {
+			return nil, fmt.Errorf("core: service info has no endpoint")
+		}
+		scheme := transport.SchemeOf(svc.Endpoint)
+		c.mu.RLock()
+		invoker, ok := c.invokers[scheme]
+		c.mu.RUnlock()
+		if !ok {
+			return nil, fmt.Errorf("core: no invoker registered for scheme %q (endpoint %s)", scheme, svc.Endpoint)
+		}
+		inv.targets = append(inv.targets, invTarget{svc: svc, invoker: invoker})
 	}
-	return invTarget{svc: svc, invoker: inv}, nil
+	return inv, nil
 }
 
 // invTarget pairs one endpoint with its scheme-selected invoker.
@@ -441,19 +432,13 @@ type HedgeOptions struct {
 	MaxHedges int
 }
 
-// hedgePlan is an Invocation's resolved hedging configuration.
-type hedgePlan struct {
-	threshold time.Duration // 0 = adaptive from telemetry
-	maxHedges int
-}
-
 // Invocation is a client-side handle on one located service, or — when
-// created with NewFailoverInvocation — on an ordered set of endpoints for
-// the same logical service.
+// created with NewFailoverInvocation or NewHedgedInvocation — on an
+// ordered set of endpoints for the same logical service.
 type Invocation struct {
 	client  *Client
-	targets []invTarget // preference order; [0] is the primary
-	hedge   *hedgePlan  // non-nil for hedged invocations
+	targets []invTarget          // preference order; [0] is the primary
+	hedge   pipeline.Interceptor // the Hedge stage of a hedged invocation, else nil
 }
 
 // Service returns the primary target service.
@@ -469,151 +454,50 @@ func (inv *Invocation) Endpoints() []string {
 }
 
 // MetaResult is the pipeline Meta key under which the client terminal
-// publishes the invocation's decoded *engine.Result for observing
-// interceptors (the Events choke point reads it to build
-// ClientMessageEvents).
+// publishes the attempt's decoded *engine.Result: Invoke returns it, and
+// the Events choke point reads it to build ClientMessageEvents.
 const MetaResult = "core.result"
 
 // Invoke calls an operation synchronously through the client's call
-// pipeline; the terminal stage is the scheme-selected invoker (and, for
-// wire-aware invokers, the transport its exchange rides on) — or, for
-// failover invocations, the target walk described on
-// NewFailoverInvocation. The exchange is reported as a ClientMessageEvent
-// from the pipeline's Events stage.
+// pipeline; the terminal stage is the scheme-selected invoker and the
+// transport its exchange rides on — or, for failover and hedged
+// invocations, the target walk and the race described on their
+// constructors. The exchange is reported as a ClientMessageEvent from the
+// pipeline's Events stage.
 func (inv *Invocation) Invoke(ctx context.Context, op string, params ...engine.Param) (*engine.Result, error) {
-	primary := inv.targets[0]
-	span, ctx := telemetry.Default().Tracer.StartSpan(ctx, "client.invoke")
-	span.SetService(primary.svc.Name)
-	span.SetOp(op)
-	span.SetDir(telemetry.DirClient)
-	span.SetEndpoint(primary.svc.Endpoint)
-	c := &pipeline.Call{Ctx: ctx, Dir: pipeline.ClientCall, Service: primary.svc.Name, Op: op, Span: span}
-	c.SetMeta(resilience.MetaEndpoint, primary.svc.Endpoint)
-	budget := inv.client.pipelineBudget()
-	if budget != nil {
-		c.SetMeta(pipeline.MetaRetryBudget, budget)
-	}
-	var res *engine.Result
-	var err error
-	start := time.Now()
-	if inv.hedge != nil {
-		err = inv.invokeHedged(c, op, params)
-		res, _ = c.GetMeta(MetaResult).(*engine.Result)
-	} else if len(inv.targets) == 1 {
-		err = inv.client.chain.Run(c, func(c *pipeline.Call) error {
-			res = nil // a retried attempt must not leak its predecessor's result
-			var err error
-			res, err = invokeTarget(c, primary, op, params)
-			c.SetMeta(MetaResult, res)
-			return err
-		})
-	} else {
-		// The failover walk records breaker outcomes per attempt; tell an
-		// installed Group interceptor to stand aside.
-		c.SetMeta(resilience.MetaBreakerHandled, true)
-		err = inv.client.chain.Run(c, func(c *pipeline.Call) error {
-			res = nil
-			var err error
-			res, err = inv.invokeFailover(c, op, params)
-			c.SetMeta(MetaResult, res)
-			return err
-		})
-	}
-	elapsed := time.Since(start)
-	telemetry.Default().Calls.Record(primary.svc.Name, telemetry.DirClient, elapsed, err != nil)
-	recordFlight(c, span, start, elapsed, primary.svc.Endpoint, err)
-	if span != nil {
-		span.SetError(err)
-		span.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if budget != nil {
-		budget.Credit() // one credit per successful logical invocation
-	}
-	return res, nil
+	return inv.call(ctx, "client.invoke", exchange.RequestResponse, nil, op, params)
 }
 
-// invokeHedged runs the invocation through the client chain with a Hedge
-// stage composed directly over the attempt terminal: a slow primary races
-// a hedge against the next endpoint of the resolution, first success
-// wins, and the loser is cancelled. Hedges draw from the client's retry
-// budget (when configured), so tail-chasing and retries spend from one
-// pool.
-func (inv *Invocation) invokeHedged(c *pipeline.Call, op string, params []engine.Param) error {
-	// Attempts record their own breaker outcomes; tell an installed Group
-	// interceptor to stand aside, as the failover walk does.
-	c.SetMeta(resilience.MetaBreakerHandled, true)
-	plan := *inv.hedge
-	hedge := pipeline.Hedge(pipeline.HedgeOptions{
-		Threshold: DefaultHedgeThreshold,
-		ThresholdFunc: func(pc *pipeline.Call) time.Duration {
-			if plan.threshold > 0 {
-				return plan.threshold
-			}
-			return adaptiveHedgeThreshold(pc.Service)
-		},
-		MaxHedges: plan.maxHedges,
-		// The caller opted into hedging when building the invocation, so
-		// every call through it may hedge — MarkIdempotent is not also
-		// required.
-		Hedgeable: func(*pipeline.Call) bool { return true },
+// attempt performs one attempt against one endpoint and publishes its
+// result on the carrier — nil on failure, so a retried attempt never leaks
+// its predecessor's result or wire exchange.
+func (inv *Invocation) attempt(c *pipeline.Call, t invTarget, op string, params []engine.Param) error {
+	c.Request, c.Response = nil, nil
+	res, err := t.invoker.Invoke(c, t.svc, op, params)
+	c.SetMeta(MetaResult, res)
+	return err
+}
+
+// guarded is attempt under the endpoint's breaker (resilience.Group.Do):
+// an open breaker refuses the attempt without sending, which it reports,
+// and the outcome of a sent attempt feeds the breaker.
+func (inv *Invocation) guarded(c *pipeline.Call, t invTarget, op string, params []engine.Param) (refused bool, err error) {
+	refused = true
+	err = inv.client.Breakers().Do(t.svc.Endpoint, func() error {
+		refused = false
+		return inv.attempt(c, t, op, params)
 	})
-	terminal := pipeline.Compose(inv.hedgedAttempt(op, params), hedge)
-	return inv.client.chain.Run(c, terminal)
-}
-
-// hedgedAttempt is the per-attempt terminal of a hedged invocation:
-// attempt n targets the n-th endpoint (mod fan-out) of the resolution, so
-// a hedge lands on a different host than the primary it is racing. Each
-// attempt feeds its endpoint's breaker; an endpoint with an open breaker
-// refuses the attempt, which makes Hedge immediately try the next.
-func (inv *Invocation) hedgedAttempt(op string, params []engine.Param) pipeline.CallFunc {
-	return func(c *pipeline.Call) error {
-		group := inv.client.Breakers()
-		t := inv.targets[pipeline.HedgeAttempt(c)%len(inv.targets)]
-		br := group.Breaker(t.svc.Endpoint)
-		if !br.Allow() {
-			if c.Span != nil {
-				c.Span.Annotatef("hedge: skipped %s (breaker open)", t.svc.Endpoint)
-			}
-			return &resilience.BreakerOpenError{Endpoint: t.svc.Endpoint}
-		}
-		c.SetMeta(resilience.MetaEndpoint, t.svc.Endpoint)
-		res, err := invokeTarget(c, t, op, params)
-		resilience.Observe(br, err)
-		c.SetMeta(MetaResult, res)
-		return err
+	if refused && c.Span != nil {
+		c.Span.Annotatef("breaker open: skipped %s", t.svc.Endpoint)
 	}
+	return refused, err
 }
 
-// adaptiveHedgeThreshold derives a hedge threshold from the service's
-// observed client-side tail latency: its p99 once enough calls have been
-// recorded, DefaultHedgeThreshold before that.
-func adaptiveHedgeThreshold(service string) time.Duration {
-	row := telemetry.Default().Calls.Service(service, telemetry.DirClient)
-	if row.Calls >= hedgeMinSamples && row.P99 > 0 {
-		return row.P99
-	}
-	return DefaultHedgeThreshold
-}
-
-// invokeTarget performs one attempt against one endpoint.
-func invokeTarget(c *pipeline.Call, t invTarget, op string, params []engine.Param) (*engine.Result, error) {
-	if ci, ok := t.invoker.(CallInvoker); ok {
-		return ci.InvokeCall(c, t.svc, op, params)
-	}
-	return t.invoker.Invoke(c.Ctx, t.svc, op, params)
-}
-
-// invokeFailover walks the targets in preference order: endpoints with an
-// open breaker are skipped, substrate failures advance to the next
-// target, and every attempt's outcome feeds its endpoint's breaker. The
-// returned error is the last attempt's (or last refusal's) when no
-// target succeeds.
-func (inv *Invocation) invokeFailover(c *pipeline.Call, op string, params []engine.Param) (*engine.Result, error) {
-	group := inv.client.Breakers()
+// failover walks the targets in preference order: endpoints with an open
+// breaker are skipped, substrate failures advance to the next target, and
+// every attempt's outcome feeds its endpoint's breaker. The returned error
+// is the last attempt's (or last refusal's) when no target succeeds.
+func (inv *Invocation) failover(c *pipeline.Call, op string, params []engine.Param) error {
 	var lastErr error
 	for _, t := range inv.targets {
 		if ctxErr := c.Ctx.Err(); ctxErr != nil {
@@ -622,25 +506,16 @@ func (inv *Invocation) invokeFailover(c *pipeline.Call, op string, params []engi
 			}
 			break
 		}
-		br := group.Breaker(t.svc.Endpoint)
-		if !br.Allow() {
+		refused, err := inv.guarded(c, t, op, params)
+		lastErr = err
+		if refused {
 			mFailoverSkips.Inc()
-			if c.Span != nil {
-				c.Span.Annotatef("failover: skipped %s (breaker open)", t.svc.Endpoint)
-			}
-			lastErr = &resilience.BreakerOpenError{Endpoint: t.svc.Endpoint}
 			continue
 		}
-		c.SetMeta(resilience.MetaEndpoint, t.svc.Endpoint)
-		c.Request, c.Response = nil, nil
 		mFailoverAttempts.Inc()
-		res, err := invokeTarget(c, t, op, params)
-		resilience.Observe(br, err)
 		if err == nil {
-			c.Span.SetEndpoint(t.svc.Endpoint)
-			return res, nil
+			return nil
 		}
-		lastErr = err
 		if c.Span != nil {
 			c.Span.Annotatef("failover: %s failed: %v", t.svc.Endpoint, err)
 		}
@@ -652,7 +527,7 @@ func (inv *Invocation) invokeFailover(c *pipeline.Call, op string, params []engi
 		// healthier endpoints first.
 		inv.client.ResolutionCache().DemoteEndpoint(t.svc.Endpoint)
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // InvokeAsync calls an operation without blocking; the outcome arrives at

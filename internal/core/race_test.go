@@ -54,11 +54,11 @@ func (d *raceDeployer) Undeploy(name string) error {
 type slowInvoker struct{}
 
 func (slowInvoker) Schemes() []string { return []string{"mem"} }
-func (slowInvoker) Invoke(ctx context.Context, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+func (slowInvoker) Invoke(c *pipeline.Call, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	select {
 	case <-time.After(100 * time.Microsecond):
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	case <-c.Ctx.Done():
+		return nil, c.Ctx.Err()
 	}
 	return &engine.Result{}, nil
 }

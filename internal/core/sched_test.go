@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wspeer/internal/engine"
+	"wspeer/internal/pipeline"
 	"wspeer/internal/resilience"
 )
 
@@ -23,7 +24,7 @@ type gaugeInvoker struct {
 }
 
 func (g *gaugeInvoker) Schemes() []string { return g.schemes }
-func (g *gaugeInvoker) Invoke(ctx context.Context, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+func (g *gaugeInvoker) Invoke(_ *pipeline.Call, svc *ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	c := g.cur.Add(1)
 	for {
 		p := g.peak.Load()

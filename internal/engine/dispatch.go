@@ -60,7 +60,8 @@ func (e *Engine) ServeParsed(ctx context.Context, serviceName string, req *trans
 }
 
 // serve runs one request through admission and the server pipeline down to
-// terminal, and records the call.
+// terminal, and finishes the frame (call table, flight record, span) the
+// way the client side does.
 func (e *Engine) serve(ctx context.Context, serviceName string, req *transport.Request, terminal pipeline.CallFunc) (*transport.Response, error) {
 	// A caller deadline — propagated across the wire by the hosts, or
 	// native on the in-memory substrate — that has already passed means
@@ -97,37 +98,11 @@ func (e *Engine) serve(ctx context.Context, serviceName string, req *transport.R
 	}
 	start := time.Now()
 	err := e.pipe.Run(c, terminal)
-	elapsed := time.Since(start)
-	faulted := c.Response != nil && c.Response.Faulted
-	telemetry.Default().Calls.Record(serviceName, telemetry.DirServer, elapsed, err != nil || faulted)
-	rec := telemetry.CallRecord{
-		Time:    start,
-		Service: serviceName,
-		Op:      c.Op,
-		Dir:     telemetry.DirServer,
-		Latency: elapsed,
-	}
-	if faulted && err == nil {
-		// A fault envelope is a failed call even though the pipeline
-		// returned cleanly; classify it ourselves so the recorder keeps it.
-		rec.ErrClass = telemetry.ClassFault
-	}
+	pattern := ""
 	if p, ok := c.GetMeta(exchange.MetaPattern).(exchange.Pattern); ok {
-		rec.Pattern = p.String()
+		pattern = p.String()
 	}
-	if span != nil {
-		sc := span.Context()
-		rec.TraceID, rec.SpanID = sc.TraceID, sc.SpanID
-	}
-	telemetry.Default().Flight.Record(rec, err)
-	if span != nil {
-		span.SetOp(c.Op) // resolved mid-terminal, so read it after the run
-		span.SetError(err)
-		if err == nil && c.Response != nil && c.Response.Faulted {
-			span.Annotate("dispatch: answered with fault envelope")
-		}
-		span.End()
-	}
+	c.Finish(start, "", pattern, err)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"wspeer/internal/core"
 	"wspeer/internal/engine"
+	"wspeer/internal/pipeline"
 )
 
 // SyncAsyncResult compares synchronous sequential invocation against the
@@ -33,12 +34,12 @@ type slowInvoker struct {
 
 func (s *slowInvoker) Schemes() []string { return []string{"slow"} }
 
-func (s *slowInvoker) Invoke(ctx context.Context, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+func (s *slowInvoker) Invoke(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	d := s.delays[svc.Name]
 	select {
 	case <-time.After(d):
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	case <-c.Ctx.Done():
+		return nil, c.Ctx.Err()
 	}
 	return nil, nil
 }

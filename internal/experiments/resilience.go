@@ -10,6 +10,7 @@ import (
 
 	"wspeer/internal/core"
 	"wspeer/internal/engine"
+	"wspeer/internal/pipeline"
 	"wspeer/internal/resilience"
 	"wspeer/internal/transport"
 	"wspeer/internal/wsdl"
@@ -35,12 +36,12 @@ type memInvoker struct {
 
 func (m *memInvoker) Schemes() []string { return []string{"mem"} }
 
-func (m *memInvoker) Invoke(ctx context.Context, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+func (m *memInvoker) Invoke(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	stub, ok := m.stubs[svc.Endpoint]
 	if !ok {
 		return nil, fmt.Errorf("experiments: no stub for %q", svc.Endpoint)
 	}
-	return stub.Invoke(ctx, op, params...)
+	return stub.Invoke(c.Ctx, op, params...)
 }
 
 // manualClock advances only when told to, making breaker open-timeouts a

@@ -11,6 +11,7 @@ import (
 
 	"wspeer/internal/core"
 	"wspeer/internal/engine"
+	"wspeer/internal/pipeline"
 	"wspeer/internal/resilience"
 	"wspeer/internal/transport"
 	"wspeer/internal/wsdl"
@@ -41,10 +42,10 @@ func newRig(t *testing.T) *rig {
 type memInvoker struct{ reg *transport.Registry }
 
 func (i memInvoker) Schemes() []string { return []string{"mem"} }
-func (i memInvoker) Invoke(ctx context.Context, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
+func (i memInvoker) Invoke(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	stub := engine.NewStub(svc.Definitions, i.reg)
 	stub.EndpointOverride = svc.Endpoint
-	return stub.Invoke(ctx, op, params...)
+	return stub.Invoke(c.Ctx, op, params...)
 }
 
 // host deploys a service and returns a bound invocation.

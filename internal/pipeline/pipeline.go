@@ -21,6 +21,7 @@ package pipeline
 import (
 	"context"
 	"sync"
+	"time"
 
 	"wspeer/internal/telemetry"
 	"wspeer/internal/transport"
@@ -58,7 +59,7 @@ type Call struct {
 	// mid-terminal, so pre-terminal interceptors may see it empty.
 	Op string
 	// Request is the wire-level request when the stage that produced it
-	// has run (terminal stages and wire-aware invokers populate it).
+	// has run (the terminal populates it: an invoker on the client side).
 	Request *transport.Request
 	// Response is the wire-level response, populated by the terminal.
 	Response *transport.Response
@@ -144,6 +145,55 @@ func (c *Call) Clone(ctx context.Context) *Call {
 		}
 	}
 	return &cp
+}
+
+// Finish closes the frame of one logical call that started at start, the
+// same way on both sides of the messaging system: a row in the Default
+// hub's call table, a record offered to its flight recorder (with the
+// retry and hedge counts the stock interceptors stamped on the carrier and
+// the span's trace identity) and the end of the call's span. A response
+// carrying a fault envelope is a failed call even when err, the pipeline's
+// outcome, is nil. endpoint is the remote address the call used ("" on the
+// server side), pattern the exchange pattern's name ("" for
+// request-response). Sampled out and untraced, it allocates nothing.
+func (c *Call) Finish(start time.Time, endpoint, pattern string, err error) {
+	elapsed := time.Since(start)
+	hub := telemetry.Default()
+	dir := c.Dir.String()
+	faulted := err == nil && c.Response != nil && c.Response.Faulted
+	hub.Calls.Record(c.Service, dir, elapsed, err != nil || faulted)
+	rec := telemetry.CallRecord{
+		Time:     start,
+		Service:  c.Service,
+		Op:       c.Op,
+		Dir:      dir,
+		Endpoint: endpoint,
+		Pattern:  pattern,
+		Latency:  elapsed,
+		Retries:  RetryCount(c),
+		Hedges:   HedgesLaunched(c),
+	}
+	if faulted {
+		rec.ErrClass = telemetry.ClassFault
+	}
+	span := c.Span
+	if span != nil {
+		sc := span.Context()
+		rec.TraceID, rec.SpanID = sc.TraceID, sc.SpanID
+	}
+	hub.Flight.Record(rec, err)
+	if span == nil {
+		return
+	}
+	span.SetOp(c.Op) // the server resolves it mid-terminal, so it is read after the run
+	if endpoint != "" {
+		span.SetEndpoint(endpoint)
+	}
+	span.SetError(err)
+	if faulted {
+		span.Annotate("dispatch: answered with fault envelope")
+	}
+	span.End()
 }
 
 // CallFunc is one stage of the pipeline: it advances the Call and reports

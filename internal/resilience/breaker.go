@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"wspeer/internal/pipeline"
 	"wspeer/internal/telemetry"
 )
 
@@ -133,8 +132,9 @@ func (b *Breaker) State() BreakerState {
 }
 
 // Allow reports whether a call may proceed. In half-open it claims a
-// probe slot; every true return MUST be balanced by a Record call (or the
-// slot leaks until the breaker re-opens).
+// probe slot, so every true return must be balanced by a Record — or, when
+// the attempt says nothing about the endpoint, a release — or the breaker
+// refuses the endpoint for good. Group.Do does the balancing.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	var fired func()
@@ -196,6 +196,18 @@ func (b *Breaker) Record(success bool) {
 	if fired != nil {
 		fired()
 	}
+}
+
+// release gives back the probe slot an Allow claimed when the attempt
+// ended without evidence about the endpoint (the caller cancelled, or the
+// call was refused locally): nothing is counted, and the next Allow may
+// probe again.
+func (b *Breaker) release() {
+	b.mu.Lock()
+	if b.state == BreakerHalfOpen && b.probes > 0 {
+		b.probes--
+	}
+	b.mu.Unlock()
 }
 
 // push must be called with b.mu held and b.state == BreakerClosed.
@@ -270,7 +282,7 @@ func (b *Breaker) transition(to BreakerState) func() {
 // Group is the endpoint health registry: a lazily populated set of
 // breakers keyed by endpoint identity, sharing one option set. A Group
 // hangs off each core Client (health transitions feed the event tree) and
-// backs both the failover invoker and the standalone interceptor.
+// guards every attempt of its failover and hedged invocations.
 type Group struct {
 	opts BreakerOptions
 	mu   sync.RWMutex
@@ -299,71 +311,25 @@ func (g *Group) Breaker(endpoint string) *Breaker {
 	return b
 }
 
-// Healthy reports whether the endpoint's breaker would admit a call
-// without claiming anything (unknown endpoints are healthy).
-func (g *Group) Healthy(endpoint string) bool {
-	g.mu.RLock()
-	b := g.m[endpoint]
-	g.mu.RUnlock()
-	return b == nil || b.State() != BreakerOpen
-}
-
-// Snapshot returns the state of every registered endpoint.
-func (g *Group) Snapshot() map[string]BreakerState {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make(map[string]BreakerState, len(g.m))
-	for ep, b := range g.m {
-		out[ep] = b.State()
+// Do runs one attempt against the endpoint under its breaker, the one
+// place an Allow is balanced: an open breaker refuses with
+// *BreakerOpenError without calling attempt; otherwise attempt runs and its
+// error is settled under Classify — Success and Failure are recorded, and a
+// Skip (the caller cancelled, which Hedge does to every losing attempt)
+// counts as neither and frees the half-open probe slot it may have held.
+func (g *Group) Do(endpoint string, attempt func() error) error {
+	br := g.Breaker(endpoint)
+	if !br.Allow() {
+		return &BreakerOpenError{Endpoint: endpoint}
 	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Pipeline integration
-
-// MetaEndpoint is the pipeline Meta key carrying the call's endpoint
-// identity — the key breakers and injectors are addressed by. The core
-// Invocation sets it before the chain runs (and per failover attempt);
-// fallbacks are the wire request's endpoint, then the service name.
-const MetaEndpoint = "resilience.endpoint"
-
-// MetaBreakerHandled marks a call whose breaker bookkeeping is performed
-// inside the terminal (the failover invoker records per-attempt outcomes
-// itself). The Group interceptor passes such calls through untouched, so
-// installing both never double-counts an exchange.
-const MetaBreakerHandled = "resilience.breakerHandled"
-
-// EndpointOf resolves the endpoint identity a call is keyed by.
-func EndpointOf(c *pipeline.Call) string {
-	if ep, _ := c.GetMeta(MetaEndpoint).(string); ep != "" {
-		return ep
+	err := attempt()
+	switch Classify(err) {
+	case Success:
+		br.Record(true)
+	case Failure:
+		br.Record(false)
+	default:
+		br.release()
 	}
-	if c.Request != nil && c.Request.Endpoint != "" {
-		return c.Request.Endpoint
-	}
-	return c.Service
-}
-
-// Interceptor exposes the registry as a pipeline stage: calls to an
-// endpoint whose breaker is open are refused with *BreakerOpenError
-// before reaching the terminal, and every completed call's outcome is
-// recorded under the shared classification. Install it inside Retry so
-// retries consult the breaker per attempt.
-func (g *Group) Interceptor() pipeline.Interceptor {
-	return func(next pipeline.CallFunc) pipeline.CallFunc {
-		return func(c *pipeline.Call) error {
-			if h, _ := c.GetMeta(MetaBreakerHandled).(bool); h {
-				return next(c)
-			}
-			ep := EndpointOf(c)
-			br := g.Breaker(ep)
-			if !br.Allow() {
-				return &BreakerOpenError{Endpoint: ep}
-			}
-			err := next(c)
-			Observe(br, err)
-			return err
-		}
-	}
+	return err
 }

@@ -7,8 +7,9 @@
 //
 //   - per-endpoint circuit breakers (Breaker, Group): a closed→open→
 //     half-open state machine over a sliding window of call outcomes,
-//     exposed as a pipeline interceptor and keyed by endpoint identity,
-//     so a dead endpoint stops burning retries after a few failures;
+//     keyed by endpoint identity and run as one guarded attempt
+//     (Group.Do), so a dead endpoint stops burning retries after a few
+//     failures;
 //
 //   - server-side admission control (Admission): a hard concurrency
 //     limit with a bounded, deadline-aware wait queue and load shedding,
@@ -20,7 +21,7 @@
 //     latency and hangs, with a virtual-time seam (netsim.Simulator's
 //     AfterFunc satisfies it) so chaos tests reproduce bit-for-bit;
 //
-//   - failure classification (Observe, FailureOf): one shared judgment
+//   - failure classification (Classify): one shared judgment
 //     of which errors indict an endpoint — transport breakage and
 //     timeouts do; application-level SOAP faults and caller cancellation
 //     do not — so breakers, failover and health reporting agree.
@@ -82,17 +83,6 @@ func Classify(err error) Outcome {
 		return Skip
 	}
 	return Failure
-}
-
-// Observe records a call attempt's error on a breaker using the shared
-// classification; Skip outcomes leave the window untouched.
-func Observe(b *Breaker, err error) {
-	switch Classify(err) {
-	case Success:
-		b.Record(true)
-	case Failure:
-		b.Record(false)
-	}
 }
 
 // BreakerOpenError is returned when a circuit breaker refuses a call

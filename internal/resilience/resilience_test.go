@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"wspeer/internal/netsim"
-	"wspeer/internal/pipeline"
 	"wspeer/internal/soap"
 	"wspeer/internal/transport"
 )
@@ -174,67 +173,104 @@ func TestBreakerWindowSlides(t *testing.T) {
 	}
 }
 
-func TestGroupInterceptor(t *testing.T) {
+// TestBreakerGroupDo drives the guarded attempt: outcomes are recorded under
+// Classify, an open breaker refuses without calling the attempt, and a
+// successful probe after the timeout heals the endpoint.
+func TestBreakerGroupDo(t *testing.T) {
 	clock := newFakeClock()
 	g := NewGroup(BreakerOptions{
 		Window: 2, FailureThreshold: 0.5, MinSamples: 2,
 		OpenTimeout: time.Minute, Now: clock.Now,
 	})
+	const ep = "http://primary"
 	boom := errors.New("transport down")
-	fail := true
-	chain := pipeline.NewChain(g.Interceptor())
-	call := func() error {
-		c := &pipeline.Call{Ctx: context.Background(), Service: "Echo"}
-		c.SetMeta(MetaEndpoint, "http://primary")
-		return chain.Run(c, func(c *pipeline.Call) error {
-			if fail {
-				return boom
-			}
-			return nil
-		})
+	calls := 0
+	do := func(err error) error {
+		return g.Do(ep, func() error { calls++; return err })
 	}
-	if err := call(); !errors.Is(err, boom) {
+	// An application fault proves the endpoint alive: it counts as a
+	// success, so one failure beside it is half the window, which opens.
+	fault := soap.NewFault(soap.FaultServer, "application says no")
+	if err := do(fault); !errors.Is(err, fault) {
+		t.Fatalf("err = %v, want the fault back", err)
+	}
+	if st := g.Breaker(ep).State(); st != BreakerClosed {
+		t.Fatalf("state after a fault = %v, want closed", st)
+	}
+	if err := do(boom); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	if err := call(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
+	if st := g.Breaker(ep).State(); st != BreakerOpen {
+		t.Fatalf("state after fault + failure in a window of 2 = %v, want open", st)
 	}
-	// Breaker is open now: terminal must not run.
+	// Open: the attempt must not run.
 	var open *BreakerOpenError
-	if err := call(); !errors.As(err, &open) || open.Endpoint != "http://primary" {
-		t.Fatalf("err = %v, want BreakerOpenError for http://primary", err)
+	if err := do(nil); !errors.As(err, &open) || open.Endpoint != ep {
+		t.Fatalf("err = %v, want BreakerOpenError for %s", err, ep)
 	}
-	if !g.Healthy("http://other") {
-		t.Fatal("unknown endpoint reported unhealthy")
+	if calls != 2 {
+		t.Fatalf("attempt ran %d times, want 2 (the refusal must not call it)", calls)
 	}
-	if g.Healthy("http://primary") {
-		t.Fatal("open endpoint reported healthy")
+	if err := g.Do("http://other", func() error { return nil }); err != nil {
+		t.Fatalf("another endpoint is guarded by its own breaker, got %v", err)
 	}
 	// Probe after the timeout heals it.
 	clock.Advance(time.Minute)
-	fail = false
-	if err := call(); err != nil {
+	if err := do(nil); err != nil {
 		t.Fatalf("probe failed: %v", err)
 	}
-	if st := g.Snapshot()["http://primary"]; st != BreakerClosed {
+	if st := g.Breaker(ep).State(); st != BreakerClosed {
 		t.Fatalf("state after probe = %v, want closed", st)
 	}
 }
 
-func TestGroupInterceptorRespectsHandledFlag(t *testing.T) {
-	g := NewGroup(BreakerOptions{Window: 2, FailureThreshold: 0.5, MinSamples: 1})
-	chain := pipeline.NewChain(g.Interceptor())
-	boom := errors.New("boom")
-	for i := 0; i < 5; i++ {
-		c := &pipeline.Call{Ctx: context.Background(), Service: "Echo"}
-		c.SetMeta(MetaEndpoint, "http://primary")
-		c.SetMeta(MetaBreakerHandled, true)
-		if err := chain.Run(c, func(c *pipeline.Call) error { return boom }); !errors.Is(err, boom) {
-			t.Fatalf("err = %v", err)
+// TestBreakerGroupDoSkipFreesProbe: an attempt that says nothing about the
+// endpoint — the caller cancelled, which Hedge does to every losing
+// attempt — records nothing and gives the half-open probe slot back, so
+// the next attempt may probe and one success closes the breaker.
+func TestBreakerGroupDoSkipFreesProbe(t *testing.T) {
+	clock := newFakeClock()
+	g := NewGroup(BreakerOptions{
+		Window: 4, FailureThreshold: 0.5, MinSamples: 2,
+		OpenTimeout: time.Minute, Now: clock.Now,
+	})
+	const ep = "http://primary"
+	br := g.Breaker(ep)
+	cancelled := func() error { return fmt.Errorf("send: %w", context.Canceled) }
+
+	// Closed: skips leave the window untouched, however many there are.
+	for i := 0; i < 8; i++ {
+		if err := g.Do(ep, cancelled); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want the cancellation back", err)
 		}
 	}
-	if len(g.Snapshot()) != 0 {
-		t.Fatalf("interceptor recorded outcomes despite the handled flag: %v", g.Snapshot())
+	if st := br.State(); st != BreakerClosed {
+		t.Fatalf("cancellations opened the breaker: %v", st)
+	}
+	boom := errors.New("transport down")
+	for i := 0; i < 2; i++ {
+		g.Do(ep, func() error { return boom })
+	}
+	if st := br.State(); st != BreakerOpen {
+		t.Fatalf("state = %v, want open", st)
+	}
+
+	// The half-open probe is cancelled by its caller.
+	clock.Advance(time.Minute)
+	if err := g.Do(ep, cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("probe err = %v, want the cancellation back", err)
+	}
+	if st := br.State(); st != BreakerHalfOpen {
+		t.Fatalf("state after a cancelled probe = %v, want half-open (nothing recorded)", st)
+	}
+	// The slot came back: the next attempt probes, and its success closes.
+	clock.Advance(time.Hour)
+	ran := false
+	if err := g.Do(ep, func() error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("after a cancelled probe the endpoint is refused for good: ran=%v err=%v", ran, err)
+	}
+	if st := br.State(); st != BreakerClosed {
+		t.Fatalf("state after the second probe = %v, want closed", st)
 	}
 }
 

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,18 +27,8 @@ type callKey struct {
 }
 
 type callRow struct {
-	calls    atomic.Int64
 	failures atomic.Int64
-	totalNS  atomic.Int64
-	minNS    atomic.Int64 // math.MaxInt64 until the first call
-	maxNS    atomic.Int64
-	buckets  [NumBuckets]atomic.Int64
-}
-
-func newCallRow() *callRow {
-	r := &callRow{}
-	r.minNS.Store(math.MaxInt64)
-	return r
+	latency  Histogram // its observations are the row's calls
 }
 
 // NewCallTable returns an empty table.
@@ -52,36 +41,15 @@ func (t *CallTable) Record(service, dir string, elapsed time.Duration, failed bo
 	if t == nil {
 		return
 	}
-	if elapsed < 0 {
-		elapsed = 0
-	}
 	r := t.row(service, dir)
-	r.calls.Add(1)
 	if failed {
 		r.failures.Add(1)
 	}
-	ns := elapsed.Nanoseconds()
-	r.totalNS.Add(ns)
-	casMin(&r.minNS, ns)
-	casMax(&r.maxNS, ns)
-	r.buckets[bucketFor(elapsed)].Add(1)
+	r.latency.Observe(elapsed)
 }
 
 func (t *CallTable) row(service, dir string) *callRow {
-	k := callKey{service: service, dir: dir}
-	t.mu.RLock()
-	r := t.rows[k]
-	t.mu.RUnlock()
-	if r != nil {
-		return r
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r = t.rows[k]; r == nil {
-		r = newCallRow()
-		t.rows[k] = r
-	}
-	return r
+	return instrument(&t.mu, t.rows, callKey{service: service, dir: dir})
 }
 
 // CallSnapshot is one service+direction row of a CallTable snapshot.
@@ -104,33 +72,21 @@ type CallSnapshot struct {
 	Buckets []int64 `json:"buckets"`
 }
 
-// Quantile estimates an arbitrary latency quantile (0..1) for the row.
-func (s CallSnapshot) Quantile(q float64) time.Duration {
-	return bucketQuantile(s.Buckets, q, s.MinLatency, s.MaxLatency)
-}
-
 func (r *callRow) snapshot(k callKey) CallSnapshot {
-	s := CallSnapshot{
+	h := r.latency.Snapshot()
+	return CallSnapshot{
 		Service:      k.service,
 		Dir:          k.dir,
-		Calls:        r.calls.Load(),
+		Calls:        h.Count,
 		Failures:     r.failures.Load(),
-		TotalLatency: time.Duration(r.totalNS.Load()),
-		MaxLatency:   time.Duration(r.maxNS.Load()),
-		Buckets:      make([]int64, NumBuckets),
+		TotalLatency: h.Sum,
+		MinLatency:   h.Min,
+		MaxLatency:   h.Max,
+		MeanLatency:  h.Mean(),
+		P50:          h.P50,
+		P99:          h.P99,
+		Buckets:      h.Buckets,
 	}
-	if min := r.minNS.Load(); min != math.MaxInt64 {
-		s.MinLatency = time.Duration(min)
-	}
-	for i := range r.buckets {
-		s.Buckets[i] = r.buckets[i].Load()
-	}
-	if s.Calls > 0 {
-		s.MeanLatency = s.TotalLatency / time.Duration(s.Calls)
-	}
-	s.P50 = s.Quantile(0.50)
-	s.P99 = s.Quantile(0.99)
-	return s
 }
 
 // Snapshot copies every row, ordered by service name then direction.

@@ -173,9 +173,7 @@ func (e *errWriter) Write(p []byte) (int, error) {
 // newest spans and evicts the oldest.
 type SpanRing struct {
 	mu    sync.Mutex
-	ring  []SpanData
-	next  int
-	total uint64
+	spans ring[SpanData]
 }
 
 // NewSpanRing returns a ring retaining up to capacity spans (default
@@ -184,18 +182,13 @@ func NewSpanRing(capacity int) *SpanRing {
 	if capacity <= 0 {
 		capacity = 2048
 	}
-	return &SpanRing{ring: make([]SpanData, capacity)}
+	return &SpanRing{spans: newRing[SpanData](capacity)}
 }
 
 // OnSpanEnd implements Sink.
 func (r *SpanRing) OnSpanEnd(d SpanData) {
 	r.mu.Lock()
-	r.ring[r.next] = d
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-	}
-	r.total++
+	r.spans.write(d)
 	r.mu.Unlock()
 }
 
@@ -203,30 +196,14 @@ func (r *SpanRing) OnSpanEnd(d SpanData) {
 func (r *SpanRing) Spans() []SpanData {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := len(r.ring)
-	filled := int(r.total)
-	if filled > n {
-		filled = n
-	}
-	start := 0
-	if r.total > uint64(n) {
-		start = r.next
-	}
-	out := make([]SpanData, 0, filled)
-	for i := 0; i < filled; i++ {
-		out = append(out, r.ring[(start+i)%n])
-	}
-	return out
+	return r.spans.read(nil)
 }
 
 // Len reports how many spans are retained.
 func (r *SpanRing) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total > uint64(len(r.ring)) {
-		return len(r.ring)
-	}
-	return int(r.total)
+	return r.spans.len()
 }
 
 // chromeTraceEvent is one entry in the Chrome trace-event format's

@@ -75,10 +75,8 @@ type Logger struct {
 	level atomic.Int32
 	sink  atomic.Pointer[logSinkHolder]
 
-	mu    sync.Mutex
-	ring  []LogEntry
-	next  int
-	total uint64
+	mu     sync.Mutex
+	recent ring[LogEntry]
 }
 
 // loggerRingCap bounds the in-memory recent-entry ring.
@@ -86,7 +84,7 @@ const loggerRingCap = 256
 
 // NewLogger returns a logger at LevelWarn with no external sink.
 func NewLogger() *Logger {
-	l := &Logger{ring: make([]LogEntry, loggerRingCap)}
+	l := &Logger{recent: newRing[LogEntry](loggerRingCap)}
 	l.level.Store(int32(LevelWarn))
 	return l
 }
@@ -175,12 +173,7 @@ func (l *Logger) log(ctx context.Context, v Level, msg string, kv []interface{})
 		e.TraceID, e.SpanID = sc.TraceID, sc.SpanID
 	}
 	l.mu.Lock()
-	l.ring[l.next] = e
-	l.next++
-	if l.next == len(l.ring) {
-		l.next = 0
-	}
-	l.total++
+	l.recent.write(e)
 	l.mu.Unlock()
 	if h := l.sink.Load(); h != nil {
 		h.s.WriteLog(e)
@@ -193,19 +186,7 @@ func (l *Logger) Recent(max int) []LogEntry {
 		return nil
 	}
 	l.mu.Lock()
-	n := len(l.ring)
-	filled := int(l.total)
-	if filled > n {
-		filled = n
-	}
-	start := 0
-	if l.total > uint64(n) {
-		start = l.next
-	}
-	out := make([]LogEntry, 0, filled)
-	for i := 0; i < filled; i++ {
-		out = append(out, l.ring[(start+i)%n])
-	}
+	out := l.recent.read(nil)
 	l.mu.Unlock()
 	if max > 0 && len(out) > max {
 		out = out[len(out)-max:]

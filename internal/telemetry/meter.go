@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,19 +58,16 @@ func (g *Gauge) Value() int64 {
 }
 
 // Histogram is an atomic latency histogram over the spine's shared bucket
-// bounds (BucketBounds plus an overflow bucket).
+// bounds (BucketBounds plus an overflow bucket): the Meter's named
+// histograms, each CallTable row and the flight recorder's rolling
+// distribution are all one of these. The zero value is ready to use, and
+// the count of observations is the sum of the buckets, so recording does
+// not pay for a counter of its own.
 type Histogram struct {
-	count   atomic.Int64
 	sumNS   atomic.Int64
-	minNS   atomic.Int64 // math.MaxInt64 until the first observation
+	minNS1  atomic.Int64 // the smallest observation plus one; 0 until the first
 	maxNS   atomic.Int64
 	buckets [NumBuckets]atomic.Int64
-}
-
-func newHistogram() *Histogram {
-	h := &Histogram{}
-	h.minNS.Store(math.MaxInt64)
-	return h
 }
 
 // Observe records one duration. Lock-free: a handful of atomic ops.
@@ -83,10 +79,19 @@ func (h *Histogram) Observe(elapsed time.Duration) {
 		elapsed = 0
 	}
 	ns := elapsed.Nanoseconds()
-	h.count.Add(1)
 	h.sumNS.Add(ns)
-	casMin(&h.minNS, ns)
-	casMax(&h.maxNS, ns)
+	for {
+		cur := h.minNS1.Load()
+		if (cur != 0 && ns+1 >= cur) || h.minNS1.CompareAndSwap(cur, ns+1) {
+			break
+		}
+	}
+	for {
+		cur := h.maxNS.Load()
+		if ns <= cur || h.maxNS.CompareAndSwap(cur, ns) {
+			break
+		}
+	}
 	h.buckets[bucketFor(elapsed)].Add(1)
 }
 
@@ -123,38 +128,20 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		return HistogramSnapshot{}
 	}
 	s := HistogramSnapshot{
-		Count:   h.count.Load(),
 		Sum:     time.Duration(h.sumNS.Load()),
 		Max:     time.Duration(h.maxNS.Load()),
 		Buckets: make([]int64, NumBuckets),
 	}
-	if min := h.minNS.Load(); min != math.MaxInt64 {
-		s.Min = time.Duration(min)
+	if min1 := h.minNS1.Load(); min1 != 0 {
+		s.Min = time.Duration(min1 - 1)
 	}
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	s.P50 = s.Quantile(0.50)
 	s.P99 = s.Quantile(0.99)
 	return s
-}
-
-func casMin(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v >= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-func casMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Meter is a named instrument registry. Lookup is a read-locked map hit;
@@ -177,56 +164,33 @@ func NewMeter() *Meter {
 	}
 }
 
-// Counter returns (creating if needed) the named counter.
-func (m *Meter) Counter(name string) *Counter {
-	m.mu.RLock()
-	c := m.counters[name]
-	m.mu.RUnlock()
-	if c != nil {
-		return c
+// instrument returns (creating if needed) the entry of one of the spine's
+// registries: a read-locked map hit once the entry exists. Every
+// instrument's zero value is ready to use.
+func instrument[K comparable, T any](mu *sync.RWMutex, m map[K]*T, key K) *T {
+	mu.RLock()
+	v := m[key]
+	mu.RUnlock()
+	if v != nil {
+		return v
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c = m.counters[name]; c == nil {
-		c = &Counter{}
-		m.counters[name] = c
+	mu.Lock()
+	defer mu.Unlock()
+	if v = m[key]; v == nil {
+		v = new(T)
+		m[key] = v
 	}
-	return c
+	return v
 }
+
+// Counter returns (creating if needed) the named counter.
+func (m *Meter) Counter(name string) *Counter { return instrument(&m.mu, m.counters, name) }
 
 // Gauge returns (creating if needed) the named gauge.
-func (m *Meter) Gauge(name string) *Gauge {
-	m.mu.RLock()
-	g := m.gauges[name]
-	m.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if g = m.gauges[name]; g == nil {
-		g = &Gauge{}
-		m.gauges[name] = g
-	}
-	return g
-}
+func (m *Meter) Gauge(name string) *Gauge { return instrument(&m.mu, m.gauges, name) }
 
 // Histogram returns (creating if needed) the named histogram.
-func (m *Meter) Histogram(name string) *Histogram {
-	m.mu.RLock()
-	h := m.hists[name]
-	m.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h = m.hists[name]; h == nil {
-		h = newHistogram()
-		m.hists[name] = h
-	}
-	return h
-}
+func (m *Meter) Histogram(name string) *Histogram { return instrument(&m.mu, m.hists, name) }
 
 // snapshot copies every instrument's current value.
 func (m *Meter) snapshot() (counters, gauges map[string]int64, hists map[string]HistogramSnapshot) {

@@ -138,17 +138,14 @@ type Recorder struct {
 	dropped atomic.Int64
 	rng     atomic.Uint64
 
-	// Rolling latency distribution feeding the "slow" threshold: the
-	// spine's shared buckets, recomputed every slowRecalcEvery calls and
+	// latency is the distribution of every call offered; the "slow"
+	// threshold is recomputed from it every slowRecalcEvery calls and
 	// cached in slowNS.
-	buckets [NumBuckets]atomic.Int64
-	maxNS   atomic.Int64
+	latency Histogram
 	slowNS  atomic.Int64
 
-	mu    sync.Mutex
-	ring  []CallRecord
-	next  int
-	total uint64 // lifetime writes, to find the ring's oldest slot
+	mu   sync.Mutex
+	ring ring[CallRecord]
 }
 
 // slowRecalcEvery is how many observations pass between recomputations of
@@ -165,7 +162,7 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 	}
 	r := &Recorder{
 		successOneIn: uint64(opts.SuccessOneIn),
-		ring:         make([]CallRecord, opts.Capacity),
+		ring:         newRing[CallRecord](opts.Capacity),
 	}
 	r.rng.Store(0x9e3779b97f4a7c15)
 	return r
@@ -181,14 +178,8 @@ func (r *Recorder) Record(rec CallRecord, err error) {
 	if r == nil {
 		return
 	}
-	n := r.seen.Add(1)
-	ns := rec.Latency.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	casMax(&r.maxNS, ns)
-	r.buckets[bucketFor(rec.Latency)].Add(1)
-	if n%slowRecalcEvery == 0 {
+	r.latency.Observe(rec.Latency)
+	if r.seen.Add(1)%slowRecalcEvery == 0 {
 		r.recalcSlow()
 	}
 
@@ -196,7 +187,7 @@ func (r *Recorder) Record(rec CallRecord, err error) {
 	switch {
 	case failed:
 		rec.Reason = KeepError
-	case r.isSlow(ns):
+	case r.isSlow(rec.Latency.Nanoseconds()):
 		rec.Reason = KeepSlow
 	case r.sampleIn():
 		rec.Reason = KeepSampled
@@ -215,12 +206,7 @@ func (r *Recorder) Record(rec CallRecord, err error) {
 	}
 	r.kept.Add(1)
 	r.mu.Lock()
-	r.ring[r.next] = rec
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-	}
-	r.total++
+	r.ring.write(rec)
 	r.mu.Unlock()
 }
 
@@ -257,8 +243,8 @@ func (r *Recorder) sampleIn() bool {
 func (r *Recorder) recalcSlow() {
 	var total int64
 	var counts [NumBuckets]int64
-	for i := range r.buckets {
-		counts[i] = r.buckets[i].Load()
+	for i := range counts {
+		counts[i] = r.latency.buckets[i].Load()
 		total += counts[i]
 	}
 	if total == 0 {
@@ -274,7 +260,7 @@ func (r *Recorder) recalcSlow() {
 		if i < len(latencyBuckets) {
 			r.slowNS.Store(latencyBuckets[i].Nanoseconds())
 		} else {
-			r.slowNS.Store(r.maxNS.Load())
+			r.slowNS.Store(r.latency.maxNS.Load())
 		}
 		return
 	}
@@ -290,7 +276,7 @@ func (r *Recorder) Stats() RecorderStats {
 		Kept:          r.kept.Load(),
 		Dropped:       r.dropped.Load(),
 		SlowThreshold: time.Duration(r.slowNS.Load()),
-		Capacity:      len(r.ring),
+		Capacity:      len(r.ring.buf),
 	}
 }
 
@@ -340,23 +326,7 @@ func (r *Recorder) Query(f RecordFilter) []CallRecord {
 		return nil
 	}
 	r.mu.Lock()
-	n := len(r.ring)
-	filled := int(r.total)
-	if filled > n {
-		filled = n
-	}
-	// Oldest slot: next when the ring has wrapped, 0 before that.
-	start := 0
-	if r.total > uint64(n) {
-		start = r.next
-	}
-	out := make([]CallRecord, 0, filled)
-	for i := 0; i < filled; i++ {
-		rec := &r.ring[(start+i)%n]
-		if f.matches(rec) {
-			out = append(out, *rec)
-		}
-	}
+	out := r.ring.read(f.matches)
 	r.mu.Unlock()
 	if f.Limit > 0 && len(out) > f.Limit {
 		out = out[len(out)-f.Limit:]

@@ -115,7 +115,8 @@ type (
 	ServicePublisher = core.ServicePublisher
 	// ServiceDeployer exposes service definitions at endpoints.
 	ServiceDeployer = core.ServiceDeployer
-	// Invoker carries invocations to located services.
+	// Invoker carries invocations to located services, as the terminal
+	// of the client pipeline: Invoke(call, service, op, params).
 	Invoker = core.Invoker
 )
 
@@ -287,7 +288,8 @@ type (
 	// BreakerState is closed, open or half-open.
 	BreakerState = resilience.BreakerState
 	// BreakerGroup is the per-client endpoint health registry
-	// (Client.Breakers); its Interceptor guards single-endpoint calls.
+	// (Client.Breakers, tuned with Client.ConfigureBreakers): it guards
+	// every attempt of a failover or hedged invocation.
 	BreakerGroup = resilience.Group
 	// BreakerOpenError is the local refusal an open breaker returns.
 	BreakerOpenError = resilience.BreakerOpenError
@@ -339,11 +341,6 @@ const (
 // NewAdmission returns a server-side admission controller; install it via
 // HTTPOptions.Admission (or engine.SetAdmission for other hosts).
 func NewAdmission(opts AdmissionOptions) *Admission { return resilience.NewAdmission(opts) }
-
-// NewBreakerGroup returns a standalone endpoint breaker registry. The
-// per-client registry (Client.Breakers) is created automatically; use
-// Client.ConfigureBreakers to tune it.
-func NewBreakerGroup(opts BreakerOptions) *BreakerGroup { return resilience.NewGroup(opts) }
 
 // NewFaultInjector returns a deterministic fault injector drawing from
 // the seed.
