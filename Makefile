@@ -19,7 +19,8 @@ help:
 	@echo "  census           the exported-identifier census (with the identifiers only tests"
 	@echo "                   use), the Meta-key rule and the import layering (arch_test.go)"
 	@echo "  fuzz-smoke       ten seconds of native fuzzing on each fuzz target (P2PS frame"
-	@echo "                   decoder, XML parser against encoding/xml)"
+	@echo "                   decoder; XML scanner against its tree builder and encoding/xml;"
+	@echo "                   xsd decoding from tokens against decoding from the tree)"
 	@echo "  examples         run every example program once"
 	@echo "  loc              count lines of Go: non-test outside bench/, and everything"
 
@@ -68,11 +69,13 @@ census:
 	$(GO) test -run 'TestCensus|TestMetaKeys|TestLayering' -v .
 
 # Ten seconds of native fuzzing on each target, seeded from the package's
-# testdata/fuzz: long enough to catch a decoder that panics, a field that
-# does not survive encode/decode or a document the XML parser and
-# encoding/xml read differently, short enough for CI. `go test -fuzz` takes
-# one target and one package at a time, hence the loop.
-FUZZ_TARGETS = internal/p2ps:FuzzDecodeMessage internal/xmlutil:FuzzParseBytes
+# testdata/fuzz or the target's own f.Add: long enough to catch a decoder
+# that panics, a field that does not survive encode/decode, a document the
+# XML scanner, its tree builder and encoding/xml do not read alike or a
+# message the xsd plans decode differently from its bytes and from its tree,
+# short enough for CI. `go test -fuzz` takes one target and one package at a
+# time, hence the loop.
+FUZZ_TARGETS = internal/p2ps:FuzzDecodeMessage internal/xmlutil:FuzzParseBytes internal/xsd:FuzzDecodeBody
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -180,7 +180,7 @@ func main() {
 			fmt.Println("(one-way request accepted)")
 			return
 		}
-		os.Stdout.Write(xmlutil.MarshalIndent(res.Wrapper))
+		os.Stdout.Write(xmlutil.MarshalIndent(res.Wrapper()))
 		fmt.Println()
 	default:
 		usage()

@@ -13,6 +13,7 @@ import (
 	"wspeer/internal/transport"
 	"wspeer/internal/wsaddr"
 	"wspeer/internal/xmlutil"
+	"wspeer/internal/xsd"
 )
 
 // Spine counters for dispatch activity.
@@ -225,42 +226,47 @@ func (e *Engine) dispatch(c *pipeline.Call, env *soap.Envelope) (*soap.Envelope,
 	if svc == nil {
 		return nil, soap.NewFault(soap.FaultClient, "no such service %q", c.Service)
 	}
-	body := env.FirstBodyElement()
-	if body == nil {
+	body, ok := env.FirstBodyName()
+	if !ok {
 		return nil, soap.NewFault(soap.FaultClient, "request has an empty Body")
 	}
-	op, ok := svc.ops[body.Name.Local]
+	op, ok := svc.ops[body.Local]
 	if !ok {
-		return nil, soap.NewFault(soap.FaultClient, "service %q has no operation %q", c.Service, body.Name.Local)
+		return nil, soap.NewFault(soap.FaultClient, "service %q has no operation %q", c.Service, body.Local)
 	}
 	c.Op = op.name
 
-	results, fault := invoke(c.Ctx, svc, op, body)
+	results, fault := invoke(c.Ctx, svc, op, env)
 	if fault != nil || op.oneWay {
 		return nil, fault
 	}
-	wrapper := xmlutil.NewElement(xmlutil.N(svc.namespace, op.respName))
+	// The results wait in the envelope as they are: their plans write them
+	// when the response is marshalled.
+	wrapper := xsd.NewWrapper(xmlutil.N(svc.namespace, op.respName))
 	for i, rv := range results {
-		if err := op.outEncs[i](wrapper, svc.namespace, op.outNames[i], rv); err != nil {
+		if err := wrapper.Add(op.outNames[i], rv); err != nil {
 			return nil, soap.ServerFault(fmt.Errorf("encoding result %q: %w", op.outNames[i], err))
 		}
 	}
-	return soap.NewEnvelopeV(env.Version()).AddBodyElement(wrapper), nil
+	return soap.NewEnvelopeV(env.Version()).SetBody(wrapper), nil
 }
 
-// invoke decodes parameters, calls the operation function (recovering
+// invoke decodes the parameters — all of them in one pass over the
+// request's wrapper element — calls the operation function (recovering
 // panics into Server faults) and returns the non-error results.
-func invoke(ctx context.Context, svc *Service, op *opInfo, wrapper *xmlutil.Element) (results []reflect.Value, fault *soap.Fault) {
-	args := make([]reflect.Value, 0, len(op.inTypes)+1)
+func invoke(ctx context.Context, svc *Service, op *opInfo, env *soap.Envelope) (results []reflect.Value, fault *soap.Fault) {
+	args := make([]reflect.Value, 0, len(op.in)+1)
 	if op.hasCtx {
 		args = append(args, reflect.ValueOf(ctx))
 	}
-	for i := range op.inTypes {
-		v, err := op.inDecs[i](wrapper, svc.namespace, op.inNames[i])
-		if err != nil {
-			return nil, soap.NewFault(soap.FaultClient, "parameter %q: %s", op.inNames[i], err)
-		}
-		args = append(args, v)
+	params := len(args)
+	for _, p := range op.in {
+		args = append(args, reflect.New(p.Type).Elem())
+	}
+	if i, err := env.DecodeBody(svc.namespace, op.in, args[params:]); i >= 0 {
+		return nil, soap.NewFault(soap.FaultClient, "parameter %q: %s", op.in[i].Name, err)
+	} else if err != nil {
+		return nil, soap.NewFault(soap.FaultClient, "malformed request: %s", err)
 	}
 
 	defer func() {

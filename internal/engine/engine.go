@@ -81,12 +81,10 @@ type opInfo struct {
 	outTypes []reflect.Type
 	outNames []string
 
-	// Precompiled dispatch plan: per-parameter decoders and per-result
-	// encoders (compiled once at analysis time, see internal/xsd plan
-	// cache) and the response wrapper's local name, so the hot dispatch
-	// path does no reflection walks or string concatenation.
-	inDecs   []xsd.Decoder
-	outEncs  []xsd.Encoder
+	// The request wrapper's parts and the response wrapper's local name,
+	// put together once at analysis time. The types' xsd plans compile at
+	// their first message.
+	in       []xsd.Field
 	respName string
 }
 
@@ -187,11 +185,7 @@ func (e *Engine) Deploy(def ServiceDef) (*Service, error) {
 			return nil, fmt.Errorf("engine: service %q: duplicate operation %q", def.Name, op.name)
 		}
 		// Declare the request and response wrapper elements.
-		inFields := make([]xsd.Field, len(op.inTypes))
-		for i, t := range op.inTypes {
-			inFields[i] = xsd.Field{Name: op.inNames[i], Type: t}
-		}
-		if err := svc.schema.AddElement(op.name, inFields); err != nil {
+		if err := svc.schema.AddElement(op.name, op.in); err != nil {
 			return nil, fmt.Errorf("engine: service %q operation %q: %w", def.Name, op.name, err)
 		}
 		if !op.oneWay {
@@ -327,15 +321,8 @@ func analyzeOperation(od OperationDef) (*opInfo, error) {
 		return nil, fmt.Errorf("operation %q outputs: %w", od.Name, err)
 	}
 
-	// Compile the dispatch plan while we hold the types: decoding and
-	// encoding closures are resolved once here instead of per request.
-	op.inDecs = make([]xsd.Decoder, len(op.inTypes))
 	for i, t := range op.inTypes {
-		op.inDecs[i] = xsd.DecoderForType(t)
-	}
-	op.outEncs = make([]xsd.Encoder, len(op.outTypes))
-	for i, t := range op.outTypes {
-		op.outEncs[i] = xsd.EncoderForType(t)
+		op.in = append(op.in, xsd.Field{Name: op.inNames[i], Type: t})
 	}
 	op.respName = op.name + "Response"
 	return op, nil

@@ -400,8 +400,8 @@ func TestServeRequestAllocs(t *testing.T) {
 			t.Fatal(err, resp)
 		}
 	})
-	if allocs > 32 {
-		t.Fatalf("ServeRequest of the echo envelope: %.0f allocs, want <= 32", allocs)
+	if allocs > 15 {
+		t.Fatalf("ServeRequest of the echo envelope: %.0f allocs, want <= 15", allocs)
 	}
 }
 

@@ -167,3 +167,61 @@ func TestServeParsedUsesWhatItIsHanded(t *testing.T) {
 		t.Fatalf("fault reply headers = %+v", reply.Headers)
 	}
 }
+
+// TestDecoupledReplyDecodesFromItsBuffer: a reply endpoint hands each
+// message's buffer to the exchange table and never writes it again; the
+// envelope the waiting call gets still has its body in that buffer, and the
+// Result decodes from it long after delivery — more than once, and whatever
+// else arrived meanwhile.
+func TestDecoupledReplyDecodesFromItsBuffer(t *testing.T) {
+	e := New()
+	if _, err := e.Deploy(echoDef()); err != nil {
+		t.Fatal(err)
+	}
+	table := exchange.NewTable(exchange.TableOptions{})
+	defer table.Close()
+	e.RegisterReplySender("test", ReplySenderFunc(func(_ context.Context, _ *wsaddr.EndpointReference, msg *exchange.Message) error {
+		table.Deliver(msg.Body) // the buffer is the table's from here on
+		return nil
+	}))
+	ctx := context.Background()
+	call := func(id, text string) *exchange.Future {
+		future, err := table.Register(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := soap.NewEnvelope()
+		wrapper := xmlutil.NewElement(xmlutil.N(DefaultNamespacePrefix+"Echo", "echoString"))
+		wrapper.NewChild(xmlutil.N(DefaultNamespacePrefix+"Echo", "msg")).SetText(text)
+		hdr := &wsaddr.MessageHeaders{
+			To: "test://provider/Echo", Action: "urn:op", MessageID: id,
+			ReplyTo: wsaddr.NewEndpointReference("test://consumer/replies"),
+		}
+		if _, err := e.ServeParsed(ctx, "Echo", &transport.Request{}, env.AddBodyElement(wrapper), hdr); err != nil {
+			t.Fatal(err)
+		}
+		return future
+	}
+	first, second := call("urn:uuid:a", "first & foremost"), call("urn:uuid:b", "second")
+	trees := soap.BodyTreesBuilt()
+	for i, want := range []string{"first & foremost", "second", "first & foremost"} {
+		future := first
+		if i == 1 {
+			future = second
+		}
+		msg, err := future.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ResultFromEnvelope(msg.Envelope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := res.String("return"); err != nil || got != want {
+			t.Fatalf("reply %d decodes to %q, %v; want %q", i, got, err, want)
+		}
+	}
+	if n := soap.BodyTreesBuilt() - trees; n != 0 {
+		t.Fatalf("%d body trees built decoding decoupled replies", n)
+	}
+}

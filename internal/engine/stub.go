@@ -17,7 +17,10 @@ import (
 // "generat[es] stubs directly to bytes, bypassing source generation and
 // compilation" (paper §IV-A): a Stub serializes each call straight to a
 // SOAP envelope using the parsed definitions, with no intermediate code
-// generation step.
+// generation step — and with no intermediate tree either: the envelope it
+// prepares holds the parameters as Go values, which their compiled xsd
+// plans write into the message when it is marshalled, and a Result decodes
+// from the response's bytes.
 type Stub struct {
 	defs *wsdl.Definitions
 	reg  *transport.Registry
@@ -51,9 +54,7 @@ func (s *Stub) PrepareEnvelope(op string, params ...Param) (*soap.Envelope, *wsd
 	if err != nil {
 		return nil, nil, err
 	}
-	env := soap.NewEnvelope()
-	wrapper := xmlutil.NewElement(det.Input)
-	ns := det.Input.Space
+	wrapper := xsd.NewWrapper(det.Input)
 	for _, p := range params {
 		if p.Name == "" {
 			return nil, nil, fmt.Errorf("engine: parameter of %s has no name", op)
@@ -61,12 +62,11 @@ func (s *Stub) PrepareEnvelope(op string, params ...Param) (*soap.Envelope, *wsd
 		if p.Value == nil {
 			continue // omitted optional
 		}
-		if err := xsd.AppendValue(wrapper, ns, p.Name, reflect.ValueOf(p.Value)); err != nil {
+		if err := wrapper.Add(p.Name, reflect.ValueOf(p.Value)); err != nil {
 			return nil, nil, fmt.Errorf("engine: encoding parameter %q: %w", p.Name, err)
 		}
 	}
-	env.AddBodyElement(wrapper)
-	return env, det, nil
+	return soap.NewEnvelope().SetBody(wrapper), det, nil
 }
 
 // BuildRequest serializes an operation call to a transport request.
@@ -87,25 +87,32 @@ func (s *Stub) BuildRequest(op string, params ...Param) (*transport.Request, *ws
 	}, det, nil
 }
 
-// Result is the decoded-on-demand response of an invocation.
+// Result is the decoded-on-demand response of an invocation: the response
+// envelope, whose body is still the bytes it arrived in. Each Decode scans
+// them again for the part it is asked for.
 type Result struct {
-	// Wrapper is the response wrapper element (e.g. <EchoResponse>).
-	Wrapper *xmlutil.Element
-	ns      string
+	env *soap.Envelope
+	ns  string
 }
+
+// Wrapper returns the response wrapper element (e.g. <EchoResponse>) as a
+// tree, built at the first call: for a caller that wants to print or walk
+// the response rather than decode it.
+func (r *Result) Wrapper() *xmlutil.Element { return r.env.FirstBodyElement() }
 
 // Decode extracts the named result part into out, which must be a non-nil
 // pointer of the expected Go type.
 func (r *Result) Decode(name string, out interface{}) error {
-	if r == nil || r.Wrapper == nil {
+	if r == nil || r.env == nil {
 		return fmt.Errorf("engine: no result to decode")
 	}
 	pv := reflect.ValueOf(out)
 	if pv.Kind() != reflect.Ptr || pv.IsNil() {
 		return fmt.Errorf("engine: Decode needs a non-nil pointer, got %T", out)
 	}
-	v, err := xsd.ExtractValue(r.Wrapper, r.ns, name, pv.Type().Elem())
-	if err != nil {
+	t := pv.Type().Elem()
+	v := reflect.New(t).Elem() // *out is replaced whole, and only by a value that decoded
+	if _, err := r.env.DecodeBody(r.ns, []xsd.Field{{Name: name, Type: t}}, []reflect.Value{v}); err != nil {
 		return err
 	}
 	pv.Elem().Set(v)
@@ -155,11 +162,11 @@ func ResultFromEnvelope(env *soap.Envelope) (*Result, error) {
 	if env.IsFault() {
 		return nil, env.Fault()
 	}
-	wrapper := env.FirstBodyElement()
-	if wrapper == nil {
+	wrapper, ok := env.FirstBodyName()
+	if !ok {
 		return nil, fmt.Errorf("engine: reply has an empty body")
 	}
-	return &Result{Wrapper: wrapper, ns: wrapper.Name.Space}, nil
+	return &Result{env: env, ns: wrapper.Space}, nil
 }
 
 // DecodeResponseEnvelope interprets an already-parsed response envelope.
@@ -167,12 +174,12 @@ func DecodeResponseEnvelope(env *soap.Envelope, det *wsdl.OperationDetail) (*Res
 	if env.IsFault() {
 		return nil, env.Fault()
 	}
-	wrapper := env.FirstBodyElement()
-	if wrapper == nil {
+	wrapper, ok := env.FirstBodyName()
+	if !ok {
 		return nil, fmt.Errorf("engine: response for %s has an empty body", det.Operation.Name)
 	}
-	if wrapper.Name.Local != det.Output.Local {
-		return nil, fmt.Errorf("engine: response wrapper is %s, want %s", wrapper.Name, det.Output)
+	if wrapper.Local != det.Output.Local {
+		return nil, fmt.Errorf("engine: response wrapper is %s, want %s", wrapper, det.Output)
 	}
-	return &Result{Wrapper: wrapper, ns: det.Output.Space}, nil
+	return &Result{env: env, ns: det.Output.Space}, nil
 }

@@ -40,7 +40,10 @@ var (
 )
 
 // EndpointReference is a WS-Addressing endpoint reference: a mandatory
-// address URI plus arbitrary protocol-defined reference properties.
+// address URI plus arbitrary protocol-defined reference properties. The
+// property elements are immutable once they are in an EPR: the message
+// headers built from it, and every envelope those are applied to, share
+// them rather than copy them (marshalling only reads an envelope's trees).
 type EndpointReference struct {
 	Address             string
 	ReferenceProperties []*xmlutil.Element
@@ -76,7 +79,7 @@ func (e *EndpointReference) Element(name xmlutil.Name) *xmlutil.Element {
 	if len(e.ReferenceProperties) > 0 {
 		props := root.NewChild(RefPropsName)
 		for _, p := range e.ReferenceProperties {
-			props.AddChild(p.Clone())
+			props.AppendShared(p)
 		}
 	}
 	return root
@@ -93,9 +96,7 @@ func EPRFromElement(el *xmlutil.Element) (*EndpointReference, error) {
 		return nil, fmt.Errorf("wsaddr: EndpointReference with empty Address")
 	}
 	if props := el.Child(RefPropsName); props != nil {
-		for _, p := range props.Elements() {
-			e.ReferenceProperties = append(e.ReferenceProperties, p.Clone())
-		}
+		e.ReferenceProperties = props.Elements()
 	}
 	return e, nil
 }
@@ -129,14 +130,10 @@ func NewMessageID() string {
 }
 
 // HeadersFor builds the headers addressing a target EPR with the given
-// action: To is the EPR's address and the EPR's reference properties are
-// copied into the header block list.
+// action: To is the EPR's address and the EPR's reference properties,
+// shared, are the header block list.
 func HeadersFor(target *EndpointReference, action string) *MessageHeaders {
-	h := &MessageHeaders{To: target.Address, Action: action, MessageID: NewMessageID()}
-	for _, p := range target.ReferenceProperties {
-		h.RefProps = append(h.RefProps, p.Clone())
-	}
-	return h
+	return &MessageHeaders{To: target.Address, Action: action, MessageID: NewMessageID(), RefProps: target.ReferenceProperties}
 }
 
 // Apply adds the message-addressing header blocks to a SOAP envelope.
@@ -171,7 +168,7 @@ func (h *MessageHeaders) Apply(env *soap.Envelope) error {
 		env.AddHeader(h.From.Element(FromName))
 	}
 	for _, p := range h.RefProps {
-		env.AddHeader(p.Clone())
+		env.AddHeader(p)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package wsaddr
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"wspeer/internal/soap"
@@ -156,5 +157,54 @@ func TestFromEnvelopeBadEPR(t *testing.T) {
 	env.AddBodyElement(xmlutil.NewElement(xmlutil.N(p2psNS, "x")))
 	if _, err := FromEnvelope(env); err == nil {
 		t.Fatal("malformed ReplyTo accepted")
+	}
+}
+
+// TestSharedEPRConcurrentMarshal: an EPR's reference properties are shared,
+// not copied, by the headers built from it, by ReplyTo blocks naming it and
+// by every envelope either is applied to — a binding keeps one reply EPR
+// for all its calls. Marshalling only reads them, so eight goroutines may
+// stamp and marshal at once, and every message reads back whole. Run under
+// -race.
+func TestSharedEPRConcurrentMarshal(t *testing.T) {
+	prop := pipeProp("requests")
+	target := NewEndpointReference("p2ps://provider/Echo").AddReferenceProperty(prop)
+	reply := NewEndpointReference("p2ps://consumer").AddReferenceProperty(pipeProp("replies"))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				h := HeadersFor(target, "urn:act")
+				h.ReplyTo = reply
+				env := soap.NewEnvelope()
+				env.AddBodyElement(xmlutil.NewElement(xmlutil.N(p2psNS, "x")))
+				if err := h.Apply(env); err != nil {
+					t.Error(err)
+					return
+				}
+				back, err := soap.Parse(env.Marshal())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := FromEnvelope(back)
+				if err != nil || got.MessageID != h.MessageID || len(got.RefProps) != 1 || got.RefProps[0].Text() != "requests" ||
+					got.ReplyTo == nil || len(got.ReplyTo.ReferenceProperties) != 1 || got.ReplyTo.ReferenceProperties[0].Text() != "replies" {
+					t.Errorf("read back %+v, %v", got, err)
+					return
+				}
+				// What came off the wire is shared onward the same way: the
+				// provider addresses its reply with the parsed properties.
+				if rh := HeadersFor(got.ReplyTo, "urn:act#response"); rh.RefProps[0] != got.ReplyTo.ReferenceProperties[0] {
+					t.Error("reply headers copied the parsed reference property")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if prop.Parent() != nil || len(target.ReferenceProperties) != 1 || target.ReferenceProperties[0] != prop {
+		t.Fatalf("the shared property was taken over or replaced: parent %v", prop.Parent())
 	}
 }

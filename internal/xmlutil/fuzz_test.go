@@ -93,6 +93,44 @@ func dumpString(e *Element) string {
 	return b.String()
 }
 
+// dumpTokens renders what the scanner alone makes of doc, nothing built, in
+// dump's format: the tree its token sequence implies.
+func dumpTokens(doc []byte) (string, error) {
+	p := AcquireTokenizer(doc)
+	defer p.Release()
+	var b strings.Builder
+	var runs []string // the pending character data of each open element
+	for {
+		kind, err := p.Next()
+		if err != nil {
+			return "", err
+		}
+		switch kind {
+		case TokenEOF:
+			return b.String(), nil
+		case TokenStart:
+			if len(runs) > 0 {
+				fmt.Fprintf(&b, "%q", runs[len(runs)-1])
+				runs[len(runs)-1] = ""
+			}
+			fmt.Fprintf(&b, "<%s", p.Name())
+			for _, a := range p.pend {
+				fmt.Fprintf(&b, " %s=%q", Name{Space: p.resolve(a.name.prefix, false), Local: string(a.name.local)}, a.value)
+			}
+			b.WriteByte('>')
+			runs = append(runs, "")
+			if p.Depth() != len(runs) {
+				return "", fmt.Errorf("depth %d inside %d elements", p.Depth(), len(runs))
+			}
+		case TokenText:
+			runs[len(runs)-1] += string(p.text)
+		case TokenEnd:
+			fmt.Fprintf(&b, "%q</>", runs[len(runs)-1])
+			runs = runs[:len(runs)-1]
+		}
+	}
+}
+
 // lenientAbout lists what this parser accepts and encoding/xml rejects, by
 // the message of encoding/xml's SyntaxError. The parser's header comment
 // states the leniency; the protocols here never produce such documents, and
@@ -125,13 +163,22 @@ func tolerated(err error) bool {
 	return false
 }
 
-// FuzzParseBytes is differential against encoding/xml: on any input the two
-// parsers build the same tree or both reject it (but for lenientAbout), and
-// a tree both accept marshals to a document that parses and marshals to the
-// same bytes again. The seed corpus is testdata/fuzz/FuzzParseBytes.
+// FuzzParseBytes is differential twice over. Against encoding/xml: on any
+// input the two parsers build the same tree or both reject it (but for
+// lenientAbout), and a tree both accept marshals to a document that parses
+// and marshals to the same bytes again. And between the scanner's two
+// consumers: driven on its own, with nothing built, the Tokenizer accepts
+// and rejects what ParseBytes does and its tokens are the tree's. The seed
+// corpus is testdata/fuzz/FuzzParseBytes.
 func FuzzParseBytes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		got, err := ParseBytes(doc)
+		switch tokens, tokErr := dumpTokens(doc); {
+		case (err == nil) != (tokErr == nil):
+			t.Fatalf("tree builder: %v; scanner alone: %v", err, tokErr)
+		case err == nil && tokens != dumpString(got):
+			t.Fatalf("the scanner's tokens are not the tree:\ntokens %s\n  tree %s", tokens, dumpString(got))
+		}
 		want, refErr := referenceParse(doc)
 		switch {
 		case err != nil && refErr != nil:

@@ -186,9 +186,12 @@ func TestLeafTextAllocations(t *testing.T) {
 // recur from document to document and are interned; payload text does not
 // and must not fill the pooled parser's map.
 func TestPayloadTextIsNotInterned(t *testing.T) {
-	p := &parser{intern: make(map[string]string)}
+	p := &Tokenizer{intern: make(map[string]string)}
 	p.data = []byte("<r k=\"attr\">\n  <v>payload-1</v>\n  <v>payload-2</v>\n</r>")
-	if _, err := p.parse(); err != nil {
+	if _, err := p.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Element(); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"r", "k", "attr", "v", "\n  ", "\n"} {

@@ -6,25 +6,27 @@ import (
 	"sync"
 )
 
-// A hand-rolled, namespace-aware XML parser for the invocation fast path.
+// A hand-rolled, namespace-aware XML scanner with two consumers.
 //
 // encoding/xml's Decoder allocates per token — name strings, attribute
 // slices, stack nodes — which made parsing the dominant allocation source
-// on the SOAP request/response path. This parser works over a byte slice,
-// interns recurring names (SOAP envelopes repeat the same handful), and
-// batch-allocates Elements in slabs. It accepts the same documents the
-// old Decoder-based loop accepted for the protocols in this system:
-// elements, attributes, namespace declarations, character data, CDATA,
-// comments, processing instructions and directives (the latter three are
-// skipped, as before). DTD entity definitions are not supported; only the
-// five predefined entities and character references are expanded, which
-// matches encoding/xml's default behaviour with no custom Entity map.
+// on the SOAP path. The scanner is a pull Tokenizer over a byte slice:
+// start tags (prefixes resolved on its own scope stack), end tags and
+// character data (entities, CDATA, line ends decoded), nothing allocated
+// per token; comments, PIs and directives are skipped. Only the predefined
+// entities and character references are expanded, as encoding/xml does
+// with no Entity map. The tree builder (Element, and ParseBytes on it)
+// reads every document — WSDL, adverts, SOAP headers and faults —
+// interning recurring names and allocating Elements in slabs; internal/soap
+// and the plans of internal/xsd call Next themselves and decode a message
+// body straight from its bytes (CharData is a leaf's text).
 //
-// FuzzParseBytes holds the two to "same tree or both reject". Where this
-// parser is knowingly more lenient — it does not validate name characters,
-// UTF-8 or control characters, lets "]]>" in text, '<' in attribute values
-// and "--" in comments pass, and skips the XML declaration unread — the
-// fuzz target lists the leniency by encoding/xml's error message.
+// FuzzParseBytes holds scanner and builder to each other and both to
+// encoding/xml: "same tree or both reject". Where the scanner is knowingly
+// more lenient — it does not validate name characters, UTF-8 or control
+// characters, lets "]]>" in text, '<' in attribute values and "--" in
+// comments pass, and skips the XML declaration unread — the fuzz target
+// lists the leniency by encoding/xml's error message.
 
 // xmlNamespace is the URI the reserved "xml" prefix is bound to.
 const xmlNamespace = "http://www.w3.org/XML/1998/namespace"
@@ -34,7 +36,7 @@ const (
 	internTextMax  = 64       // longest string worth interning
 	elementSlab    = 32       // Elements allocated per batch
 	slabSizedBelow = 8 << 10  // inputs this long or longer start with a full slab
-	scratchMax     = 64 << 10 // largest entity-decoding buffer worth pooling
+	scratchMax     = 64 << 10 // largest decoding buffer worth pooling
 )
 
 var (
@@ -43,61 +45,105 @@ var (
 	commentOpen = []byte("!--") // after the '<'
 )
 
+// TokenKind is what Next found; an empty-element tag is a start, then an
+// end, and TokenEOF ends a well-formed document.
+type TokenKind uint8
+
+const (
+	TokenEOF TokenKind = iota
+	TokenStart
+	TokenEnd
+	TokenText
+)
+
+// binding is one namespace declaration; prefix "" is the default namespace.
+type binding struct{ prefix, uri string }
+
 type rawName struct {
 	prefix, local []byte
 }
 
-type parser struct {
-	data    []byte
-	pos     int
-	intern  map[string]string
-	slab    []Element
-	tags    []rawName // open-element stack, for end-tag matching
-	scratch []byte    // entity-decoding buffer
-	pend    []pendingAttr
+// openTag is an element the scanner is inside: its lexical name and where
+// its own declarations start on the scope stack.
+type openTag struct {
+	name  rawName
+	scope int
+}
+
+// Tokenizer scans one document. It comes from a pool: Release it.
+type Tokenizer struct {
+	// The element whose start tag Next last returned: the namespace its
+	// prefix resolves to and its local name, a slice of the input.
+	Space string
+	Local []byte
+
+	data     []byte
+	pos      int
+	tagStart int    // where the last start tag's '<' stands
+	text     []byte // the decoded character data of a TokenText
+	empty    bool   // the last start tag was self-closed: its end tag is the next token
+	rooted   bool   // the document element has been seen
+	intern   map[string]string
+	slab     []Element
+	tags     []openTag
+	scope    []binding // in-scope declarations, innermost last
+	pend     []pendingAttr
+	scratch  []byte // entity-decoding buffer
+	chars    []byte // CharData's buffer for text that comes in pieces
 }
 
 var parserPool = sync.Pool{
 	New: func() interface{} {
-		return &parser{intern: make(map[string]string)}
+		return &Tokenizer{intern: make(map[string]string)}
 	},
 }
 
-// ParseBytes parses an XML document held in b.
-func ParseBytes(b []byte) (*Element, error) {
-	p := parserPool.Get().(*parser)
+// AcquireTokenizer returns a scanner at the start of the document b.
+func AcquireTokenizer(b []byte) *Tokenizer {
+	p := parserPool.Get().(*Tokenizer)
 	p.data = b
-	p.pos = 0
-	p.slab = nil
-	p.tags = p.tags[:0]
-	root, err := p.parse()
-	p.data = nil
-	p.slab = nil
+	return p
+}
+
+// Release returns the scanner to its pool; Local and CharData die with it.
+func (p *Tokenizer) Release() {
+	*p = Tokenizer{intern: p.intern, tags: p.tags, scope: p.scope, pend: p.pend, scratch: p.scratch, chars: p.chars}
 	if len(p.intern) > internMapMax {
 		p.intern = make(map[string]string)
 	}
 	// tags and pend hold byte slices into the parsed document; zero the
 	// full capacity (truncation alone leaves stale entries between len and
-	// cap) so a pooled parser does not pin the caller's buffer, and drop an
-	// outsized scratch buffer.
-	tags := p.tags[:cap(p.tags)]
-	for i := range tags {
-		tags[i] = rawName{}
-	}
-	p.tags = tags[:0]
-	pend := p.pend[:cap(p.pend)]
-	for i := range pend {
-		pend[i] = pendingAttr{}
-	}
-	p.pend = pend[:0]
-	if cap(p.scratch) > scratchMax {
-		p.scratch = nil
+	// cap) so a pooled scanner does not pin the caller's buffer, and drop
+	// outsized decoding buffers.
+	clear(p.tags[:cap(p.tags)])
+	clear(p.pend[:cap(p.pend)])
+	p.tags, p.pend, p.scope = p.tags[:0], p.pend[:0], p.scope[:0]
+	if cap(p.scratch) > scratchMax || cap(p.chars) > scratchMax {
+		p.scratch, p.chars = nil, nil
 	}
 	parserPool.Put(p)
-	return root, err
 }
 
-func (p *parser) errf(format string, args ...interface{}) error {
+// ParseBytes parses an XML document held in b.
+func ParseBytes(b []byte) (*Element, error) {
+	p := AcquireTokenizer(b)
+	defer p.Release()
+	// The first token is the document element's start tag; what follows the
+	// element is checked and dropped.
+	if _, err := p.Next(); err != nil {
+		return nil, err
+	}
+	root, err := p.Element()
+	for kind := TokenEnd; err == nil && kind != TokenEOF; {
+		kind, err = p.Next()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return root, nil
+}
+
+func (p *Tokenizer) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("xmlutil: parse: "+format, args...)
 }
 
@@ -105,7 +151,7 @@ func (p *parser) errf(format string, args ...interface{}) error {
 // document — names, prefixes, namespace URIs, attribute values and
 // whitespace runs — is allocated once per pooled parser, not once per
 // occurrence.
-func (p *parser) str(b []byte) string {
+func (p *Tokenizer) str(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
@@ -124,7 +170,7 @@ func (p *parser) str(b []byte) string {
 // is mostly unique, so interning it would only fill the map with one-shot
 // entries; it is copied at exact size. Whitespace-only runs (indentation)
 // do recur and are interned.
-func (p *parser) charData(b []byte) string {
+func (p *Tokenizer) charData(b []byte) string {
 	if len(b) <= internTextMax {
 		ws := true
 		for _, c := range b {
@@ -140,29 +186,27 @@ func (p *parser) charData(b []byte) string {
 	return string(b)
 }
 
-func (p *parser) newElement(name Name) *Element {
+func (p *Tokenizer) newElement() *Element {
 	if len(p.slab) == 0 {
 		n := elementSlab
 		if p.slab == nil && len(p.data) < slabSizedBelow {
-			// The document's first slab (ParseBytes starts from a nil
-			// one; a used-up slab is empty, not nil) is sized from the
-			// input. Every element opens with a '<' that no end tag
-			// accounts for, so this never under-counts (comments, CDATA
-			// and PIs only add to it) and a small document does not pay
-			// for 32 Elements.
+			// The document's first slab (a scanner starts from a nil one; a
+			// used-up slab is empty, not nil) is sized from the input. Every
+			// element opens with a '<' that no end tag accounts for, so
+			// this never under-counts (comments, CDATA and PIs only add to
+			// it) and a small document does not pay for 32 Elements.
 			n = max(1, min(n, bytes.Count(p.data, ltMark)-bytes.Count(p.data, endTagMark)))
 		}
 		p.slab = make([]Element, n)
 	}
 	el := &p.slab[0]
 	p.slab = p.slab[1:]
-	el.Name = name
 	return el
 }
 
 func isXMLSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
-func (p *parser) skipSpace() {
+func (p *Tokenizer) skipSpace() {
 	for p.pos < len(p.data) && isXMLSpace(p.data[p.pos]) {
 		p.pos++
 	}
@@ -171,7 +215,7 @@ func (p *parser) skipSpace() {
 // name scans an XML name (everything up to a delimiter). The caller
 // validates emptiness; character-level name validity is not enforced,
 // matching the leniency the protocols here rely on.
-func (p *parser) name() []byte {
+func (p *Tokenizer) name() []byte {
 	start := p.pos
 	for p.pos < len(p.data) {
 		c := p.data[p.pos]
@@ -197,26 +241,22 @@ func splitQName(b []byte) rawName {
 	return rawName{local: b}
 }
 
-// resolveSpace maps a prefix to its namespace URI in the scope of el
-// (which already carries this element's own declarations). Unknown
-// prefixes resolve to the prefix itself, as encoding/xml does.
-func resolveSpace(el *Element, prefix string, isElement bool) string {
-	if prefix == "" {
-		if !isElement {
-			return ""
-		}
-		if uri, ok := el.LookupPrefix(""); ok {
-			return uri
-		}
+// resolve maps a prefix to its namespace URI in the current scope (which
+// already holds the open element's own declarations). Unknown prefixes
+// resolve to the prefix itself, as encoding/xml does.
+func (p *Tokenizer) resolve(prefix []byte, isElement bool) string {
+	if len(prefix) == 0 && !isElement {
 		return ""
 	}
-	if prefix == "xml" {
+	if string(prefix) == "xml" {
 		return xmlNamespace
 	}
-	if uri, ok := el.LookupPrefix(prefix); ok {
-		return uri
+	for i := len(p.scope) - 1; i >= 0; i-- {
+		if p.scope[i].prefix == string(prefix) {
+			return p.scope[i].uri
+		}
 	}
-	return prefix
+	return p.str(prefix)
 }
 
 // decode normalizes \r\n and \r to \n in character data or an attribute
@@ -224,7 +264,7 @@ func resolveSpace(el *Element, prefix string, isElement bool) string {
 // result is raw itself when there was nothing to do, otherwise the parser's
 // scratch buffer: the caller turns it into a string (str or charData)
 // before decoding again.
-func (p *parser) decode(raw []byte, cdata bool) ([]byte, error) {
+func (p *Tokenizer) decode(raw []byte, cdata bool) ([]byte, error) {
 	plain := true
 	for _, c := range raw {
 		if c == '\r' || (c == '&' && !cdata) {
@@ -245,11 +285,11 @@ func (p *parser) decode(raw []byte, cdata bool) ([]byte, error) {
 				i++
 			}
 		case c == '&' && !cdata:
-			rep, n, err := decodeEntity(raw[i:])
-			if err != nil {
+			var n int
+			var err error
+			if out, n, err = decodeEntity(out, raw[i:]); err != nil {
 				return nil, err
 			}
-			out = append(out, rep...)
 			i += n
 		default:
 			out = append(out, c)
@@ -260,9 +300,9 @@ func (p *parser) decode(raw []byte, cdata bool) ([]byte, error) {
 	return out, nil
 }
 
-// decodeEntity expands one entity or character reference at the start of
-// b, returning the replacement and the number of input bytes consumed.
-func decodeEntity(b []byte) (rep []byte, n int, err error) {
+// decodeEntity expands the entity or character reference at the start of b
+// onto out, and returns the number of input bytes consumed.
+func decodeEntity(out, b []byte) (_ []byte, n int, err error) {
 	end := -1
 	for i := 1; i < len(b) && i <= 12; i++ {
 		if b[i] == ';' {
@@ -277,15 +317,15 @@ func decodeEntity(b []byte) (rep []byte, n int, err error) {
 	n = end + 1
 	switch string(ent) {
 	case "lt":
-		return []byte("<"), n, nil
+		return append(out, '<'), n, nil
 	case "gt":
-		return []byte(">"), n, nil
+		return append(out, '>'), n, nil
 	case "amp":
-		return []byte("&"), n, nil
+		return append(out, '&'), n, nil
 	case "apos":
-		return []byte("'"), n, nil
+		return append(out, '\''), n, nil
 	case "quot":
-		return []byte(`"`), n, nil
+		return append(out, '"'), n, nil
 	}
 	if len(ent) > 1 && ent[0] == '#' {
 		var r rune
@@ -316,7 +356,7 @@ func decodeEntity(b []byte) (rep []byte, n int, err error) {
 			}
 		}
 		var buf [4]byte
-		return buf[:encodeRune(buf[:], r)], n, nil
+		return append(out, buf[:encodeRune(buf[:], r)]...), n, nil
 	}
 	return nil, 0, fmt.Errorf("xmlutil: parse: unknown entity &%s;", ent)
 }
@@ -346,116 +386,222 @@ func encodeRune(buf []byte, r rune) int {
 	}
 }
 
-func (p *parser) parse() (*Element, error) {
-	var root, cur *Element
+// Next scans to the next token. After an error the scanner is spent.
+func (p *Tokenizer) Next() (TokenKind, error) {
+	if p.empty {
+		p.empty = false
+		p.pop()
+		return TokenEnd, nil
+	}
 	for p.pos < len(p.data) {
-		// Character data up to the next markup.
-		start := p.pos
-		for p.pos < len(p.data) && p.data[p.pos] != '<' {
-			p.pos++
-		}
-		if p.pos > start {
-			// Outside the document element character data is checked
-			// and dropped.
+		if p.data[p.pos] != '<' {
+			// Character data up to the next markup. Outside the document
+			// element it is checked and dropped.
+			start := p.pos
+			if i := bytes.IndexByte(p.data[start:], '<'); i >= 0 {
+				p.pos += i
+			} else {
+				p.pos = len(p.data)
+			}
 			b, err := p.decode(p.data[start:p.pos], false)
 			if err != nil {
-				return nil, err
+				return TokenEOF, err
 			}
-			if cur != nil {
-				cur.AddText(p.charData(b))
+			if len(p.tags) > 0 {
+				p.text = b
+				return TokenText, nil
 			}
-		}
-		if p.pos >= len(p.data) {
-			break
+			continue
 		}
 		p.pos++ // consume '<'
 		if p.pos >= len(p.data) {
-			return nil, p.errf("unexpected EOF after '<'")
+			return TokenEOF, p.errf("unexpected EOF after '<'")
 		}
 		switch p.data[p.pos] {
 		case '?':
 			if !p.skipPast("?>") {
-				return nil, p.errf("unterminated processing instruction")
+				return TokenEOF, p.errf("unterminated processing instruction")
 			}
 		case '!':
-			if err := p.bang(cur); err != nil {
-				return nil, err
+			if text, err := p.bang(); err != nil || text {
+				return TokenText, err
 			}
 		case '/':
 			p.pos++
 			raw := splitQName(p.name())
 			p.skipSpace()
 			if p.pos >= len(p.data) || p.data[p.pos] != '>' {
-				return nil, p.errf("malformed end tag </%s", raw.local)
+				return TokenEOF, p.errf("malformed end tag </%s", raw.local)
 			}
 			p.pos++
-			if cur == nil || len(p.tags) == 0 {
-				return nil, p.errf("unbalanced end element %s", string(raw.local))
+			if len(p.tags) == 0 {
+				return TokenEOF, p.errf("unbalanced end element %s", string(raw.local))
 			}
-			open := p.tags[len(p.tags)-1]
+			open := p.tags[len(p.tags)-1].name
 			if string(open.local) != string(raw.local) || string(open.prefix) != string(raw.prefix) {
-				return nil, p.errf("end tag </%s> does not match <%s>", string(raw.local), string(open.local))
+				return TokenEOF, p.errf("end tag </%s> does not match <%s>", string(raw.local), string(open.local))
 			}
-			p.tags = p.tags[:len(p.tags)-1]
-			cur = cur.parent
+			p.pop()
+			return TokenEnd, nil
 		default:
-			el, closed, err := p.startTag(cur)
-			if err != nil {
-				return nil, err
+			outermost := len(p.tags) == 0
+			if err := p.startTag(); err != nil {
+				return TokenEOF, err
 			}
-			if cur == nil {
-				if root != nil {
-					return nil, p.errf("multiple document elements")
+			if outermost {
+				if p.rooted {
+					return TokenEOF, p.errf("multiple document elements")
 				}
-				root = el
+				p.rooted = true
 			}
-			if !closed {
-				cur = el
+			return TokenStart, nil
+		}
+	}
+	if !p.rooted {
+		return TokenEOF, p.errf("empty document")
+	}
+	if len(p.tags) > 0 {
+		return TokenEOF, p.errf("unexpected EOF inside <%s>", p.tags[len(p.tags)-1].name.local)
+	}
+	return TokenEOF, nil
+}
+
+// pop leaves the innermost open element; its declarations go out of scope.
+func (p *Tokenizer) pop() {
+	top := len(p.tags) - 1
+	p.scope = p.scope[:p.tags[top].scope]
+	p.tags[top] = openTag{}
+	p.tags = p.tags[:top]
+}
+
+// Name is Space and Local as a Name, the local part interned.
+func (p *Tokenizer) Name() Name { return Name{Space: p.Space, Local: p.str(p.Local)} }
+
+// Depth counts the open elements, the one just started included.
+func (p *Tokenizer) Depth() int { return len(p.tags) }
+
+// SkipTo reads on until only depth elements are open.
+func (p *Tokenizer) SkipTo(depth int) error {
+	for len(p.tags) > depth {
+		if _, err := p.Next(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TagOffset is where the start tag Next last returned begins in the input.
+func (p *Tokenizer) TagOffset() int { return p.tagStart }
+
+// Seek moves the scanner to the TagOffset, noted on an earlier scan, of a
+// child of the element it is directly inside: the scope there is the scope
+// here, so it goes on as if it had read its way past the siblings before.
+func (p *Tokenizer) Seek(tagOffset int) { p.pos, p.empty = tagOffset, false }
+
+// CharData is Element.Text for the element just started, read through its
+// end tag and over child elements; valid until the scanner is used again.
+func (p *Tokenizer) CharData() ([]byte, error) {
+	inside := len(p.tags)
+	p.chars = p.chars[:0]
+	for {
+		kind, err := p.Next()
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case kind == TokenText && len(p.tags) == inside:
+			// One run, then the end tag, whose scan decodes nothing: no copy.
+			if len(p.chars) == 0 && bytes.HasPrefix(p.data[p.pos:], endTagMark) {
+				text := p.text
+				_, err := p.Next()
+				return text, err
+			}
+			p.chars = append(p.chars, p.text...)
+		case kind == TokenEnd && len(p.tags) < inside:
+			return p.chars, nil
+		}
+	}
+}
+
+// Element builds the tree of the element just started, reading through its
+// end tag. The root declares every binding in scope, not only its own: cut
+// loose from the ancestors that declared the rest, its content resolves.
+func (p *Tokenizer) Element() (*Element, error) {
+	root := p.element(0)
+	inside := len(p.tags)
+	for cur := root; ; {
+		kind, err := p.Next()
+		if err != nil {
+			return nil, err
+		}
+		switch kind {
+		case TokenStart:
+			el := p.element(p.tags[len(p.tags)-1].scope)
+			el.parent = cur
+			cur.spill()
+			cur.children = append(cur.children, el)
+			cur = el
+		case TokenText:
+			cur.AddText(p.charData(p.text))
+		case TokenEnd:
+			if len(p.tags) < inside {
+				return root, nil
+			}
+			cur = cur.parent
+		}
+	}
+}
+
+// element makes the Element of the last start tag, declaring scope[from:].
+func (p *Tokenizer) element(from int) *Element {
+	el := p.newElement()
+	el.Name = p.Name()
+	for _, b := range p.scope[from:] {
+		el.DeclarePrefix(b.prefix, b.uri)
+	}
+	if len(p.pend) > 0 {
+		el.Attrs = make([]Attr, len(p.pend))
+		for i, a := range p.pend {
+			el.Attrs[i] = Attr{
+				Name:  Name{Space: p.resolve(a.name.prefix, false), Local: p.str(a.name.local)},
+				Value: a.value,
 			}
 		}
 	}
-	if root == nil {
-		return nil, p.errf("empty document")
-	}
-	if cur != nil {
-		return nil, p.errf("unexpected EOF inside <%s>", cur.Name.Local)
-	}
-	return root, nil
+	return el
 }
 
 // bang handles "<!..." constructs: comments and directives are skipped,
-// CDATA becomes text.
-func (p *parser) bang(cur *Element) error {
+// CDATA inside the document element is the token's text.
+func (p *Tokenizer) bang() (text bool, err error) {
 	rest := p.data[p.pos:]
 	switch {
 	case len(rest) >= 2 && rest[1] == '-':
 		if len(rest) < 3 || rest[2] != '-' {
-			return p.errf("invalid sequence <!- not part of <!--")
+			return false, p.errf("invalid sequence <!- not part of <!--")
 		}
 		p.pos += 3
 		if !p.skipPast("-->") {
-			return p.errf("unterminated comment")
+			return false, p.errf("unterminated comment")
 		}
 	case len(rest) >= 2 && rest[1] == '[':
 		if len(rest) < 8 || string(rest[2:8]) != "CDATA[" {
-			return p.errf("invalid <![ sequence")
+			return false, p.errf("invalid <![ sequence")
 		}
 		p.pos += 8
 		start := p.pos
 		for {
 			if p.pos+2 >= len(p.data) {
-				return p.errf("unterminated CDATA section")
+				return false, p.errf("unterminated CDATA section")
 			}
 			if p.data[p.pos] == ']' && p.data[p.pos+1] == ']' && p.data[p.pos+2] == '>' {
 				break
 			}
 			p.pos++
 		}
-		if cur != nil {
-			b, _ := p.decode(p.data[start:p.pos], true) // no entities, no error
-			cur.AddText(p.charData(b))
-		}
+		p.text, _ = p.decode(p.data[start:p.pos], true) // no entities, no error
 		p.pos += 3
+		return len(p.tags) > 0, nil
 	default:
 		// A directive (e.g. DOCTYPE); skip it the way encoding/xml scans
 		// one: the byte after "<!" is not looked at, quoted strings hide
@@ -476,23 +622,23 @@ func (p *parser) bang(cur *Element) error {
 				quote = c
 			case c == '>':
 				if depth == 0 {
-					return nil
+					return false, nil
 				}
 				depth--
 			case c == '<':
 				if !bytes.HasPrefix(p.data[p.pos:], commentOpen) {
 					depth++
 				} else if p.pos += len(commentOpen); !p.skipPast("-->") {
-					return p.errf("unterminated comment in directive")
+					return false, p.errf("unterminated comment in directive")
 				}
 			}
 		}
-		return p.errf("unterminated directive")
+		return false, p.errf("unterminated directive")
 	}
-	return nil
+	return false, nil
 }
 
-func (p *parser) skipPast(delim string) bool {
+func (p *Tokenizer) skipPast(delim string) bool {
 	for p.pos+len(delim) <= len(p.data) {
 		if string(p.data[p.pos:p.pos+len(delim)]) == delim {
 			p.pos += len(delim)
@@ -503,28 +649,27 @@ func (p *parser) skipPast(delim string) bool {
 	return false
 }
 
-// attrBuf accumulates one start tag's attributes before namespace
+// pendingAttr is one attribute of the last start tag before namespace
 // resolution (declarations on the element must be in scope first).
 type pendingAttr struct {
 	name  rawName
 	value string
 }
 
-func (p *parser) startTag(parent *Element) (el *Element, selfClosed bool, err error) {
+// startTag scans a start tag from its name on: declarations go on the scope
+// stack, other attributes wait in pend for a tree builder.
+func (p *Tokenizer) startTag() error {
+	p.tagStart = p.pos - 1
 	rawEl := splitQName(p.name())
 	if len(rawEl.local) == 0 {
-		return nil, false, p.errf("malformed start tag")
+		return p.errf("malformed start tag")
 	}
-	el = p.newElement(Name{})
-	if parent != nil {
-		parent.AddChild(el)
-	}
-
-	pending := p.pend[:0]
+	tag := openTag{name: rawEl, scope: len(p.scope)}
+	p.pend = p.pend[:0]
 	for {
 		p.skipSpace()
 		if p.pos >= len(p.data) {
-			return nil, false, p.errf("unexpected EOF in <%s>", string(rawEl.local))
+			return p.errf("unexpected EOF in <%s>", string(rawEl.local))
 		}
 		c := p.data[p.pos]
 		if c == '>' {
@@ -534,24 +679,24 @@ func (p *parser) startTag(parent *Element) (el *Element, selfClosed bool, err er
 		if c == '/' {
 			p.pos++
 			if p.pos >= len(p.data) || p.data[p.pos] != '>' {
-				return nil, false, p.errf("malformed empty-element tag <%s", string(rawEl.local))
+				return p.errf("malformed empty-element tag <%s", string(rawEl.local))
 			}
 			p.pos++
-			selfClosed = true
+			p.empty = true
 			break
 		}
 		raw := splitQName(p.name())
 		if len(raw.local) == 0 {
-			return nil, false, p.errf("malformed attribute in <%s>", string(rawEl.local))
+			return p.errf("malformed attribute in <%s>", string(rawEl.local))
 		}
 		p.skipSpace()
 		if p.pos >= len(p.data) || p.data[p.pos] != '=' {
-			return nil, false, p.errf("attribute %s in <%s> has no value", string(raw.local), string(rawEl.local))
+			return p.errf("attribute %s in <%s> has no value", string(raw.local), string(rawEl.local))
 		}
 		p.pos++
 		p.skipSpace()
 		if p.pos >= len(p.data) || (p.data[p.pos] != '"' && p.data[p.pos] != '\'') {
-			return nil, false, p.errf("unquoted attribute value in <%s>", string(rawEl.local))
+			return p.errf("unquoted attribute value in <%s>", string(rawEl.local))
 		}
 		quote := p.data[p.pos]
 		p.pos++
@@ -560,46 +705,27 @@ func (p *parser) startTag(parent *Element) (el *Element, selfClosed bool, err er
 			p.pos++
 		}
 		if p.pos >= len(p.data) {
-			return nil, false, p.errf("unterminated attribute value in <%s>", string(rawEl.local))
+			return p.errf("unterminated attribute value in <%s>", string(rawEl.local))
 		}
 		vb, err := p.decode(p.data[vstart:p.pos], false)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 		val := p.str(vb)
 		p.pos++ // closing quote
 
 		switch {
 		case len(raw.prefix) == 0 && string(raw.local) == "xmlns":
-			el.DeclarePrefix("", val)
+			p.scope = append(p.scope, binding{uri: val})
 		case string(raw.prefix) == "xmlns":
-			el.DeclarePrefix(p.str(raw.local), val)
+			p.scope = append(p.scope, binding{prefix: p.str(raw.local), uri: val})
 		default:
-			pending = append(pending, pendingAttr{name: raw, value: val})
+			p.pend = append(p.pend, pendingAttr{name: raw, value: val})
 		}
 	}
-
-	// All declarations are in scope; resolve the element and attribute
-	// names.
-	el.Name = Name{
-		Space: resolveSpace(el, p.str(rawEl.prefix), true),
-		Local: p.str(rawEl.local),
-	}
-	if len(pending) > 0 {
-		el.Attrs = make([]Attr, len(pending))
-		for i, a := range pending {
-			el.Attrs[i] = Attr{
-				Name: Name{
-					Space: resolveSpace(el, p.str(a.name.prefix), false),
-					Local: p.str(a.name.local),
-				},
-				Value: a.value,
-			}
-		}
-	}
-	p.pend = pending[:0]
-	if !selfClosed {
-		p.tags = append(p.tags, rawEl)
-	}
-	return el, selfClosed, nil
+	// All declarations are in scope; resolve the element's name.
+	p.Space = p.resolve(rawEl.prefix, true)
+	p.Local = rawEl.local
+	p.tags = append(p.tags, tag)
+	return nil
 }

@@ -173,6 +173,15 @@ func (e *Element) AddChild(child *Element) *Element {
 	return child
 }
 
+// AppendShared appends child to e without taking it over: child keeps the
+// parent it has, or none, so one element (an endpoint reference's property)
+// can stand in any number of trees at once. Such a tree is for reading —
+// marshalling, cloning, walking; neither it nor child is edited again.
+func (e *Element) AppendShared(child *Element) {
+	e.spill()
+	e.children = append(e.children, child)
+}
+
 // spill moves a sole text child into the general form, ahead of whatever
 // the caller appends next.
 func (e *Element) spill() {
@@ -188,8 +197,7 @@ func (e *Element) NewChild(name Name) *Element {
 }
 
 // DetachChildren removes every child node from e, clearing the parent link
-// of child elements. It is the bulk counterpart of RemoveChild, used to tear
-// down transient render trees that temporarily adopt shared elements.
+// of child elements. It is the bulk counterpart of RemoveChild.
 func (e *Element) DetachChildren() {
 	for _, n := range e.children {
 		if el, ok := n.(*Element); ok {
@@ -465,23 +473,29 @@ var PreferredPrefixes = map[string]string{
 	"http://schemas.xmlsoap.org/ws/2004/08/addressing": "wsa",
 }
 
-type writer struct {
+// Writer serializes into a pooled buffer. Marshal drives it over a tree; a
+// caller that knows its document's shape without building it (a SOAP
+// envelope around a body written from Go values) drives it by hand: Assign
+// and Collect in the order a walk of the whole tree would meet the
+// namespaces, then OpenRoot, Open / Leaf / Tree / Close, then Finish or
+// FinishTo — and gets the bytes Marshal gives for the tree.
+type Writer struct {
 	b        bytes.Buffer
 	indent   string
 	prefixes map[string]string // uri -> prefix, global assignment
 	next     int
-	scratch  []byte // conversion buffer for the slow escape path
+	scratch  []byte   // conversion buffer for the slow escape path
+	uris     []string // declarations' sort buffer
 }
 
 // writerPool recycles marshal writers — their byte buffers and prefix maps —
 // so steady-state serialization performs no per-call buffer growth or map
-// allocation. A writer obtained from the pool MUST be returned with
-// putWriter on every path; the returned bytes are always copied out of (or
-// flushed from) the pooled buffer before release, so callers never alias
-// pooled memory.
+// allocation. A writer obtained from the pool MUST be returned with Finish
+// or FinishTo on every path; the bytes are copied out of (or flushed from)
+// the pooled buffer before release, so callers never alias pooled memory.
 var writerPool = sync.Pool{
 	New: func() interface{} {
-		return &writer{prefixes: make(map[string]string, 8)}
+		return &Writer{prefixes: make(map[string]string, 8)}
 	},
 }
 
@@ -490,13 +504,16 @@ var writerPool = sync.Pool{
 // instead of pinning their memory in the pool.
 const maxPooledWriterCap = 1 << 20
 
-func getWriter(indent string) *writer {
-	w := writerPool.Get().(*writer)
+// AcquireWriter returns an empty compact-form writer from the pool.
+func AcquireWriter() *Writer { return getWriter("") }
+
+func getWriter(indent string) *Writer {
+	w := writerPool.Get().(*Writer)
 	w.indent = indent
 	return w
 }
 
-func putWriter(w *writer) {
+func (w *Writer) release() {
 	if w.b.Cap() > maxPooledWriterCap || len(w.prefixes) > 64 {
 		return // oversized; let the GC have it
 	}
@@ -506,40 +523,42 @@ func putWriter(w *writer) {
 	writerPool.Put(w)
 }
 
-// Marshal serializes the tree to a compact byte slice (no XML declaration).
-// The returned slice is freshly allocated and never aliases pooled memory.
-func Marshal(e *Element) []byte { return marshal(e, "") }
-
-// MarshalIndent serializes the tree with two-space indentation.
-func MarshalIndent(e *Element) []byte { return marshal(e, "  ") }
-
-func marshal(e *Element, indent string) []byte {
-	w := getWriter(indent)
-	w.run(e)
+// Finish returns what was written, freshly allocated, and releases the
+// writer.
+func (w *Writer) Finish() []byte {
 	out := make([]byte, w.b.Len())
 	copy(out, w.b.Bytes())
-	putWriter(w)
+	w.release()
 	return out
 }
 
-// MarshalTo serializes the tree (compact form) directly to dst, using a
-// pooled intermediate buffer: the envelope bytes are written once, with no
-// retained copies. It is the zero-garbage counterpart of Marshal for
-// callers that stream to a socket or response writer.
-func MarshalTo(dst io.Writer, e *Element) error {
-	w := getWriter("")
-	w.run(e)
+// FinishTo writes what was written to dst with no retained copy, for
+// callers that stream to a socket, and releases the writer.
+func (w *Writer) FinishTo(dst io.Writer) error {
 	_, err := dst.Write(w.b.Bytes())
-	putWriter(w)
+	w.release()
 	return err
 }
 
-func (w *writer) run(e *Element) {
-	w.collect(e)
+// Marshal serializes the tree to a compact byte slice (no XML declaration).
+// The returned slice is freshly allocated and never aliases pooled memory.
+func Marshal(e *Element) []byte { return getWriter("").run(e).Finish() }
+
+// MarshalIndent serializes the tree with two-space indentation.
+func MarshalIndent(e *Element) []byte { return getWriter("  ").run(e).Finish() }
+
+// MarshalTo serializes the tree (compact form) directly to dst, using a
+// pooled intermediate buffer: the bytes are written once, with no retained
+// copies.
+func MarshalTo(dst io.Writer, e *Element) error { return getWriter("").run(e).FinishTo(dst) }
+
+func (w *Writer) run(e *Element) *Writer {
+	w.Collect(e)
 	w.element(e, 0)
 	if w.indent != "" {
 		w.b.WriteByte('\n')
 	}
+	return w
 }
 
 // MarshalDocument serializes with a leading XML declaration.
@@ -547,12 +566,12 @@ func MarshalDocument(e *Element) []byte {
 	return append([]byte(xml.Header), MarshalIndent(e)...)
 }
 
-// collect assigns a prefix to every namespace URI used in the tree.
-func (w *writer) collect(e *Element) {
+// Collect assigns a prefix to every namespace URI used in the tree.
+func (w *Writer) Collect(e *Element) {
 	e.walk(func(el *Element) {
-		w.assign(el.Name.Space)
+		w.Assign(el.Name.Space)
 		for _, a := range el.Attrs {
-			w.assign(a.Name.Space)
+			w.Assign(a.Name.Space)
 		}
 		// Honor explicit declarations so QNames in content keep resolving.
 		prefixes := make([]string, 0, len(el.nsDecls))
@@ -568,12 +587,14 @@ func (w *writer) collect(e *Element) {
 			if _, ok := w.prefixes[uri]; !ok && !w.prefixUsed(p) {
 				w.prefixes[uri] = p
 			}
-			w.assign(uri) // fallback prefix if the explicit one was taken
+			w.Assign(uri) // fallback prefix if the explicit one was taken
 		}
 	})
 }
 
-func (w *writer) assign(uri string) {
+// Assign gives uri a prefix if it has none: its preferred one if that is
+// free, the next unused nsN otherwise.
+func (w *Writer) Assign(uri string) {
 	if uri == "" || uri == "http://www.w3.org/XML/1998/namespace" {
 		return
 	}
@@ -594,7 +615,7 @@ func (w *writer) assign(uri string) {
 	}
 }
 
-func (w *writer) prefixUsed(p string) bool {
+func (w *Writer) prefixUsed(p string) bool {
 	for _, used := range w.prefixes {
 		if used == p {
 			return true
@@ -606,7 +627,7 @@ func (w *writer) prefixUsed(p string) bool {
 // writeName writes the qualified lexical name for n straight into the
 // buffer, avoiding the per-element string concatenation a qname() helper
 // would cost.
-func (w *writer) writeName(n Name) {
+func (w *Writer) writeName(n Name) {
 	switch {
 	case n.Space == "":
 	case n.Space == "http://www.w3.org/XML/1998/namespace":
@@ -622,7 +643,83 @@ func (w *writer) writeName(n Name) {
 // (indentation) and therefore skipped by serialization.
 func isInsignificantWS(s string) bool { return strings.TrimSpace(s) == "" }
 
-func (w *writer) element(e *Element, depth int) {
+// declarations declares every assigned prefix: on the root, for a
+// self-contained document.
+func (w *Writer) declarations() {
+	uris := w.uris[:0]
+	for uri := range w.prefixes {
+		uris = append(uris, uri)
+	}
+	sort.Strings(uris)
+	for _, uri := range uris {
+		w.b.WriteString(" xmlns:")
+		w.b.WriteString(w.prefixes[uri])
+		w.b.WriteString(`="`)
+		w.escapeAttr(uri)
+		w.b.WriteByte('"')
+	}
+	clear(uris) // a pooled writer does not pin a document's strings
+	w.uris = uris
+}
+
+// Prefix is the prefix assigned to uri, "" for no namespace.
+func (w *Writer) Prefix(uri string) string { return w.prefixes[uri] }
+
+// Buffer is where the writer writes, for content formatted in place
+// between an Open and its Close.
+func (w *Writer) Buffer() *bytes.Buffer { return &w.b }
+
+func (w *Writer) tag(open, prefix, local string) {
+	w.b.WriteString(open)
+	if prefix != "" {
+		w.b.WriteString(prefix)
+		w.b.WriteByte(':')
+	}
+	w.b.WriteString(local)
+}
+
+// OpenRoot writes the document element's start tag, declaring every prefix
+// assigned so far.
+func (w *Writer) OpenRoot(prefix, local string) {
+	w.tag("<", prefix, local)
+	w.declarations()
+	w.b.WriteByte('>')
+}
+
+// Open writes a start tag and returns the mark its Close wants.
+func (w *Writer) Open(prefix, local string) (mark int) {
+	w.tag("<", prefix, local)
+	w.b.WriteByte('>')
+	return w.b.Len()
+}
+
+// Close writes the end tag of the element Open returned mark for or, if
+// nothing was written since, makes its start tag an empty-element tag: the
+// form a tree's element without significant content takes.
+func (w *Writer) Close(prefix, local string, mark int) {
+	if w.b.Len() == mark {
+		w.b.Truncate(mark - 1)
+		w.b.WriteString("/>")
+		return
+	}
+	w.tag("</", prefix, local)
+	w.b.WriteByte('>')
+}
+
+// Leaf writes an element holding text, escaped; as in a tree,
+// whitespace-only text is not significant.
+func (w *Writer) Leaf(prefix, local, text string) {
+	mark := w.Open(prefix, local)
+	if !isInsignificantWS(text) {
+		w.escapeText(text)
+	}
+	w.Close(prefix, local, mark)
+}
+
+// Tree writes e and everything under it, as a descendant of the root.
+func (w *Writer) Tree(e *Element) { w.element(e, 1) }
+
+func (w *Writer) element(e *Element, depth int) {
 	if w.indent != "" && depth > 0 {
 		w.b.WriteByte('\n')
 		for i := 0; i < depth; i++ {
@@ -632,19 +729,7 @@ func (w *writer) element(e *Element, depth int) {
 	w.b.WriteByte('<')
 	w.writeName(e.Name)
 	if depth == 0 {
-		// Declare every prefix on the root for a self-contained document.
-		uris := make([]string, 0, len(w.prefixes))
-		for uri := range w.prefixes {
-			uris = append(uris, uri)
-		}
-		sort.Strings(uris)
-		for _, uri := range uris {
-			w.b.WriteString(" xmlns:")
-			w.b.WriteString(w.prefixes[uri])
-			w.b.WriteString(`="`)
-			w.escapeAttr(uri)
-			w.b.WriteByte('"')
-		}
+		w.declarations()
 	}
 	for _, a := range e.Attrs {
 		w.b.WriteByte(' ')
@@ -708,7 +793,7 @@ func plainTextByte(c byte) bool {
 // escapeText writes character data into the buffer, escaping exactly as
 // encoding/xml.EscapeText does. The common all-plain-ASCII case is written
 // directly with no allocation.
-func (w *writer) escapeText(s string) {
+func (w *Writer) escapeText(s string) {
 	plain := true
 	for i := 0; i < len(s); i++ {
 		if !plainTextByte(s[i]) {
@@ -729,7 +814,7 @@ func (w *writer) escapeText(s string) {
 // escapeAttr writes an attribute value, escaping &, <, > and the quote
 // character (the historical output format of this package). The common
 // clean case is written directly with no allocation.
-func (w *writer) escapeAttr(s string) {
+func (w *Writer) escapeAttr(s string) {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		var repl string

@@ -1,6 +1,7 @@
 package xsd
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 
@@ -13,9 +14,10 @@ import (
 // is omitted (minOccurs="0"); a slice field repeats its element
 // (maxOccurs="unbounded").
 //
-// Both directions run through compiled per-type plans (see plan.go): the
-// reflect.Type is walked once, and every subsequent call uses the cached
-// closure tree.
+// Both directions run through compiled per-type plans (see plan.go), and
+// both meet either a message's bytes — Wrapper.WriteXML, DecodeTokens — or
+// an element tree — AppendValue, Wrapper.Element, ExtractValue,
+// DecodeElement.
 
 // fieldName returns the element local name for a struct field, honouring a
 // leading name in the `xml` struct tag. It reports skip=true for fields
@@ -39,48 +41,228 @@ func fieldName(f reflect.StructField) (name string, skip bool) {
 	return f.Name, false
 }
 
+// ---------------------------------------------------------------------------
+// Encoding
+
+// Wrapper is an operation's request or response element held as Go values:
+// the element Name with, in its namespace, the elements each part added
+// encodes to. It is written when the message is, straight into the marshal
+// writer, or built as a tree if somebody asks.
+type Wrapper struct {
+	Name  xmlutil.Name
+	parts []part
+	few   [2]part // parts' first backing array: most operations have a part or two
+}
+
+type part struct {
+	name string
+	plan *plan
+	v    reflect.Value
+}
+
+// NewWrapper returns a wrapper element without parts.
+func NewWrapper(name xmlutil.Name) *Wrapper {
+	w := &Wrapper{Name: name}
+	w.parts = w.few[:0]
+	return w
+}
+
+// Add appends a part, or reports why v cannot be encoded: what Add accepts
+// writes without error.
+func (w *Wrapper) Add(name string, v reflect.Value) error {
+	p := planFor(v.Type())
+	if err := p.check(name, v); err != nil {
+		return err
+	}
+	w.parts = append(w.parts, part{name: name, plan: p, v: v})
+	return nil
+}
+
+func (w *Wrapper) encode(s sink) {
+	for _, p := range w.parts {
+		p.plan.encode(s, p.name, p.v)
+	}
+}
+
+// WriteXML writes the element to xw, which has a prefix for its namespace.
+func (w *Wrapper) WriteXML(xw *xmlutil.Writer) {
+	s := &streamSink{w: xw, prefix: xw.Prefix(w.Name.Space)}
+	mark := s.open(w.Name.Local)
+	w.encode(s)
+	s.close(w.Name.Local, mark)
+}
+
+// Element builds the element as a tree.
+func (w *Wrapper) Element() *xmlutil.Element {
+	el := xmlutil.NewElement(w.Name)
+	w.encode(&treeSink{cur: el, ns: w.Name.Space})
+	return el
+}
+
 // AppendValue appends the XML representation of v to parent as one or more
 // child elements named {ns}name, using the compiled plan for v's type.
 func AppendValue(parent *xmlutil.Element, ns, name string, v reflect.Value) error {
-	return EncoderForType(v.Type())(parent, ns, name, v)
+	p := planFor(v.Type())
+	if err := p.check(name, v); err != nil {
+		return err
+	}
+	p.encode(&treeSink{cur: parent, ns: ns}, name, v)
+	return nil
+}
+
+// streamSink writes elements of one namespace into the marshal writer.
+type streamSink struct {
+	w      *xmlutil.Writer
+	prefix string
+}
+
+func (s *streamSink) open(name string) int        { return s.w.Open(s.prefix, name) }
+func (s *streamSink) close(name string, mark int) { s.w.Close(s.prefix, name, mark) }
+
+func (s *streamSink) leaf(name string, v reflect.Value) {
+	if v.Kind() == reflect.String {
+		s.w.Leaf(s.prefix, name, v.String())
+		return
+	}
+	// Every other lexical form needs no escaping: formatted in place.
+	mark := s.w.Open(s.prefix, name)
+	b := s.w.Buffer()
+	b.Write(appendSimple(b.AvailableBuffer(), v))
+	s.w.Close(s.prefix, name, mark)
+}
+
+// treeSink appends elements of one namespace under cur.
+type treeSink struct {
+	cur *xmlutil.Element
+	ns  string
+}
+
+func (s *treeSink) open(name string) int {
+	s.cur = s.cur.NewChild(xmlutil.N(s.ns, name))
+	return 0
+}
+
+func (s *treeSink) close(string, int) { s.cur = s.cur.Parent() }
+
+func (s *treeSink) leaf(name string, v reflect.Value) {
+	text, _ := EncodeSimple(v) // a plan's leaf is of a simple type
+	s.cur.NewChild(xmlutil.N(s.ns, name)).SetText(text)
+}
+
+// ---------------------------------------------------------------------------
+// Decoding
+
+// DecodeTokens decodes named, typed parts — an operation's parameters or
+// results — from the children of the element whose start tag t has just
+// returned, in one pass, reading through its end tag. Elements are expected
+// in the namespace ns; dst holds a settable zero value per part. On failure
+// it returns the index of the part that did not decode, or -1 if the
+// message itself is at fault.
+func DecodeTokens(t *xmlutil.Tokenizer, ns string, parts []Field, dst []reflect.Value) (int, error) {
+	return decodeParts(&streamReader{t: t, ns: ns}, parts, dst)
+}
+
+// DecodeElement is DecodeTokens over the children of a tree's element.
+func DecodeElement(el *xmlutil.Element, ns string, parts []Field, dst []reflect.Value) (int, error) {
+	return decodeParts(&treeReader{ns: ns, stack: []treeFrame{{el: el, kids: el.Elements()}}}, parts, dst)
+}
+
+func decodeParts(r reader, parts []Field, dst []reflect.Value) (int, error) {
+	var few [4]fieldPlan
+	fields := few[:0]
+	for _, p := range parts {
+		fields = append(fields, fieldPlan{name: p.Name, plan: planFor(p.Type)})
+	}
+	return decodeFields(r, fields, reflect.Value{}, dst)
 }
 
 // ExtractValue decodes the child element(s) of parent named {ns}name into a
 // new Go value of type t, using the compiled plan for t. Missing optional
-// values yield zero values (nil for pointers and slices).
+// values yield zero values (nil for pointers, empty for slices).
 func ExtractValue(parent *xmlutil.Element, ns, name string, t reflect.Type) (reflect.Value, error) {
-	return DecoderForType(t)(parent, ns, name)
+	v := reflect.New(t).Elem()
+	if _, err := DecodeElement(parent, ns, []Field{{name, t}}, []reflect.Value{v}); err != nil {
+		return reflect.Value{}, err
+	}
+	return v, nil
 }
 
-// lexicalText extracts the element text to decode: strings keep their
-// whitespace exactly (it is significant in XML); other simple types use the
-// whitespace-collapsed lexical form.
-func lexicalText(el *xmlutil.Element, t reflect.Type) string {
-	if t.Kind() == reflect.String {
-		return el.Text()
-	}
-	return el.TrimmedText()
+// streamReader reads a message's bytes through the scanner.
+type streamReader struct {
+	t  *xmlutil.Tokenizer
+	ns string
 }
 
-// childAnyNS finds a child by exact name, falling back to a local-name match
-// so that lenient peers (and hand-written envelopes) interoperate.
-func childAnyNS(parent *xmlutil.Element, qn xmlutil.Name) *xmlutil.Element {
-	if el := parent.Child(qn); el != nil {
-		return el
-	}
-	return parent.ChildLocal(qn.Local)
-}
-
-func childrenAnyNS(parent *xmlutil.Element, qn xmlutil.Name) []*xmlutil.Element {
-	els := parent.Children(qn)
-	if len(els) > 0 {
-		return els
-	}
-	var out []*xmlutil.Element
-	for _, el := range parent.Elements() {
-		if el.Name.Local == qn.Local {
-			out = append(out, el)
+func (r *streamReader) child() (bool, error) {
+	for {
+		switch kind, err := r.t.Next(); {
+		case err != nil:
+			return false, err
+		case kind == xmlutil.TokenStart:
+			return true, nil
+		case kind != xmlutil.TokenText:
+			return false, nil
 		}
 	}
-	return out
+}
+
+func (r *streamReader) is(local string) bool   { return string(r.t.Local) == local }
+func (r *streamReader) exact() bool            { return r.t.Space == r.ns }
+func (r *streamReader) depth() int             { return r.t.Depth() }
+func (r *streamReader) unwind(depth int) error { return r.t.SkipTo(depth) }
+
+func (r *streamReader) scalar(dst reflect.Value) error {
+	b, err := r.t.CharData()
+	if err != nil {
+		return err
+	}
+	if dst.Kind() != reflect.String {
+		b = bytes.TrimSpace(b)
+	}
+	return setSimple(dst, b)
+}
+
+// treeReader walks an element tree; the top of its stack is where it is.
+type treeReader struct {
+	ns    string
+	stack []treeFrame
+}
+
+type treeFrame struct {
+	el   *xmlutil.Element
+	kids []*xmlutil.Element // el's child elements
+	next int
+}
+
+func (r *treeReader) top() *treeFrame { return &r.stack[len(r.stack)-1] }
+
+func (r *treeReader) child() (bool, error) {
+	top := r.top()
+	if top.next == len(top.kids) {
+		r.stack = r.stack[:len(r.stack)-1]
+		return false, nil
+	}
+	el := top.kids[top.next]
+	top.next++
+	r.stack = append(r.stack, treeFrame{el: el, kids: el.Elements()})
+	return true, nil
+}
+
+func (r *treeReader) is(local string) bool { return r.top().el.Name.Local == local }
+func (r *treeReader) exact() bool          { return r.top().el.Name.Space == r.ns }
+func (r *treeReader) depth() int           { return len(r.stack) }
+
+func (r *treeReader) unwind(depth int) error {
+	r.stack = r.stack[:depth]
+	return nil
+}
+
+func (r *treeReader) scalar(dst reflect.Value) error {
+	text := r.top().el.Text()
+	r.stack = r.stack[:len(r.stack)-1]
+	if dst.Kind() == reflect.String {
+		dst.SetString(text) // the tree's text is a string already
+		return nil
+	}
+	return setSimple(dst, []byte(strings.TrimSpace(text)))
 }

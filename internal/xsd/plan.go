@@ -1,337 +1,342 @@
 package xsd
 
-// Compiled type plans. AppendValue and ExtractValue used to re-walk a Go
-// type with package reflect on every call — per message, per parameter.
-// This file compiles each reflect.Type once into a closure tree (an
-// Encoder or Decoder) that is cached in a sync.Map, the same strategy
-// encoding/json uses: struct tags are parsed once, field offsets and
-// sub-plans are captured at compile time, and the per-call work reduces to
-// direct closure invocations.
+// Compiled type plans: one plan per Go type, two backends per direction
+// (DESIGN.md §9).
 //
-// Invariants:
-//   - Compiled plans are immutable and safely shared by any number of
-//     goroutines.
-//   - Concurrent (and recursive) first-touch compilation of a type is
-//     safe: a placeholder that blocks until the real plan is published is
-//     installed in the cache while building, so self-referential types
-//     terminate and racing goroutines wait instead of duplicating work.
-//   - Plans are keyed by reflect.Type only; the target namespace and
-//     element name stay per-call parameters, so one plan serves every
-//     service.
+// A reflect.Type is walked once into a plan — struct tags parsed, field
+// indexes and sub-plans captured, as encoding/json does — and cached. A
+// plan does not know what it reads or writes: encoding drives a sink (the
+// pooled xmlutil.Writer, or a tree of Elements), decoding pulls from a
+// reader (an xmlutil.Tokenizer over the message's bytes, or a tree); the
+// four are in marshal.go. Both backends of a direction run the same walk,
+// which is what lets FuzzDecodeBody hold them to each other.
+//
+// Decoding, from either reader (decodeFields): fields and parts are found
+// by name in any order; unknown children are skipped; a scalar takes its
+// first match, a slice every match; a child named {ns}name exactly beats
+// one sharing only the local name *wherever it stands* — a local-only match
+// is taken tentatively, and dropped with any error it raised at the first
+// exact one; an absent optional is the zero value (an empty, non-nil slice
+// for a slice); a string keeps its whitespace, other simple types are
+// trimmed. Of two fields mapped to one element name the first has it.
+//
+// Cached plans are complete and immutable: compilation runs under one
+// mutex and publishes a type's plan, with those of the types it reaches,
+// when all are built, so a type that contains itself terminates and racing
+// first touches wait. Namespace and element name are per-call parameters.
 
 import (
 	"fmt"
 	"reflect"
 	"sync"
-
-	"wspeer/internal/xmlutil"
 )
 
-// Encoder appends the XML representation of a value of the compiled type
-// to parent as zero or more child elements named {ns}name.
-type Encoder func(parent *xmlutil.Element, ns, name string, v reflect.Value) error
+type planKind uint8
 
-// Decoder extracts the child element(s) of parent named {ns}name into a
-// new Go value of the compiled type. Missing optional values yield zero
-// values (nil for pointers and slices).
-type Decoder func(parent *xmlutil.Element, ns, name string) (reflect.Value, error)
+const (
+	kindSimple planKind = iota // a built-in simple type, []byte and time.Time included
+	kindPtr                    // optional: nil is an absent element
+	kindSlice                  // repeated: one element per item
+	kindStruct
+	kindIface       // encodes as its dynamic value; cannot be decoded into
+	kindUnsupported // map, chan, func, complex, array, ...
+)
 
-// elemDecoder decodes one already-located element into a value of the
-// compiled type (the counterpart of the old decodeElement).
-type elemDecoder func(el *xmlutil.Element, ns string) (reflect.Value, error)
+type plan struct {
+	t        reflect.Type
+	kind     planKind
+	elem     *plan         // kindPtr, kindSlice
+	fields   []fieldPlan   // kindStruct
+	empty    reflect.Value // kindSlice: what no element at all decodes to
+	repeated bool          // a slice, or pointers to one: takes every match
+	// vet: an interface or an unsupported type may be in reach (it is taken
+	// to be, through a type that contains itself), so check looks at values.
+	vet bool
+}
+
+// fieldPlan is one marshallable field of a struct, or one part of a wrapper.
+type fieldPlan struct {
+	name   string // XML element local name (tag-aware)
+	goName string // Go field name, for error messages
+	index  int
+	plan   *plan
+}
 
 var (
-	encoderCache     sync.Map // reflect.Type -> Encoder
-	decoderCache     sync.Map // reflect.Type -> Decoder
-	elemDecoderCache sync.Map // reflect.Type -> elemDecoder
+	planCache sync.Map   // reflect.Type -> *plan
+	compileMu sync.Mutex // one compilation at a time
 )
 
-// EncoderForType returns the compiled encoder for t, building and caching
-// it on first use. The returned Encoder is safe for concurrent use.
-func EncoderForType(t reflect.Type) Encoder {
-	if f, ok := encoderCache.Load(t); ok {
-		return f.(Encoder)
+// planFor returns the plan for t, compiling it on first use.
+func planFor(t reflect.Type) *plan {
+	if p, ok := planCache.Load(t); ok {
+		return p.(*plan)
 	}
-	var (
-		wg sync.WaitGroup
-		fn Encoder
-	)
-	wg.Add(1)
-	placeholder := Encoder(func(parent *xmlutil.Element, ns, name string, v reflect.Value) error {
-		wg.Wait()
-		return fn(parent, ns, name, v)
-	})
-	if actual, loaded := encoderCache.LoadOrStore(t, placeholder); loaded {
-		return actual.(Encoder)
+	compileMu.Lock()
+	defer compileMu.Unlock()
+	building := map[reflect.Type]*plan{}
+	p := compile(t, building)
+	for t, b := range building {
+		planCache.Store(t, b)
 	}
-	fn = buildEncoder(t)
-	wg.Done()
-	encoderCache.Store(t, fn)
-	return fn
+	return p
 }
 
-// DecoderForType returns the compiled decoder for t, building and caching
-// it on first use. The returned Decoder is safe for concurrent use.
-func DecoderForType(t reflect.Type) Decoder {
-	if f, ok := decoderCache.Load(t); ok {
-		return f.(Decoder)
+func compile(t reflect.Type, building map[reflect.Type]*plan) *plan {
+	if p, ok := planCache.Load(t); ok {
+		return p.(*plan)
 	}
-	var (
-		wg sync.WaitGroup
-		fn Decoder
-	)
-	wg.Add(1)
-	placeholder := Decoder(func(parent *xmlutil.Element, ns, name string) (reflect.Value, error) {
-		wg.Wait()
-		return fn(parent, ns, name)
-	})
-	if actual, loaded := decoderCache.LoadOrStore(t, placeholder); loaded {
-		return actual.(Decoder)
+	if p, ok := building[t]; ok {
+		return p // a type that contains itself
 	}
-	fn = buildDecoder(t)
-	wg.Done()
-	decoderCache.Store(t, fn)
-	return fn
-}
-
-func elemDecoderFor(t reflect.Type) elemDecoder {
-	if f, ok := elemDecoderCache.Load(t); ok {
-		return f.(elemDecoder)
+	p := &plan{t: t, kind: kindUnsupported, vet: true}
+	building[t] = p
+	if _, ok := SimpleTypeFor(t); ok { // []byte and time.Time before their kinds
+		p.kind, p.vet = kindSimple, false
+		return p
 	}
-	var (
-		wg sync.WaitGroup
-		fn elemDecoder
-	)
-	wg.Add(1)
-	placeholder := elemDecoder(func(el *xmlutil.Element, ns string) (reflect.Value, error) {
-		wg.Wait()
-		return fn(el, ns)
-	})
-	if actual, loaded := elemDecoderCache.LoadOrStore(t, placeholder); loaded {
-		return actual.(elemDecoder)
+	switch t.Kind() {
+	case reflect.Ptr:
+		p.kind, p.elem = kindPtr, compile(t.Elem(), building)
+		p.repeated, p.vet = p.elem.repeated, p.elem.vet
+	case reflect.Slice:
+		p.kind, p.elem, p.repeated = kindSlice, compile(t.Elem(), building), true
+		p.empty, p.vet = reflect.MakeSlice(t, 0, 0), p.elem.vet
+	case reflect.Interface:
+		p.kind = kindIface
+	case reflect.Struct:
+		p.kind = kindStruct
+		seen, vet := map[string]bool{}, false
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			name, skip := fieldName(f)
+			if skip || seen[name] {
+				continue
+			}
+			seen[name] = true
+			p.fields = append(p.fields, fieldPlan{name: name, goName: f.Name, index: i, plan: compile(f.Type, building)})
+			vet = vet || p.fields[len(p.fields)-1].plan.vet
+		}
+		p.vet = vet
 	}
-	fn = buildElemDecoder(t)
-	wg.Done()
-	elemDecoderCache.Store(t, fn)
-	return fn
+	return p
 }
 
 // ---------------------------------------------------------------------------
-// Encoder compilation
+// Encoding
 
-// structFieldPlan is one marshallable field of a compiled struct type.
-type structFieldPlan struct {
-	elemName string // XML element local name (tag-aware)
-	goName   string // Go field name, for error messages
-	index    int
+// sink is what an encoding walk writes to: open starts an element that
+// holds elements and close, given what open returned, ends it; leaf writes
+// an element holding a simple value.
+type sink interface {
+	open(name string) (mark int)
+	close(name string, mark int)
+	leaf(name string, v reflect.Value)
 }
 
-type encFieldPlan struct {
-	structFieldPlan
-	enc Encoder
-}
-
-func encodeSimpleElement(parent *xmlutil.Element, ns, name string, v reflect.Value) error {
-	s, err := EncodeSimple(v)
-	if err != nil {
-		return err
+// check reports why v cannot be encoded, if it cannot: encode's walk, over
+// only the parts of the value where an unsupported type can turn up. What
+// passes encodes without error, so encode has none to return.
+func (p *plan) check(name string, v reflect.Value) error {
+	if !p.vet {
+		return nil
 	}
-	parent.NewChild(xmlutil.N(ns, name)).SetText(s)
+	switch p.kind {
+	case kindUnsupported:
+		return fmt.Errorf("xsd: unsupported Go type %s%s", p.t, hint(p.t))
+	case kindPtr:
+		if !v.IsNil() {
+			return p.elem.check(name, v.Elem())
+		}
+	case kindIface:
+		if !v.IsNil() {
+			iv := v.Elem()
+			return planFor(iv.Type()).check(name, iv)
+		}
+	case kindSlice:
+		for i, n := 0, v.Len(); i < n; i++ {
+			if err := p.elem.check(name, v.Index(i)); err != nil {
+				return fmt.Errorf("xsd: element %d of %s: %w", i, name, err)
+			}
+		}
+	case kindStruct:
+		for i := range p.fields {
+			f := &p.fields[i]
+			if err := f.plan.check(f.name, v.Field(f.index)); err != nil {
+				return fmt.Errorf("xsd: field %s.%s: %w", p.t.Name(), f.goName, err)
+			}
+		}
+	}
 	return nil
 }
 
-func buildEncoder(t reflect.Type) Encoder {
-	// []byte and time.Time are simple types, not repeated/struct elements.
-	if t == bytesType || t == timeType {
-		return encodeSimpleElement
-	}
-
-	switch t.Kind() {
-	case reflect.Ptr:
-		elem := EncoderForType(t.Elem())
-		return func(parent *xmlutil.Element, ns, name string, v reflect.Value) error {
-			if v.IsNil() {
-				return nil // minOccurs="0"
-			}
-			return elem(parent, ns, name, v.Elem())
+// encode writes v, which has passed check, as elements called name.
+func (p *plan) encode(s sink, name string, v reflect.Value) {
+	switch p.kind {
+	case kindSimple:
+		s.leaf(name, v)
+	case kindPtr:
+		if !v.IsNil() { // minOccurs="0"
+			p.elem.encode(s, name, v.Elem())
 		}
-
-	case reflect.Interface:
-		// The dynamic type is only known per value; resolve its plan at
-		// call time (cache hit after the first value of each type).
-		return func(parent *xmlutil.Element, ns, name string, v reflect.Value) error {
-			if v.IsNil() {
-				return nil
-			}
+	case kindIface:
+		// The dynamic type is only known per value; its plan is a cache hit
+		// after the first value of each type.
+		if !v.IsNil() {
 			iv := v.Elem()
-			return EncoderForType(iv.Type())(parent, ns, name, iv)
+			planFor(iv.Type()).encode(s, name, iv)
 		}
-
-	case reflect.Slice, reflect.Array:
-		elem := EncoderForType(t.Elem())
-		return func(parent *xmlutil.Element, ns, name string, v reflect.Value) error {
-			for i := 0; i < v.Len(); i++ {
-				if err := elem(parent, ns, name, v.Index(i)); err != nil {
-					return fmt.Errorf("xsd: element %d of %s: %w", i, name, err)
-				}
-			}
-			return nil
+	case kindSlice:
+		for i, n := 0, v.Len(); i < n; i++ {
+			p.elem.encode(s, name, v.Index(i))
 		}
-
-	case reflect.Struct:
-		fields := make([]encFieldPlan, 0, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			fn, skip := fieldName(f)
-			if skip {
-				continue
-			}
-			fields = append(fields, encFieldPlan{
-				structFieldPlan: structFieldPlan{elemName: fn, goName: f.Name, index: i},
-				enc:             EncoderForType(f.Type),
-			})
+	case kindStruct:
+		mark := s.open(name)
+		for i := range p.fields {
+			f := &p.fields[i]
+			f.plan.encode(s, f.name, v.Field(f.index))
 		}
-		typeName := t.Name()
-		return func(parent *xmlutil.Element, ns, name string, v reflect.Value) error {
-			el := parent.NewChild(xmlutil.N(ns, name))
-			for i := range fields {
-				fp := &fields[i]
-				if err := fp.enc(el, ns, fp.elemName, v.Field(fp.index)); err != nil {
-					return fmt.Errorf("xsd: field %s.%s: %w", typeName, fp.goName, err)
-				}
-			}
-			return nil
-		}
-
-	case reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer, reflect.Complex64, reflect.Complex128:
-		return func(*xmlutil.Element, string, string, reflect.Value) error {
-			return fmt.Errorf("xsd: unsupported Go type %s", t)
-		}
-
-	default:
-		return encodeSimpleElement
+		s.close(name, mark)
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Decoder compilation
+// Decoding
 
-func buildDecoder(t reflect.Type) Decoder {
-	if t == bytesType || t == timeType {
-		return func(parent *xmlutil.Element, ns, name string) (reflect.Value, error) {
-			el := childAnyNS(parent, xmlutil.N(ns, name))
-			if el == nil {
-				return reflect.Zero(t), nil
-			}
-			return DecodeSimple(el.TrimmedText(), t)
-		}
-	}
-
-	switch t.Kind() {
-	case reflect.Ptr:
-		inner := DecoderForType(t.Elem())
-		elemType := t.Elem()
-		return func(parent *xmlutil.Element, ns, name string) (reflect.Value, error) {
-			if childAnyNS(parent, xmlutil.N(ns, name)) == nil {
-				return reflect.Zero(t), nil
-			}
-			iv, err := inner(parent, ns, name)
-			if err != nil {
-				return reflect.Value{}, err
-			}
-			p := reflect.New(elemType)
-			p.Elem().Set(iv)
-			return p, nil
-		}
-
-	case reflect.Slice:
-		elemDec := elemDecoderFor(t.Elem())
-		return func(parent *xmlutil.Element, ns, name string) (reflect.Value, error) {
-			els := childrenAnyNS(parent, xmlutil.N(ns, name))
-			out := reflect.MakeSlice(t, 0, len(els))
-			for i, el := range els {
-				item, err := elemDec(el, ns)
-				if err != nil {
-					return reflect.Value{}, fmt.Errorf("xsd: element %d of %s: %w", i, name, err)
-				}
-				out = reflect.Append(out, item)
-			}
-			return out, nil
-		}
-
-	default: // structs and simple kinds share the locate-then-decode shape
-		elemDec := elemDecoderFor(t)
-		return func(parent *xmlutil.Element, ns, name string) (reflect.Value, error) {
-			el := childAnyNS(parent, xmlutil.N(ns, name))
-			if el == nil {
-				return reflect.Zero(t), nil
-			}
-			return elemDec(el, ns)
-		}
-	}
+// reader is what a decoding walk pulls from: a position in a message, at
+// an element.
+type reader interface {
+	// child moves into the current element's next child element; at the
+	// current element's end it moves out of it and reports false.
+	child() (bool, error)
+	// is: the current element's local name is local; exact: its namespace
+	// is the one being decoded.
+	is(local string) bool
+	exact() bool
+	// unwind moves out of elements, whatever is left in them, until the
+	// reader is in depth of them.
+	depth() int
+	unwind(depth int) error
+	// scalar decodes the current element's character data into dst, of a
+	// simple type, and moves out of the element.
+	scalar(dst reflect.Value) error
 }
 
-type decFieldPlan struct {
-	structFieldPlan
-	dec Decoder
+// How a field has been matched so far, while its parent is read.
+const (
+	unmatched    uint8 = iota
+	matchedLocal       // by local name only: stands unless an exact match follows
+	matchedExact
+)
+
+// decodeFields reads the children of the element r is in, which it moves
+// out of, into the fields they name: those of strct, or parts — one value
+// for each part of a wrapper — if there are any. On failure it returns the
+// index of the field that did not decode, or -1 if the message itself is
+// at fault.
+func decodeFields(r reader, fields []fieldPlan, strct reflect.Value, parts []reflect.Value) (int, error) {
+	dest := func(i int) reflect.Value {
+		if parts != nil {
+			return parts[i]
+		}
+		return strct.Field(fields[i].index)
+	}
+	var few [16]uint8
+	state := few[:]
+	if len(fields) > len(few) {
+		state = make([]uint8, len(fields))
+	}
+	var held map[int]error // what local-only matches raised, by field
+	inside := r.depth()
+	for {
+		if ok, err := r.child(); err != nil {
+			return -1, err
+		} else if !ok {
+			break
+		}
+		i := 0
+		for i < len(fields) && !r.is(fields[i].name) {
+			i++
+		}
+		if i < len(fields) {
+			f, dst, how := &fields[i], dest(i), matchedLocal
+			if r.exact() {
+				how = matchedExact
+			}
+			// A scalar's first match wins and a slice takes every match of
+			// a kind, but exact beats local-only, and what it raised.
+			take := state[i] == unmatched || state[i] == how && f.plan.repeated && held[i] == nil
+			if state[i] == matchedLocal && how == matchedExact {
+				dst.SetZero()
+				delete(held, i)
+				take = true
+			}
+			if take {
+				state[i] = how
+				err := f.plan.decode(r, dst, f.name, false)
+				switch {
+				case err == nil:
+					continue
+				case how == matchedExact:
+					return i, err
+				case held == nil:
+					held = map[int]error{}
+				}
+				held[i] = err
+			}
+		}
+		if err := r.unwind(inside); err != nil {
+			return -1, err
+		}
+	}
+	for i, err := range held {
+		return i, err
+	}
+	for i := range fields {
+		if state[i] == unmatched && fields[i].plan.kind == kindSlice {
+			dest(i).Set(fields[i].plan.empty)
+		}
+	}
+	return -1, nil
 }
 
-func buildElemDecoder(t reflect.Type) elemDecoder {
-	if t == bytesType || t == timeType {
-		return func(el *xmlutil.Element, ns string) (reflect.Value, error) {
-			return DecodeSimple(el.TrimmedText(), t)
+// decode reads the element r is in — one more called name, for a field that
+// repeats — into dst and moves out of it; inItem: dst is a slice's item.
+func (p *plan) decode(r reader, dst reflect.Value, name string, inItem bool) error {
+	switch p.kind {
+	case kindSimple:
+		return r.scalar(dst)
+	case kindPtr:
+		if dst.IsNil() {
+			dst.Set(reflect.New(p.t.Elem()))
 		}
+		return p.elem.decode(r, dst.Elem(), name, inItem)
+	case kindSlice:
+		if inItem {
+			return fmt.Errorf("xsd: nested slices are not supported (wrap the inner slice in a struct)")
+		}
+		n := dst.Len()
+		dst.Grow(1)
+		dst.SetLen(n + 1)
+		if err := p.elem.decode(r, dst.Index(n), name, true); err != nil {
+			return fmt.Errorf("xsd: element %d of %s: %w", n, name, err)
+		}
+		return nil
+	case kindStruct:
+		i, err := decodeFields(r, p.fields, dst, nil)
+		if err != nil && i >= 0 {
+			err = fmt.Errorf("xsd: field %s.%s: %w", p.t.Name(), p.fields[i].goName, err)
+		}
+		return err
 	}
+	return fmt.Errorf("xsd: cannot decode into %s%s", p.t, hint(p.t))
+}
 
-	switch t.Kind() {
-	case reflect.Ptr:
-		inner := elemDecoderFor(t.Elem())
-		elemType := t.Elem()
-		return func(el *xmlutil.Element, ns string) (reflect.Value, error) {
-			iv, err := inner(el, ns)
-			if err != nil {
-				return reflect.Value{}, err
-			}
-			p := reflect.New(elemType)
-			p.Elem().Set(iv)
-			return p, nil
-		}
-
-	case reflect.Struct:
-		fields := make([]decFieldPlan, 0, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			fn, skip := fieldName(f)
-			if skip {
-				continue
-			}
-			fields = append(fields, decFieldPlan{
-				structFieldPlan: structFieldPlan{elemName: fn, goName: f.Name, index: i},
-				dec:             DecoderForType(f.Type),
-			})
-		}
-		typeName := t.Name()
-		return func(el *xmlutil.Element, ns string) (reflect.Value, error) {
-			v := reflect.New(t).Elem()
-			for i := range fields {
-				fp := &fields[i]
-				fv, err := fp.dec(el, ns, fp.elemName)
-				if err != nil {
-					return reflect.Value{}, fmt.Errorf("xsd: field %s.%s: %w", typeName, fp.goName, err)
-				}
-				v.Field(fp.index).Set(fv)
-			}
-			return v, nil
-		}
-
-	case reflect.Slice, reflect.Array:
-		return func(*xmlutil.Element, string) (reflect.Value, error) {
-			return reflect.Value{}, fmt.Errorf("xsd: nested slices are not supported (wrap the inner slice in a struct)")
-		}
-
-	default:
-		return func(el *xmlutil.Element, ns string) (reflect.Value, error) {
-			return DecodeSimple(lexicalText(el, t), t)
-		}
+// hint says what to use in place of a type that is refused on both sides,
+// and by the schema.
+func hint(t reflect.Type) string {
+	if t.Kind() == reflect.Array {
+		return ": a fixed-size array has no schema form, use a slice"
 	}
+	return ""
 }

@@ -72,8 +72,10 @@ func (s *Schema) registerType(t reflect.Type) error {
 		return nil
 	}
 	switch t.Kind() {
-	case reflect.Ptr, reflect.Slice, reflect.Array:
+	case reflect.Ptr, reflect.Slice:
 		return s.registerType(t.Elem())
+	case reflect.Array:
+		return fmt.Errorf("unsupported Go type %s%s", t, hint(t))
 	case reflect.Struct:
 		name := t.Name()
 		if name == "" {
@@ -119,7 +121,7 @@ func (s *Schema) typeRef(t reflect.Type) (ref xmlutil.Name, minOccurs, maxOccurs
 	case reflect.Ptr:
 		ref, _, _, err = s.typeRef(t.Elem())
 		return ref, "0", "1", err
-	case reflect.Slice, reflect.Array:
+	case reflect.Slice:
 		ref, _, _, err = s.typeRef(t.Elem())
 		return ref, "0", "unbounded", err
 	case reflect.Struct:

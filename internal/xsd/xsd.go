@@ -8,6 +8,7 @@ package xsd
 import (
 	"encoding/base64"
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"time"
@@ -73,83 +74,110 @@ func SimpleTypeFor(t reflect.Type) (xmlutil.Name, bool) {
 
 // EncodeSimple renders a simple-typed Go value in its XSD lexical form.
 func EncodeSimple(v reflect.Value) (string, error) {
-	t := v.Type()
-	if t == timeType {
-		return v.Interface().(time.Time).UTC().Format(time.RFC3339Nano), nil
+	if _, ok := SimpleTypeFor(v.Type()); !ok {
+		return "", fmt.Errorf("xsd: cannot encode %s as a simple type", v.Type())
 	}
-	if t == bytesType {
-		return base64.StdEncoding.EncodeToString(v.Bytes()), nil
-	}
-	switch t.Kind() {
-	case reflect.String:
+	if v.Kind() == reflect.String {
 		return v.String(), nil
-	case reflect.Bool:
-		return strconv.FormatBool(v.Bool()), nil
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return strconv.FormatInt(v.Int(), 10), nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return strconv.FormatUint(v.Uint(), 10), nil
-	case reflect.Float32:
-		return strconv.FormatFloat(v.Float(), 'g', -1, 32), nil
-	case reflect.Float64:
-		return strconv.FormatFloat(v.Float(), 'g', -1, 64), nil
 	}
-	return "", fmt.Errorf("xsd: cannot encode %s as a simple type", t)
+	return string(appendSimple(nil, v)), nil
+}
+
+// appendSimple appends the lexical form of v, whose type is a simple one
+// other than string.
+func appendSimple(dst []byte, v reflect.Value) []byte {
+	switch v.Type() {
+	case timeType:
+		return v.Interface().(time.Time).UTC().AppendFormat(dst, time.RFC3339Nano)
+	case bytesType:
+		return base64.StdEncoding.AppendEncode(dst, v.Bytes())
+	}
+	switch v.Kind() {
+	case reflect.Bool:
+		return strconv.AppendBool(dst, v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return strconv.AppendInt(dst, v.Int(), 10)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return strconv.AppendUint(dst, v.Uint(), 10)
+	}
+	// The lexical space of float and double spells the infinities INF and
+	// -INF (strconv's +Inf and -Inf are still read back).
+	switch f := v.Float(); {
+	case math.IsInf(f, 1):
+		return append(dst, "INF"...)
+	case math.IsInf(f, -1):
+		return append(dst, "-INF"...)
+	default:
+		return strconv.AppendFloat(dst, f, 'g', -1, bitSize(v.Kind()))
+	}
 }
 
 // DecodeSimple parses an XSD lexical form into a new Go value of type t.
 func DecodeSimple(s string, t reflect.Type) (reflect.Value, error) {
-	if t == timeType {
-		// Accept RFC3339 with or without sub-second precision.
-		ts, err := time.Parse(time.RFC3339Nano, s)
-		if err != nil {
-			return reflect.Value{}, fmt.Errorf("xsd: bad dateTime %q: %w", s, err)
-		}
-		return reflect.ValueOf(ts), nil
-	}
-	if t == bytesType {
-		b, err := base64.StdEncoding.DecodeString(s)
-		if err != nil {
-			return reflect.Value{}, fmt.Errorf("xsd: bad base64Binary: %w", err)
-		}
-		return reflect.ValueOf(b), nil
-	}
 	v := reflect.New(t).Elem()
-	switch t.Kind() {
-	case reflect.String:
-		v.SetString(s)
-	case reflect.Bool:
-		// XSD allows 1/0 as well as true/false.
-		switch s {
-		case "true", "1":
-			v.SetBool(true)
-		case "false", "0":
-			v.SetBool(false)
-		default:
-			return reflect.Value{}, fmt.Errorf("xsd: bad boolean %q", s)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		n, err := strconv.ParseInt(s, 10, bitSize(t.Kind()))
-		if err != nil {
-			return reflect.Value{}, fmt.Errorf("xsd: bad integer %q: %w", s, err)
-		}
-		v.SetInt(n)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		n, err := strconv.ParseUint(s, 10, bitSize(t.Kind()))
-		if err != nil {
-			return reflect.Value{}, fmt.Errorf("xsd: bad unsigned integer %q: %w", s, err)
-		}
-		v.SetUint(n)
-	case reflect.Float32, reflect.Float64:
-		n, err := strconv.ParseFloat(s, bitSize(t.Kind()))
-		if err != nil {
-			return reflect.Value{}, fmt.Errorf("xsd: bad float %q: %w", s, err)
-		}
-		v.SetFloat(n)
-	default:
-		return reflect.Value{}, fmt.Errorf("xsd: cannot decode into %s", t)
+	if err := setSimple(v, []byte(s)); err != nil {
+		return reflect.Value{}, err
 	}
 	return v, nil
+}
+
+// setSimple parses an XSD lexical form, as the bytes of the message hold
+// it, into dst, which is addressable. Only a string copies them: a number
+// parses from a conversion that does not outlive the call.
+func setSimple(dst reflect.Value, b []byte) error {
+	switch t := dst.Type(); t {
+	case timeType:
+		// Accept RFC3339 with or without sub-second precision.
+		ts, err := time.Parse(time.RFC3339Nano, string(b))
+		if err != nil {
+			return fmt.Errorf("xsd: bad dateTime %q: %w", b, err)
+		}
+		*dst.Addr().Interface().(*time.Time) = ts
+		return nil
+	case bytesType:
+		raw := make([]byte, base64.StdEncoding.DecodedLen(len(b)))
+		n, err := base64.StdEncoding.Decode(raw, b)
+		if err != nil {
+			return fmt.Errorf("xsd: bad base64Binary: %w", err)
+		}
+		dst.SetBytes(raw[:n])
+		return nil
+	}
+	switch k := dst.Kind(); k {
+	case reflect.String:
+		dst.SetString(string(b))
+	case reflect.Bool:
+		// XSD allows 1/0 as well as true/false.
+		switch string(b) {
+		case "true", "1":
+			dst.SetBool(true)
+		case "false", "0":
+			dst.SetBool(false)
+		default:
+			return fmt.Errorf("xsd: bad boolean %q", b)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		n, err := strconv.ParseInt(string(b), 10, bitSize(k))
+		if err != nil {
+			return fmt.Errorf("xsd: bad integer %q: %w", b, err)
+		}
+		dst.SetInt(n)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		n, err := strconv.ParseUint(string(b), 10, bitSize(k))
+		if err != nil {
+			return fmt.Errorf("xsd: bad unsigned integer %q: %w", b, err)
+		}
+		dst.SetUint(n)
+	case reflect.Float32, reflect.Float64:
+		n, err := strconv.ParseFloat(string(b), bitSize(k))
+		if err != nil {
+			return fmt.Errorf("xsd: bad float %q: %w", b, err)
+		}
+		dst.SetFloat(n)
+	default:
+		return fmt.Errorf("xsd: cannot decode into %s", dst.Type())
+	}
+	return nil
 }
 
 func bitSize(k reflect.Kind) int {

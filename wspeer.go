@@ -27,7 +27,8 @@
 //
 // Invocation and dispatch run on a zero-allocation fast path: WSDL
 // operation details are memoized per Definitions, XSD encode/decode plans
-// are compiled once per Go type, envelopes render through pooled XML
+// are compiled once per Go type and write and read a message body with no
+// element tree in between, envelopes are written through pooled XML
 // writers, and the HTTP transports share a tuned keep-alive connection
 // pool. See DESIGN.md ("The invocation fast path") for the invariants.
 //
