@@ -20,7 +20,8 @@ help:
 	@echo "                   use), the Meta-key rule and the import layering (arch_test.go)"
 	@echo "  fuzz-smoke       ten seconds of native fuzzing on each fuzz target (P2PS frame"
 	@echo "                   decoder; XML scanner against its tree builder and encoding/xml;"
-	@echo "                   xsd decoding from tokens against decoding from the tree)"
+	@echo "                   xsd decoding from tokens against decoding from the tree;"
+	@echo "                   WS-Addressing headers written, parsed and read back)"
 	@echo "  examples         run every example program once"
 	@echo "  loc              count lines of Go: non-test outside bench/, and everything"
 
@@ -71,11 +72,12 @@ census:
 # Ten seconds of native fuzzing on each target, seeded from the package's
 # testdata/fuzz or the target's own f.Add: long enough to catch a decoder
 # that panics, a field that does not survive encode/decode, a document the
-# XML scanner, its tree builder and encoding/xml do not read alike or a
+# XML scanner, its tree builder and encoding/xml do not read alike, a
 # message the xsd plans decode differently from its bytes and from its tree,
-# short enough for CI. `go test -fuzz` takes one target and one package at a
+# or addressing headers that do not read back as they were written, short
+# enough for CI. `go test -fuzz` takes one target and one package at a
 # time, hence the loop.
-FUZZ_TARGETS = internal/p2ps:FuzzDecodeMessage internal/xmlutil:FuzzParseBytes internal/xsd:FuzzDecodeBody
+FUZZ_TARGETS = internal/p2ps:FuzzDecodeMessage internal/xmlutil:FuzzParseBytes internal/xsd:FuzzDecodeBody internal/wsaddr:FuzzAddressingHeaders
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -1,8 +1,9 @@
 package wspeer_test
 
 // The count gates of the message codec, where CI can see them: no call path
-// on any binding builds a tree of a message body, and a records round trip
-// costs what a codec without that tree costs.
+// on any binding builds a tree of a message header or body, a records round
+// trip costs what a codec without that tree costs, and a P2PS echo what its
+// addressing headers cost without theirs.
 
 import (
 	"context"
@@ -47,21 +48,21 @@ func recordsDef(name string) wspeer.ServiceDef {
 }
 
 // codecPair attaches a binding to a provider peer, which deploys and
-// publishes the records service under name, and another to a consumer
-// peer, which locates it.
-func codecPair(t *testing.T, name string, attach func(*wspeer.Peer)) *wspeer.Invocation {
+// publishes def, and another to a consumer peer, which locates it.
+func codecPair(t *testing.T, def wspeer.ServiceDef, attach func(*wspeer.Peer)) *wspeer.Invocation {
 	t.Helper()
 	ctx := context.Background()
 	provider, consumer := wspeer.NewPeer(), wspeer.NewPeer()
 	attach(provider)
 	attach(consumer)
-	if _, err := provider.Server().DeployAndPublish(ctx, recordsDef(name)); err != nil {
+	t.Cleanup(func() { consumer.Client().CloseExchange() })
+	if _, err := provider.Server().DeployAndPublish(ctx, def); err != nil {
 		t.Fatal(err)
 	}
 	var info *wspeer.ServiceInfo
 	var err error
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		if info, err = consumer.Client().LocateOne(ctx, wspeer.NameQuery{Name: name}); err == nil {
+		if info, err = consumer.Client().LocateOne(ctx, wspeer.NameQuery{Name: def.Name}); err == nil {
 			break
 		}
 	}
@@ -77,7 +78,7 @@ func codecPair(t *testing.T, name string, attach func(*wspeer.Peer)) *wspeer.Inv
 
 func memPair(t *testing.T, name string) *wspeer.Invocation {
 	net, dir := wspeer.NewInMemNetwork(), wspeer.NewInMemDirectory()
-	return codecPair(t, name, func(p *wspeer.Peer) {
+	return codecPair(t, recordsDef(name), func(p *wspeer.Peer) {
 		b, err := wspeer.NewInMemBinding(wspeer.InMemOptions{Network: net, Directory: dir})
 		if err != nil {
 			t.Fatal(err)
@@ -89,6 +90,30 @@ func memPair(t *testing.T, name string) *wspeer.Invocation {
 	})
 }
 
+// p2psAttach returns what attaches a P2PS binding, on a peer of its own, to
+// the overlay a rendezvous it starts holds together.
+func p2psAttach(t *testing.T) func(*wspeer.Peer) {
+	overlay := p2ps.NewLocalNetwork()
+	rdv, err := p2ps.NewPeer(p2ps.Config{Transport: overlay.NewEndpoint(), Rendezvous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rdv.Close() })
+	return func(p *wspeer.Peer) {
+		node, err := wspeer.NewP2PSPeer(wspeer.P2PSConfig{Transport: overlay.NewEndpoint(), Seeds: []string{rdv.Addr()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		b, err := wspeer.NewP2PSBinding(wspeer.P2PSOptions{Peer: node, DiscoveryTimeout: 300 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { b.Close() })
+		b.Attach(p)
+	}
+}
+
 // roundTrip invokes the records operation and decodes what comes back.
 func roundTrip(t *testing.T, inv *wspeer.Invocation, in []Rec) {
 	t.Helper()
@@ -96,6 +121,28 @@ func roundTrip(t *testing.T, inv *wspeer.Invocation, in []Rec) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRecords(t, res, in)
+}
+
+// callbackRoundTrip is roundTrip with the reply sent back as a message of
+// its own, correlated by the consumer's exchange table.
+func callbackRoundTrip(t *testing.T, inv *wspeer.Invocation, in []Rec) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pending, err := inv.InvokeCallback(ctx, "records", wspeer.P("msg", in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pending.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecords(t, res, in)
+}
+
+func checkRecords(t *testing.T, res *wspeer.Result, in []Rec) {
+	t.Helper()
 	var out []Rec
 	if err := res.Decode("return", &out); err != nil {
 		t.Fatal(err)
@@ -105,20 +152,15 @@ func roundTrip(t *testing.T, inv *wspeer.Invocation, in []Rec) {
 	}
 }
 
-// TestNoBodyTreeOnAnyCallPath: invoking and decoding builds no element tree
-// of a message body — request or response, consumer or provider — on the
-// in-memory, the HTTP or the P2PS binding.
-func TestNoBodyTreeOnAnyCallPath(t *testing.T) {
+// TestNoTreeOnAnyCallPath: invoking and decoding builds no element tree of
+// a message header or body — request or reply, consumer or provider — on
+// the in-memory, the HTTP or the P2PS binding, whether the reply comes back
+// on the call (request/response) or as a message of its own (callback).
+func TestNoTreeOnAnyCallPath(t *testing.T) {
 	registry := startRegistry(t)
-	overlay := p2ps.NewLocalNetwork()
-	rdv, err := p2ps.NewPeer(p2ps.Config{Transport: overlay.NewEndpoint(), Rendezvous: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rdv.Close() })
 	pairs := map[string]*wspeer.Invocation{
 		"mem": memPair(t, "RecordsMem"),
-		"http": codecPair(t, "RecordsHTTP", func(p *wspeer.Peer) {
+		"http": codecPair(t, recordsDef("RecordsHTTP"), func(p *wspeer.Peer) {
 			b, err := wspeer.NewHTTPBinding(wspeer.HTTPOptions{UDDIEndpoint: registry})
 			if err != nil {
 				t.Fatal(err)
@@ -126,28 +168,17 @@ func TestNoBodyTreeOnAnyCallPath(t *testing.T) {
 			t.Cleanup(func() { b.Close() })
 			b.Attach(p)
 		}),
-		"p2ps": codecPair(t, "RecordsP2PS", func(p *wspeer.Peer) {
-			node, err := wspeer.NewP2PSPeer(wspeer.P2PSConfig{Transport: overlay.NewEndpoint(), Seeds: []string{rdv.Addr()}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { node.Close() })
-			b, err := wspeer.NewP2PSBinding(wspeer.P2PSOptions{Peer: node, DiscoveryTimeout: 300 * time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { b.Close() })
-			b.Attach(p)
-		}),
+		"p2ps": codecPair(t, recordsDef("RecordsP2PS"), p2psAttach(t)),
 	}
 	in := genRecs(16)
 	for name, inv := range pairs {
-		before := soap.BodyTreesBuilt()
+		headers, bodies := soap.HeaderTreesBuilt(), soap.BodyTreesBuilt()
 		for i := 0; i < 3; i++ {
 			roundTrip(t, inv, in)
+			callbackRoundTrip(t, inv, in)
 		}
-		if n := soap.BodyTreesBuilt() - before; n != 0 {
-			t.Errorf("%s: %d message bodies were built as trees by 3 invocations", name, n)
+		if h, b := soap.HeaderTreesBuilt()-headers, soap.BodyTreesBuilt()-bodies; h != 0 || b != 0 {
+			t.Errorf("%s: 3 request/response and 3 callback invocations built %d headers and %d bodies as trees", name, h, b)
 		}
 	}
 }
@@ -163,6 +194,28 @@ func TestRecordsRoundTripAllocs(t *testing.T) {
 	roundTrip(t, inv, in) // plans compiled, pools filled
 	if allocs := testing.AllocsPerRun(20, func() { roundTrip(t, inv, in) }); allocs > 3600 {
 		t.Fatalf("a 256-record round trip over mem://: %.0f allocations, want <= 3600", allocs)
+	} else {
+		t.Logf("%.0f allocations", allocs)
+	}
+}
+
+// TestP2PSEchoAllocs pins what an echo round trip costs over the P2PS
+// binding: a request stamped with its addressing headers and parsed by the
+// provider, a reply stamped, parsed and correlated, ≈ 101 allocations in
+// all — where header trees on the way cost 182.
+func TestP2PSEchoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	inv := codecPair(t, benchEchoDef("EchoAllocs"), p2psAttach(t))
+	echo := func() {
+		if _, err := inv.Invoke(context.Background(), "echo", wspeer.P("msg", "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	echo() // plans compiled, pools filled, reply pipe hosted
+	if allocs := testing.AllocsPerRun(200, echo); allocs > 106 {
+		t.Fatalf("a P2PS echo round trip: %.0f allocations, want <= 106", allocs)
 	} else {
 		t.Logf("%.0f allocations", allocs)
 	}

@@ -384,13 +384,18 @@ func FetchWSDL(ctx context.Context, url string) (*wsdl.Definitions, error) {
 	return defs, nil
 }
 
+// maxWSDLBytes bounds a fetched WSDL document: a longer one is refused, not
+// cut short into a parse error.
+const maxWSDLBytes = 16 << 20
+
+var wsdlClient = &http.Client{Timeout: 15 * time.Second}
+
 func httpGet(ctx context.Context, url string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	client := &http.Client{Timeout: 15 * time.Second}
-	resp, err := client.Do(req)
+	resp, err := wsdlClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -398,7 +403,11 @@ func httpGet(ctx context.Context, url string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("httpbind: GET %s: %s", url, resp.Status)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxWSDLBytes+1))
+	if err == nil && len(data) > maxWSDLBytes {
+		err = fmt.Errorf("httpbind: GET %s: document larger than the %d-byte limit", url, maxWSDLBytes)
+	}
+	return data, err
 }
 
 // ---------------------------------------------------------------------------

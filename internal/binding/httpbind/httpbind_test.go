@@ -301,6 +301,24 @@ func TestFetchWSDLErrors(t *testing.T) {
 	}
 }
 
+// TestFetchWSDLOverLimit: a document one byte over the limit is refused with
+// an error that names the limit, not read short and then failed as XML.
+func TestFetchWSDLOverLimit(t *testing.T) {
+	const head = `<definitions xmlns="http://schemas.xmlsoap.org/wsdl/"><documentation>`
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(head))
+		pad := []byte(strings.Repeat("x", 1<<16))
+		for left := maxWSDLBytes + 1 - len(head); left > 0; left -= len(pad) {
+			w.Write(pad[:min(left, len(pad))])
+		}
+	}))
+	defer srv.Close()
+	_, err := FetchWSDL(context.Background(), srv.URL)
+	if err == nil || !strings.Contains(err.Error(), "16777216-byte limit") || strings.Contains(err.Error(), "parse") {
+		t.Fatalf("FetchWSDL of a 16 MiB + 1 B document: %v", err)
+	}
+}
+
 func TestDeployerUndeployUnknown(t *testing.T) {
 	b, err := New(Options{})
 	if err != nil {

@@ -83,8 +83,26 @@ func (b *Binding) infoFromAdvert(ctx context.Context, adv *p2ps.ServiceAdvertise
 		Endpoint:    endpoint,
 		Locator:     "p2ps",
 		Meta:        map[string]string{"advertID": adv.ID},
-		Extra:       adv,
+		Extra:       newTarget(adv),
 	}, nil
+}
+
+// target is a resolved advert as the invoker addresses it: its request pipe
+// (nil for a foreign advert) and that pipe's EPR and Action, built once per
+// advert rather than once per call.
+type target struct {
+	adv    *p2ps.ServiceAdvertisement
+	pipe   *p2ps.PipeAdvertisement
+	epr    *wsaddr.EndpointReference
+	action string
+}
+
+func newTarget(adv *p2ps.ServiceAdvertisement) *target {
+	t := &target{adv: adv, pipe: adv.Pipe(RequestPipeName)}
+	if t.pipe != nil {
+		t.epr, t.action = PipeToEPR(t.pipe, adv.Name), ActionFor(adv.Peer, adv.Name, RequestPipeName)
+	}
+	return t
 }
 
 // FetchDefinitions retrieves a service's WSDL through its definition pipe
@@ -132,15 +150,15 @@ func (b *Binding) FetchDefinitions(ctx context.Context, adv *p2ps.ServiceAdverti
 	}
 }
 
-// advertFor resolves the P2PS advertisement backing a service. A service
-// located through the p2ps locator carries its advert in Extra; a service
+// targetFor resolves the P2PS advertisement backing a service. A service
+// located through the p2ps locator carries it, resolved, in Extra; a service
 // located elsewhere — e.g. a UDDI record with a p2ps:// endpoint, the
 // mixed UDDI-locator + P2PS-invoker composition — is resolved by
 // discovering an advert matching the endpoint's peer and service name.
 // The ServiceInfo is never mutated: it may be shared across goroutines.
-func (b *Binding) advertFor(ctx context.Context, svc *core.ServiceInfo) (*p2ps.ServiceAdvertisement, error) {
-	if adv, ok := svc.Extra.(*p2ps.ServiceAdvertisement); ok {
-		return adv, nil
+func (b *Binding) targetFor(ctx context.Context, svc *core.ServiceInfo) (*target, error) {
+	if t, ok := svc.Extra.(*target); ok {
+		return t, nil
 	}
 	uri, err := core.ParseP2PSURI(svc.Endpoint)
 	if err != nil {
@@ -152,7 +170,7 @@ func (b *Binding) advertFor(ctx context.Context, svc *core.ServiceInfo) (*p2ps.S
 	}
 	for _, adv := range matches {
 		if string(adv.Peer) == uri.Peer && adv.Pipe(RequestPipeName) != nil {
-			return adv, nil
+			return newTarget(adv), nil
 		}
 	}
 	return nil, fmt.Errorf("p2psbind: no advertisement found for %s", svc.Endpoint)

@@ -21,6 +21,9 @@ import (
 	"wspeer/internal/xmlutil"
 )
 
+// deadlineName is the header propagating a caller's deadline down a pipe.
+var deadlineName = xmlutil.N(transport.DeadlineNS, transport.DeadlineElement)
+
 // Pipe names the binding uses within a service advertisement.
 const (
 	// RequestPipeName is the pipe invocations are sent down.
@@ -400,8 +403,8 @@ func (b *Binding) handleRequest(ds *deployedService, data []byte) {
 	// the caller has already abandoned instead of answering into the void.
 	var held heldReply
 	ctx := context.WithValue(context.Background(), heldReplyKey{}, &held)
-	if dlHdr := env.Header(xmlutil.N(transport.DeadlineNS, transport.DeadlineElement)); dlHdr != nil {
-		if dl, ok := transport.ParseDeadline(dlHdr.TrimmedText()); ok {
+	if text, ok := env.HeaderText(deadlineName); ok {
+		if dl, ok := transport.ParseDeadline(text); ok {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithDeadline(ctx, dl)
 			defer cancel()
@@ -583,13 +586,12 @@ func (i invoker) Schemes() []string { return []string{core.P2PSScheme} }
 func (i invoker) Invoke(c *pipeline.Call, svc *core.ServiceInfo, op string, params []engine.Param) (*engine.Result, error) {
 	b := i.b
 	ctx := c.Ctx
-	adv, err := b.advertFor(ctx, svc)
+	tgt, err := b.targetFor(ctx, svc)
 	if err != nil {
 		return nil, err
 	}
-	reqPipeAdv := adv.Pipe(RequestPipeName)
-	if reqPipeAdv == nil {
-		return nil, fmt.Errorf("p2psbind: advert %q has no %q pipe", adv.Name, RequestPipeName)
+	if tgt.pipe == nil {
+		return nil, fmt.Errorf("p2psbind: advert %q has no %q pipe", tgt.adv.Name, RequestPipeName)
 	}
 	if svc.Definitions == nil {
 		return nil, fmt.Errorf("p2psbind: service %q has no definitions", svc.Name)
@@ -601,7 +603,7 @@ func (i invoker) Invoke(c *pipeline.Call, svc *core.ServiceInfo, op string, para
 
 	// Fig. 5 steps 1-3: the pipe the response should come back on,
 	// serialized to WS-Addressing standards, rides in the SOAP request.
-	hdr := wsaddr.HeadersFor(PipeToEPR(reqPipeAdv, adv.Name), ActionFor(adv.Peer, adv.Name, RequestPipeName))
+	hdr := wsaddr.HeadersFor(tgt.epr, tgt.action)
 	await := false
 	xh := binding.ExchangeHeaders(c)
 	if p, _ := c.GetMeta(exchange.MetaPattern).(exchange.Pattern); xh != nil && p != exchange.RequestResponse {
@@ -624,15 +626,14 @@ func (i invoker) Invoke(c *pipeline.Call, svc *core.ServiceInfo, op string, para
 	// header, the pipe substrate's equivalent of X-Wspeer-Deadline.
 	ttl := b.replyTimeout
 	if dl, ok := ctx.Deadline(); ok {
-		env.AddHeader(xmlutil.NewElement(xmlutil.N(transport.DeadlineNS, transport.DeadlineElement)).
-			SetText(transport.FormatDeadline(dl)))
+		env.AddHeaderValue(&soap.TextHeader{Name: deadlineName, Text: transport.FormatDeadline(dl)})
 		if until := time.Until(dl); until < ttl {
 			ttl = until
 		}
 	}
 
 	// Fig. 5 step 5: send the SOAP down the remote pipe.
-	out, err := b.openPipe(reqPipeAdv)
+	out, err := b.openPipe(tgt.pipe)
 	if err != nil {
 		return nil, err
 	}

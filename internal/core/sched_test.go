@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,6 +41,18 @@ func (g *gaugeInvoker) Invoke(_ *pipeline.Call, svc *ServiceInfo, op string, par
 	return &engine.Result{}, g.err
 }
 
+// completedStats waits for the scheduler to count n tasks complete, which it
+// does once a task's function — the callback that signals the test
+// included — has returned, and returns its stats.
+func completedStats(stats func() SchedulerStats, n int64) SchedulerStats {
+	st := stats()
+	for deadline := time.Now().Add(5 * time.Second); st.Completed < n && time.Now().Before(deadline); {
+		runtime.Gosched()
+		st = stats()
+	}
+	return st
+}
+
 func TestSchedulerBoundsConcurrency(t *testing.T) {
 	s := newScheduler(SchedulerOptions{MaxConcurrent: 4, MaxQueue: 256})
 	var cur, peak atomic.Int64
@@ -65,8 +78,7 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 	if p := peak.Load(); p > 4 {
 		t.Fatalf("peak concurrency = %d, want <= 4", p)
 	}
-	st := s.stats()
-	if st.Submitted != 100 || st.Completed != 100 || st.Shed != 0 {
+	if st := completedStats(s.stats, 100); st.Submitted != 100 || st.Completed != 100 || st.Shed != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -194,8 +206,7 @@ func TestInvokeAsyncRunsOnScheduler(t *testing.T) {
 	if pk := inv.peak.Load(); pk > 3 {
 		t.Fatalf("peak concurrency = %d, want <= 3", pk)
 	}
-	st := p.Client().SchedulerStats()
-	if st.Submitted != 50 || st.Completed != 50 {
+	if st := completedStats(p.Client().SchedulerStats, 50); st.Submitted != 50 || st.Completed != 50 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -117,7 +117,7 @@ func (e *Engine) serveCall(c *pipeline.Call) error {
 	// Parse addressing headers only when header blocks exist at all, so
 	// the plain synchronous path pays nothing for the exchange layer.
 	var hdr *wsaddr.MessageHeaders
-	if fault == nil && len(env.Headers()) > 0 {
+	if fault == nil && len(env.HeaderIndex()) > 0 {
 		var err error
 		if hdr, err = wsaddr.FromEnvelope(env); err != nil {
 			hdr = nil
@@ -173,7 +173,7 @@ func (e *Engine) serveEnvelope(c *pipeline.Call, env *soap.Envelope, hdr *wsaddr
 		return nil
 	}
 	if hdr != nil && hdr.MessageID != "" && respEnv.Header(wsaddr.RelatesToName) == nil {
-		respEnv.AddHeader(xmlutil.NewElement(wsaddr.RelatesToName).SetText(hdr.MessageID))
+		respEnv.AddHeaderValue(&soap.TextHeader{Name: wsaddr.RelatesToName, Text: hdr.MessageID})
 	}
 	c.Response = &transport.Response{
 		ContentType: version.ContentType(),
@@ -197,15 +197,12 @@ func (e *Engine) parseAndCheck(req *transport.Request) (*soap.Envelope, *soap.Fa
 	return env, nil
 }
 
-// checkUnderstood is mustUnderstand processing: WS-Addressing headers are
-// understood natively; anything else must have been registered via
-// Understand.
+// checkUnderstood is mustUnderstand processing, over what Parse noted of
+// each block: WS-Addressing headers are understood natively; anything else
+// must have been registered via Understand.
 func (e *Engine) checkUnderstood(env *soap.Envelope) *soap.Fault {
-	for _, h := range env.Headers() {
-		if !soap.MustUnderstand(h) {
-			continue
-		}
-		if h.Name.Space == wsaddr.Namespace {
+	for _, h := range env.HeaderIndex() {
+		if !h.MustUnderstand || h.Name.Space == wsaddr.Namespace {
 			continue
 		}
 		if !e.understands(h.Name.Space) {

@@ -3,18 +3,21 @@
 // blocks with mustUnderstand/actor semantics, and faults that round-trip as
 // Go errors.
 //
-// Header blocks and faults are element trees; a body on a call path never
-// is. Going out it is an xsd.Wrapper — Go values — and Marshal writes the
-// Envelope/Header/Body shell and the header blocks into the pooled writer
-// and lets the values' plans append the rest. Coming in, Parse scans the
-// whole message, builds the Header and leaves the Body in the message's
-// bytes, which the envelope aliases from then on (every transport hands a
-// message over in a buffer of its own); DecodeBody scans them again,
-// straight into Go values. Body and FirstBodyElement still answer with
-// trees, built at the first call, for whoever wants one.
+// Faults are element trees; a header or a body on a call path never is.
+// Going out, the body is an xsd.Wrapper and the header blocks are values
+// (HeaderValue: the addressing headers, a TextHeader), and Marshal writes the
+// Envelope/Header/Body shell, the blocks and the body's values into one
+// pooled writer. Coming in, Parse scans the whole message, notes one
+// HeaderInfo per header block — enough for mustUnderstand processing — and
+// leaves Header and Body in the message's bytes, which the envelope aliases
+// from then on (every transport hands a message over in a buffer of its
+// own); DecodeHeader, HeaderText and DecodeBody read them again, straight
+// into Go values. Headers, Header, Body and FirstBodyElement still answer
+// with trees, built at the first call, for whoever wants one.
 package soap
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"reflect"
@@ -35,6 +38,10 @@ const ContentType = "text/xml; charset=utf-8"
 // processes the message.
 const ActorNext = "http://schemas.xmlsoap.org/soap/actor/next"
 
+// MaxHeaderBlocks is how many header blocks Parse accepts in one message: a
+// stranger's header costs an index entry per block, and no more of them.
+const MaxHeaderBlocks = 256
+
 // Standard SOAP 1.1 fault codes.
 var (
 	FaultVersionMismatch = xmlutil.N(Namespace, "VersionMismatch")
@@ -45,26 +52,42 @@ var (
 
 // Envelope is a SOAP message: an ordered list of header blocks and either a
 // body or a fault. Envelopes carry their SOAP version (1.1 by default);
-// responses should be built with the request's version. The body is held
-// the way it came: trees, Go values or a parsed message's bytes.
+// responses should be built with the request's version. Header and body are
+// held the way they came: values, trees or a parsed message's bytes.
 type Envelope struct {
 	version Version
-	headers []*xmlutil.Element
 	fault   *Fault
+	raw     []byte // the parsed message
+
+	blocks []HeaderValue // a built envelope's header blocks, in order
+	header *parsedHeader // a parsed message's Header, if it has one
 
 	wrapper *xsd.Wrapper // the body as Go values
-	raw     []byte       // the parsed message the body is still in
-	bodyAt  int          // where the Body's start tag begins in raw
+	bodyAt  int          // where the Body's start tag begins in raw; 0: the body is not raw's
 	first   xmlutil.Name // the first element in raw's Body; zero if it is empty
 	trees   sync.Once    // body has been built from wrapper or raw
 	body    []*xmlutil.Element
 }
 
-var bodyTrees atomic.Int64
+// parsedHeader is where a parsed message's Header starts, what Parse noted
+// of each block, and the trees built from them on demand.
+type parsedHeader struct {
+	at    int
+	index []HeaderInfo
+	few   [6]HeaderInfo // index's backing array, for the headers the bindings send
+	once  sync.Once
+	trees []*xmlutil.Element
+}
+
+var bodyTrees, headerTrees atomic.Int64
 
 // BodyTreesBuilt counts the parsed message bodies built as trees so far: a
 // call path builds none.
 func BodyTreesBuilt() int64 { return bodyTrees.Load() }
+
+// HeaderTreesBuilt counts the parsed message headers built as trees so far:
+// a call path builds none.
+func HeaderTreesBuilt() int64 { return headerTrees.Load() }
 
 // NewEnvelope returns an empty SOAP 1.1 envelope.
 func NewEnvelope() *Envelope { return &Envelope{} }
@@ -78,21 +101,98 @@ func (e *Envelope) Version() Version { return e.version }
 // AddHeader appends a header block, which the envelope only ever reads: a
 // block may stand in any number of envelopes at once.
 func (e *Envelope) AddHeader(block *xmlutil.Element) *Envelope {
-	e.headers = append(e.headers, block)
+	return e.AddHeaderValue(treeBlock{block})
+}
+
+// AddHeaderValue appends header blocks held as a value, which the envelope
+// reads whenever it is marshalled: it must not change meanwhile.
+func (e *Envelope) AddHeaderValue(v HeaderValue) *Envelope {
+	if e.header != nil { // a parsed message's blocks become trees to add to
+		for _, h := range e.Headers() {
+			e.blocks = append(e.blocks, treeBlock{h})
+		}
+		e.header = nil
+	}
+	e.blocks = append(e.blocks, v)
 	return e
 }
 
-// Headers returns the header blocks in order.
-func (e *Envelope) Headers() []*xmlutil.Element { return e.headers }
+// parsed is the envelope the header is read from: this one if it was
+// parsed, or what Parse reads back from a built one's bytes.
+func (e *Envelope) parsed() *Envelope {
+	if e.header == nil && len(e.blocks) > 0 {
+		if p, err := Parse(e.Marshal()); err == nil {
+			return p
+		}
+	}
+	return e
+}
+
+// Headers returns the header blocks in order, built from the message at
+// the first call; concurrent callers share them.
+func (e *Envelope) Headers() []*xmlutil.Element {
+	p := e.parsed()
+	h := p.header
+	if h == nil {
+		return nil
+	}
+	h.once.Do(func() {
+		headerTrees.Add(1)
+		t := p.scan(h.at)
+		defer t.Release()
+		hdr, _ := t.Element()
+		h.trees = hdr.Elements()
+	})
+	return h.trees
+}
 
 // Header returns the first header block with the given name, or nil.
 func (e *Envelope) Header(name xmlutil.Name) *xmlutil.Element {
-	for _, h := range e.headers {
+	for _, h := range e.Headers() {
 		if h.Name == name {
 			return h
 		}
 	}
 	return nil
+}
+
+// HeaderIndex lists what mustUnderstand processing needs of each header
+// block, without building the blocks, in a slice the envelope keeps (read
+// it, do not change it).
+func (e *Envelope) HeaderIndex() []HeaderInfo {
+	if h := e.parsed().header; h != nil {
+		return h.index
+	}
+	return nil
+}
+
+// HeaderText is the trimmed text of the first header block with the given
+// name, read without building the block; ok is false if there is none.
+func (e *Envelope) HeaderText(name xmlutil.Name) (text string, ok bool) {
+	p := e.parsed()
+	for _, h := range p.HeaderIndex() {
+		if h.Name == name {
+			t := p.scan(p.header.at)
+			defer t.Release()
+			t.Seek(h.at)
+			t.Next()
+			b, _ := t.CharData()
+			return string(bytes.TrimSpace(b)), true
+		}
+	}
+	return "", false
+}
+
+// DecodeHeader decodes the header blocks into dst, settable, through its xsd
+// plan: a struct's fields are the blocks they name in ns.
+func (e *Envelope) DecodeHeader(ns string, dst reflect.Value) error {
+	p := e.parsed()
+	if p.header == nil {
+		return nil
+	}
+	t := p.scan(p.header.at)
+	defer t.Release()
+	return xsd.DecodeValue(t, ns, dst)
 }
 
 // AddBodyElement appends a body child. It panics if the envelope already
@@ -102,13 +202,13 @@ func (e *Envelope) AddBodyElement(el *xmlutil.Element) *Envelope {
 		panic("soap: cannot add body elements to a fault envelope")
 	}
 	e.body = append(e.Body(), el)
-	e.wrapper, e.raw = nil, nil // the body is its trees from here on
+	e.wrapper, e.bodyAt = nil, 0 // the body is its trees from here on
 	return e
 }
 
 // SetBody makes w the envelope's only body element.
 func (e *Envelope) SetBody(w *xsd.Wrapper) *Envelope {
-	*e = Envelope{version: e.version, headers: e.headers, wrapper: w}
+	*e = Envelope{version: e.version, raw: e.raw, blocks: e.blocks, header: e.header, wrapper: w}
 	return e
 }
 
@@ -120,7 +220,7 @@ func (e *Envelope) Body() []*xmlutil.Element {
 		switch {
 		case e.wrapper != nil:
 			e.body = []*xmlutil.Element{e.wrapper.Element()}
-		case e.raw != nil:
+		case e.bodyAt > 0:
 			bodyTrees.Add(1)
 			e.body = e.bodyTree().Elements()
 		}
@@ -128,20 +228,21 @@ func (e *Envelope) Body() []*xmlutil.Element {
 	return e.body
 }
 
-// scanBody returns a scanner that has just returned a parsed message's Body
-// start tag, past the envelope's (read again for its declarations) and the
-// Header. Parse has scanned these bytes: no error is met from here on.
-func (e *Envelope) scanBody() *xmlutil.Tokenizer {
+// scan returns a scanner over a parsed message that has just returned the
+// start tag at offset at — the Header's or the Body's — past the
+// envelope's (read again for its declarations). Parse has scanned these
+// bytes: no error is met from here on.
+func (e *Envelope) scan(at int) *xmlutil.Tokenizer {
 	t := xmlutil.AcquireTokenizer(e.raw)
 	t.Next()
-	t.Seek(e.bodyAt)
+	t.Seek(at)
 	t.Next()
 	return t
 }
 
 // bodyTree builds a parsed message's Body element.
 func (e *Envelope) bodyTree() *xmlutil.Element {
-	t := e.scanBody()
+	t := e.scan(e.bodyAt)
 	defer t.Release()
 	body, _ := t.Element()
 	return body
@@ -159,7 +260,7 @@ func (e *Envelope) FirstBodyElement() *xmlutil.Element {
 // the operation, without building anything; ok is false for an empty body.
 func (e *Envelope) FirstBodyName() (name xmlutil.Name, ok bool) {
 	switch {
-	case e.raw != nil:
+	case e.bodyAt > 0:
 		name = e.first
 	case e.wrapper != nil:
 		name = e.wrapper.Name
@@ -172,14 +273,14 @@ func (e *Envelope) FirstBodyName() (name xmlutil.Name, ok bool) {
 // DecodeBody is xsd.DecodeTokens over the first body element; a parsed
 // message's is decoded from its bytes, as often as asked.
 func (e *Envelope) DecodeBody(ns string, parts []xsd.Field, dst []reflect.Value) (int, error) {
-	if e.raw == nil {
+	if e.bodyAt == 0 {
 		first := e.FirstBodyElement()
 		if first == nil {
 			return -1, fmt.Errorf("soap: empty Body")
 		}
 		return xsd.DecodeElement(first, ns, parts, dst)
 	}
-	t := e.scanBody()
+	t := e.scan(e.bodyAt)
 	defer t.Release()
 	for { // on to the first child's start tag
 		switch kind, err := t.Next(); {
@@ -195,7 +296,7 @@ func (e *Envelope) DecodeBody(ns string, parts []xsd.Field, dst []reflect.Value)
 
 // SetFault makes the envelope a fault message, discarding body elements.
 func (e *Envelope) SetFault(f *Fault) *Envelope {
-	*e = Envelope{version: e.version, headers: e.headers, fault: f}
+	*e = Envelope{version: e.version, raw: e.raw, blocks: e.blocks, header: e.header, fault: f}
 	return e
 }
 
@@ -205,34 +306,6 @@ func (e *Envelope) Fault() *Fault { return e.fault }
 // IsFault reports whether the envelope carries a fault.
 func (e *Envelope) IsFault() bool { return e.fault != nil }
 
-// SetMustUnderstand marks a header block with soapenv:mustUnderstand="1".
-// The attribute is written in the 1.1 namespace and normalized to the
-// envelope's version when the envelope is marshalled.
-func SetMustUnderstand(block *xmlutil.Element) {
-	block.SetAttr(xmlutil.N(Namespace, "mustUnderstand"), "1")
-}
-
-// MustUnderstand reports whether a header block requires understanding,
-// in either SOAP version's vocabulary.
-func MustUnderstand(block *xmlutil.Element) bool {
-	if v, ok := block.Attr(xmlutil.N(Namespace, "mustUnderstand")); ok {
-		return v == "1" || v == "true"
-	}
-	v, ok := block.Attr(xmlutil.N(Namespace12, "mustUnderstand"))
-	return ok && (v == "1" || v == "true")
-}
-
-// SetActor targets a header block at a specific actor URI.
-func SetActor(block *xmlutil.Element, actor string) {
-	block.SetAttr(xmlutil.N(Namespace, "actor"), actor)
-}
-
-// Actor returns a header block's actor URI ("" when absent).
-func Actor(block *xmlutil.Element) string {
-	v, _ := block.Attr(xmlutil.N(Namespace, "actor"))
-	return v
-}
-
 // Element renders the envelope as an element tree in its version's
 // namespace, the caller's to edit: header blocks (their mustUnderstand and
 // actor/role attributes normalized to the version) and body are cloned.
@@ -240,12 +313,10 @@ func (e *Envelope) Element() *xmlutil.Element {
 	ns := e.version.Namespace()
 	root := xmlutil.NewElement(xmlutil.N(ns, "Envelope"))
 	root.DeclarePrefix("soapenv", ns)
-	if len(e.headers) > 0 {
+	if headers := e.Headers(); len(headers) > 0 {
 		hdr := root.NewChild(xmlutil.N(ns, "Header"))
-		for _, h := range e.headers {
-			hc := h.Clone()
-			normalizeHeaderAttrs(hc, e.version)
-			hdr.AddChild(hc)
+		for _, h := range headers {
+			hdr.AddChild(normalized(h.Clone(), e.version))
 		}
 	}
 	body := root.NewChild(xmlutil.N(ns, "Body"))
@@ -258,50 +329,6 @@ func (e *Envelope) Element() *xmlutil.Element {
 	return root
 }
 
-// normalizeHeaderAttrs rewrites version-scoped header attributes into the
-// target version's vocabulary.
-func normalizeHeaderAttrs(block *xmlutil.Element, v Version) {
-	from, to := Namespace12, Namespace
-	actorFrom, actorTo := "role", "actor"
-	if v == SOAP12 {
-		from, to = Namespace, Namespace12
-		actorFrom, actorTo = "actor", "role"
-	}
-	if val, ok := block.Attr(xmlutil.N(from, "mustUnderstand")); ok {
-		block.Attrs = removeAttr(block.Attrs, xmlutil.N(from, "mustUnderstand"))
-		block.SetAttr(xmlutil.N(to, "mustUnderstand"), val)
-	}
-	if val, ok := block.Attr(xmlutil.N(from, actorFrom)); ok {
-		block.Attrs = removeAttr(block.Attrs, xmlutil.N(from, actorFrom))
-		block.SetAttr(xmlutil.N(to, actorTo), val)
-	}
-}
-
-func removeAttr(attrs []xmlutil.Attr, name xmlutil.Name) []xmlutil.Attr {
-	out := attrs[:0]
-	for _, a := range attrs {
-		if a.Name != name {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// block returns a header block as it is marshalled: itself, or a rewritten
-// clone if it carries attributes in the other SOAP version's vocabulary.
-func (e *Envelope) block(h *xmlutil.Element) *xmlutil.Element {
-	from, actor := Namespace12, "role"
-	if e.version == SOAP12 {
-		from, actor = Namespace, "actor"
-	}
-	_, mustUnderstand := h.Attr(xmlutil.N(from, "mustUnderstand"))
-	if _, targeted := h.Attr(xmlutil.N(from, actor)); mustUnderstand || targeted {
-		h = h.Clone()
-		normalizeHeaderAttrs(h, e.version)
-	}
-	return h
-}
-
 // write serializes the envelope into a pooled writer: the bytes
 // xmlutil.Marshal gives for Element(), without the tree. Prefixes are
 // assigned in the order a walk of that tree meets the namespaces — the
@@ -312,15 +339,24 @@ func (e *Envelope) write() *xmlutil.Writer {
 	w := xmlutil.AcquireWriter()
 	ns := e.version.Namespace()
 	w.Assign(ns)
-	for _, h := range e.headers {
-		w.Collect(e.block(h))
+	blocks := e.blocks
+	if e.header != nil { // a parsed message's are written from their trees
+		blocks = nil
+		for _, h := range e.Headers() {
+			blocks = append(blocks, treeBlock{h})
+		}
+	}
+	hw := headerWriters.Get().(*HeaderWriter)
+	*hw = HeaderWriter{w: w, assign: true, v: e.version}
+	for _, b := range blocks {
+		b.WriteHeader(hw)
 	}
 	var body []*xmlutil.Element
 	switch {
 	case e.fault != nil:
 		body = []*xmlutil.Element{e.fault.tree(e.version)}
 	case e.wrapper != nil:
-		w.Assign(e.wrapper.Name.Space)
+		e.wrapper.Assign(w)
 	default:
 		body = e.Body()
 	}
@@ -330,13 +366,16 @@ func (e *Envelope) write() *xmlutil.Writer {
 
 	env := w.Prefix(ns)
 	w.OpenRoot(env, "Envelope")
-	if len(e.headers) > 0 {
+	if len(blocks) > 0 {
 		mark := w.Open(env, "Header")
-		for _, h := range e.headers {
-			w.Tree(e.block(h))
+		hw.assign = false
+		for _, b := range blocks {
+			b.WriteHeader(hw)
 		}
 		w.Close(env, "Header", mark)
 	}
+	*hw = HeaderWriter{}
+	headerWriters.Put(hw)
 	mark := w.Open(env, "Body")
 	if e.wrapper != nil {
 		e.wrapper.WriteXML(w)
@@ -360,8 +399,9 @@ func (e *Envelope) MarshalTo(dst io.Writer) error { return e.write().FinishTo(ds
 
 // Parse reads an envelope of either SOAP version from bytes, which it goes
 // on to alias. The whole message is scanned, so malformed XML anywhere —
-// after the wrapper, after the envelope — is refused here; the Header is
-// built as a tree, a Fault is read, any other Body stays bytes.
+// after the wrapper, after the envelope — is refused here, and so is a
+// Header of more than MaxHeaderBlocks blocks; a Fault is read, Header and
+// any other Body stay bytes.
 func Parse(data []byte) (*Envelope, error) {
 	t := xmlutil.AcquireTokenizer(data)
 	defer t.Release()
@@ -378,7 +418,7 @@ func Parse(data []byte) (*Envelope, error) {
 	case xmlutil.N(Namespace12, "Envelope"):
 		env, ns = NewEnvelopeV(SOAP12), Namespace12
 	}
-	var header, faulted bool
+	var faulted bool
 	for depth := t.Depth(); ; {
 		kind, err := t.Next()
 		if err != nil {
@@ -388,31 +428,38 @@ func Parse(data []byte) (*Envelope, error) {
 			break
 		}
 		// Only the envelope's own children are looked at: its first Header
-		// and its first Body.
+		// and its first Body; of their children, only the start tags.
 		if kind != xmlutil.TokenStart || t.Depth() != depth+1 || env == nil || t.Space != ns {
 			continue
 		}
-		switch {
-		case !header && string(t.Local) == "Header":
-			header = true
-			h, err := t.Element()
+		header := env.header == nil && string(t.Local) == "Header"
+		if !header && (env.bodyAt > 0 || string(t.Local) != "Body") {
+			continue
+		}
+		env.raw = data
+		if header {
+			env.header = &parsedHeader{at: t.TagOffset()}
+			env.header.index = env.header.few[:0]
+		} else {
+			env.bodyAt = t.TagOffset()
+		}
+		for t.Depth() > depth {
+			kind, err := t.Next()
 			if err != nil {
 				return malformed(err)
 			}
-			env.headers = h.Elements()
-		case env.raw == nil && string(t.Local) == "Body":
-			env.raw, env.bodyAt = data, t.TagOffset()
-			for t.Depth() > depth {
-				kind, err := t.Next()
-				if err != nil {
-					return malformed(err)
-				}
-				if kind == xmlutil.TokenStart && t.Depth() == depth+2 {
-					if env.first.Local == "" {
-						env.first = t.Name()
-					}
-					faulted = faulted || (t.Space == ns && string(t.Local) == "Fault")
-				}
+			switch {
+			case kind != xmlutil.TokenStart || t.Depth() != depth+2:
+			case header && len(env.header.index) == MaxHeaderBlocks:
+				return nil, fmt.Errorf("soap: a Header of more than %d blocks", MaxHeaderBlocks)
+			case header:
+				mu, role := blockAttrs(t.Attr)
+				env.header.index = append(env.header.index, HeaderInfo{Name: t.Name(), MustUnderstand: mu, Role: role, at: t.TagOffset()})
+			case env.first.Local == "":
+				env.first = t.Name()
+				fallthrough
+			default:
+				faulted = faulted || (t.Space == ns && string(t.Local) == "Fault")
 			}
 		}
 	}
@@ -421,7 +468,7 @@ func Parse(data []byte) (*Envelope, error) {
 		return nil, &VersionMismatchError{Got: root.Space}
 	case env == nil:
 		return nil, fmt.Errorf("soap: document element is %v, not Envelope", root)
-	case env.raw == nil:
+	case env.bodyAt == 0:
 		return nil, fmt.Errorf("soap: envelope has no Body")
 	case !faulted:
 		return env, nil

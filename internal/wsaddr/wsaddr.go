@@ -8,11 +8,22 @@
 // pipes bidirectional: a consumer serializes the advertisement of its reply
 // pipe into the ReplyTo header, and the provider resolves that
 // advertisement to send the response back (paper §IV-B, figures 5 and 6).
+//
+// No tree stands between the headers and the wire. Apply attaches a
+// MessageHeaders to an envelope as one soap.HeaderValue, which writes itself
+// into the envelope's marshal writer; FromEnvelope decodes the Header
+// through the compiled xsd plan of wireHeaders, straight from a parsed
+// message's bytes. Only reference properties are trees — opaque by
+// specification, shared, never copied.
 package wsaddr
 
 import (
+	"cmp"
 	"crypto/rand"
+	"encoding/hex"
 	"fmt"
+	"reflect"
+	"strings"
 
 	"wspeer/internal/soap"
 	"wspeer/internal/xmlutil"
@@ -43,7 +54,7 @@ var (
 // address URI plus arbitrary protocol-defined reference properties. The
 // property elements are immutable once they are in an EPR: the message
 // headers built from it, and every envelope those are applied to, share
-// them rather than copy them (marshalling only reads an envelope's trees).
+// them rather than copy them (marshalling only reads them).
 type EndpointReference struct {
 	Address             string
 	ReferenceProperties []*xmlutil.Element
@@ -71,34 +82,21 @@ func (e *EndpointReference) ReferenceProperty(name xmlutil.Name) *xmlutil.Elemen
 	return nil
 }
 
-// Element serializes the EPR as an element with the given name (for example
-// wsa:ReplyTo or wsa:EndpointReference).
-func (e *EndpointReference) Element(name xmlutil.Name) *xmlutil.Element {
-	root := xmlutil.NewElement(name)
-	root.NewChild(AddressName).SetText(e.Address)
+// write writes the EPR as an element with the given name, if there is one.
+func (e *EndpointReference) write(hw *soap.HeaderWriter, name xmlutil.Name) {
+	if e == nil {
+		return
+	}
+	mark := hw.Open(name)
+	hw.Text(AddressName, e.Address, false)
 	if len(e.ReferenceProperties) > 0 {
-		props := root.NewChild(RefPropsName)
+		props := hw.Open(RefPropsName)
 		for _, p := range e.ReferenceProperties {
-			props.AppendShared(p)
+			hw.Tree(p)
 		}
+		hw.Close(RefPropsName, props)
 	}
-	return root
-}
-
-// EPRFromElement parses an EPR from its XML form.
-func EPRFromElement(el *xmlutil.Element) (*EndpointReference, error) {
-	addr := el.Child(AddressName)
-	if addr == nil {
-		return nil, fmt.Errorf("wsaddr: EndpointReference without Address")
-	}
-	e := &EndpointReference{Address: addr.TrimmedText()}
-	if e.Address == "" {
-		return nil, fmt.Errorf("wsaddr: EndpointReference with empty Address")
-	}
-	if props := el.Child(RefPropsName); props != nil {
-		e.ReferenceProperties = props.Elements()
-	}
-	return e, nil
+	hw.Close(name, mark)
 }
 
 // MessageHeaders is the set of message-addressing properties carried in a
@@ -126,7 +124,15 @@ func NewMessageID() string {
 	// RFC 4122 version 4 variant bits.
 	b[6] = (b[6] & 0x0f) | 0x40
 	b[8] = (b[8] & 0x3f) | 0x80
-	return fmt.Sprintf("urn:uuid:%x-%x-%x-%x-%x", b[0:4], b[4:6], b[6:8], b[8:10], b[10:16])
+	var id [45]byte // hex into a stack array: the string is the one allocation
+	copy(id[:], "urn:uuid:________-____-____-____-____________")
+	for i, at := 0, 9; i < len(b); i, at = i+1, at+2 {
+		if id[at] == '-' {
+			at++
+		}
+		hex.Encode(id[at:at+2], b[i:i+1])
+	}
+	return string(id[:])
 }
 
 // HeadersFor builds the headers addressing a target EPR with the given
@@ -136,9 +142,9 @@ func HeadersFor(target *EndpointReference, action string) *MessageHeaders {
 	return &MessageHeaders{To: target.Address, Action: action, MessageID: NewMessageID(), RefProps: target.ReferenceProperties}
 }
 
-// Apply adds the message-addressing header blocks to a SOAP envelope.
-// To and Action are mandatory per the spec; Apply returns an error if
-// either is missing.
+// Apply attaches the headers to a SOAP envelope, which holds h from then
+// on: it must not change while the envelope is in use. To and Action are
+// mandatory per the spec; Apply returns an error if either is missing.
 func (h *MessageHeaders) Apply(env *soap.Envelope) error {
 	if h.To == "" {
 		return fmt.Errorf("wsaddr: missing To")
@@ -146,31 +152,66 @@ func (h *MessageHeaders) Apply(env *soap.Envelope) error {
 	if h.Action == "" {
 		return fmt.Errorf("wsaddr: missing Action")
 	}
-	to := xmlutil.NewElement(ToName).SetText(h.To)
-	soap.SetMustUnderstand(to)
-	env.AddHeader(to)
-	action := xmlutil.NewElement(ActionName).SetText(h.Action)
-	soap.SetMustUnderstand(action)
-	env.AddHeader(action)
+	env.AddHeaderValue(h)
+	return nil
+}
+
+// WriteHeader implements soap.HeaderValue: a block per property, To and
+// Action mustUnderstand, then the reference properties.
+func (h *MessageHeaders) WriteHeader(hw *soap.HeaderWriter) {
+	hw.Text(ToName, h.To, true)
+	hw.Text(ActionName, h.Action, true)
 	if h.MessageID != "" {
-		env.AddHeader(xmlutil.NewElement(MessageIDName).SetText(h.MessageID))
+		hw.Text(MessageIDName, h.MessageID, false)
 	}
 	if h.RelatesTo != "" {
-		env.AddHeader(xmlutil.NewElement(RelatesToName).SetText(h.RelatesTo))
+		hw.Text(RelatesToName, h.RelatesTo, false)
 	}
-	if h.ReplyTo != nil {
-		env.AddHeader(h.ReplyTo.Element(ReplyToName))
-	}
-	if h.FaultTo != nil {
-		env.AddHeader(h.FaultTo.Element(FaultToName))
-	}
-	if h.From != nil {
-		env.AddHeader(h.From.Element(FromName))
-	}
+	h.ReplyTo.write(hw, ReplyToName)
+	h.FaultTo.write(hw, FaultToName)
+	h.From.write(hw, FromName)
 	for _, p := range h.RefProps {
-		env.AddHeader(p)
+		hw.Tree(p)
 	}
-	return nil
+}
+
+// wireHeaders is the Header as its plan reads it. A block matches a field
+// by its qualified name only — a To in another namespace is a reference
+// property, not the address — and the first of two blocks of one name is
+// the one read: the plan's rule for every value, and what Header answers.
+type wireHeaders struct {
+	To        string             `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing To"`
+	Action    string             `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing Action"`
+	MessageID string             `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing MessageID"`
+	RelatesTo string             `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing RelatesTo"`
+	ReplyTo   *wireEPR           `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing ReplyTo"`
+	FaultTo   *wireEPR           `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing FaultTo"`
+	From      *wireEPR           `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing From"`
+	RefProps  []*xmlutil.Element `xml:",any"`
+
+	h MessageHeaders // what FromEnvelope returns, allocated with what it is read from
+}
+
+type wireEPR struct {
+	Address string `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing Address"`
+	Props   struct {
+		Any []*xmlutil.Element `xml:",any"`
+	} `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing ReferenceProperties"`
+
+	epr EndpointReference
+}
+
+// read is the EPR read as the named header, nil if none was; its text is
+// trimmed, which the plan leaves to the string's owner.
+func (w *wireEPR) read(name string) (*EndpointReference, error) {
+	if w == nil {
+		return nil, nil
+	}
+	if w.epr.Address = strings.TrimSpace(w.Address); w.epr.Address == "" {
+		return nil, fmt.Errorf("wsaddr: %s: EndpointReference without an Address", name)
+	}
+	w.epr.ReferenceProperties = w.Props.Any
+	return &w.epr, nil
 }
 
 // FromEnvelope extracts the message-addressing headers from an envelope.
@@ -178,38 +219,22 @@ func (h *MessageHeaders) Apply(env *soap.Envelope) error {
 // RefProps (they are, by the binding's construction, the destination's
 // reference properties or other extensions).
 func FromEnvelope(env *soap.Envelope) (*MessageHeaders, error) {
-	h := &MessageHeaders{}
-	for _, block := range env.Headers() {
-		switch block.Name {
-		case ToName:
-			h.To = block.TrimmedText()
-		case ActionName:
-			h.Action = block.TrimmedText()
-		case MessageIDName:
-			h.MessageID = block.TrimmedText()
-		case RelatesToName:
-			h.RelatesTo = block.TrimmedText()
-		case ReplyToName:
-			epr, err := EPRFromElement(block)
-			if err != nil {
-				return nil, fmt.Errorf("wsaddr: ReplyTo: %w", err)
-			}
-			h.ReplyTo = epr
-		case FaultToName:
-			epr, err := EPRFromElement(block)
-			if err != nil {
-				return nil, fmt.Errorf("wsaddr: FaultTo: %w", err)
-			}
-			h.FaultTo = epr
-		case FromName:
-			epr, err := EPRFromElement(block)
-			if err != nil {
-				return nil, fmt.Errorf("wsaddr: From: %w", err)
-			}
-			h.From = epr
-		default:
-			h.RefProps = append(h.RefProps, block)
-		}
+	w := new(wireHeaders)
+	if err := env.DecodeHeader(Namespace, reflect.ValueOf(w).Elem()); err != nil {
+		return nil, fmt.Errorf("wsaddr: %w", err)
+	}
+	h := &w.h
+	*h = MessageHeaders{
+		To: strings.TrimSpace(w.To), Action: strings.TrimSpace(w.Action),
+		MessageID: strings.TrimSpace(w.MessageID), RelatesTo: strings.TrimSpace(w.RelatesTo),
+		RefProps: w.RefProps,
+	}
+	var errs [3]error
+	h.ReplyTo, errs[0] = w.ReplyTo.read("ReplyTo")
+	h.FaultTo, errs[1] = w.FaultTo.read("FaultTo")
+	h.From, errs[2] = w.From.read("From")
+	if err := cmp.Or(errs[:]...); err != nil {
+		return nil, err
 	}
 	return h, nil
 }

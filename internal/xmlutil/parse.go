@@ -16,10 +16,12 @@ import (
 // per token; comments, PIs and directives are skipped. Only the predefined
 // entities and character references are expanded, as encoding/xml does
 // with no Entity map. The tree builder (Element, and ParseBytes on it)
-// reads every document — WSDL, adverts, SOAP headers and faults —
-// interning recurring names and allocating Elements in slabs; internal/soap
-// and the plans of internal/xsd call Next themselves and decode a message
-// body straight from its bytes (CharData is a leaf's text).
+// reads every document — WSDL, adverts, faults — interning recurring names
+// and allocating Elements in slabs, and builds the one element Fragment
+// asks for (an addressing header's reference property); internal/soap and
+// the plans of internal/xsd call Next themselves and decode a message's
+// header and body straight from its bytes (CharData is a leaf's text,
+// Attr a start tag's attribute).
 //
 // FuzzParseBytes holds scanner and builder to each other and both to
 // encoding/xml: "same tree or both reject". Where the scanner is knowingly
@@ -190,12 +192,14 @@ func (p *Tokenizer) newElement() *Element {
 	if len(p.slab) == 0 {
 		n := elementSlab
 		if p.slab == nil && len(p.data) < slabSizedBelow {
-			// The document's first slab (a scanner starts from a nil one; a
-			// used-up slab is empty, not nil) is sized from the input. Every
-			// element opens with a '<' that no end tag accounts for, so
-			// this never under-counts (comments, CDATA and PIs only add to
-			// it) and a small document does not pay for 32 Elements.
-			n = max(1, min(n, bytes.Count(p.data, ltMark)-bytes.Count(p.data, endTagMark)))
+			// The first slab (a scanner starts from a nil one; a used-up
+			// slab is empty, not nil) is sized from the input from the tree's
+			// root on. Every element opens with a '<' that no end tag
+			// accounts for, so this never under-counts (comments, CDATA and
+			// PIs only add to it) and a small tree does not pay for 32
+			// Elements, nor a fragment for the message around it.
+			rest := p.data[p.tagStart:]
+			n = max(1, min(n, bytes.Count(rest, ltMark)-bytes.Count(rest, endTagMark)))
 		}
 		p.slab = make([]Element, n)
 	}
@@ -523,11 +527,32 @@ func (p *Tokenizer) CharData() ([]byte, error) {
 	}
 }
 
+// Attr is the value of the named attribute of the start tag Next last
+// returned.
+func (p *Tokenizer) Attr(name Name) (string, bool) {
+	for _, a := range p.pend {
+		if string(a.name.local) == name.Local && p.resolve(a.name.prefix, false) == name.Space {
+			return a.value, true
+		}
+	}
+	return "", false
+}
+
 // Element builds the tree of the element just started, reading through its
 // end tag. The root declares every binding in scope, not only its own: cut
 // loose from the ancestors that declared the rest, its content resolves.
-func (p *Tokenizer) Element() (*Element, error) {
-	root := p.element(0)
+func (p *Tokenizer) Element() (*Element, error) { return p.build(0, p.charData) }
+
+// Fragment is Element with a root that declares only its own bindings, as
+// an element of a whole-document tree does: a piece of this document that
+// rides in others (an endpoint reference's property, which recurs from
+// message to message, its text interned too), which assign its prefixes.
+func (p *Tokenizer) Fragment() (*Element, error) { return p.build(p.tags[len(p.tags)-1].scope, p.str) }
+
+// build is Element with a root declaring scope[from:] and text strings
+// made by text.
+func (p *Tokenizer) build(from int, text func([]byte) string) (*Element, error) {
+	root := p.element(from)
 	inside := len(p.tags)
 	for cur := root; ; {
 		kind, err := p.Next()
@@ -542,7 +567,7 @@ func (p *Tokenizer) Element() (*Element, error) {
 			cur.children = append(cur.children, el)
 			cur = el
 		case TokenText:
-			cur.AddText(p.charData(p.text))
+			cur.AddText(text(p.text))
 		case TokenEnd:
 			if len(p.tags) < inside {
 				return root, nil

@@ -693,6 +693,17 @@ func (w *Writer) Open(prefix, local string) (mark int) {
 	return w.b.Len()
 }
 
+// OpenAttr is Open for a start tag holding one attribute.
+func (w *Writer) OpenAttr(prefix, local string, attr Name, value string) (mark int) {
+	w.tag("<", prefix, local)
+	w.b.WriteByte(' ')
+	w.writeName(attr)
+	w.b.WriteString(`="`)
+	w.escapeAttr(value)
+	w.b.WriteString(`">`)
+	return w.b.Len()
+}
+
 // Close writes the end tag of the element Open returned mark for or, if
 // nothing was written since, makes its start tag an empty-element tag: the
 // form a tree's element without significant content takes.
@@ -706,14 +717,19 @@ func (w *Writer) Close(prefix, local string, mark int) {
 	w.b.WriteByte('>')
 }
 
-// Leaf writes an element holding text, escaped; as in a tree,
-// whitespace-only text is not significant.
+// Leaf writes an element holding text.
 func (w *Writer) Leaf(prefix, local, text string) {
 	mark := w.Open(prefix, local)
-	if !isInsignificantWS(text) {
-		w.escapeText(text)
-	}
+	w.Text(text)
 	w.Close(prefix, local, mark)
+}
+
+// Text writes character data, escaped; as in a tree, whitespace-only text
+// is not significant.
+func (w *Writer) Text(s string) {
+	if !isInsignificantWS(s) {
+		w.escapeText(s)
+	}
 }
 
 // Tree writes e and everything under it, as a descendant of the root.

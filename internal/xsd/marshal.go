@@ -15,30 +15,28 @@ import (
 // (maxOccurs="unbounded").
 //
 // Both directions run through compiled per-type plans (see plan.go), and
-// both meet either a message's bytes — Wrapper.WriteXML, DecodeTokens — or
-// an element tree — AppendValue, Wrapper.Element, ExtractValue,
-// DecodeElement.
+// both meet either a message's bytes — Wrapper.WriteXML, DecodeTokens,
+// DecodeValue — or an element tree — AppendValue, Wrapper.Element,
+// ExtractValue, DecodeElement.
 
-// fieldName returns the element local name for a struct field, honouring a
-// leading name in the `xml` struct tag. It reports skip=true for fields
-// excluded from marshalling.
-func fieldName(f reflect.StructField) (name string, skip bool) {
-	if f.PkgPath != "" { // unexported
-		return "", true
-	}
+// fieldName returns the element name for a struct field, honouring the
+// `xml` struct tag's forms encoding/xml gives them: "name", "ns name" (a
+// namespace-qualified name) and ",any" (rest: the field holds the children
+// no other field names). It reports skip=true for fields excluded from
+// marshalling.
+func fieldName(f reflect.StructField) (space, name string, rest, skip bool) {
 	tag := f.Tag.Get("xml")
-	if tag == "-" {
-		return "", true
+	if f.PkgPath != "" || tag == "-" { // unexported, or excluded
+		return "", "", false, true
 	}
-	if tag != "" {
-		if i := strings.IndexByte(tag, ','); i >= 0 {
-			tag = tag[:i]
-		}
-		if tag != "" {
-			return tag, false
-		}
+	name, opts, _ := strings.Cut(tag, ",")
+	if s, local, ok := strings.Cut(name, " "); ok {
+		space, name = s, local
 	}
-	return f.Name, false
+	if name == "" {
+		name = f.Name
+	}
+	return space, name, opts == "any", false
 }
 
 // ---------------------------------------------------------------------------
@@ -80,22 +78,33 @@ func (w *Wrapper) Add(name string, v reflect.Value) error {
 
 func (w *Wrapper) encode(s sink) {
 	for _, p := range w.parts {
-		p.plan.encode(s, p.name, p.v)
+		p.plan.encode(s, w.Name.Space, p.name, p.v)
 	}
 }
 
-// WriteXML writes the element to xw, which has a prefix for its namespace.
+// Assign gives xw a prefix for every namespace the element is written in,
+// in the order a walk of its tree meets them.
+func (w *Wrapper) Assign(xw *xmlutil.Writer) {
+	xw.Assign(w.Name.Space)
+	for _, p := range w.parts {
+		if p.plan.foreign { // the rest are in the wrapper's namespace
+			p.plan.encode(assignSink{xw}, w.Name.Space, p.name, p.v)
+		}
+	}
+}
+
+// WriteXML writes the element to xw, which has been through Assign.
 func (w *Wrapper) WriteXML(xw *xmlutil.Writer) {
-	s := &streamSink{w: xw, prefix: xw.Prefix(w.Name.Space)}
-	mark := s.open(w.Name.Local)
+	s := &streamSink{w: xw}
+	mark := s.open(w.Name.Space, w.Name.Local)
 	w.encode(s)
-	s.close(w.Name.Local, mark)
+	s.close(w.Name.Space, w.Name.Local, mark)
 }
 
 // Element builds the element as a tree.
 func (w *Wrapper) Element() *xmlutil.Element {
 	el := xmlutil.NewElement(w.Name)
-	w.encode(&treeSink{cur: el, ns: w.Name.Space})
+	w.encode(&treeSink{cur: el})
 	return el
 }
 
@@ -106,47 +115,61 @@ func AppendValue(parent *xmlutil.Element, ns, name string, v reflect.Value) erro
 	if err := p.check(name, v); err != nil {
 		return err
 	}
-	p.encode(&treeSink{cur: parent, ns: ns}, name, v)
+	p.encode(&treeSink{cur: parent}, ns, name, v)
 	return nil
 }
 
-// streamSink writes elements of one namespace into the marshal writer.
+// streamSink writes elements into the marshal writer.
 type streamSink struct {
-	w      *xmlutil.Writer
-	prefix string
+	w          *xmlutil.Writer
+	ns, prefix string // the namespace last written in, and its prefix
 }
 
-func (s *streamSink) open(name string) int        { return s.w.Open(s.prefix, name) }
-func (s *streamSink) close(name string, mark int) { s.w.Close(s.prefix, name, mark) }
+func (s *streamSink) pfx(ns string) string {
+	if ns != s.ns {
+		s.ns, s.prefix = ns, s.w.Prefix(ns)
+	}
+	return s.prefix
+}
 
-func (s *streamSink) leaf(name string, v reflect.Value) {
+func (s *streamSink) open(ns, name string) int        { return s.w.Open(s.pfx(ns), name) }
+func (s *streamSink) close(ns, name string, mark int) { s.w.Close(s.pfx(ns), name, mark) }
+func (s *streamSink) tree(el *xmlutil.Element)        { s.w.Tree(el) }
+
+func (s *streamSink) leaf(ns, name string, v reflect.Value) {
 	if v.Kind() == reflect.String {
-		s.w.Leaf(s.prefix, name, v.String())
+		s.w.Leaf(s.pfx(ns), name, v.String())
 		return
 	}
 	// Every other lexical form needs no escaping: formatted in place.
-	mark := s.w.Open(s.prefix, name)
+	mark := s.open(ns, name)
 	b := s.w.Buffer()
 	b.Write(appendSimple(b.AvailableBuffer(), v))
-	s.w.Close(s.prefix, name, mark)
+	s.close(ns, name, mark)
 }
 
-// treeSink appends elements of one namespace under cur.
-type treeSink struct {
-	cur *xmlutil.Element
-	ns  string
-}
+// assignSink gives the namespaces an encoding walk meets prefixes.
+type assignSink struct{ w *xmlutil.Writer }
 
-func (s *treeSink) open(name string) int {
-	s.cur = s.cur.NewChild(xmlutil.N(s.ns, name))
+func (s assignSink) open(ns, _ string) int              { s.w.Assign(ns); return 0 }
+func (s assignSink) close(string, string, int)          {}
+func (s assignSink) leaf(ns, _ string, _ reflect.Value) { s.w.Assign(ns) }
+func (s assignSink) tree(el *xmlutil.Element)           { s.w.Collect(el) }
+
+// treeSink appends elements under cur.
+type treeSink struct{ cur *xmlutil.Element }
+
+func (s *treeSink) open(ns, name string) int {
+	s.cur = s.cur.NewChild(xmlutil.N(ns, name))
 	return 0
 }
 
-func (s *treeSink) close(string, int) { s.cur = s.cur.Parent() }
+func (s *treeSink) close(string, string, int) { s.cur = s.cur.Parent() }
+func (s *treeSink) tree(el *xmlutil.Element)  { s.cur.AppendShared(el) }
 
-func (s *treeSink) leaf(name string, v reflect.Value) {
+func (s *treeSink) leaf(ns, name string, v reflect.Value) {
 	text, _ := EncodeSimple(v) // a plan's leaf is of a simple type
-	s.cur.NewChild(xmlutil.N(s.ns, name)).SetText(text)
+	s.cur.NewChild(xmlutil.N(ns, name)).SetText(text)
 }
 
 // ---------------------------------------------------------------------------
@@ -159,21 +182,28 @@ func (s *treeSink) leaf(name string, v reflect.Value) {
 // it returns the index of the part that did not decode, or -1 if the
 // message itself is at fault.
 func DecodeTokens(t *xmlutil.Tokenizer, ns string, parts []Field, dst []reflect.Value) (int, error) {
-	return decodeParts(&streamReader{t: t, ns: ns}, parts, dst)
+	return decodeParts((*streamReader)(t), ns, parts, dst)
 }
 
 // DecodeElement is DecodeTokens over the children of a tree's element.
 func DecodeElement(el *xmlutil.Element, ns string, parts []Field, dst []reflect.Value) (int, error) {
-	return decodeParts(&treeReader{ns: ns, stack: []treeFrame{{el: el, kids: el.Elements()}}}, parts, dst)
+	return decodeParts(&treeReader{stack: []treeFrame{{el: el, kids: el.Elements()}}}, ns, parts, dst)
 }
 
-func decodeParts(r reader, parts []Field, dst []reflect.Value) (int, error) {
+func decodeParts(r reader, ns string, parts []Field, dst []reflect.Value) (int, error) {
 	var few [4]fieldPlan
 	fields := few[:0]
 	for _, p := range parts {
 		fields = append(fields, fieldPlan{name: p.Name, plan: planFor(p.Type)})
 	}
-	return decodeFields(r, fields, reflect.Value{}, dst)
+	return decodeFields(r, ns, fields, reflect.Value{}, dst)
+}
+
+// DecodeValue decodes the element whose start tag t has just returned into
+// dst, settable, reading through its end tag: a struct's fields are the
+// children they name in ns.
+func DecodeValue(t *xmlutil.Tokenizer, ns string, dst reflect.Value) error {
+	return planFor(dst.Type()).decode((*streamReader)(t), dst, ns, "", false)
 }
 
 // ExtractValue decodes the child element(s) of parent named {ns}name into a
@@ -187,15 +217,15 @@ func ExtractValue(parent *xmlutil.Element, ns, name string, t reflect.Type) (ref
 	return v, nil
 }
 
-// streamReader reads a message's bytes through the scanner.
-type streamReader struct {
-	t  *xmlutil.Tokenizer
-	ns string
-}
+// streamReader reads a message's bytes through the scanner: the scanner
+// itself, so that reading from it allocates no reader.
+type streamReader xmlutil.Tokenizer
+
+func (r *streamReader) t() *xmlutil.Tokenizer { return (*xmlutil.Tokenizer)(r) }
 
 func (r *streamReader) child() (bool, error) {
 	for {
-		switch kind, err := r.t.Next(); {
+		switch kind, err := r.t().Next(); {
 		case err != nil:
 			return false, err
 		case kind == xmlutil.TokenStart:
@@ -206,13 +236,14 @@ func (r *streamReader) child() (bool, error) {
 	}
 }
 
-func (r *streamReader) is(local string) bool   { return string(r.t.Local) == local }
-func (r *streamReader) exact() bool            { return r.t.Space == r.ns }
-func (r *streamReader) depth() int             { return r.t.Depth() }
-func (r *streamReader) unwind(depth int) error { return r.t.SkipTo(depth) }
+func (r *streamReader) is(local string) bool            { return string(r.Local) == local }
+func (r *streamReader) space() string                   { return r.Space }
+func (r *streamReader) depth() int                      { return r.t().Depth() }
+func (r *streamReader) unwind(depth int) error          { return r.t().SkipTo(depth) }
+func (r *streamReader) tree() (*xmlutil.Element, error) { return r.t().Fragment() }
 
 func (r *streamReader) scalar(dst reflect.Value) error {
-	b, err := r.t.CharData()
+	b, err := r.t().CharData()
 	if err != nil {
 		return err
 	}
@@ -223,10 +254,7 @@ func (r *streamReader) scalar(dst reflect.Value) error {
 }
 
 // treeReader walks an element tree; the top of its stack is where it is.
-type treeReader struct {
-	ns    string
-	stack []treeFrame
-}
+type treeReader struct{ stack []treeFrame }
 
 type treeFrame struct {
 	el   *xmlutil.Element
@@ -249,8 +277,14 @@ func (r *treeReader) child() (bool, error) {
 }
 
 func (r *treeReader) is(local string) bool { return r.top().el.Name.Local == local }
-func (r *treeReader) exact() bool          { return r.top().el.Name.Space == r.ns }
+func (r *treeReader) space() string        { return r.top().el.Name.Space }
 func (r *treeReader) depth() int           { return len(r.stack) }
+
+func (r *treeReader) tree() (*xmlutil.Element, error) {
+	el := r.top().el
+	r.stack = r.stack[:len(r.stack)-1]
+	return el, nil
+}
 
 func (r *treeReader) unwind(depth int) error {
 	r.stack = r.stack[:depth]

@@ -12,13 +12,21 @@ package xsd
 // which is what lets FuzzDecodeBody hold them to each other.
 //
 // Decoding, from either reader (decodeFields): fields and parts are found
-// by name in any order; unknown children are skipped; a scalar takes its
-// first match, a slice every match; a child named {ns}name exactly beats
-// one sharing only the local name *wherever it stands* — a local-only match
-// is taken tentatively, and dropped with any error it raised at the first
-// exact one; an absent optional is the zero value (an empty, non-nil slice
-// for a slice); a string keeps its whitespace, other simple types are
-// trimmed. Of two fields mapped to one element name the first has it.
+// by name in any order; unknown children are skipped, or collected as
+// trees by a `,any` field; a scalar takes its first match, a slice every
+// match; a child named {ns}name exactly beats one sharing only the local
+// name *wherever it stands* — a local-only match is taken tentatively, and
+// dropped with any error it raised at the first exact one; an absent
+// optional is the zero value (an empty, non-nil slice for a slice); a
+// string keeps its whitespace, other simple types are trimmed. Of two
+// fields mapped to one element name the first has it.
+//
+// A field tagged `xml:"ns local"` is named in ns, whatever namespace the
+// call is in, and so are its children; it matches exactly or not at all.
+// A `,any` field of type []*xmlutil.Element holds, as trees, the children
+// no other field names: built from the tokens for that field only (with
+// their own declarations, as in a whole-document tree), or shared from the
+// tree being read, and written as they are.
 //
 // Cached plans are complete and immutable: compilation runs under one
 // mutex and publishes a type's plan, with those of the types it reaches,
@@ -29,6 +37,8 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+
+	"wspeer/internal/xmlutil"
 )
 
 type planKind uint8
@@ -39,8 +49,11 @@ const (
 	kindSlice                  // repeated: one element per item
 	kindStruct
 	kindIface       // encodes as its dynamic value; cannot be decoded into
+	kindTrees       // a `,any` field: the children no other field names
 	kindUnsupported // map, chan, func, complex, array, ...
 )
+
+var treesType = reflect.TypeOf([]*xmlutil.Element(nil))
 
 type plan struct {
 	t        reflect.Type
@@ -52,14 +65,26 @@ type plan struct {
 	// vet: an interface or an unsupported type may be in reach (it is taken
 	// to be, through a type that contains itself), so check looks at values.
 	vet bool
+	// foreign: a namespace other than the call's may be written (a qualified
+	// field, a tree, an interface), so a writer's prefixes need a walk.
+	foreign bool
 }
 
 // fieldPlan is one marshallable field of a struct, or one part of a wrapper.
 type fieldPlan struct {
-	name   string // XML element local name (tag-aware)
-	goName string // Go field name, for error messages
-	index  int
-	plan   *plan
+	space string // a qualified tag's namespace; "" for the call's
+	name  string // XML element local name (tag-aware)
+	index int
+	plan  *plan
+}
+
+// in is the namespace the field's element is written in when its parent's
+// is ns.
+func (f *fieldPlan) in(ns string) string {
+	if f.space != "" {
+		return f.space
+	}
+	return ns
 }
 
 var (
@@ -98,26 +123,39 @@ func compile(t reflect.Type, building map[reflect.Type]*plan) *plan {
 	switch t.Kind() {
 	case reflect.Ptr:
 		p.kind, p.elem = kindPtr, compile(t.Elem(), building)
-		p.repeated, p.vet = p.elem.repeated, p.elem.vet
+		p.repeated, p.vet, p.foreign = p.elem.repeated, p.elem.vet, p.elem.foreign
 	case reflect.Slice:
 		p.kind, p.elem, p.repeated = kindSlice, compile(t.Elem(), building), true
-		p.empty, p.vet = reflect.MakeSlice(t, 0, 0), p.elem.vet
+		p.empty, p.vet, p.foreign = reflect.MakeSlice(t, 0, 0), p.elem.vet, p.elem.foreign
 	case reflect.Interface:
-		p.kind = kindIface
+		p.kind, p.foreign = kindIface, true
 	case reflect.Struct:
 		p.kind = kindStruct
-		seen, vet := map[string]bool{}, false
+		seen, vet, foreign := map[string]bool{}, false, false
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			name, skip := fieldName(f)
-			if skip || seen[name] {
+			space, name, rest, skip := fieldName(f)
+			key := space + " " + name
+			if rest {
+				key = ",any"
+			}
+			if skip || seen[key] {
 				continue
 			}
-			seen[name] = true
-			p.fields = append(p.fields, fieldPlan{name: name, goName: f.Name, index: i, plan: compile(f.Type, building)})
-			vet = vet || p.fields[len(p.fields)-1].plan.vet
+			seen[key] = true
+			fp := fieldPlan{space: space, name: name, index: i}
+			switch {
+			case rest && f.Type == treesType:
+				fp.plan = &plan{t: f.Type, kind: kindTrees, foreign: true}
+			case rest:
+				fp.plan = &plan{t: f.Type, kind: kindUnsupported, vet: true} // `,any` holds trees only
+			default:
+				fp.plan = compile(f.Type, building)
+			}
+			p.fields = append(p.fields, fp)
+			vet, foreign = vet || fp.plan.vet, foreign || fp.plan.foreign || space != ""
 		}
-		p.vet = vet
+		p.vet, p.foreign = vet, foreign
 	}
 	return p
 }
@@ -127,11 +165,12 @@ func compile(t reflect.Type, building map[reflect.Type]*plan) *plan {
 
 // sink is what an encoding walk writes to: open starts an element that
 // holds elements and close, given what open returned, ends it; leaf writes
-// an element holding a simple value.
+// an element holding a simple value, tree an element as it is.
 type sink interface {
-	open(name string) (mark int)
-	close(name string, mark int)
-	leaf(name string, v reflect.Value)
+	open(ns, name string) (mark int)
+	close(ns, name string, mark int)
+	leaf(ns, name string, v reflect.Value)
+	tree(el *xmlutil.Element)
 }
 
 // check reports why v cannot be encoded, if it cannot: encode's walk, over
@@ -163,40 +202,46 @@ func (p *plan) check(name string, v reflect.Value) error {
 		for i := range p.fields {
 			f := &p.fields[i]
 			if err := f.plan.check(f.name, v.Field(f.index)); err != nil {
-				return fmt.Errorf("xsd: field %s.%s: %w", p.t.Name(), f.goName, err)
+				return p.fieldErr(f, err)
 			}
 		}
 	}
 	return nil
 }
 
-// encode writes v, which has passed check, as elements called name.
-func (p *plan) encode(s sink, name string, v reflect.Value) {
+// encode writes v, which has passed check, as elements called {ns}name.
+func (p *plan) encode(s sink, ns, name string, v reflect.Value) {
 	switch p.kind {
 	case kindSimple:
-		s.leaf(name, v)
+		s.leaf(ns, name, v)
 	case kindPtr:
 		if !v.IsNil() { // minOccurs="0"
-			p.elem.encode(s, name, v.Elem())
+			p.elem.encode(s, ns, name, v.Elem())
 		}
 	case kindIface:
 		// The dynamic type is only known per value; its plan is a cache hit
 		// after the first value of each type.
 		if !v.IsNil() {
 			iv := v.Elem()
-			planFor(iv.Type()).encode(s, name, iv)
+			planFor(iv.Type()).encode(s, ns, name, iv)
 		}
 	case kindSlice:
 		for i, n := 0, v.Len(); i < n; i++ {
-			p.elem.encode(s, name, v.Index(i))
+			p.elem.encode(s, ns, name, v.Index(i))
+		}
+	case kindTrees:
+		for i, n := 0, v.Len(); i < n; i++ {
+			if el := v.Index(i).Interface().(*xmlutil.Element); el != nil {
+				s.tree(el)
+			}
 		}
 	case kindStruct:
-		mark := s.open(name)
+		mark := s.open(ns, name)
 		for i := range p.fields {
 			f := &p.fields[i]
-			f.plan.encode(s, f.name, v.Field(f.index))
+			f.plan.encode(s, f.in(ns), f.name, v.Field(f.index))
 		}
-		s.close(name, mark)
+		s.close(ns, name, mark)
 	}
 }
 
@@ -209,10 +254,9 @@ type reader interface {
 	// child moves into the current element's next child element; at the
 	// current element's end it moves out of it and reports false.
 	child() (bool, error)
-	// is: the current element's local name is local; exact: its namespace
-	// is the one being decoded.
+	// is: the current element's local name is local; space: its namespace.
 	is(local string) bool
-	exact() bool
+	space() string
 	// unwind moves out of elements, whatever is left in them, until the
 	// reader is in depth of them.
 	depth() int
@@ -220,6 +264,8 @@ type reader interface {
 	// scalar decodes the current element's character data into dst, of a
 	// simple type, and moves out of the element.
 	scalar(dst reflect.Value) error
+	// tree is the current element as a tree; the reader moves out of it.
+	tree() (*xmlutil.Element, error)
 }
 
 // How a field has been matched so far, while its parent is read.
@@ -230,11 +276,11 @@ const (
 )
 
 // decodeFields reads the children of the element r is in, which it moves
-// out of, into the fields they name: those of strct, or parts — one value
-// for each part of a wrapper — if there are any. On failure it returns the
-// index of the field that did not decode, or -1 if the message itself is
-// at fault.
-func decodeFields(r reader, fields []fieldPlan, strct reflect.Value, parts []reflect.Value) (int, error) {
+// out of, into the fields they name in ns: those of strct, or parts — one
+// value for each part of a wrapper — if there are any. On failure it
+// returns the index of the field that did not decode, or -1 if the message
+// itself is at fault.
+func decodeFields(r reader, ns string, fields []fieldPlan, strct reflect.Value, parts []reflect.Value) (int, error) {
 	dest := func(i int) reflect.Value {
 		if parts != nil {
 			return parts[i]
@@ -254,13 +300,26 @@ func decodeFields(r reader, fields []fieldPlan, strct reflect.Value, parts []ref
 		} else if !ok {
 			break
 		}
-		i := 0
-		for i < len(fields) && !r.is(fields[i].name) {
-			i++
+		i, rest := 0, -1
+		for ; i < len(fields); i++ {
+			if f := &fields[i]; f.plan.kind == kindTrees {
+				rest = i
+			} else if r.is(f.name) && (f.space == "" || f.space == r.space()) {
+				break
+			}
+		}
+		if i == len(fields) && rest >= 0 {
+			el, err := r.tree()
+			if err != nil {
+				return -1, err
+			}
+			trees := dest(rest).Addr().Interface().(*[]*xmlutil.Element)
+			*trees = append(*trees, el)
+			continue
 		}
 		if i < len(fields) {
 			f, dst, how := &fields[i], dest(i), matchedLocal
-			if r.exact() {
+			if r.space() == f.in(ns) {
 				how = matchedExact
 			}
 			// A scalar's first match wins and a slice takes every match of
@@ -273,7 +332,7 @@ func decodeFields(r reader, fields []fieldPlan, strct reflect.Value, parts []ref
 			}
 			if take {
 				state[i] = how
-				err := f.plan.decode(r, dst, f.name, false)
+				err := f.plan.decode(r, dst, f.in(ns), f.name, false)
 				switch {
 				case err == nil:
 					continue
@@ -301,8 +360,9 @@ func decodeFields(r reader, fields []fieldPlan, strct reflect.Value, parts []ref
 }
 
 // decode reads the element r is in — one more called name, for a field that
-// repeats — into dst and moves out of it; inItem: dst is a slice's item.
-func (p *plan) decode(r reader, dst reflect.Value, name string, inItem bool) error {
+// repeats — into dst and moves out of it; its children are named in ns;
+// inItem: dst is a slice's item.
+func (p *plan) decode(r reader, dst reflect.Value, ns, name string, inItem bool) error {
 	switch p.kind {
 	case kindSimple:
 		return r.scalar(dst)
@@ -310,7 +370,7 @@ func (p *plan) decode(r reader, dst reflect.Value, name string, inItem bool) err
 		if dst.IsNil() {
 			dst.Set(reflect.New(p.t.Elem()))
 		}
-		return p.elem.decode(r, dst.Elem(), name, inItem)
+		return p.elem.decode(r, dst.Elem(), ns, name, inItem)
 	case kindSlice:
 		if inItem {
 			return fmt.Errorf("xsd: nested slices are not supported (wrap the inner slice in a struct)")
@@ -318,18 +378,23 @@ func (p *plan) decode(r reader, dst reflect.Value, name string, inItem bool) err
 		n := dst.Len()
 		dst.Grow(1)
 		dst.SetLen(n + 1)
-		if err := p.elem.decode(r, dst.Index(n), name, true); err != nil {
+		if err := p.elem.decode(r, dst.Index(n), ns, name, true); err != nil {
 			return fmt.Errorf("xsd: element %d of %s: %w", n, name, err)
 		}
 		return nil
 	case kindStruct:
-		i, err := decodeFields(r, p.fields, dst, nil)
+		i, err := decodeFields(r, ns, p.fields, dst, nil)
 		if err != nil && i >= 0 {
-			err = fmt.Errorf("xsd: field %s.%s: %w", p.t.Name(), p.fields[i].goName, err)
+			err = p.fieldErr(&p.fields[i], err)
 		}
 		return err
 	}
 	return fmt.Errorf("xsd: cannot decode into %s%s", p.t, hint(p.t))
+}
+
+// fieldErr is err, raised by one of the struct's fields, naming the field.
+func (p *plan) fieldErr(f *fieldPlan, err error) error {
+	return fmt.Errorf("xsd: field %s.%s: %w", p.t.Name(), p.t.Field(f.index).Name, err)
 }
 
 // hint says what to use in place of a type that is refused on both sides,

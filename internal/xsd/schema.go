@@ -90,8 +90,12 @@ func (s *Schema) registerType(t reflect.Type) error {
 		s.types[name] = t
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			if _, skip := fieldName(f); skip {
+			space, _, rest, skip := fieldName(f)
+			if skip {
 				continue
+			}
+			if space != "" || rest {
+				return fmt.Errorf("field %s: a namespace-qualified or ,any field has no form in a one-namespace schema", f.Name)
 			}
 			if err := s.registerType(f.Type); err != nil {
 				return fmt.Errorf("field %s: %w", f.Name, err)
@@ -164,7 +168,7 @@ func (s *Schema) Element() (*xmlutil.Element, error) {
 		var fields []Field
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			fn, skip := fieldName(f)
+			_, fn, _, skip := fieldName(f)
 			if skip {
 				continue
 			}

@@ -37,6 +37,21 @@ type fuzzDoc struct {
 	Deep  [][]string // refused when present
 }
 
+// fuzzQualified names some fields in a namespace of their own — the
+// call's or another, its children inheriting it — and keeps the children
+// nothing names as trees.
+type fuzzQualified struct {
+	K     string             `xml:"urn:other K"`
+	N     *int32             `xml:"urn:svc N"`
+	Inner *fuzzQInner        `xml:"urn:other Inner"`
+	Rest  []*xmlutil.Element `xml:",any"`
+}
+
+type fuzzQInner struct {
+	V    []string
+	Rest []*xmlutil.Element `xml:",any"`
+}
+
 var fuzzTargets = []Field{
 	{"msg", reflect.TypeOf([]fuzzRec(nil))},
 	{"msg", reflect.TypeOf(fuzzRec{})},
@@ -49,6 +64,14 @@ var fuzzTargets = []Field{
 	{"a", reflect.TypeOf([]float64(nil))},
 	{"Blob", reflect.TypeOf([]byte(nil))},
 	{"When", reflect.TypeOf(time.Time{})},
+}
+
+// fuzzTreeTargets hold trees, which the two readers come by apart — built
+// from the tokens, or shared from the tree read — so they are held to each
+// other by what they encode to.
+var fuzzTreeTargets = []Field{
+	{"q", reflect.TypeOf(fuzzQualified{})},
+	{"q", reflect.TypeOf([]*fuzzQualified(nil))},
 }
 
 const fuzzNS = "urn:svc"
@@ -85,6 +108,11 @@ var fuzzSeeds = []string{
 	`<s:op xmlns:s="urn:svc"><s:doc><s:Deep>x</s:Deep></s:doc><s:Blob>!!</s:Blob><s:When>yesterday</s:When></s:op>`,
 	`<s:op xmlns:s="urn:svc"><s:doc><s:Small>256</s:Small><s:Many><s:N>x</s:N></s:Many></s:doc></s:op>`,
 	`<op/>`,
+	// Qualified names matched exactly, never by local name alone, and what
+	// nothing names kept as trees, at both levels; a second q.
+	`<s:op xmlns:s="urn:svc" xmlns:o="urn:other"><s:q><o:K>k</o:K><K>local only</K><s:K>wrong space</s:K><s:N>5</s:N>` +
+		`<o:Inner><o:V>v</o:V><V>unqualified</V><x a="1" xmlns:z="urn:z">t<z:y/></x></o:Inner><o:Inner><o:V>late</o:V></o:Inner>` +
+		`<extra xmlns="urn:z"><deep/>text</extra></s:q><s:q><N>9</N><o:N>7</o:N></s:q></s:op>`,
 }
 
 // decodeBothWays decodes one part of the document's root element from the
@@ -118,16 +146,31 @@ func FuzzDecodeBody(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, part := range fuzzTargets {
+		for i, part := range append(fuzzTargets, fuzzTreeTargets...) {
 			stream, tree, streamErr, treeErr := decodeBothWays(t, doc, root, part)
 			switch {
 			case (streamErr == nil) != (treeErr == nil):
 				t.Fatalf("%s as %v: from tokens %v, from the tree %v", part.Name, part.Type, streamErr, treeErr)
-			case streamErr == nil && !reflect.DeepEqual(stream.Interface(), tree.Interface()):
+			case streamErr != nil:
+			case i >= len(fuzzTargets):
+				if a, b := encodedTree(t, part.Name, stream), encodedTree(t, part.Name, tree); a != b {
+					t.Fatalf("%s as %v:\nfrom tokens   %s\nfrom the tree %s", part.Name, part.Type, a, b)
+				}
+			case !reflect.DeepEqual(stream.Interface(), tree.Interface()):
 				t.Fatalf("%s as %v:\nfrom tokens   %#v\nfrom the tree %#v", part.Name, part.Type, stream, tree)
 			}
 		}
 	})
+}
+
+// encodedTree is v encoded as a tree's elements called name, marshalled.
+func encodedTree(t *testing.T, name string, v reflect.Value) string {
+	t.Helper()
+	parent := xmlutil.NewElement(xmlutil.N(fuzzNS, "op"))
+	if err := AppendValue(parent, fuzzNS, name, v); err != nil {
+		t.Fatal(err)
+	}
+	return string(xmlutil.Marshal(parent))
 }
 
 // TestDecodeRules pins, on both readers, what the plan comment promises.
@@ -186,6 +229,7 @@ func streamed(t *testing.T, name string, v interface{}) string {
 	}
 	w := xmlutil.AcquireWriter()
 	w.Assign(tns)
+	wrapper.Assign(w)
 	w.OpenRoot(w.Prefix(tns), "doc")
 	wrapper.WriteXML(w)
 	w.Close(w.Prefix(tns), "doc", 0)
@@ -195,14 +239,18 @@ func streamed(t *testing.T, name string, v interface{}) string {
 // TestStreamEncodeMatchesTree: a value written by its plan into the marshal
 // writer is byte for byte the marshalled tree AppendValue builds for it.
 func TestStreamEncodeMatchesTree(t *testing.T) {
-	empty, blank := "", " \n"
+	empty, blank, n := "", " \n", int32(-4)
 	var iface interface{} = fuzzInner{K: "dyn"}
+	tree := xmlutil.NewElement(xmlutil.N("urn:z", "kept")).SetText("as is")
+	tree.NewChild(xmlutil.N("urn:y", "child"))
 	for _, v := range []interface{}{
 		personFixture(),
 		Person{}, // zero time, nil pointers, empty slices
 		[]fuzzRec{{ID: -1, Name: `<&">`, Score: math.Inf(-1), Tags: []string{"", " ", "é\t"}}, {}},
 		fuzzDoc{Note: &empty, Lines: []*string{&blank, nil}, Blob: []byte{}, Small: 255},
 		struct{ V interface{} }{iface},
+		fuzzQualified{K: "k", N: &n, Inner: &fuzzQInner{V: []string{"a"}, Rest: []*xmlutil.Element{tree}}, Rest: []*xmlutil.Element{tree, nil}},
+		[]interface{}{fuzzQualified{}, &fuzzQualified{K: "other"}},
 		[]bool{true, false},
 		float32(0.1),
 		"",
@@ -289,5 +337,33 @@ func TestDuplicateElementNames(t *testing.T) {
 	stream, tree, streamErr, treeErr := decodeBothWays(t, doc, root, Field{"v", reflect.TypeOf(twice{})})
 	if streamErr != nil || treeErr != nil || stream.Interface() != (twice{A: "one"}) || tree.Interface() != (twice{A: "one"}) {
 		t.Fatalf("tokens %+v %v, tree %+v %v", stream, streamErr, tree, treeErr)
+	}
+}
+
+// TestQualifiedAndRest: a qualified field is matched in its namespace and
+// nowhere else, and its children are named in the same one; what no field
+// names is kept, in order, as trees — on both readers.
+func TestQualifiedAndRest(t *testing.T) {
+	doc := []byte(`<s:op xmlns:s="urn:svc" xmlns:o="urn:other"><s:q><K>local</K><s:K>call's</s:K><o:K>exact</o:K>` +
+		`<o:Inner><V>local only</V><o:V>v</o:V><o:W/></o:Inner><o:K>second</o:K></s:q></s:op>`)
+	root, err := xmlutil.ParseBytes(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, tree, streamErr, treeErr := decodeBothWays(t, doc, root, Field{"q", reflect.TypeOf(fuzzQualified{})})
+	if streamErr != nil || treeErr != nil {
+		t.Fatalf("%v from tokens, %v from the tree", streamErr, treeErr)
+	}
+	for _, v := range []fuzzQualified{stream.Interface().(fuzzQualified), tree.Interface().(fuzzQualified)} {
+		if v.K != "exact" || v.N != nil || v.Inner == nil || !reflect.DeepEqual(v.Inner.V, []string{"v"}) || len(v.Inner.Rest) != 1 {
+			t.Errorf("decoded %+v, inner %+v", v, v.Inner)
+		}
+		var rest []string
+		for _, el := range v.Rest {
+			rest = append(rest, el.Name.String()+"="+el.Text())
+		}
+		if want := []string{"K=local", "{urn:svc}K=call's"}; !reflect.DeepEqual(rest, want) {
+			t.Errorf("rest %q, want %q", rest, want)
+		}
 	}
 }
