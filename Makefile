@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all help build vet test race bench harness chaos census fuzz-smoke examples loc clean check
+.PHONY: all help build vet test race allocs bench harness chaos census fuzz-smoke examples loc clean check
 
 all: build vet test
 
@@ -13,6 +13,7 @@ help:
 	@echo "  check            vet + full test suite under -race, then vet + test of the"
 	@echo "                   benchmark module in bench/ (the pre-commit gate)"
 	@echo "  build/vet/test   the individual pieces of 'all'"
+	@echo "  allocs           the allocation-count gates, without the race detector"
 	@echo "  bench            run every Go benchmark with -benchmem"
 	@echo "  harness          regenerate every experiment table (E1-E10, E13, A1, R1, R2)"
 	@echo "  chaos            the deterministic chaos suite under -race"
@@ -45,6 +46,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation-count gates (testing.AllocsPerRun): every one is in a test
+# whose name holds "Allocs", and most skip themselves under the race
+# detector, which allocates, so `check` alone never runs them.
+allocs:
+	$(GO) test -count=1 -run 'Allocs' ./...
 
 # One testing.B benchmark per experiment (see DESIGN.md §5).
 bench:

@@ -183,6 +183,7 @@ func (e *Engine) serveEnvelope(c *pipeline.Call, env *soap.Envelope, hdr *wsaddr
 	return nil
 }
 
+// parseAndCheck: a request refused for a mustUnderstand block keeps its envelope, and version.
 func (e *Engine) parseAndCheck(req *transport.Request) (*soap.Envelope, *soap.Fault) {
 	env, err := soap.Parse(req.Body)
 	if err != nil {
@@ -191,10 +192,7 @@ func (e *Engine) parseAndCheck(req *transport.Request) (*soap.Envelope, *soap.Fa
 		}
 		return nil, soap.NewFault(soap.FaultClient, "malformed envelope: %s", err)
 	}
-	if fault := e.checkUnderstood(env); fault != nil {
-		return nil, fault
-	}
-	return env, nil
+	return env, e.checkUnderstood(env)
 }
 
 // checkUnderstood is mustUnderstand processing, over what Parse noted of

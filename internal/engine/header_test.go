@@ -53,7 +53,7 @@ func TestMustUnderstandBothVersions(t *testing.T) {
 			soap.SetMustUnderstand(h)
 			env.AddHeader(h)
 		}
-		if env := serve(echoRequest(v, strict)); !env.IsFault() || env.Fault().Code != soap.FaultMustUnderstand ||
+		if env := serve(echoRequest(v, strict)); !env.IsFault() || env.Version() != v || env.Fault().Code != soap.FaultMustUnderstand ||
 			env.Fault().String != "header {urn:ext}Security not understood" || ran != 0 {
 			t.Fatalf("%v: %+v (ran %d)", v, env.Fault(), ran)
 		}

@@ -791,6 +791,15 @@ func TestTCPTransportAddrIsFixed(t *testing.T) {
 	if tr.Addr() != addr {
 		t.Fatal("Addr() changed after Close")
 	}
+}
+
+// TestTCPTransportAddrAllocs: Addr is formatted once, not per call.
+func TestTCPTransportAddrAllocs(t *testing.T) {
+	tr, err := NewTCPTransport("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
 	if n := testing.AllocsPerRun(100, func() { _ = tr.Addr() }); n != 0 {
 		t.Fatalf("Addr() allocates %v times a call", n)
 	}

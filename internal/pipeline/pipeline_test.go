@@ -299,8 +299,8 @@ func TestMetaLazyAllocation(t *testing.T) {
 
 // TestMetaStore: the first metaInline keys live in the carrier, later
 // ones in a map, and neither SetMeta nor GetMeta shows which: every key
-// reads back, an overwrite replaces in place whichever side the key is on,
-// and a call with the usual few keys allocates nothing for them.
+// reads back and an overwrite replaces in place whichever side the key is
+// on.
 func TestMetaStore(t *testing.T) {
 	c := &Call{}
 	const keys = 2*metaInline + 1
@@ -335,7 +335,11 @@ func TestMetaStore(t *testing.T) {
 	if c.GetMeta("absent") != nil {
 		t.Fatal("absent key")
 	}
+}
 
+// TestMetaStoreAllocs: a call with the usual few keys allocates nothing
+// for them.
+func TestMetaStoreAllocs(t *testing.T) {
 	flag := interface{}(true) // boxed once, outside the measurement
 	if got := testing.AllocsPerRun(100, func() {
 		var c Call

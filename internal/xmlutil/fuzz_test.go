@@ -168,8 +168,9 @@ func tolerated(err error) bool {
 // lenientAbout), and a tree both accept marshals to a document that parses
 // and marshals to the same bytes again. And between the scanner's two
 // consumers: driven on its own, with nothing built, the Tokenizer accepts
-// and rejects what ParseBytes does and its tokens are the tree's. The seed
-// corpus is testdata/fuzz/FuzzParseBytes.
+// and rejects what ParseBytes does and its tokens are the tree's, which
+// holds every element's children at exactly their number and a sole text
+// run inline (checkBuilt). The seed corpus is testdata/fuzz/FuzzParseBytes.
 func FuzzParseBytes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		got, err := ParseBytes(doc)
@@ -178,6 +179,10 @@ func FuzzParseBytes(f *testing.F) {
 			t.Fatalf("tree builder: %v; scanner alone: %v", err, tokErr)
 		case err == nil && tokens != dumpString(got):
 			t.Fatalf("the scanner's tokens are not the tree:\ntokens %s\n  tree %s", tokens, dumpString(got))
+		case err == nil:
+			if shape := checkBuilt(got); shape != nil {
+				t.Fatalf("the tree of %q: %v", doc, shape)
+			}
 		}
 		want, refErr := referenceParse(doc)
 		switch {

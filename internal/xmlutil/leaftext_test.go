@@ -147,11 +147,11 @@ func TestTextAndChildrenKeepDocumentOrder(t *testing.T) {
 	}
 }
 
-// TestLeafTextAllocations pins what holding a sole text child inline buys:
+// TestLeafTextAllocs pins what holding a sole text child inline buys:
 // reading it is free, building a leaf is the Element alone, and a parsed
 // and marshalled message no longer pays a child slice and a boxed string
 // per leaf.
-func TestLeafTextAllocations(t *testing.T) {
+func TestLeafTextAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}

@@ -38,7 +38,7 @@ const (
 	internTextMax  = 64       // longest string worth interning
 	elementSlab    = 32       // Elements allocated per batch
 	slabSizedBelow = 8 << 10  // inputs this long or longer start with a full slab
-	scratchMax     = 64 << 10 // largest decoding buffer worth pooling
+	ScratchMax     = 64 << 10 // largest decoding buffer, in bytes, worth pooling
 )
 
 var (
@@ -87,6 +87,7 @@ type Tokenizer struct {
 	rooted   bool   // the document element has been seen
 	intern   map[string]string
 	slab     []Element
+	nodes    []Node // build's open elements, each followed by its child nodes so far
 	tags     []openTag
 	scope    []binding // in-scope declarations, innermost last
 	pend     []pendingAttr
@@ -109,19 +110,20 @@ func AcquireTokenizer(b []byte) *Tokenizer {
 
 // Release returns the scanner to its pool; Local and CharData die with it.
 func (p *Tokenizer) Release() {
-	*p = Tokenizer{intern: p.intern, tags: p.tags, scope: p.scope, pend: p.pend, scratch: p.scratch, chars: p.chars}
+	*p = Tokenizer{intern: p.intern, nodes: p.nodes, tags: p.tags, scope: p.scope, pend: p.pend, scratch: p.scratch, chars: p.chars}
 	if len(p.intern) > internMapMax {
 		p.intern = make(map[string]string)
 	}
-	// tags and pend hold byte slices into the parsed document; zero the
-	// full capacity (truncation alone leaves stale entries between len and
-	// cap) so a pooled scanner does not pin the caller's buffer, and drop
-	// outsized decoding buffers.
+	// tags and pend hold byte slices into the parsed document, nodes the
+	// trees built from it; zero the full capacity (truncation alone leaves
+	// stale entries between len and cap) so a pooled scanner does not pin
+	// the caller's buffer or trees, and drop outsized buffers.
+	clear(p.nodes[:cap(p.nodes)])
 	clear(p.tags[:cap(p.tags)])
 	clear(p.pend[:cap(p.pend)])
-	p.tags, p.pend, p.scope = p.tags[:0], p.pend[:0], p.scope[:0]
-	if cap(p.scratch) > scratchMax || cap(p.chars) > scratchMax {
-		p.scratch, p.chars = nil, nil
+	p.nodes, p.tags, p.pend, p.scope = p.nodes[:0], p.tags[:0], p.pend[:0], p.scope[:0]
+	if cap(p.scratch) > ScratchMax || cap(p.chars) > ScratchMax || cap(p.nodes)*16 > ScratchMax { // a Node is 16 bytes
+		p.scratch, p.chars, p.nodes = nil, nil, nil
 	}
 	parserPool.Put(p)
 }
@@ -550,10 +552,11 @@ func (p *Tokenizer) Element() (*Element, error) { return p.build(0, p.charData) 
 func (p *Tokenizer) Fragment() (*Element, error) { return p.build(p.tags[len(p.tags)-1].scope, p.str) }
 
 // build is Element with a root declaring scope[from:] and text strings
-// made by text.
+// made by text. Child nodes wait on the node stack behind their element,
+// which takes them at its end tag in one slice of exactly their number.
 func (p *Tokenizer) build(from int, text func([]byte) string) (*Element, error) {
 	root := p.element(from)
-	inside := len(p.tags)
+	p.nodes = append(p.nodes[:0], root)
 	for cur := root; ; {
 		kind, err := p.Next()
 		if err != nil {
@@ -563,15 +566,33 @@ func (p *Tokenizer) build(from int, text func([]byte) string) (*Element, error) 
 		case TokenStart:
 			el := p.element(p.tags[len(p.tags)-1].scope)
 			el.parent = cur
-			cur.spill()
-			cur.children = append(cur.children, el)
+			p.nodes = append(p.nodes, el)
 			cur = el
 		case TokenText:
-			cur.AddText(text(p.text))
+			switch s := text(p.text); {
+			case s == "":
+			case p.nodes[len(p.nodes)-1] == Node(cur) && bytes.HasPrefix(p.data[p.pos:], endTagMark):
+				cur.text = s // a leaf's text, not boxed as a Node
+			default:
+				p.nodes = append(p.nodes, Text(s))
+			}
 		case TokenEnd:
-			if len(p.tags) < inside {
+			at := len(p.nodes) - 1
+			for p.nodes[at] != Node(cur) {
+				at--
+			}
+			if kids := p.nodes[at+1:]; len(kids) > 0 {
+				if t, ok := kids[0].(Text); ok && len(kids) == 1 {
+					cur.text = string(t) // a sole run after a comment, say
+				} else {
+					cur.children = append(make([]Node, 0, len(kids)), kids...)
+				}
+			}
+			if cur == root {
+				p.nodes = p.nodes[:0]
 				return root, nil
 			}
+			p.nodes = p.nodes[:at+1]
 			cur = cur.parent
 		}
 	}

@@ -75,10 +75,10 @@ func TestFirstSlabSizedFromInput(t *testing.T) {
 	}
 }
 
-// TestFirstSlabCostsNoAllocation: sizing the slab changes how large one
+// TestFirstSlabCostsNoExtraAllocs: sizing the slab changes how large one
 // allocation is, not how many there are — for the echo envelope and for a
 // document one element larger than a slab.
-func TestFirstSlabCostsNoAllocation(t *testing.T) {
+func TestFirstSlabCostsNoExtraAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}

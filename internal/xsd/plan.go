@@ -19,7 +19,9 @@ package xsd
 // dropped with any error it raised at the first exact one; an absent
 // optional is the zero value (an empty, non-nil slice for a slice); a
 // string keeps its whitespace, other simple types are trimmed. Of two
-// fields mapped to one element name the first has it.
+// fields mapped to one element name the first has it. A slice's items (a
+// `,any` field's trees) gather in pooled scratch, copied at the parent's
+// end into one allocation of exactly their number: sized once.
 //
 // A field tagged `xml:"ns local"` is named in ns, whatever namespace the
 // call is in, and so are its children; it matches exactly or not at all.
@@ -68,6 +70,7 @@ type plan struct {
 	// foreign: a namespace other than the call's may be written (a qualified
 	// field, a tree, an interface), so a writer's prefixes need a walk.
 	foreign bool
+	scratch sync.Pool // kindSlice, kindTrees: *scratch, cleared
 }
 
 // fieldPlan is one marshallable field of a struct, or one part of a wrapper.
@@ -293,6 +296,7 @@ func decodeFields(r reader, ns string, fields []fieldPlan, strct reflect.Value, 
 		state = make([]uint8, len(fields))
 	}
 	var held map[int]error // what local-only matches raised, by field
+	var items *scratch     // what the repeated fields matched so far
 	inside := r.depth()
 	for {
 		if ok, err := r.child(); err != nil {
@@ -313,7 +317,7 @@ func decodeFields(r reader, ns string, fields []fieldPlan, strct reflect.Value, 
 			if err != nil {
 				return -1, err
 			}
-			trees := dest(rest).Addr().Interface().(*[]*xmlutil.Element)
+			trees := gather(&items, rest, fields[rest].plan).items.Addr().Interface().(*[]*xmlutil.Element)
 			*trees = append(*trees, el)
 			continue
 		}
@@ -322,9 +326,14 @@ func decodeFields(r reader, ns string, fields []fieldPlan, strct reflect.Value, 
 			if r.space() == f.in(ns) {
 				how = matchedExact
 			}
+			p := f.plan
+			if p.repeated { // items gather in scratch, dst is set at the end
+				s := gather(&items, i, p)
+				p, dst = s.plan, s.items
+			}
 			// A scalar's first match wins and a slice takes every match of
 			// a kind, but exact beats local-only, and what it raised.
-			take := state[i] == unmatched || state[i] == how && f.plan.repeated && held[i] == nil
+			take := state[i] == unmatched || state[i] == how && p.repeated && held[i] == nil
 			if state[i] == matchedLocal && how == matchedExact {
 				dst.SetZero()
 				delete(held, i)
@@ -332,7 +341,7 @@ func decodeFields(r reader, ns string, fields []fieldPlan, strct reflect.Value, 
 			}
 			if take {
 				state[i] = how
-				err := f.plan.decode(r, dst, f.in(ns), f.name, false)
+				err := p.decode(r, dst, f.in(ns), f.name, false)
 				switch {
 				case err == nil:
 					continue
@@ -351,12 +360,63 @@ func decodeFields(r reader, ns string, fields []fieldPlan, strct reflect.Value, 
 	for i, err := range held {
 		return i, err
 	}
+	for s := items; s != nil; {
+		s = s.copyTo(dest(s.field))
+	}
 	for i := range fields {
 		if state[i] == unmatched && fields[i].plan.kind == kindSlice {
 			dest(i).Set(fields[i].plan.empty)
 		}
 	}
 	return -1, nil
+}
+
+// scratch holds one field's items while its parent is read (dropped if it fails).
+type scratch struct {
+	plan  *plan         // the slice plan whose pool it is from
+	items reflect.Value // an addressable slice of plan.t, zero past its length
+	field int
+	next  *scratch // the parent's other fields with items
+}
+
+// gather is field i's scratch on the list at *items, taken from the pool of
+// the slice plan under p's pointers at the field's first match.
+func gather(items **scratch, i int, p *plan) *scratch {
+	for s := *items; s != nil; s = s.next {
+		if s.field == i {
+			return s
+		}
+	}
+	for p.kind == kindPtr {
+		p = p.elem
+	}
+	s, _ := p.scratch.Get().(*scratch)
+	if s == nil {
+		s = &scratch{plan: p, items: reflect.New(p.t).Elem()}
+	}
+	s.field, s.next, *items = i, *items, s
+	return s
+}
+
+// copyTo sets dst (nil, or nil pointers to it) to the items in one allocation
+// of exactly their number, pools s cleared, and returns s's next.
+func (s *scratch) copyTo(dst reflect.Value) (next *scratch) {
+	for dst.Kind() == reflect.Ptr {
+		dst.Set(reflect.New(dst.Type().Elem()))
+		dst = dst.Elem()
+	}
+	n := s.items.Len()
+	dst.Grow(n) // rounded up to a size class: cut to n
+	dst.SetLen(n)
+	dst.SetCap(n)
+	reflect.Copy(dst, s.items)
+	if next = s.next; s.items.Cap()*int(s.plan.t.Elem().Size()) <= xmlutil.ScratchMax {
+		s.items.Clear()
+		s.items.SetLen(0)
+		s.next = nil
+		s.plan.scratch.Put(s)
+	}
+	return next
 }
 
 // decode reads the element r is in — one more called name, for a field that

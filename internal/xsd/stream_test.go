@@ -64,6 +64,8 @@ var fuzzTargets = []Field{
 	{"a", reflect.TypeOf([]float64(nil))},
 	{"Blob", reflect.TypeOf([]byte(nil))},
 	{"When", reflect.TypeOf(time.Time{})},
+	{"msg", reflect.TypeOf((*[]fuzzRec)(nil))},
+	{"Items", reflect.TypeOf([]soItem(nil))},
 }
 
 // fuzzTreeTargets hold trees, which the two readers come by apart — built
@@ -72,6 +74,7 @@ var fuzzTargets = []Field{
 var fuzzTreeTargets = []Field{
 	{"q", reflect.TypeOf(fuzzQualified{})},
 	{"q", reflect.TypeOf([]*fuzzQualified(nil))},
+	{"doc", reflect.TypeOf(soDoc{})},
 }
 
 const fuzzNS = "urn:svc"
@@ -113,6 +116,9 @@ var fuzzSeeds = []string{
 	`<s:op xmlns:s="urn:svc" xmlns:o="urn:other"><s:q><o:K>k</o:K><K>local only</K><s:K>wrong space</s:K><s:N>5</s:N>` +
 		`<o:Inner><o:V>v</o:V><V>unqualified</V><x a="1" xmlns:z="urn:z">t<z:y/></x></o:Inner><o:Inner><o:V>late</o:V></o:Inner>` +
 		`<extra xmlns="urn:z"><deep/>text</extra></s:q><s:q><N>9</N><o:N>7</o:N></s:q></s:op>`,
+	// Repeated fields interleaved, nested, behind a pointer and of trees,
+	// past a size class.
+	`<s:op xmlns:s="urn:svc" xmlns:o="urn:other">` + soBody() + `<s:Items><o:N>1</o:N><s:N>2</s:N></s:Items></s:op>`,
 }
 
 // decodeBothWays decodes one part of the document's root element from the
@@ -136,7 +142,8 @@ func decodeBothWays(t *testing.T, doc []byte, root *xmlutil.Element, part Field)
 
 // FuzzDecodeBody holds the two readers of the compiled plans to each other:
 // whatever the document, decoding a part from the scanner's tokens gives the
-// value decoding it from the parsed tree gives, or both fail.
+// value decoding it from the parsed tree gives, or both fail; and every
+// slice either decodes has exactly the room its items take.
 func FuzzDecodeBody(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add([]byte(seed))
@@ -152,6 +159,8 @@ func FuzzDecodeBody(f *testing.F) {
 			case (streamErr == nil) != (treeErr == nil):
 				t.Fatalf("%s as %v: from tokens %v, from the tree %v", part.Name, part.Type, streamErr, treeErr)
 			case streamErr != nil:
+			case checkSized("tokens", stream) != nil || checkSized("tree", tree) != nil:
+				t.Fatalf("%s as %v: %v, %v", part.Name, part.Type, checkSized("tokens", stream), checkSized("tree", tree))
 			case i >= len(fuzzTargets):
 				if a, b := encodedTree(t, part.Name, stream), encodedTree(t, part.Name, tree); a != b {
 					t.Fatalf("%s as %v:\nfrom tokens   %s\nfrom the tree %s", part.Name, part.Type, a, b)
