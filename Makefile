@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all help build vet test race allocs bench harness chaos census fuzz-smoke examples loc clean check
+.PHONY: all help build vet test race allocs bench chaos census fuzz-smoke examples loc clean check
 
 all: build vet test
 
@@ -14,15 +14,16 @@ help:
 	@echo "                   benchmark module in bench/ (the pre-commit gate)"
 	@echo "  build/vet/test   the individual pieces of 'all'"
 	@echo "  allocs           the allocation-count gates, without the race detector"
-	@echo "  bench            run every Go benchmark with -benchmem"
-	@echo "  harness          regenerate every experiment table (E1-E10, E13, A1, R1, R2)"
+	@echo "  bench            run every Go benchmark with -benchmem (the system's numbers"
+	@echo "                   come from the benchmark in bench/, see BENCHMARK.json)"
 	@echo "  chaos            the deterministic chaos suite under -race"
 	@echo "  census           the exported-identifier census (with the identifiers only tests"
 	@echo "                   use), the Meta-key rule and the import layering (arch_test.go)"
 	@echo "  fuzz-smoke       ten seconds of native fuzzing on each fuzz target (P2PS frame"
 	@echo "                   decoder; XML scanner against its tree builder and encoding/xml;"
 	@echo "                   xsd decoding from tokens against decoding from the tree;"
-	@echo "                   WS-Addressing headers written, parsed and read back)"
+	@echo "                   WS-Addressing headers written, parsed and read back; SOAP"
+	@echo "                   envelopes parsed, faults marshalled and parsed back)"
 	@echo "  examples         run every example program once"
 	@echo "  loc              count lines of Go: non-test outside bench/, and everything"
 
@@ -53,13 +54,10 @@ race:
 allocs:
 	$(GO) test -count=1 -run 'Allocs' ./...
 
-# One testing.B benchmark per experiment (see DESIGN.md §5).
+# The Go benchmarks of the paths the paper's claims exercise, for use while
+# working; the claims themselves are tests (claims_test.go, EXPERIMENTS.md).
 bench:
 	$(GO) test -bench . -benchmem ./...
-
-# Regenerate every experiment table (E1-E10, E13, A1, R1, R2).
-harness:
-	$(GO) run ./cmd/benchharness
 
 # The deterministic chaos suite (DESIGN.md §10, §14): seeded fault
 # injection on a real HTTP invoke path with breaker+failover, resilience
@@ -81,10 +79,11 @@ census:
 # that panics, a field that does not survive encode/decode, a document the
 # XML scanner, its tree builder and encoding/xml do not read alike, a
 # message the xsd plans decode differently from its bytes and from its tree,
-# or addressing headers that do not read back as they were written, short
-# enough for CI. `go test -fuzz` takes one target and one package at a
+# addressing headers that do not read back as they were written, or a SOAP
+# fault that changes on its way through marshal and parse, short enough for
+# CI. `go test -fuzz` takes one target and one package at a
 # time, hence the loop.
-FUZZ_TARGETS = internal/p2ps:FuzzDecodeMessage internal/xmlutil:FuzzParseBytes internal/xsd:FuzzDecodeBody internal/wsaddr:FuzzAddressingHeaders
+FUZZ_TARGETS = internal/p2ps:FuzzDecodeMessage internal/xmlutil:FuzzParseBytes internal/xsd:FuzzDecodeBody internal/wsaddr:FuzzAddressingHeaders internal/soap:FuzzParseEnvelope
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

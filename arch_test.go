@@ -367,11 +367,7 @@ func (tr *archTree) census() []*archIdent {
 				}
 			}
 			if u, ok := named.Underlying().(*types.Struct); ok {
-				// internal/experiments is the harness: its OverlayConfig
-				// is a parameter of one experiment, not an option of the
-				// library.
-				option := path != archModule+"/internal/experiments" &&
-					(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || name == "FaultPlan")
+				option := strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || name == "FaultPlan"
 				for i := 0; i < u.NumFields(); i++ {
 					if id := add(pkg, name+"."+u.Field(i).Name(), u.Field(i)); id != nil {
 						id.optionField = option
@@ -611,23 +607,17 @@ func TestLayering(t *testing.T) {
 	for i, name := range codec {
 		rank[internal+name] = i + 1
 	}
-	// Importers of internal/exchange besides core and the bindings, and of
-	// internal/experiments: every one a named line.
+	// Importers of internal/exchange besides core and the bindings: every
+	// one a named line.
 	exchangeImporters := map[string]string{
 		internal + "engine":   "DeliverReply hands a ReplySender an *exchange.Message, and dispatch labels the call with its exchange.Pattern",
 		archModule:            "the facade re-exports ExchangeTableStats and ExchangeExpiredError; exchange_test.go drives the table",
 		archModule + "/bench": "the benchmark times Table.Register/Resolve in isolation",
 	}
-	experimentsImporters := map[string]string{
-		"cmd/benchharness/main.go":    "prints the experiment tables",
-		"examples/simulation/main.go": "builds its overlay with experiments.BuildOverlay",
-		"bench_test.go":               "one testing.B benchmark per experiment",
-	}
 	// Non-test files that import "testing": the benchmarks live in bench/
 	// and in _test.go files, not in a third copy inside the library.
 	testingImporters := map[string]string{
 		"internal/binding/bindtest/bindtest.go": "the conformance suite every binding's test runs",
-		"internal/experiments/exchange.go":      "E13 times the three exchange patterns with testing.Benchmark",
 	}
 
 	for _, pkg := range tr.pkgs {
@@ -653,8 +643,6 @@ func TestLayering(t *testing.T) {
 					deny("engine imports no binding")
 				case imp == internal+"exchange" && pkg.path != internal+"exchange" && pkg.path != internal+"core" && !isBinding(pkg.path) && exchangeImporters[pkg.path] == "":
 					deny("only core and the bindings import exchange")
-				case imp == internal+"experiments" && pkg.path != imp && experimentsImporters[file] == "":
-					deny("only cmd/benchharness, examples/simulation and bench_test.go import internal/experiments")
 				}
 			}
 		}

@@ -1,8 +1,9 @@
 package wspeer_test
 
-// One benchmark per experiment in DESIGN.md's index (E1-E10). The printed
-// tables come from cmd/benchharness; these testing.B benchmarks expose the
-// same workloads to `go test -bench`.
+// Microbenchmarks of the paths the paper's claims exercise (E1-E4, E8-E10
+// in DESIGN.md's index), for `go test -bench` while working. The claims
+// themselves are asserted in claims_test.go; the system's numbers come from
+// the benchmark in bench/.
 
 import (
 	"context"
@@ -14,7 +15,6 @@ import (
 	"wspeer"
 	"wspeer/internal/core"
 	"wspeer/internal/engine"
-	"wspeer/internal/experiments"
 	"wspeer/internal/flow"
 	"wspeer/internal/httpd"
 	"wspeer/internal/p2ps"
@@ -211,62 +211,6 @@ func BenchmarkP2PSInvoke(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkPipeRequestResponse (E4): the figures 5/6 micro-steps —
-// advert→EPR serialization and envelope construction are covered by
-// BenchmarkStubGeneration-style loops inside the harness; here the whole
-// correlated round trip is the unit.
-func BenchmarkPipeRequestResponse(b *testing.B) {
-	BenchmarkP2PSInvoke(b)
-}
-
-// BenchmarkDiscoveryScaling (E5): one in-network query on a 128-peer
-// simulated overlay (rendezvous mesh with replicated adverts).
-func BenchmarkDiscoveryScaling(b *testing.B) {
-	o, err := experiments.BuildOverlay(experiments.OverlayConfig{
-		Seed: 42, Providers: 128, Rendezvous: 8, Mode: experiments.ModeMesh,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ok, _ := o.RunQueries(1, nil); ok != 1 {
-			b.Fatal("query failed")
-		}
-	}
-}
-
-// BenchmarkChurnResilience (E6): a full small churn round: build a 32-peer
-// overlay, kill a quarter of it, measure 8 queries.
-func BenchmarkChurnResilience(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunChurn(int64(i), 32, []float64{0.25}, 8, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 3 {
-			b.Fatal("unexpected rows")
-		}
-	}
-}
-
-// BenchmarkSyncVsAsync (E7): both invocation modes against 16 simulated
-// slow services.
-func BenchmarkSyncVsAsync(b *testing.B) {
-	b.Run("sequential-sync", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r, err := experiments.RunSyncVsAsync(int64(i), 16, 500*time.Microsecond)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = r
-		}
-	})
 }
 
 // BenchmarkStubGeneration (E8): dynamic request construction straight to

@@ -14,10 +14,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
+	"math/rand"
 	"time"
 
-	"wspeer/internal/experiments"
+	"wspeer/internal/netsim/overlay"
 	"wspeer/internal/p2ps"
 )
 
@@ -29,34 +29,34 @@ func main() {
 
 	fmt.Printf("building a %d-peer overlay (seed %d)...\n", *peers, *seed)
 	start := time.Now()
-	overlay, err := experiments.BuildOverlay(experiments.OverlayConfig{
+	net, err := overlay.Build(overlay.Config{
 		Seed:       *seed,
 		Providers:  *peers,
 		Rendezvous: *peers / 32,
-		Mode:       experiments.ModeMesh,
+		Mode:       overlay.Mesh,
 		Homes:      2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	built := time.Since(start)
-	stats := overlay.Sim.Stats()
+	stats := net.Sim.Stats()
 	fmt.Printf("built in %s wall-clock; virtual time %s; %d messages to attach and publish\n",
-		built.Round(time.Millisecond), overlay.Sim.Now().Round(time.Millisecond), stats.Sent)
+		built.Round(time.Millisecond), net.Sim.Now().Round(time.Millisecond), stats.Sent)
 
 	// Every provider published one service; run a query workload.
 	fmt.Printf("\nrunning %d discovery queries...\n", *queries)
 	start = time.Now()
-	ok, hops := overlay.RunQueries(*queries, nil)
+	ok, hops := net.RunQueries(*queries, nil)
 	fmt.Printf("success %d/%d, mean hops %.2f, wall-clock %s\n",
 		ok, *queries, hops, time.Since(start).Round(time.Millisecond))
-	hottestName, hottestLoad := overlay.Sim.Hottest()
+	hottestName, hottestLoad := net.Sim.Hottest()
 	fmt.Printf("hottest node: %s with %d messages\n", hottestName, hottestLoad)
 
 	// A named lookup straight through the protocol API.
-	target := experiments.ServiceName(*peers / 2)
-	d := overlay.Providers[0].Discover(p2ps.Query{Name: target}, 2*time.Second)
-	overlay.Sim.Run(0)
+	target := overlay.ServiceName(*peers / 2)
+	d := net.Providers[0].Discover(p2ps.Query{Name: target}, 2*time.Second)
+	net.Sim.Run(0)
 	if len(d.Matches()) == 0 {
 		log.Fatalf("lookup of %s failed", target)
 	}
@@ -65,9 +65,7 @@ func main() {
 
 	// Kill a third of the network and watch discovery degrade gracefully.
 	fmt.Println("\nkilling 33% of all nodes (providers and rendezvous alike)...")
-	rows, err := experiments.RunChurn(*seed, *peers/4, []float64{0.33}, *queries/2, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	experiments.ChurnTable(rows).Print(os.Stdout)
+	survivors := net.Kill(0.33, rand.New(rand.NewSource(*seed)))
+	ok, _ = net.RunQueries(*queries, survivors)
+	fmt.Printf("success %d/%d among the %d surviving providers\n", ok, *queries, len(survivors))
 }

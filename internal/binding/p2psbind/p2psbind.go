@@ -384,16 +384,23 @@ func (b *Binding) handleRequest(ds *deployedService, data []byte) {
 		return
 	}
 	// Duplicate suppression: a retransmitted request replays the original
-	// response rather than re-invoking the operation. Nothing is replayed
-	// while the first copy is in flight or when it was never answered
-	// (one-way). Unidentified requests cannot be deduplicated.
+	// response rather than re-invoking the operation, to where the original
+	// went: FaultTo for a fault when the request names one. Nothing is
+	// replayed while the first copy is in flight or when it was never
+	// answered (one-way). Unidentified requests cannot be deduplicated.
 	if hdr.MessageID != "" {
 		b.servedMu.Lock()
 		replay, dup := b.served.Mark(hdr.MessageID)
 		b.servedMu.Unlock()
 		if dup {
-			if len(replay) > 0 && hdr.ReplyTo != nil {
-				_ = b.sendToEPR(hdr.ReplyTo, replay) // pipes are datagrams: a lost replay is retransmitted for again
+			to := hdr.ReplyTo
+			if hdr.FaultTo != nil {
+				if prev, err := soap.Parse(replay); err == nil && prev.IsFault() {
+					to = hdr.FaultTo
+				}
+			}
+			if len(replay) > 0 && to != nil {
+				_ = b.sendToEPR(to, replay) // pipes are datagrams: a lost replay is retransmitted for again
 			}
 			return
 		}

@@ -327,7 +327,8 @@ func TestMixedBindingLocateUDDIInvokeP2PS(t *testing.T) {
 
 // TestFaultToRouting crafts a raw request whose FaultTo differs from its
 // ReplyTo and verifies the fault is routed to the FaultTo pipe while the
-// reply pipe stays quiet.
+// reply pipe stays quiet, for the first copy of the request and for the
+// replay a retransmitted copy is answered with.
 func TestFaultToRouting(t *testing.T) {
 	o := newOverlay(t)
 	providerPeer, providerBinding := o.boundPeer()
@@ -356,8 +357,8 @@ func TestFaultToRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replies := make(chan []byte, 1)
-	faults := make(chan []byte, 1)
+	replies := make(chan []byte, 2)
+	faults := make(chan []byte, 2)
 	replyPipe.AddListener(func(_ p2ps.PeerID, data []byte) { replies <- data })
 	faultPipe.AddListener(func(_ p2ps.PeerID, data []byte) { faults <- data })
 
@@ -382,24 +383,26 @@ func TestFaultToRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := out.Send(env.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case data := <-faults:
-		fenv, err := soap.Parse(data)
-		if err != nil || !fenv.IsFault() {
-			t.Fatalf("FaultTo pipe got a non-fault: %v", err)
+	wire := env.Marshal()
+	for _, which := range []string{"first", "retransmitted"} {
+		if err := out.Send(wire); err != nil {
+			t.Fatal(err)
 		}
-		fhdr, err := wsaddr.FromEnvelope(fenv)
-		if err != nil || fhdr.RelatesTo != hdr.MessageID {
-			t.Fatalf("fault not correlated: %+v, %v", fhdr, err)
+		select {
+		case data := <-faults:
+			fenv, err := soap.Parse(data)
+			if err != nil || !fenv.IsFault() {
+				t.Fatalf("%s copy: FaultTo pipe got a non-fault: %v", which, err)
+			}
+			fhdr, err := wsaddr.FromEnvelope(fenv)
+			if err != nil || fhdr.RelatesTo != hdr.MessageID {
+				t.Fatalf("%s copy: fault not correlated: %+v, %v", which, fhdr, err)
+			}
+		case data := <-replies:
+			t.Fatalf("%s copy: fault delivered to ReplyTo pipe: %s", which, data)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s copy: fault never arrived", which)
 		}
-	case data := <-replies:
-		t.Fatalf("fault delivered to ReplyTo pipe: %s", data)
-	case <-time.After(5 * time.Second):
-		t.Fatal("fault never arrived")
 	}
 	select {
 	case <-replies:

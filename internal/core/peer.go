@@ -373,7 +373,6 @@ func (c *Client) NewHedgedInvocation(opts HedgeOptions, svcs ...*ServiceInfo) (*
 			}
 			return 0
 		},
-		MaxHedges: opts.MaxHedges,
 		// The caller opted into hedging when building the invocation, so
 		// every call through it may hedge — MarkIdempotent is not also
 		// required.
@@ -427,9 +426,6 @@ type HedgeOptions struct {
 	// p99 latency from the telemetry call table once hedgeMinSamples
 	// calls have been recorded, DefaultHedgeThreshold until then.
 	Threshold time.Duration
-	// MaxHedges caps extra attempts beyond the primary (default 1, and
-	// never more than len(targets)-1 distinct endpoints are useful).
-	MaxHedges int
 }
 
 // Invocation is a client-side handle on one located service, or — when

@@ -261,7 +261,7 @@ func (ep *Endpoint) SetReceiver(r func(from string, data []byte)) {
 }
 
 // Close detaches the endpoint: pending and future messages to it are
-// counted as Dead. Closing models node failure for the churn experiments.
+// counted as Dead. Closing models node failure.
 func (ep *Endpoint) Close() error {
 	ep.mu.Lock()
 	ep.closed = true

@@ -16,8 +16,8 @@
 // The protocol logic is transport-agnostic and time-agnostic: it speaks
 // through the Transport interface and schedules timeouts through the Clock
 // interface, so the same peer code runs over TCP in real deployments and
-// over the internal/netsim discrete-event simulator in the large-network
-// experiments.
+// over the internal/netsim discrete-event simulator in large simulated
+// networks (internal/netsim/overlay).
 package p2ps
 
 import (

@@ -25,8 +25,9 @@ type Config struct {
 	// QueryTTL bounds query propagation across rendezvous hops (default 5).
 	QueryTTL int
 	// DisableCache turns the rendezvous advert cache off: queries are
-	// flooded to attached peers instead of answered from the cache. This
-	// is the ablation knob for the discovery experiments.
+	// flooded to attached peers instead of answered from the cache. The
+	// netsim overlay's flood mode sets it, the baseline the discovery
+	// claims weigh the cached mesh against.
 	DisableCache bool
 	// ReplicateAdverts makes a rendezvous forward adverts published by
 	// its attached peers one hop to every other rendezvous it knows,

@@ -178,6 +178,56 @@ func TestQueryTTLLimitsPropagation(t *testing.T) {
 	}
 }
 
+// TestTTLSweepShape sweeps the query TTL over a chain of rendezvous with
+// the provider's home at the far end: TTL trades reach against traffic.
+// Each TTL runs on a fresh overlay so message counts are comparable.
+func TestTTLSweepShape(t *testing.T) {
+	const chain = 4
+	type result struct {
+		reached  bool
+		messages int64
+	}
+	sweep := map[int]result{}
+	for _, ttl := range []int{1, 2, 3, 4} {
+		r := newRig(t, 1)
+		rdvs := make([]*Peer, chain)
+		for i := range rdvs {
+			var seeds []string
+			if i > 0 {
+				seeds = []string{rdvs[i-1].Addr()}
+			}
+			rdvs[i] = r.peer(Config{Rendezvous: true, QueryTTL: ttl, Seeds: seeds})
+			r.settle()
+		}
+		provider := r.peer(Config{QueryTTL: ttl, Seeds: []string{rdvs[chain-1].Addr()}})
+		consumer := r.peer(Config{QueryTTL: ttl, Seeds: []string{rdvs[0].Addr()}})
+		r.settle()
+		if _, err := provider.PublishService(&ServiceAdvertisement{Name: "Far"}); err != nil {
+			t.Fatal(err)
+		}
+		r.settle()
+
+		before := r.sim.Stats()
+		d := consumer.Discover(Query{Name: "Far"}, 5*time.Second)
+		r.settle()
+		sweep[ttl] = result{
+			reached:  len(d.Matches()) > 0,
+			messages: r.sim.Stats().Sent - before.Sent,
+		}
+	}
+	// TTL 1 cannot cross a 4-rendezvous chain; TTL 4 can.
+	if sweep[1].reached {
+		t.Error("TTL 1 reached the far end of a 4-chain")
+	}
+	if !sweep[4].reached {
+		t.Error("TTL 4 failed to reach the far end of a 4-chain")
+	}
+	// Message cost is monotone in TTL until reach saturates.
+	if sweep[2].messages < sweep[1].messages {
+		t.Errorf("messages not monotone: ttl1=%d ttl2=%d", sweep[1].messages, sweep[2].messages)
+	}
+}
+
 func TestQueryLoopSuppression(t *testing.T) {
 	r := newRig(t, 5)
 	// Triangle of rendezvous.

@@ -58,10 +58,10 @@ func faultCode12(code xmlutil.Name) xmlutil.Name {
 	}
 }
 
+// canonicalFaultCode is faultCode12's inverse. faultCode12 writes every
+// code in the 1.2 namespace, so only the local name of a code read from a
+// 1.2 fault is kept: the fault then marshals and parses back unchanged.
 func canonicalFaultCode(code xmlutil.Name) xmlutil.Name {
-	if code.Space != Namespace12 {
-		return code
-	}
 	switch code.Local {
 	case "Sender":
 		return FaultClient
@@ -94,7 +94,7 @@ func (f *Fault) element12() *xmlutil.Element {
 func faultFromElement12(el *xmlutil.Element) (*Fault, error) {
 	f := &Fault{}
 	if code := el.Child(xmlutil.N(Namespace12, "Code")); code != nil {
-		if val := code.Child(xmlutil.N(Namespace12, "Value")); val != nil {
+		if val := code.Child(xmlutil.N(Namespace12, "Value")); val != nil && val.TrimmedText() != "" {
 			qn, err := val.ResolveQName(val.TrimmedText())
 			if err != nil {
 				qn = xmlutil.N(Namespace12, val.TrimmedText())

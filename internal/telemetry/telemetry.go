@@ -82,7 +82,7 @@ var std = New()
 func Default() *Hub { return std }
 
 // Snapshot is a point-in-time copy of a hub's state, shaped for JSON
-// (httpd's /debug/wspeer endpoint and benchharness emit it verbatim).
+// (httpd's /debug/wspeer endpoint emits it verbatim).
 type Snapshot struct {
 	// Counters maps counter name to its current value.
 	Counters map[string]int64 `json:"counters"`

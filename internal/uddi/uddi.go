@@ -55,8 +55,8 @@ type FindQuery struct {
 	MaxRows    int32
 }
 
-// ErrUnavailable is returned by a registry that has been failed for the
-// churn experiments.
+// ErrUnavailable is returned by a registry failed with SetFailed: a
+// directory outage.
 var ErrUnavailable = fmt.Errorf("uddi: registry unavailable")
 
 // TModel is a UDDI technical model: a named, reusable concept other
