@@ -23,7 +23,8 @@ help:
 	@echo "                   decoder; XML scanner against its tree builder and encoding/xml;"
 	@echo "                   xsd decoding from tokens against decoding from the tree;"
 	@echo "                   WS-Addressing headers written, parsed and read back; SOAP"
-	@echo "                   envelopes parsed, faults marshalled and parsed back)"
+	@echo "                   envelopes parsed, faults marshalled and parsed back; WSDL"
+	@echo "                   documents parsed, marshalled and parsed back)"
 	@echo "  examples         run every example program once"
 	@echo "  loc              count lines of Go: non-test outside bench/, and everything"
 
@@ -79,11 +80,11 @@ census:
 # that panics, a field that does not survive encode/decode, a document the
 # XML scanner, its tree builder and encoding/xml do not read alike, a
 # message the xsd plans decode differently from its bytes and from its tree,
-# addressing headers that do not read back as they were written, or a SOAP
-# fault that changes on its way through marshal and parse, short enough for
-# CI. `go test -fuzz` takes one target and one package at a
-# time, hence the loop.
-FUZZ_TARGETS = internal/p2ps:FuzzDecodeMessage internal/xmlutil:FuzzParseBytes internal/xsd:FuzzDecodeBody internal/wsaddr:FuzzAddressingHeaders internal/soap:FuzzParseEnvelope
+# addressing headers that do not read back as they were written, a SOAP
+# fault that changes on its way through marshal and parse, or WSDL
+# definitions that do, short enough for CI. `go test -fuzz` takes one
+# target and one package at a time, hence the loop.
+FUZZ_TARGETS = internal/p2ps:FuzzDecodeMessage internal/xmlutil:FuzzParseBytes internal/xsd:FuzzDecodeBody internal/wsaddr:FuzzAddressingHeaders internal/soap:FuzzParseEnvelope internal/wsdl:FuzzParseWSDL
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -345,7 +345,7 @@ func (l locator) infoFromRecord(ctx context.Context, rec uddi.BusinessService) (
 	var defs *wsdl.Definitions
 	var err error
 	if rec.WSDLDocument != "" {
-		defs, err = wsdl.Parse([]byte(rec.WSDLDocument))
+		defs, err = parseWSDL(ctx, []byte(rec.WSDLDocument))
 	} else if bt.WSDLLocation != "" {
 		defs, err = FetchWSDL(ctx, bt.WSDLLocation)
 	} else {
@@ -372,6 +372,12 @@ func FetchWSDL(ctx context.Context, url string) (*wsdl.Definitions, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseWSDL(ctx, data)
+}
+
+// parseWSDL parses a WSDL document, fetched or inlined in a registry
+// record, and resolves its wsdl:import references over HTTP.
+func parseWSDL(ctx context.Context, data []byte) (*wsdl.Definitions, error) {
 	defs, err := wsdl.Parse(data)
 	if err != nil {
 		return nil, err

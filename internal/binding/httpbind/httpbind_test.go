@@ -13,6 +13,7 @@ import (
 	"wspeer/internal/httpd"
 	"wspeer/internal/pipeline"
 	"wspeer/internal/uddi"
+	"wspeer/internal/wsdl"
 )
 
 // startRegistry hosts a UDDI registry as a WSPeer service over real HTTP
@@ -383,6 +384,59 @@ func TestExprQueryOverUDDI(t *testing.T) {
 	// Malformed expressions surface as errors.
 	if _, err := consumerPeer.Client().Locate(ctx, core.ExprQuery{Expr: `=`}); err == nil {
 		t.Fatal("malformed expression accepted")
+	}
+}
+
+// TestInlineWSDLResolvesImports: a registry record whose inline service
+// document imports its messages, portType and binding from a second
+// document locates to definitions a stub can invoke through.
+func TestInlineWSDLResolvesImports(t *testing.T) {
+	uddiEndpoint, registry := startRegistry(t)
+	providerPeer, _ := newBoundPeer(t, uddiEndpoint)
+	consumerPeer, _ := newBoundPeer(t, uddiEndpoint)
+	ctx := context.Background()
+	dep, err := providerPeer.Server().Deploy(echoDef())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dep.Definitions
+	iface, err := (&wsdl.Definitions{Name: d.Name, TargetNamespace: d.TargetNamespace, Schema: d.Schema,
+		Messages: d.Messages, PortTypes: d.PortTypes, Bindings: d.Bindings}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.Write(iface) }))
+	defer srv.Close()
+	serviceDoc := `<wsdl:definitions xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/"
+	  xmlns:tns="` + d.TargetNamespace + `" xmlns:ws="http://schemas.xmlsoap.org/wsdl/soap/"
+	  targetNamespace="` + d.TargetNamespace + `">
+	  <wsdl:import namespace="` + d.TargetNamespace + `" location="` + srv.URL + `/interface.wsdl"/>
+	  <wsdl:service name="Echo">
+	    <wsdl:port name="P" binding="tns:EchoBinding"><ws:address location="` + dep.Endpoint + `"/></wsdl:port>
+	  </wsdl:service>
+	</wsdl:definitions>`
+	if _, err := registry.Publish(uddi.BusinessService{
+		Name:         "Echo",
+		Bindings:     []uddi.BindingTemplate{{AccessPoint: dep.Endpoint}},
+		WSDLDocument: serviceDoc,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	info, err := consumerPeer.Client().LocateOne(ctx, core.NameQuery{Name: "Echo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := consumerPeer.Client().NewInvocation(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := inv.Invoke(ctx, "echoString", engine.P("msg", "imported"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := res.String("return"); got != "echo:imported" {
+		t.Fatalf("via the imported interface: %q", got)
 	}
 }
 

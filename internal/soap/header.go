@@ -55,12 +55,12 @@ func (hw *HeaderWriter) Text(name xmlutil.Name, text string, mustUnderstand bool
 		hw.w.Assign(name.Space)
 		return
 	}
-	prefix, mark := hw.w.Prefix(name.Space), 0
+	prefix := hw.w.Prefix(name.Space)
+	hw.w.Start(prefix, name.Local)
 	if mustUnderstand {
-		mark = hw.w.OpenAttr(prefix, name.Local, xmlutil.N(hw.v.Namespace(), "mustUnderstand"), "1")
-	} else {
-		mark = hw.w.Open(prefix, name.Local)
+		hw.w.Attr(xmlutil.N(hw.v.Namespace(), "mustUnderstand"), "1")
 	}
+	mark := hw.w.Enter()
 	hw.w.Text(text)
 	hw.w.Close(prefix, name.Local, mark)
 }

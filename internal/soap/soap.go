@@ -365,7 +365,8 @@ func (e *Envelope) write() *xmlutil.Writer {
 	}
 
 	env := w.Prefix(ns)
-	w.OpenRoot(env, "Envelope")
+	w.StartRoot(env, "Envelope")
+	w.Enter()
 	if len(blocks) > 0 {
 		mark := w.Open(env, "Header")
 		hw.assign = false

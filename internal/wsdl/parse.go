@@ -3,142 +3,159 @@ package wsdl
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 
 	"wspeer/internal/xmlutil"
 	"wspeer/internal/xsd"
 )
 
-// Parse reads a WSDL 1.1 document.
+// Parse reads a WSDL 1.1 document. Its content decodes straight from the
+// document's tokens through the compiled plans of package xsd: into the
+// types Definitions holds where their shape is the document's (Message,
+// Part, Import), into the wire structs below where it is not, and the
+// schemas into trees.
 func Parse(data []byte) (*Definitions, error) {
-	root, err := xmlutil.ParseBytes(data)
+	t := xmlutil.AcquireTokenizer(data)
+	defer t.Release()
+	d, err := parse(t)
 	if err != nil {
 		return nil, fmt.Errorf("wsdl: %w", err)
 	}
-	return FromElement(root)
-}
-
-// FromElement interprets a parsed element tree as WSDL definitions.
-func FromElement(root *xmlutil.Element) (*Definitions, error) {
-	if root.Name != xmlutil.N(Namespace, "definitions") {
-		return nil, fmt.Errorf("wsdl: document element is %v, not wsdl:definitions", root.Name)
-	}
-	d := &Definitions{}
-	if v, ok := root.Attr(xmlutil.N("", "name")); ok {
-		d.Name = v
-	}
-	if v, ok := root.Attr(xmlutil.N("", "targetNamespace")); ok {
-		d.TargetNamespace = v
-	} else {
-		return nil, fmt.Errorf("wsdl: definitions has no targetNamespace")
-	}
-
-	for _, imp := range root.Children(xmlutil.N(Namespace, "import")) {
-		i := Import{}
-		i.Namespace, _ = imp.Attr(xmlutil.N("", "namespace"))
-		i.Location, _ = imp.Attr(xmlutil.N("", "location"))
-		if i.Location != "" {
-			d.Imports = append(d.Imports, i)
-		}
-	}
-
-	if types := root.Child(xmlutil.N(Namespace, "types")); types != nil {
-		for _, sch := range types.Children(xmlutil.N(xsd.Namespace, "schema")) {
-			d.RawSchemas = append(d.RawSchemas, sch)
-		}
-	}
-
-	for _, mel := range root.Children(xmlutil.N(Namespace, "message")) {
-		m := &Message{}
-		m.Name, _ = mel.Attr(xmlutil.N("", "name"))
-		for _, pel := range mel.Children(xmlutil.N(Namespace, "part")) {
-			p := Part{}
-			p.Name, _ = pel.Attr(xmlutil.N("", "name"))
-			if ref, ok := pel.Attr(xmlutil.N("", "element")); ok {
-				qn, err := pel.ResolveQName(ref)
-				if err != nil {
-					return nil, fmt.Errorf("wsdl: message %q part %q: %w", m.Name, p.Name, err)
-				}
-				p.Element = qn
-			}
-			m.Parts = append(m.Parts, p)
-		}
-		d.Messages = append(d.Messages, m)
-	}
-
-	for _, ptel := range root.Children(xmlutil.N(Namespace, "portType")) {
-		pt := &PortType{}
-		pt.Name, _ = ptel.Attr(xmlutil.N("", "name"))
-		for _, opel := range ptel.Children(xmlutil.N(Namespace, "operation")) {
-			op := &Operation{}
-			op.Name, _ = opel.Attr(xmlutil.N("", "name"))
-			if doc := opel.Child(xmlutil.N(Namespace, "documentation")); doc != nil {
-				op.Doc = doc.TrimmedText()
-			}
-			if in := opel.Child(xmlutil.N(Namespace, "input")); in != nil {
-				ref, _ := in.Attr(xmlutil.N("", "message"))
-				op.Input = localOf(in, ref)
-			}
-			if out := opel.Child(xmlutil.N(Namespace, "output")); out != nil {
-				ref, _ := out.Attr(xmlutil.N("", "message"))
-				op.Output = localOf(out, ref)
-			}
-			pt.Operations = append(pt.Operations, op)
-		}
-		d.PortTypes = append(d.PortTypes, pt)
-	}
-
-	for _, bel := range root.Children(xmlutil.N(Namespace, "binding")) {
-		b := &Binding{}
-		b.Name, _ = bel.Attr(xmlutil.N("", "name"))
-		if ref, ok := bel.Attr(xmlutil.N("", "type")); ok {
-			b.PortType = localOf(bel, ref)
-		}
-		if sb := bel.Child(xmlutil.N(SOAPNamespace, "binding")); sb != nil {
-			b.Transport, _ = sb.Attr(xmlutil.N("", "transport"))
-		}
-		for _, boel := range bel.Children(xmlutil.N(Namespace, "operation")) {
-			bo := BindingOperation{}
-			bo.Name, _ = boel.Attr(xmlutil.N("", "name"))
-			if so := boel.Child(xmlutil.N(SOAPNamespace, "operation")); so != nil {
-				bo.SOAPAction, _ = so.Attr(xmlutil.N("", "soapAction"))
-			}
-			b.Operations = append(b.Operations, bo)
-		}
-		d.Bindings = append(d.Bindings, b)
-	}
-
-	for _, sel := range root.Children(xmlutil.N(Namespace, "service")) {
-		s := &Service{}
-		s.Name, _ = sel.Attr(xmlutil.N("", "name"))
-		for _, pel := range sel.Children(xmlutil.N(Namespace, "port")) {
-			p := Port{}
-			p.Name, _ = pel.Attr(xmlutil.N("", "name"))
-			if ref, ok := pel.Attr(xmlutil.N("", "binding")); ok {
-				p.Binding = localOf(pel, ref)
-			}
-			if addr := pel.Child(xmlutil.N(SOAPNamespace, "address")); addr != nil {
-				p.Address, _ = addr.Attr(xmlutil.N("", "location"))
-			}
-			s.Ports = append(s.Ports, p)
-		}
-		d.Services = append(d.Services, s)
-	}
-
 	return d, nil
 }
 
-// localOf resolves a QName reference and returns its local part. Cross-
-// namespace references fall back to the lexical local part so that
-// single-document WSDLs from lenient generators still parse.
-func localOf(scope *xmlutil.Element, ref string) string {
-	if qn, err := scope.ResolveQName(ref); err == nil {
-		return qn.Local
+// The children of wsdl:definitions, as the plans read them. A field names
+// its element in the WSDL namespace, or in the SOAP binding's, and matches
+// nothing else; a child nothing names is skipped, as are all but the first
+// match of a field that does not repeat.
+type wireDefinitions struct {
+	Imports []Import `xml:"http://schemas.xmlsoap.org/wsdl/ import"`
+	Types   struct {
+		Schemas []*xmlutil.Element `xml:",any"`
+	} `xml:"http://schemas.xmlsoap.org/wsdl/ types"`
+	Messages  []Message      `xml:"http://schemas.xmlsoap.org/wsdl/ message"`
+	PortTypes []wirePortType `xml:"http://schemas.xmlsoap.org/wsdl/ portType"`
+	Bindings  []wireBinding  `xml:"http://schemas.xmlsoap.org/wsdl/ binding"`
+	Services  []wireService  `xml:"http://schemas.xmlsoap.org/wsdl/ service"`
+}
+
+type wirePortType struct {
+	Name       string `xml:"name,attr"`
+	Operations []struct {
+		Name   string  `xml:"name,attr"`
+		Doc    string  `xml:"http://schemas.xmlsoap.org/wsdl/ documentation"`
+		Input  wireRef `xml:"http://schemas.xmlsoap.org/wsdl/ input"`
+		Output wireRef `xml:"http://schemas.xmlsoap.org/wsdl/ output"`
+	} `xml:"http://schemas.xmlsoap.org/wsdl/ operation"`
+}
+
+type wireRef struct {
+	Message string `xml:"message,attr"`
+}
+
+type wireBinding struct {
+	Name string `xml:"name,attr"`
+	Type string `xml:"type,attr"`
+	SOAP struct {
+		Transport string `xml:"transport,attr"`
+	} `xml:"http://schemas.xmlsoap.org/wsdl/soap/ binding"`
+	Operations []struct {
+		Name string `xml:"name,attr"`
+		SOAP struct {
+			Action string `xml:"soapAction,attr"`
+		} `xml:"http://schemas.xmlsoap.org/wsdl/soap/ operation"`
+	} `xml:"http://schemas.xmlsoap.org/wsdl/ operation"`
+}
+
+type wireService struct {
+	Name  string `xml:"name,attr"`
+	Ports []struct {
+		Name    string `xml:"name,attr"`
+		Binding string `xml:"binding,attr"`
+		Address struct {
+			Location string `xml:"location,attr"`
+		} `xml:"http://schemas.xmlsoap.org/wsdl/soap/ address"`
+	} `xml:"http://schemas.xmlsoap.org/wsdl/ port"`
+}
+
+var schemaName = xmlutil.N(xsd.Namespace, "schema")
+
+func parse(t *xmlutil.Tokenizer) (*Definitions, error) {
+	if _, err := t.Next(); err != nil {
+		return nil, err
 	}
-	if i := strings.LastIndexByte(ref, ':'); i >= 0 {
-		return ref[i+1:]
+	if t.Space != Namespace || string(t.Local) != "definitions" {
+		return nil, fmt.Errorf("document element is %v, not wsdl:definitions", t.Name())
 	}
-	return ref
+	d := &Definitions{}
+	d.Name, _ = t.Attr(attr("name"))
+	tns, ok := t.Attr(attr("targetNamespace"))
+	if !ok {
+		return nil, fmt.Errorf("definitions has no targetNamespace")
+	}
+	d.TargetNamespace = tns
+	var wire wireDefinitions
+	if err := xsd.DecodeValue(t, Namespace, reflect.ValueOf(&wire).Elem()); err != nil {
+		return nil, err
+	}
+	for kind := xmlutil.TokenEnd; kind != xmlutil.TokenEOF; { // what follows is checked
+		var err error
+		if kind, err = t.Next(); err != nil {
+			return nil, err
+		}
+	}
+
+	d.Imports = slices.DeleteFunc(wire.Imports, func(i Import) bool { return i.Location == "" })
+	d.RawSchemas = slices.DeleteFunc(wire.Types.Schemas, func(el *xmlutil.Element) bool { return el.Name != schemaName })
+	d.Messages = pointers(wire.Messages)
+	portTypes := make([]PortType, len(wire.PortTypes))
+	for i, wpt := range wire.PortTypes {
+		ops := make([]Operation, len(wpt.Operations))
+		for j, op := range wpt.Operations {
+			ops[j] = Operation{Name: op.Name, Input: localOf(op.Input.Message), Output: localOf(op.Output.Message), Doc: strings.TrimSpace(op.Doc)}
+		}
+		portTypes[i] = PortType{Name: wpt.Name, Operations: pointers(ops)}
+	}
+	d.PortTypes = pointers(portTypes)
+	bindings := make([]Binding, len(wire.Bindings))
+	for i, wb := range wire.Bindings {
+		ops := make([]BindingOperation, len(wb.Operations))
+		for j, bo := range wb.Operations {
+			ops[j] = BindingOperation{Name: bo.Name, SOAPAction: bo.SOAP.Action}
+		}
+		bindings[i] = Binding{Name: wb.Name, PortType: localOf(wb.Type), Transport: wb.SOAP.Transport, Operations: ops}
+	}
+	d.Bindings = pointers(bindings)
+	services := make([]Service, len(wire.Services))
+	for i, ws := range wire.Services {
+		ports := make([]Port, len(ws.Ports))
+		for j, p := range ws.Ports {
+			ports[j] = Port{Name: p.Name, Binding: localOf(p.Binding), Address: p.Address.Location}
+		}
+		services[i] = Service{Name: ws.Name, Ports: ports}
+	}
+	d.Services = pointers(services)
+	return d, nil
+}
+
+// pointers points at each of s's items.
+func pointers[T any](s []T) []*T {
+	out := make([]*T, len(s))
+	for i := range s {
+		out[i] = &s[i]
+	}
+	return out
+}
+
+// localOf is the local part of a QName reference to a message, portType or
+// binding, which are looked up by name whatever namespace the prefix names:
+// single-document WSDLs from lenient generators leave it undeclared, or
+// bind it elsewhere.
+func localOf(ref string) string {
+	ref = strings.TrimSpace(ref)
+	return ref[strings.LastIndexByte(ref, ':')+1:]
 }
 
 // SchemaElementDeclared reports whether any raw schema in the parsed

@@ -3,6 +3,12 @@
 // and one-way operations, SOAP bindings and service/port endpoints. It can
 // generate definitions from registered Go services (via the engine) and
 // parse definitions published by remote peers.
+//
+// Neither direction builds a tree of the document (DESIGN.md §9). Marshal
+// drives the pooled xmlutil writer by hand, indented, with the prefixes a
+// tree of the document would have had; Parse decodes the document's tokens
+// through the compiled plans of package xsd, into tagged types. Only the
+// schemas of a parsed document are trees (RawSchemas).
 package wsdl
 
 import (
@@ -46,8 +52,8 @@ type Definitions struct {
 	Bindings  []*Binding
 	Services  []*Service
 
-	// Imports lists wsdl:import references found while parsing; resolve
-	// them with ResolveImports.
+	// Imports lists wsdl:import references found while parsing, which
+	// Marshal writes back; resolve them with ResolveImports.
 	Imports []Import
 
 	// detailCache memoizes Detail lookups (operation name → immutable
@@ -59,20 +65,20 @@ type Definitions struct {
 
 // Import is a wsdl:import reference to another definitions document.
 type Import struct {
-	Namespace string
-	Location  string
+	Namespace string `xml:"namespace,attr"`
+	Location  string `xml:"location,attr"`
 }
 
 // Message names a set of parts.
 type Message struct {
-	Name  string
-	Parts []Part
+	Name  string `xml:"name,attr"`
+	Parts []Part `xml:"http://schemas.xmlsoap.org/wsdl/ part"`
 }
 
 // Part references a schema element (document/literal style).
 type Part struct {
-	Name    string
-	Element xmlutil.Name
+	Name    string       `xml:"name,attr"`
+	Element xmlutil.Name `xml:"element,attr"` // a QName: an undeclared prefix is an error
 }
 
 // PortType groups abstract operations.

@@ -217,11 +217,10 @@ func TestGeneratedDocumentShape(t *testing.T) {
 }
 
 func TestLocalOfFallback(t *testing.T) {
-	scope := xmlutil.NewElement(xmlutil.N("", "x"))
-	if got := localOf(scope, "undeclared:Thing"); got != "Thing" {
+	if got := localOf("undeclared:Thing"); got != "Thing" {
 		t.Fatalf("fallback = %q", got)
 	}
-	if got := localOf(scope, "Plain"); got != "Plain" {
+	if got := localOf(" Plain "); got != "Plain" {
 		t.Fatalf("plain = %q", got)
 	}
 }

@@ -16,12 +16,13 @@ import (
 // per token; comments, PIs and directives are skipped. Only the predefined
 // entities and character references are expanded, as encoding/xml does
 // with no Entity map. The tree builder (Element, and ParseBytes on it)
-// reads every document — WSDL, adverts, faults — interning recurring names
-// and allocating Elements in slabs, and builds the one element Fragment
-// asks for (an addressing header's reference property); internal/soap and
-// the plans of internal/xsd call Next themselves and decode a message's
-// header and body straight from its bytes (CharData is a leaf's text,
-// Attr a start tag's attribute).
+// reads adverts and faults, interning recurring names and allocating
+// Elements in slabs, and builds the one element Fragment asks for (an
+// addressing header's reference property, a WSDL document's schema);
+// internal/soap and the plans of internal/xsd call Next themselves and
+// decode a message's header and body, or a WSDL document, straight from
+// its bytes (CharData is a leaf's text, Attr a start tag's attribute,
+// ResolveQName a QName in it).
 //
 // FuzzParseBytes holds scanner and builder to each other and both to
 // encoding/xml: "same tree or both reject". Where the scanner is knowingly
@@ -535,6 +536,23 @@ func (p *Tokenizer) Attr(name Name) (string, bool) {
 	for _, a := range p.pend {
 		if string(a.name.local) == name.Local && p.resolve(a.name.prefix, false) == name.Space {
 			return a.value, true
+		}
+	}
+	return "", false
+}
+
+// ResolveQName is Element.ResolveQName in the scope of the start tag Next
+// last returned: unlike a name of the markup, a QName in content with an
+// undeclared prefix is an error.
+func (p *Tokenizer) ResolveQName(s string) (Name, error) { return resolveQName(s, p.lookup) }
+
+func (p *Tokenizer) lookup(prefix string) (string, bool) {
+	if prefix == "xml" {
+		return xmlNamespace, true
+	}
+	for i := len(p.scope) - 1; i >= 0; i-- {
+		if p.scope[i].prefix == prefix {
+			return p.scope[i].uri, true
 		}
 	}
 	return "", false

@@ -125,7 +125,8 @@ func TestWriterByHandMatchesMarshal(t *testing.T) {
 	w.Collect(shared)
 	w.Assign("urn:b")
 	a, b := w.Prefix("urn:a"), w.Prefix("urn:b")
-	w.OpenRoot(a, "root")
+	w.StartRoot(a, "root")
+	w.Enter()
 	m := w.Open(a, "head")
 	w.Tree(shared)
 	w.Close(a, "head", m)

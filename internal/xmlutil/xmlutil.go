@@ -347,7 +347,11 @@ func (e *Element) PrefixFor(uri string) (string, bool) {
 // in content or attribute values, using the element's in-scope namespace
 // declarations. An unprefixed QName resolves to the default namespace if one
 // is declared, otherwise to no namespace.
-func (e *Element) ResolveQName(s string) (Name, error) {
+func (e *Element) ResolveQName(s string) (Name, error) { return resolveQName(s, e.LookupPrefix) }
+
+// resolveQName is ResolveQName with the prefixes in scope looked up by
+// lookup.
+func resolveQName(s string, lookup func(prefix string) (string, bool)) (Name, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return Name{}, fmt.Errorf("xmlutil: empty qname")
@@ -357,16 +361,14 @@ func (e *Element) ResolveQName(s string) (Name, error) {
 		if prefix == "" || local == "" {
 			return Name{}, fmt.Errorf("xmlutil: malformed qname %q", s)
 		}
-		uri, ok := e.LookupPrefix(prefix)
+		uri, ok := lookup(prefix)
 		if !ok {
 			return Name{}, fmt.Errorf("xmlutil: undeclared prefix %q in qname %q", prefix, s)
 		}
 		return Name{Space: uri, Local: local}, nil
 	}
-	if uri, ok := e.LookupPrefix(""); ok {
-		return Name{Space: uri, Local: s}, nil
-	}
-	return Name{Local: s}, nil
+	uri, _ := lookup("")
+	return Name{Space: uri, Local: s}, nil
 }
 
 // Clone returns a deep copy of the element (detached from any parent).
@@ -475,10 +477,12 @@ var PreferredPrefixes = map[string]string{
 
 // Writer serializes into a pooled buffer. Marshal drives it over a tree; a
 // caller that knows its document's shape without building it (a SOAP
-// envelope around a body written from Go values) drives it by hand: Assign
-// and Collect in the order a walk of the whole tree would meet the
-// namespaces, then OpenRoot, Open / Leaf / Tree / Close, then Finish or
-// FinishTo — and gets the bytes Marshal gives for the tree.
+// envelope around a body written from Go values, a WSDL document) drives it
+// by hand: Assign, Declare and Collect in the order a walk of the whole
+// tree would meet the namespaces, then StartRoot / Attr / Enter, Open (or
+// Start, Attr / QNameAttr, Enter) / Leaf / Tree / Close, then Finish or
+// FinishTo — and gets the bytes Marshal, or MarshalIndent for a writer
+// taken with AcquireIndentWriter, gives for the tree.
 type Writer struct {
 	b        bytes.Buffer
 	indent   string
@@ -486,6 +490,10 @@ type Writer struct {
 	next     int
 	scratch  []byte   // conversion buffer for the slow escape path
 	uris     []string // declarations' sort buffer
+	// The indented form of a document written by hand: the elements open,
+	// and whether the innermost has a child element so far.
+	depth  int
+	nested bool
 }
 
 // writerPool recycles marshal writers — their byte buffers and prefix maps —
@@ -507,6 +515,11 @@ const maxPooledWriterCap = 1 << 20
 // AcquireWriter returns an empty compact-form writer from the pool.
 func AcquireWriter() *Writer { return getWriter("") }
 
+// AcquireIndentWriter returns an empty writer of the form MarshalIndent
+// writes: every element on a line of its own, two spaces deeper than its
+// parent, but for an element holding only text.
+func AcquireIndentWriter() *Writer { return getWriter("  ") }
+
 func getWriter(indent string) *Writer {
 	w := writerPool.Get().(*Writer)
 	w.indent = indent
@@ -519,7 +532,7 @@ func (w *Writer) release() {
 	}
 	w.b.Reset()
 	clear(w.prefixes)
-	w.next = 0
+	w.next, w.depth, w.nested = 0, 0, false
 	writerPool.Put(w)
 }
 
@@ -580,16 +593,22 @@ func (w *Writer) Collect(e *Element) {
 		}
 		sort.Strings(prefixes)
 		for _, p := range prefixes {
-			uri := el.nsDecls[p]
-			if p == "" || uri == "" {
-				continue
-			}
-			if _, ok := w.prefixes[uri]; !ok && !w.prefixUsed(p) {
-				w.prefixes[uri] = p
-			}
-			w.Assign(uri) // fallback prefix if the explicit one was taken
+			w.Declare(p, el.nsDecls[p])
 		}
 	})
+}
+
+// Declare honours a declaration of prefix for uri: uri gets prefix if it has
+// none yet and prefix is free, the one Assign picks if it has none and
+// prefix is taken. A default namespace declaration is not honoured.
+func (w *Writer) Declare(prefix, uri string) {
+	if prefix == "" || uri == "" {
+		return
+	}
+	if _, ok := w.prefixes[uri]; !ok && !w.prefixUsed(prefix) {
+		w.prefixes[uri] = prefix
+	}
+	w.Assign(uri)
 }
 
 // Assign gives uri a prefix if it has none: its preferred one if that is
@@ -678,29 +697,62 @@ func (w *Writer) tag(open, prefix, local string) {
 	w.b.WriteString(local)
 }
 
-// OpenRoot writes the document element's start tag, declaring every prefix
-// assigned so far.
-func (w *Writer) OpenRoot(prefix, local string) {
+// StartRoot starts the document element's start tag, declaring every
+// prefix assigned so far; attributes come after the declarations, as in a
+// marshalled tree, and Enter ends it.
+func (w *Writer) StartRoot(prefix, local string) {
 	w.tag("<", prefix, local)
 	w.declarations()
-	w.b.WriteByte('>')
+	if w.indent != "" {
+		w.depth, w.nested = 1, false
+	}
 }
 
 // Open writes a start tag and returns the mark its Close wants.
 func (w *Writer) Open(prefix, local string) (mark int) {
+	if w.indent != "" {
+		w.startLine()
+	}
 	w.tag("<", prefix, local)
-	w.b.WriteByte('>')
-	return w.b.Len()
+	return w.Enter()
 }
 
-// OpenAttr is Open for a start tag holding one attribute.
-func (w *Writer) OpenAttr(prefix, local string, attr Name, value string) (mark int) {
+// Start is Open for a start tag that goes on with attributes, up to its
+// Enter.
+func (w *Writer) Start(prefix, local string) {
+	if w.indent != "" {
+		w.startLine()
+	}
 	w.tag("<", prefix, local)
+}
+
+// Attr writes an attribute of the start tag being written.
+func (w *Writer) Attr(name Name, value string) {
 	w.b.WriteByte(' ')
-	w.writeName(attr)
+	w.writeName(name)
 	w.b.WriteString(`="`)
 	w.escapeAttr(value)
-	w.b.WriteString(`">`)
+	w.b.WriteByte('"')
+}
+
+// QNameAttr writes an attribute whose value is the lexical QName of value,
+// with the prefix assigned to its namespace (none for no namespace).
+func (w *Writer) QNameAttr(name Name, value Name) {
+	w.b.WriteByte(' ')
+	w.writeName(name)
+	w.b.WriteString(`="`)
+	if value.Space != "" {
+		w.escapeAttr(w.prefixes[value.Space])
+		w.b.WriteByte(':')
+	}
+	w.escapeAttr(value.Local)
+	w.b.WriteByte('"')
+}
+
+// Enter ends the start tag being written and returns the mark its Close
+// wants.
+func (w *Writer) Enter() (mark int) {
+	w.b.WriteByte('>')
 	return w.b.Len()
 }
 
@@ -708,6 +760,10 @@ func (w *Writer) OpenAttr(prefix, local string, attr Name, value string) (mark i
 // nothing was written since, makes its start tag an empty-element tag: the
 // form a tree's element without significant content takes.
 func (w *Writer) Close(prefix, local string, mark int) {
+	if w.indent != "" {
+		w.closeIndented(prefix, local, mark)
+		return
+	}
 	if w.b.Len() == mark {
 		w.b.Truncate(mark - 1)
 		w.b.WriteString("/>")
@@ -715,6 +771,41 @@ func (w *Writer) Close(prefix, local string, mark int) {
 	}
 	w.tag("</", prefix, local)
 	w.b.WriteByte('>')
+}
+
+// startLine puts the start tag of an element written by hand, in the
+// indented form, on a line of its own.
+func (w *Writer) startLine() {
+	w.newline(w.depth)
+	w.depth, w.nested = w.depth+1, false
+}
+
+// closeIndented is Close in the indented form: an end tag after child
+// elements goes on a line of its own, and the document ends with a newline.
+func (w *Writer) closeIndented(prefix, local string, mark int) {
+	w.depth--
+	if w.b.Len() == mark {
+		w.b.Truncate(mark - 1)
+		w.b.WriteString("/>")
+	} else {
+		if w.nested {
+			w.newline(w.depth)
+		}
+		w.tag("</", prefix, local)
+		w.b.WriteByte('>')
+	}
+	w.nested = true
+	if w.depth == 0 {
+		w.b.WriteByte('\n')
+	}
+}
+
+// newline starts the line of an element depth levels deep.
+func (w *Writer) newline(depth int) {
+	w.b.WriteByte('\n')
+	for i := 0; i < depth; i++ {
+		w.b.WriteString(w.indent)
+	}
 }
 
 // Leaf writes an element holding text.
@@ -733,14 +824,18 @@ func (w *Writer) Text(s string) {
 }
 
 // Tree writes e and everything under it, as a descendant of the root.
-func (w *Writer) Tree(e *Element) { w.element(e, 1) }
+func (w *Writer) Tree(e *Element) {
+	if w.indent != "" {
+		w.element(e, w.depth)
+		w.nested = true
+		return
+	}
+	w.element(e, 1)
+}
 
 func (w *Writer) element(e *Element, depth int) {
 	if w.indent != "" && depth > 0 {
-		w.b.WriteByte('\n')
-		for i := 0; i < depth; i++ {
-			w.b.WriteString(w.indent)
-		}
+		w.newline(depth)
 	}
 	w.b.WriteByte('<')
 	w.writeName(e.Name)
@@ -787,10 +882,7 @@ func (w *Writer) element(e *Element, depth int) {
 		}
 	}
 	if !textOnly && w.indent != "" {
-		w.b.WriteByte('\n')
-		for i := 0; i < depth; i++ {
-			w.b.WriteString(w.indent)
-		}
+		w.newline(depth)
 	}
 	w.b.WriteString("</")
 	w.writeName(e.Name)
@@ -828,8 +920,9 @@ func (w *Writer) escapeText(s string) {
 }
 
 // escapeAttr writes an attribute value, escaping &, <, > and the quote
-// character (the historical output format of this package). The common
-// clean case is written directly with no allocation.
+// character (the historical output format of this package), and a carriage
+// return, which a parser would read back as a line feed. The common clean
+// case is written directly with no allocation.
 func (w *Writer) escapeAttr(s string) {
 	start := 0
 	for i := 0; i < len(s); i++ {
@@ -843,6 +936,8 @@ func (w *Writer) escapeAttr(s string) {
 			repl = "&gt;"
 		case '"':
 			repl = "&quot;"
+		case '\r':
+			repl = "&#xD;"
 		default:
 			continue
 		}

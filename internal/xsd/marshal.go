@@ -19,24 +19,25 @@ import (
 // DecodeValue — or an element tree — AppendValue, Wrapper.Element,
 // ExtractValue, DecodeElement.
 
-// fieldName returns the element name for a struct field, honouring the
-// `xml` struct tag's forms encoding/xml gives them: "name", "ns name" (a
-// namespace-qualified name) and ",any" (rest: the field holds the children
-// no other field names). It reports skip=true for fields excluded from
-// marshalling.
-func fieldName(f reflect.StructField) (space, name string, rest, skip bool) {
+// fieldName returns the element or attribute name for a struct field,
+// honouring the `xml` struct tag's forms encoding/xml gives them: "name",
+// "ns name" (a namespace-qualified name), ",any" (the field holds the
+// children no other field names) and "name,attr" (an attribute, in no
+// namespace unless qualified); opt is "any", "attr" or "". It reports
+// skip=true for fields excluded from marshalling.
+func fieldName(f reflect.StructField) (space, name, opt string, skip bool) {
 	tag := f.Tag.Get("xml")
 	if f.PkgPath != "" || tag == "-" { // unexported, or excluded
-		return "", "", false, true
+		return "", "", "", true
 	}
-	name, opts, _ := strings.Cut(tag, ",")
+	name, opt, _ = strings.Cut(tag, ",")
 	if s, local, ok := strings.Cut(name, " "); ok {
 		space, name = s, local
 	}
 	if name == "" {
 		name = f.Name
 	}
-	return space, name, opts == "any", false
+	return space, name, opt, false
 }
 
 // ---------------------------------------------------------------------------
@@ -236,11 +237,13 @@ func (r *streamReader) child() (bool, error) {
 	}
 }
 
-func (r *streamReader) is(local string) bool            { return string(r.Local) == local }
-func (r *streamReader) space() string                   { return r.Space }
-func (r *streamReader) depth() int                      { return r.t().Depth() }
-func (r *streamReader) unwind(depth int) error          { return r.t().SkipTo(depth) }
-func (r *streamReader) tree() (*xmlutil.Element, error) { return r.t().Fragment() }
+func (r *streamReader) is(local string) bool                  { return string(r.Local) == local }
+func (r *streamReader) space() string                         { return r.Space }
+func (r *streamReader) depth() int                            { return r.t().Depth() }
+func (r *streamReader) unwind(depth int) error                { return r.t().SkipTo(depth) }
+func (r *streamReader) tree() (*xmlutil.Element, error)       { return r.t().Fragment() }
+func (r *streamReader) attr(name xmlutil.Name) (string, bool) { return r.t().Attr(name) }
+func (r *streamReader) qname(s string) (xmlutil.Name, error)  { return r.t().ResolveQName(s) }
 
 func (r *streamReader) scalar(dst reflect.Value) error {
 	b, err := r.t().CharData()
@@ -276,9 +279,11 @@ func (r *treeReader) child() (bool, error) {
 	return true, nil
 }
 
-func (r *treeReader) is(local string) bool { return r.top().el.Name.Local == local }
-func (r *treeReader) space() string        { return r.top().el.Name.Space }
-func (r *treeReader) depth() int           { return len(r.stack) }
+func (r *treeReader) is(local string) bool                  { return r.top().el.Name.Local == local }
+func (r *treeReader) space() string                         { return r.top().el.Name.Space }
+func (r *treeReader) depth() int                            { return len(r.stack) }
+func (r *treeReader) attr(name xmlutil.Name) (string, bool) { return r.top().el.Attr(name) }
+func (r *treeReader) qname(s string) (xmlutil.Name, error)  { return r.top().el.ResolveQName(s) }
 
 func (r *treeReader) tree() (*xmlutil.Element, error) {
 	el := r.top().el

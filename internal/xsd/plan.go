@@ -30,6 +30,15 @@ package xsd
 // their own declarations, as in a whole-document tree), or shared from the
 // tree being read, and written as they are.
 //
+// A field tagged `xml:"name,attr"` is an attribute of its struct's element,
+// in no namespace unless the tag qualifies it ("ns name,attr"). It is read,
+// never written: check refuses to encode a struct that has one, naming the
+// field. Its type is a simple one — read as a leaf's text is: a string as
+// it stands, others trimmed — or xmlutil.Name, a QName resolved in the
+// start tag's scope, where an undeclared prefix is an error. The attribute
+// fields are a list of their own (plan.attrs), read in decode's struct
+// case before decodeFields; an absent one is left as it is.
+//
 // Cached plans are complete and immutable: compilation runs under one
 // mutex and publishes a type's plan, with those of the types it reaches,
 // when all are built, so a type that contains itself terminates and racing
@@ -38,6 +47,7 @@ package xsd
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 
 	"wspeer/internal/xmlutil"
@@ -52,20 +62,26 @@ const (
 	kindStruct
 	kindIface       // encodes as its dynamic value; cannot be decoded into
 	kindTrees       // a `,any` field: the children no other field names
+	kindQName       // an xmlutil.Name `,attr` field: a QName in the element's scope
 	kindUnsupported // map, chan, func, complex, array, ...
 )
 
-var treesType = reflect.TypeOf([]*xmlutil.Element(nil))
+var (
+	treesType = reflect.TypeOf([]*xmlutil.Element(nil))
+	nameType  = reflect.TypeOf(xmlutil.Name{})
+)
 
 type plan struct {
 	t        reflect.Type
 	kind     planKind
 	elem     *plan         // kindPtr, kindSlice
 	fields   []fieldPlan   // kindStruct
+	attrs    []fieldPlan   // kindStruct: its `,attr` fields, nil if none
 	empty    reflect.Value // kindSlice: what no element at all decodes to
 	repeated bool          // a slice, or pointers to one: takes every match
-	// vet: an interface or an unsupported type may be in reach (it is taken
-	// to be, through a type that contains itself), so check looks at values.
+	// vet: an interface, an unsupported type or a struct with attributes
+	// may be in reach (it is taken to be, through a type that contains
+	// itself), so check looks at values.
 	vet bool
 	// foreign: a namespace other than the call's may be written (a qualified
 	// field, a tree, an interface), so a writer's prefixes need a walk.
@@ -137,10 +153,13 @@ func compile(t reflect.Type, building map[reflect.Type]*plan) *plan {
 		seen, vet, foreign := map[string]bool{}, false, false
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			space, name, rest, skip := fieldName(f)
+			space, name, opt, skip := fieldName(f)
 			key := space + " " + name
-			if rest {
+			switch opt {
+			case "any":
 				key = ",any"
+			case "attr": // attributes and elements are named apart
+				key = ",attr " + key
 			}
 			if skip || seen[key] {
 				continue
@@ -148,17 +167,27 @@ func compile(t reflect.Type, building map[reflect.Type]*plan) *plan {
 			seen[key] = true
 			fp := fieldPlan{space: space, name: name, index: i}
 			switch {
-			case rest && f.Type == treesType:
+			case opt == "any" && f.Type == treesType:
 				fp.plan = &plan{t: f.Type, kind: kindTrees, foreign: true}
-			case rest:
+			case opt == "attr" && f.Type == nameType:
+				fp.plan = &plan{t: f.Type, kind: kindQName}
+			case opt == "attr":
+				if fp.plan = compile(f.Type, building); fp.plan.kind != kindSimple {
+					fp.plan = &plan{t: f.Type, kind: kindUnsupported, vet: true} // an attribute holds a simple value or a QName
+				}
+			case opt == "any":
 				fp.plan = &plan{t: f.Type, kind: kindUnsupported, vet: true} // `,any` holds trees only
 			default:
 				fp.plan = compile(f.Type, building)
 			}
-			p.fields = append(p.fields, fp)
+			if opt == "attr" {
+				p.attrs = append(p.attrs, fp)
+			} else {
+				p.fields = append(p.fields, fp)
+			}
 			vet, foreign = vet || fp.plan.vet, foreign || fp.plan.foreign || space != ""
 		}
-		p.vet, p.foreign = vet, foreign
+		p.vet, p.foreign = vet || p.attrs != nil, foreign
 	}
 	return p
 }
@@ -202,6 +231,9 @@ func (p *plan) check(name string, v reflect.Value) error {
 			}
 		}
 	case kindStruct:
+		if p.attrs != nil {
+			return p.fieldErr(&p.attrs[0], fmt.Errorf("xsd: a ,attr field is decoded only"))
+		}
 		for i := range p.fields {
 			f := &p.fields[i]
 			if err := f.plan.check(f.name, v.Field(f.index)); err != nil {
@@ -269,6 +301,10 @@ type reader interface {
 	scalar(dst reflect.Value) error
 	// tree is the current element as a tree; the reader moves out of it.
 	tree() (*xmlutil.Element, error)
+	// attr is the current element's attribute called name; qname resolves
+	// a lexical QName in its scope.
+	attr(name xmlutil.Name) (string, bool)
+	qname(s string) (xmlutil.Name, error)
 }
 
 // How a field has been matched so far, while its parent is read.
@@ -443,6 +479,11 @@ func (p *plan) decode(r reader, dst reflect.Value, ns, name string, inItem bool)
 		}
 		return nil
 	case kindStruct:
+		if p.attrs != nil {
+			if err := p.decodeAttrs(r, dst); err != nil {
+				return err
+			}
+		}
 		i, err := decodeFields(r, ns, p.fields, dst, nil)
 		if err != nil && i >= 0 {
 			err = p.fieldErr(&p.fields[i], err)
@@ -450,6 +491,33 @@ func (p *plan) decode(r reader, dst reflect.Value, ns, name string, inItem bool)
 		return err
 	}
 	return fmt.Errorf("xsd: cannot decode into %s%s", p.t, hint(p.t))
+}
+
+// decodeAttrs reads the attributes of the element r is in into the struct
+// dst's `,attr` fields; an absent one is left as it is.
+func (p *plan) decodeAttrs(r reader, dst reflect.Value) error {
+	for i := range p.attrs {
+		f := &p.attrs[i]
+		v, ok := r.attr(xmlutil.Name{Space: f.space, Local: f.name})
+		if !ok {
+			continue
+		}
+		var err error
+		switch fv := dst.Field(f.index); {
+		case f.plan.kind == kindQName:
+			*fv.Addr().Interface().(*xmlutil.Name), err = r.qname(v)
+		case f.plan.kind != kindSimple:
+			err = fmt.Errorf("xsd: cannot decode an attribute into %s%s", f.plan.t, hint(f.plan.t))
+		case fv.Kind() == reflect.String:
+			fv.SetString(v)
+		default:
+			err = setSimple(fv, []byte(strings.TrimSpace(v)))
+		}
+		if err != nil {
+			return p.fieldErr(f, err)
+		}
+	}
+	return nil
 }
 
 // fieldErr is err, raised by one of the struct's fields, naming the field.

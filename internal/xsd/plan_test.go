@@ -2,6 +2,7 @@ package xsd
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -85,4 +86,44 @@ func TestPlanCacheDistinctTypesConcurrent(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestAttributes: a `,attr` field reads its attribute from either reader —
+// a string as it is, a number trimmed, a QName resolved in the element's
+// scope, an absent one left zero; a QName with an undeclared prefix is an
+// error; a struct holding one is refused on encode, and a service type may
+// not hold one.
+func TestAttributes(t *testing.T) {
+	doc := []byte(`<s:op xmlns:s="urn:svc" xmlns:o="urn:other"><s:r id=" a " n=" 7 " ref="o:x" o:q="qq">` +
+		`<s:Inner xmlns="urn:dflt" ref="plain"/></s:r></s:op>`)
+	root, err := xmlutil.ParseBytes(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fuzzAttrs{ID: " a ", N: 7, Ref: xmlutil.N("urn:other", "x"), Q: "qq", Inner: &fuzzAttrs{Ref: xmlutil.N("urn:dflt", "plain")}}
+	stream, tree, streamErr, treeErr := decodeBothWays(t, doc, root, Field{"r", reflect.TypeOf(fuzzAttrs{})})
+	if streamErr != nil || treeErr != nil || !reflect.DeepEqual(stream.Interface(), want) || !reflect.DeepEqual(tree.Interface(), want) {
+		t.Fatalf("tokens %+v %v, tree %+v %v", stream, streamErr, tree, treeErr)
+	}
+
+	for _, v := range []interface{}{want, []fuzzAttrs{{}}, struct{ R *fuzzAttrs }{&want}} {
+		if err := NewWrapper(xmlutil.N(tns, "op")).Add("r", reflect.ValueOf(v)); err == nil || !strings.Contains(err.Error(), "fuzzAttrs.ID: xsd: a ,attr field is decoded only") {
+			t.Errorf("encoding %T: %v", v, err)
+		}
+	}
+
+	bad := []byte(`<s:op xmlns:s="urn:svc"><s:r ref="nope:x"/></s:op>`)
+	root, err = xmlutil.ParseBytes(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, streamErr, treeErr := decodeBothWays(t, bad, root, Field{"r", reflect.TypeOf(fuzzAttrs{})}); streamErr == nil || treeErr == nil ||
+		!strings.Contains(streamErr.Error(), "undeclared prefix") || !strings.Contains(streamErr.Error(), "fuzzAttrs.Ref") {
+		t.Errorf("an undeclared prefix: %v from tokens, %v from the tree", streamErr, treeErr)
+	}
+
+	err = NewSchema(tns).AddElement("op", []Field{{"r", reflect.TypeOf(fuzzAttrs{})}})
+	if err == nil || !strings.Contains(err.Error(), "field ID") || !strings.Contains(err.Error(), ",attr") {
+		t.Errorf("a service type with an attribute: %v", err)
+	}
 }

@@ -3,13 +3,13 @@ package xsd
 import (
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 
 	"wspeer/internal/xmlutil"
 )
 
 // Schema accumulates element and complex-type declarations for one target
-// namespace and renders them as an <xsd:schema> element suitable for
+// namespace and writes them as an <xsd:schema> element suitable for
 // embedding in a WSDL <types> section.
 //
 // The generator is driven by Go types: struct types become named
@@ -90,11 +90,13 @@ func (s *Schema) registerType(t reflect.Type) error {
 		s.types[name] = t
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			space, _, rest, skip := fieldName(f)
-			if skip {
+			space, _, opt, skip := fieldName(f)
+			switch {
+			case skip:
 				continue
-			}
-			if space != "" || rest {
+			case opt == "attr":
+				return fmt.Errorf("field %s: an ,attr field has no form in a schema of elements", f.Name)
+			case space != "" || opt == "any":
 				return fmt.Errorf("field %s: a namespace-qualified or ,any field has no form in a one-namespace schema", f.Name)
 			}
 			if err := s.registerType(f.Type); err != nil {
@@ -139,64 +141,77 @@ func (s *Schema) typeRef(t reflect.Type) (ref xmlutil.Name, minOccurs, maxOccurs
 	}
 }
 
-// Element renders the schema.
-func (s *Schema) Element() (*xmlutil.Element, error) {
-	root := xmlutil.NewElement(xmlutil.N(Namespace, "schema"))
-	root.SetAttr(xmlutil.N("", "targetNamespace"), s.TargetNamespace)
-	root.SetAttr(xmlutil.N("", "elementFormDefault"), "qualified")
-	root.DeclarePrefix("tns", s.TargetNamespace)
-	root.DeclarePrefix("xsd", Namespace)
+// Assign gives w a prefix for every namespace the schema is written in, in
+// the order a walk of its tree meets them: the schema element's own, then
+// the target namespace, which it declares as tns for type references.
+func (s *Schema) Assign(w *xmlutil.Writer) {
+	w.Assign(Namespace)
+	w.Declare("tns", s.TargetNamespace)
+}
 
+// WriteXML writes the <xsd:schema> element to w, which has been through
+// Assign: the wrapper elements in the order they were added, then the
+// complexTypes by name.
+func (s *Schema) WriteXML(w *xmlutil.Writer) error {
+	x := w.Prefix(Namespace)
+	w.Start(x, "schema")
+	w.Attr(xmlutil.N("", "targetNamespace"), s.TargetNamespace)
+	w.Attr(xmlutil.N("", "elementFormDefault"), "qualified")
+	schema := w.Enter()
 	for _, we := range s.elements {
-		el := root.NewChild(xmlutil.N(Namespace, "element"))
-		el.SetAttr(xmlutil.N("", "name"), we.name)
-		ct := el.NewChild(xmlutil.N(Namespace, "complexType"))
-		if err := s.sequence(ct, we.fields); err != nil {
-			return nil, err
+		w.Start(x, "element")
+		w.Attr(nameAttr, we.name)
+		el, ct, seq := w.Enter(), w.Open(x, "complexType"), w.Open(x, "sequence")
+		for _, f := range we.fields {
+			if err := s.member(w, x, f.Name, f.Type); err != nil {
+				return err
+			}
 		}
+		w.Close(x, "sequence", seq)
+		w.Close(x, "complexType", ct)
+		w.Close(x, "element", el)
 	}
-
 	names := make([]string, 0, len(s.types))
 	for n := range s.types {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
 		t := s.types[name]
-		ct := root.NewChild(xmlutil.N(Namespace, "complexType"))
-		ct.SetAttr(xmlutil.N("", "name"), name)
-		var fields []Field
+		w.Start(x, "complexType")
+		w.Attr(nameAttr, name)
+		ct, seq := w.Enter(), w.Open(x, "sequence")
 		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			_, fn, _, skip := fieldName(f)
-			if skip {
-				continue
+			if _, fn, _, skip := fieldName(t.Field(i)); !skip {
+				if err := s.member(w, x, fn, t.Field(i).Type); err != nil {
+					return err
+				}
 			}
-			fields = append(fields, Field{Name: fn, Type: f.Type})
 		}
-		if err := s.sequence(ct, fields); err != nil {
-			return nil, err
-		}
+		w.Close(x, "sequence", seq)
+		w.Close(x, "complexType", ct)
 	}
-	return root, nil
+	w.Close(x, "schema", schema)
+	return nil
 }
 
-func (s *Schema) sequence(parent *xmlutil.Element, fields []Field) error {
-	seq := parent.NewChild(xmlutil.N(Namespace, "sequence"))
-	for _, f := range fields {
-		ref, minOcc, maxOcc, err := s.typeRef(f.Type)
-		if err != nil {
-			return err
-		}
-		el := seq.NewChild(xmlutil.N(Namespace, "element"))
-		el.SetAttr(xmlutil.N("", "name"), f.Name)
-		el.SetAttr(xmlutil.N("", "type"), xmlutil.QNameValue(parent, ref))
-		if minOcc != "1" {
-			el.SetAttr(xmlutil.N("", "minOccurs"), minOcc)
-		}
-		if maxOcc != "1" {
-			el.SetAttr(xmlutil.N("", "maxOccurs"), maxOcc)
-		}
+var nameAttr = xmlutil.N("", "name")
+
+// member writes a sequence's element declaration for a field of type t.
+func (s *Schema) member(w *xmlutil.Writer, x, name string, t reflect.Type) error {
+	ref, minOcc, maxOcc, err := s.typeRef(t)
+	if err != nil {
+		return err
 	}
+	w.Start(x, "element")
+	w.Attr(nameAttr, name)
+	w.QNameAttr(xmlutil.N("", "type"), ref)
+	if minOcc != "1" {
+		w.Attr(xmlutil.N("", "minOccurs"), minOcc)
+	}
+	if maxOcc != "1" {
+		w.Attr(xmlutil.N("", "maxOccurs"), maxOcc)
+	}
+	w.Close(x, "element", w.Enter())
 	return nil
 }

@@ -24,10 +24,7 @@ func TestSchemaGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	el, err := s.Element()
-	if err != nil {
-		t.Fatal(err)
-	}
+	el := schemaTree(t, s)
 	if el.Name != xmlutil.N(Namespace, "schema") {
 		t.Fatalf("root = %v", el.Name)
 	}
@@ -69,11 +66,30 @@ func TestSchemaGeneration(t *testing.T) {
 		t.Fatalf("complexTypes = %v", found)
 	}
 
-	// Output must be well-formed, parseable XML.
-	out := xmlutil.Marshal(el)
-	if _, err := xmlutil.ParseBytes(out); err != nil {
-		t.Fatalf("schema not well-formed: %v\n%s", err, out)
+}
+
+// schemaTree is the schema as WriteXML writes it, under a root declaring
+// its prefixes, parsed back: the output is well-formed.
+func schemaTree(t *testing.T, s *Schema) *xmlutil.Element {
+	t.Helper()
+	doc, err := xmlutil.ParseBytes(writeSchema(t, s))
+	if err != nil {
+		t.Fatalf("schema not well-formed: %v", err)
 	}
+	return doc.Elements()[0]
+}
+
+func writeSchema(t *testing.T, s *Schema) []byte {
+	t.Helper()
+	w := xmlutil.AcquireWriter()
+	s.Assign(w)
+	w.StartRoot("", "doc")
+	w.Enter()
+	if err := s.WriteXML(w); err != nil {
+		t.Fatal(err)
+	}
+	w.Close("", "doc", 0)
+	return w.Finish()
 }
 
 func TestSchemaOccursConstraints(t *testing.T) {
@@ -86,10 +102,7 @@ func TestSchemaOccursConstraints(t *testing.T) {
 	if err := s.AddElement("Put", []Field{{Name: "box", Type: reflect.TypeOf(Box{})}}); err != nil {
 		t.Fatal(err)
 	}
-	el, err := s.Element()
-	if err != nil {
-		t.Fatal(err)
-	}
+	el := schemaTree(t, s)
 	var box *xmlutil.Element
 	for _, ct := range el.Children(xmlutil.N(Namespace, "complexType")) {
 		if n, _ := ct.Attr(xmlutil.N("", "name")); n == "Box" {
@@ -144,8 +157,7 @@ func TestSchemaDeterministicOutput(t *testing.T) {
 	build := func() string {
 		s := NewSchema(tns)
 		_ = s.AddElement("Op", []Field{{Name: "p", Type: reflect.TypeOf(Person{})}})
-		el, _ := s.Element()
-		return string(xmlutil.Marshal(el))
+		return string(writeSchema(t, s))
 	}
 	a, b := build(), build()
 	if a != b {

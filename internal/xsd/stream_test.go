@@ -52,6 +52,17 @@ type fuzzQInner struct {
 	Rest []*xmlutil.Element `xml:",any"`
 }
 
+// fuzzAttrs carries attributes: a string, a number, a QName and a string in
+// a namespace of its own.
+type fuzzAttrs struct {
+	ID    string       `xml:"id,attr"`
+	N     int32        `xml:"n,attr"`
+	Ref   xmlutil.Name `xml:"ref,attr"`
+	Q     string       `xml:"urn:other q,attr"`
+	K     string
+	Inner *fuzzAttrs
+}
+
 var fuzzTargets = []Field{
 	{"msg", reflect.TypeOf([]fuzzRec(nil))},
 	{"msg", reflect.TypeOf(fuzzRec{})},
@@ -66,6 +77,8 @@ var fuzzTargets = []Field{
 	{"When", reflect.TypeOf(time.Time{})},
 	{"msg", reflect.TypeOf((*[]fuzzRec)(nil))},
 	{"Items", reflect.TypeOf([]soItem(nil))},
+	{"r", reflect.TypeOf(fuzzAttrs{})},
+	{"r", reflect.TypeOf([]fuzzAttrs(nil))},
 }
 
 // fuzzTreeTargets hold trees, which the two readers come by apart — built
@@ -119,6 +132,12 @@ var fuzzSeeds = []string{
 	// Repeated fields interleaved, nested, behind a pointer and of trees,
 	// past a size class.
 	`<s:op xmlns:s="urn:svc" xmlns:o="urn:other">` + soBody() + `<s:Items><o:N>1</o:N><s:N>2</s:N></s:Items></s:op>`,
+	// Attributes: QNames prefixed, in the default namespace, with xml: and
+	// undeclared; a padded and a bad number; one qualified, one by local
+	// name only; on nested and repeated elements.
+	`<s:op xmlns:s="urn:svc" xmlns:o="urn:other"><s:r id=" a b " n=" 7 " ref="o:x" o:q="qq" q="local"><s:K>k</s:K>` +
+		`<s:Inner xmlns="urn:dflt" ref="plain" n="-2"/></s:r><s:r ref="xml:lang" id=""/><s:r ref="nope:x"/>` +
+		`<s:r n="x"/><s:r ref=":x"/><s:r xmlns:p="urn:p" ref=" p:y " id="&amp;&#13;"/></s:op>`,
 }
 
 // decodeBothWays decodes one part of the document's root element from the
@@ -239,7 +258,8 @@ func streamed(t *testing.T, name string, v interface{}) string {
 	w := xmlutil.AcquireWriter()
 	w.Assign(tns)
 	wrapper.Assign(w)
-	w.OpenRoot(w.Prefix(tns), "doc")
+	w.StartRoot(w.Prefix(tns), "doc")
+	w.Enter()
 	wrapper.WriteXML(w)
 	w.Close(w.Prefix(tns), "doc", 0)
 	return string(w.Finish())
