@@ -30,24 +30,23 @@ var pipeAdvElementName = xmlutil.N(p2ps.Namespace, "PipeAdvertisement")
 // PipeToEPR serializes a pipe advertisement to a WS-Addressing
 // EndpointReference per the paper's mapping: the Address is the p2ps URI
 // built from the peer ID and the service name (empty service for bare
-// reply pipes), and the advertisement's fields travel as reference
-// properties.
+// reply pipes), and the advertisement travels as a reference property,
+// written once, as bytes.
 func PipeToEPR(pipe *p2ps.PipeAdvertisement, serviceName string) *wsaddr.EndpointReference {
 	u := core.P2PSURI{Peer: string(pipe.Peer), Service: serviceName}
-	epr := wsaddr.NewEndpointReference(u.String())
-	epr.AddReferenceProperty(pipe.Element())
-	return epr
+	return wsaddr.NewEndpointReference(u.String()).AddRawProperty(pipe.Raw())
 }
 
 // EPRToPipe recovers the pipe advertisement from an EndpointReference:
 // "At the service provider end, the peer converts this reference to a
-// PipeAdvertisement" (paper Fig. 6, step 2).
+// PipeAdvertisement" (paper Fig. 6, step 2). It is read from the property's
+// bytes — the header's, in a request a provider has read.
 func EPRToPipe(epr *wsaddr.EndpointReference) (*p2ps.PipeAdvertisement, error) {
-	el := epr.ReferenceProperty(pipeAdvElementName)
-	if el == nil {
+	raw, ok := epr.RawProperty(pipeAdvElementName)
+	if !ok {
 		return nil, fmt.Errorf("p2psbind: EndpointReference %q carries no PipeAdvertisement reference property", epr.Address)
 	}
-	pipe, err := p2ps.PipeAdvertisementFromElement(el)
+	pipe, err := p2ps.PipeAdvertisementFromRaw(raw)
 	if err != nil {
 		return nil, fmt.Errorf("p2psbind: %w", err)
 	}

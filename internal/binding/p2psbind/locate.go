@@ -11,6 +11,7 @@ import (
 	"wspeer/internal/wsaddr"
 	"wspeer/internal/wsdl"
 	"wspeer/internal/xmlutil"
+	"wspeer/internal/xsd"
 )
 
 // The discovery half of the binding: everything that waits out a discovery
@@ -124,13 +125,7 @@ func (b *Binding) FetchDefinitions(ctx context.Context, adv *p2ps.ServiceAdverti
 		}
 	})
 
-	env := soap.NewEnvelope()
-	env.AddBodyElement(xmlutil.NewElement(xmlutil.N(p2ps.Namespace, "GetDefinition")))
-	hdr := wsaddr.HeadersFor(PipeToEPR(adv.DefinitionPipe, adv.Name), ActionFor(adv.Peer, adv.Name, DefinitionPipeName))
-	hdr.ReplyTo = PipeToEPR(reply.Advertisement(), "")
-	if err := hdr.Apply(env); err != nil {
-		return nil, err
-	}
+	env, _ := definitionRequest(adv, reply.Advertisement())
 	out, err := b.openPipe(adv.DefinitionPipe)
 	if err != nil {
 		return nil, err
@@ -148,6 +143,16 @@ func (b *Binding) FetchDefinitions(ctx context.Context, adv *p2ps.ServiceAdverti
 	case <-timeout.C:
 		return nil, fmt.Errorf("timed out retrieving WSDL from definition pipe")
 	}
+}
+
+// definitionRequest is the request for adv's WSDL, down its definition
+// pipe, to be answered down reply.
+func definitionRequest(adv *p2ps.ServiceAdvertisement, reply *p2ps.PipeAdvertisement) (*soap.Envelope, *wsaddr.MessageHeaders) {
+	env := soap.NewEnvelope().SetBody(xsd.NewWrapper(xmlutil.N(p2ps.Namespace, "GetDefinition")))
+	hdr := wsaddr.HeadersFor(PipeToEPR(adv.DefinitionPipe, adv.Name), ActionFor(adv.Peer, adv.Name, DefinitionPipeName))
+	hdr.ReplyTo = PipeToEPR(reply, "")
+	env.AddHeaderValue(hdr) // To and Action are set: what Apply checks holds
+	return env, hdr
 }
 
 // targetFor resolves the P2PS advertisement backing a service. A service

@@ -246,8 +246,7 @@ func TestEPRMapping(t *testing.T) {
 		t.Fatalf("bare address = %q", epr.Address)
 	}
 	// EPR without the reference property is rejected.
-	bad := PipeToEPR(pipe, "Echo")
-	bad.ReferenceProperties = nil
+	bad := wsaddr.NewEndpointReference(PipeToEPR(pipe, "Echo").Address)
 	if _, err := EPRToPipe(bad); err == nil {
 		t.Fatal("EPR without pipe advert accepted")
 	}

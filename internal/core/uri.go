@@ -28,6 +28,7 @@ type P2PSURI struct {
 // String renders the URI.
 func (u P2PSURI) String() string {
 	var b strings.Builder
+	b.Grow(len(P2PSScheme) + len("://") + len(u.Peer) + 1 + len(u.Service) + 1 + len(u.Pipe))
 	b.WriteString(P2PSScheme)
 	b.WriteString("://")
 	b.WriteString(u.Peer)

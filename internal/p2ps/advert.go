@@ -2,18 +2,22 @@ package p2ps
 
 import (
 	"fmt"
-	"sort"
+	"reflect"
+	"slices"
+	"strings"
+	"unicode/utf8"
 
 	"wspeer/internal/xmlutil"
+	"wspeer/internal/xsd"
 )
 
 // PipeAdvertisement advertises one pipe: "essentially a named endpoint —
 // although the endpoint is logical and requires an EndpointResolver to turn
 // it into a physical address" (paper §IV-B).
 type PipeAdvertisement struct {
-	ID   string // unique pipe ID
-	Name string // human name within its service
-	Peer PeerID // owning peer
+	ID   string `xml:"http://wspeer.dev/p2ps Id"`   // unique pipe ID
+	Name string `xml:"http://wspeer.dev/p2ps Name"` // human name within its service
+	Peer PeerID `xml:"http://wspeer.dev/p2ps Peer"` // owning peer
 }
 
 // ServiceAdvertisement advertises a service as a collection of named pipes.
@@ -53,159 +57,215 @@ func (s *ServiceAdvertisement) Pipe(name string) *PipeAdvertisement {
 // ---------------------------------------------------------------------------
 // XML serialization
 
-var (
-	pipeAdvName    = xmlutil.N(Namespace, "PipeAdvertisement")
-	serviceAdvName = xmlutil.N(Namespace, "ServiceAdvertisement")
-	peerAdvName    = xmlutil.N(Namespace, "PeerAdvertisement")
+// The adverts' documents, as the plans of package xsd write and read them:
+// every element is named in Namespace and matches nothing else; the first
+// of two elements of one name is the one read, and an element nothing
+// names is skipped. Text is trimmed when it is read.
+
+const (
+	pipeAdvLocal    = "PipeAdvertisement"
+	serviceAdvLocal = "ServiceAdvertisement"
+	peerAdvLocal    = "PeerAdvertisement"
 )
 
-// Element serializes the pipe advertisement.
-func (p *PipeAdvertisement) Element() *xmlutil.Element {
-	el := xmlutil.NewElement(pipeAdvName)
-	el.NewChild(xmlutil.N(Namespace, "Id")).SetText(p.ID)
-	el.NewChild(xmlutil.N(Namespace, "Name")).SetText(p.Name)
-	el.NewChild(xmlutil.N(Namespace, "Peer")).SetText(string(p.Peer))
-	return el
+// wireService is a ServiceAdvertisement's document. Group and the
+// definition pipe's and attributes' wrappers are optional elements.
+type wireService struct {
+	ID         string              `xml:"http://wspeer.dev/p2ps Id"`
+	Name       string              `xml:"http://wspeer.dev/p2ps Name"`
+	Peer       PeerID              `xml:"http://wspeer.dev/p2ps Peer"`
+	Group      *string             `xml:"http://wspeer.dev/p2ps Group"`
+	Pipes      []PipeAdvertisement `xml:"http://wspeer.dev/p2ps PipeAdvertisement"`
+	Definition *struct {
+		Pipe *PipeAdvertisement `xml:"http://wspeer.dev/p2ps PipeAdvertisement"`
+	} `xml:"http://wspeer.dev/p2ps Definition"`
+	Attributes *struct {
+		Attrs []wireAttr `xml:"http://wspeer.dev/p2ps Attribute"`
+	} `xml:"http://wspeer.dev/p2ps Attributes"`
+
+	s ServiceAdvertisement // what parseService returns, allocated with what it is read from
 }
 
-// PipeAdvertisementFromElement parses a pipe advertisement.
-func PipeAdvertisementFromElement(el *xmlutil.Element) (*PipeAdvertisement, error) {
-	if el.Name != pipeAdvName {
-		return nil, fmt.Errorf("p2ps: element %v is not a PipeAdvertisement", el.Name)
-	}
-	p := &PipeAdvertisement{}
-	if c := el.Child(xmlutil.N(Namespace, "Id")); c != nil {
-		p.ID = c.TrimmedText()
-	}
-	if c := el.Child(xmlutil.N(Namespace, "Name")); c != nil {
-		p.Name = c.TrimmedText()
-	}
-	if c := el.Child(xmlutil.N(Namespace, "Peer")); c != nil {
-		p.Peer = PeerID(c.TrimmedText())
-	}
-	if p.ID == "" {
-		return nil, fmt.Errorf("p2ps: PipeAdvertisement without Id")
-	}
-	return p, nil
+type wireAttr struct {
+	Name  string `xml:"name,attr"`
+	Value string `xml:",chardata"`
 }
 
-// Element serializes the service advertisement.
-func (s *ServiceAdvertisement) Element() *xmlutil.Element {
-	el := xmlutil.NewElement(serviceAdvName)
-	el.NewChild(xmlutil.N(Namespace, "Id")).SetText(s.ID)
-	el.NewChild(xmlutil.N(Namespace, "Name")).SetText(s.Name)
-	el.NewChild(xmlutil.N(Namespace, "Peer")).SetText(string(s.Peer))
+// wirePeer is a PeerAdvertisement's document; Rendezvous is written only
+// when it is "true".
+type wirePeer struct {
+	ID         PeerID  `xml:"http://wspeer.dev/p2ps Id"`
+	Name       string  `xml:"http://wspeer.dev/p2ps Name"`
+	Addr       string  `xml:"http://wspeer.dev/p2ps Addr"`
+	Group      string  `xml:"http://wspeer.dev/p2ps Group"`
+	Rendezvous *string `xml:"http://wspeer.dev/p2ps Rendezvous"`
+
+	p PeerAdvertisement // what parsePeer returns
+}
+
+var trueText = "true"
+
+// marshal writes the advert's document.
+func (s *ServiceAdvertisement) marshal() []byte {
+	w := &wireService{ID: s.ID, Name: s.Name, Peer: s.Peer, Pipes: s.Pipes}
 	if s.Group != "" {
-		el.NewChild(xmlutil.N(Namespace, "Group")).SetText(s.Group)
-	}
-	for i := range s.Pipes {
-		el.AddChild(s.Pipes[i].Element())
+		w.Group = &s.Group
 	}
 	if s.DefinitionPipe != nil {
-		def := el.NewChild(xmlutil.N(Namespace, "Definition"))
-		def.AddChild(s.DefinitionPipe.Element())
+		w.Definition = &struct {
+			Pipe *PipeAdvertisement `xml:"http://wspeer.dev/p2ps PipeAdvertisement"`
+		}{s.DefinitionPipe}
 	}
 	if len(s.Attrs) > 0 {
-		attrs := el.NewChild(xmlutil.N(Namespace, "Attributes"))
-		keys := make([]string, 0, len(s.Attrs))
-		for k := range s.Attrs {
-			keys = append(keys, k)
+		attrs := make([]wireAttr, 0, len(s.Attrs))
+		for k, v := range s.Attrs {
+			attrs = append(attrs, wireAttr{k, v})
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			a := attrs.NewChild(xmlutil.N(Namespace, "Attribute"))
-			a.SetAttr(xmlutil.N("", "name"), k)
-			a.SetText(s.Attrs[k])
-		}
+		slices.SortFunc(attrs, func(a, b wireAttr) int { return strings.Compare(a.Name, b.Name) })
+		w.Attributes = &struct {
+			Attrs []wireAttr `xml:"http://wspeer.dev/p2ps Attribute"`
+		}{attrs}
 	}
-	return el
+	b, _ := xsd.Marshal(Namespace, serviceAdvLocal, reflect.ValueOf(w).Elem()) // the wire types are all the plans' own
+	return b
 }
 
-// ServiceAdvertisementFromElement parses a service advertisement.
-func ServiceAdvertisementFromElement(el *xmlutil.Element) (*ServiceAdvertisement, error) {
-	if el.Name != serviceAdvName {
-		return nil, fmt.Errorf("p2ps: element %v is not a ServiceAdvertisement", el.Name)
+// marshal writes the advert's document.
+func (p *PeerAdvertisement) marshal() []byte {
+	w := &wirePeer{ID: p.ID, Name: p.Name, Addr: p.Addr, Group: p.Group}
+	if p.Rendezvous {
+		w.Rendezvous = &trueText
 	}
-	s := &ServiceAdvertisement{}
-	if c := el.Child(xmlutil.N(Namespace, "Id")); c != nil {
-		s.ID = c.TrimmedText()
+	b, _ := xsd.Marshal(Namespace, peerAdvLocal, reflect.ValueOf(w).Elem())
+	return b
+}
+
+// Raw writes the pipe advertisement as an element of its own, to ride in
+// other documents.
+func (p *PipeAdvertisement) Raw() xmlutil.Raw {
+	r, _ := xsd.MarshalRaw(Namespace, pipeAdvLocal, reflect.ValueOf(p).Elem())
+	return r
+}
+
+// PipeAdvertisementFromRaw reads a pipe advertisement.
+func PipeAdvertisementFromRaw(r xmlutil.Raw) (*PipeAdvertisement, error) {
+	t, err := r.Tokenizer()
+	if err != nil {
+		return nil, err
 	}
-	if c := el.Child(xmlutil.N(Namespace, "Name")); c != nil {
-		s.Name = c.TrimmedText()
+	defer t.Release()
+	p := new(PipeAdvertisement)
+	if err := decode(t, pipeAdvLocal, p); err != nil {
+		return nil, err
 	}
-	if c := el.Child(xmlutil.N(Namespace, "Peer")); c != nil {
-		s.Peer = PeerID(c.TrimmedText())
+	return p, p.read()
+}
+
+// read trims what was read and checks it.
+func (p *PipeAdvertisement) read() error {
+	p.ID, p.Name, p.Peer = strings.TrimSpace(p.ID), strings.TrimSpace(p.Name), PeerID(strings.TrimSpace(string(p.Peer)))
+	if p.ID == "" {
+		return fmt.Errorf("p2ps: PipeAdvertisement without Id")
 	}
-	if c := el.Child(xmlutil.N(Namespace, "Group")); c != nil {
-		s.Group = c.TrimmedText()
+	return xmlText(p.ID, p.Name, string(p.Peer))
+}
+
+// parseService reads a service advertisement's document.
+func parseService(data []byte) (*ServiceAdvertisement, error) {
+	w := new(wireService)
+	if err := decodeDocument(data, serviceAdvLocal, w); err != nil {
+		return nil, err
 	}
-	for _, pel := range el.Children(pipeAdvName) {
-		p, err := PipeAdvertisementFromElement(pel)
-		if err != nil {
+	s := &w.s
+	*s = ServiceAdvertisement{ID: strings.TrimSpace(w.ID), Name: strings.TrimSpace(w.Name), Peer: PeerID(strings.TrimSpace(string(w.Peer)))}
+	if w.Group != nil {
+		s.Group = strings.TrimSpace(*w.Group)
+	}
+	if len(w.Pipes) > 0 {
+		s.Pipes = w.Pipes
+	}
+	for i := range s.Pipes {
+		if err := s.Pipes[i].read(); err != nil {
 			return nil, err
 		}
-		s.Pipes = append(s.Pipes, *p)
 	}
-	if def := el.Child(xmlutil.N(Namespace, "Definition")); def != nil {
-		if pel := def.Child(pipeAdvName); pel != nil {
-			p, err := PipeAdvertisementFromElement(pel)
-			if err != nil {
-				return nil, err
-			}
-			s.DefinitionPipe = p
+	if w.Definition != nil && w.Definition.Pipe != nil {
+		s.DefinitionPipe = w.Definition.Pipe
+		if err := s.DefinitionPipe.read(); err != nil {
+			return nil, err
 		}
 	}
-	if attrs := el.Child(xmlutil.N(Namespace, "Attributes")); attrs != nil {
-		s.Attrs = make(map[string]string)
-		for _, a := range attrs.Children(xmlutil.N(Namespace, "Attribute")) {
-			name, _ := a.Attr(xmlutil.N("", "name"))
-			if name != "" {
-				s.Attrs[name] = a.TrimmedText()
+	if w.Attributes != nil {
+		for _, a := range w.Attributes.Attrs {
+			if a.Name == "" {
+				continue
+			}
+			if s.Attrs == nil {
+				s.Attrs = make(map[string]string, len(w.Attributes.Attrs))
+			}
+			s.Attrs[a.Name] = strings.TrimSpace(a.Value)
+			if err := xmlText(s.Attrs[a.Name]); err != nil {
+				return nil, err
 			}
 		}
 	}
 	if s.ID == "" || s.Name == "" {
 		return nil, fmt.Errorf("p2ps: ServiceAdvertisement missing Id or Name")
 	}
-	return s, nil
+	return s, xmlText(s.ID, s.Name, string(s.Peer), s.Group)
 }
 
-// Element serializes the peer advertisement.
-func (p *PeerAdvertisement) Element() *xmlutil.Element {
-	el := xmlutil.NewElement(peerAdvName)
-	el.NewChild(xmlutil.N(Namespace, "Id")).SetText(string(p.ID))
-	el.NewChild(xmlutil.N(Namespace, "Name")).SetText(p.Name)
-	el.NewChild(xmlutil.N(Namespace, "Addr")).SetText(p.Addr)
-	el.NewChild(xmlutil.N(Namespace, "Group")).SetText(p.Group)
-	if p.Rendezvous {
-		el.NewChild(xmlutil.N(Namespace, "Rendezvous")).SetText("true")
+// parsePeer reads a peer advertisement's document.
+func parsePeer(data []byte) (*PeerAdvertisement, error) {
+	w := new(wirePeer)
+	if err := decodeDocument(data, peerAdvLocal, w); err != nil {
+		return nil, err
 	}
-	return el
-}
-
-// PeerAdvertisementFromElement parses a peer advertisement.
-func PeerAdvertisementFromElement(el *xmlutil.Element) (*PeerAdvertisement, error) {
-	if el.Name != peerAdvName {
-		return nil, fmt.Errorf("p2ps: element %v is not a PeerAdvertisement", el.Name)
-	}
-	p := &PeerAdvertisement{}
-	if c := el.Child(xmlutil.N(Namespace, "Id")); c != nil {
-		p.ID = PeerID(c.TrimmedText())
-	}
-	if c := el.Child(xmlutil.N(Namespace, "Name")); c != nil {
-		p.Name = c.TrimmedText()
-	}
-	if c := el.Child(xmlutil.N(Namespace, "Addr")); c != nil {
-		p.Addr = c.TrimmedText()
-	}
-	if c := el.Child(xmlutil.N(Namespace, "Group")); c != nil {
-		p.Group = c.TrimmedText()
-	}
-	if c := el.Child(xmlutil.N(Namespace, "Rendezvous")); c != nil {
-		p.Rendezvous = c.TrimmedText() == "true"
-	}
+	p := &w.p
+	*p = PeerAdvertisement{ID: PeerID(strings.TrimSpace(string(w.ID))), Name: strings.TrimSpace(w.Name),
+		Addr: strings.TrimSpace(w.Addr), Group: strings.TrimSpace(w.Group),
+		Rendezvous: w.Rendezvous != nil && strings.TrimSpace(*w.Rendezvous) == "true"}
 	if p.ID == "" {
 		return nil, fmt.Errorf("p2ps: PeerAdvertisement without Id")
 	}
-	return p, nil
+	return p, xmlText(string(p.ID), p.Name, p.Addr, p.Group)
+}
+
+// decodeDocument reads the document data, whose element is local, into w.
+func decodeDocument(data []byte, local string, w any) error {
+	t := xmlutil.AcquireTokenizer(data)
+	defer t.Release()
+	kind, err := t.Next()
+	if err == nil {
+		err = decode(t, local, w)
+	}
+	for err == nil && kind != xmlutil.TokenEOF { // what follows is checked
+		kind, err = t.Next()
+	}
+	return err
+}
+
+// decode reads the element whose start tag t has just returned, which must
+// be the advert called local, into w.
+func decode(t *xmlutil.Tokenizer, local string, w any) error {
+	if t.Space != Namespace || string(t.Local) != local {
+		return fmt.Errorf("p2ps: element %v is not a %s", t.Name(), local)
+	}
+	return xsd.DecodeValue(t, Namespace, reflect.ValueOf(w).Elem())
+}
+
+// xmlText refuses text that XML cannot carry, which writing the advert
+// again would change: a character outside XML's, or bytes that are not
+// UTF-8.
+func xmlText(texts ...string) error {
+	for _, s := range texts {
+		bad := !utf8.ValidString(s)
+		for _, r := range s {
+			bad = bad || r < 0x20 && r != '\t' && r != '\n' && r != '\r' || r == 0xFFFE || r == 0xFFFF
+		}
+		if bad {
+			return fmt.Errorf("p2ps: advert text %q holds what XML cannot carry", s)
+		}
+	}
+	return nil
 }

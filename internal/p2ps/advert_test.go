@@ -1,37 +1,51 @@
 package p2ps
 
 import (
+	"reflect"
 	"testing"
 
 	"wspeer/internal/xmlutil"
+	"wspeer/internal/xsd"
 )
 
 func TestPipeAdvertRoundTrip(t *testing.T) {
 	in := &PipeAdvertisement{ID: NewPipeID(), Name: "echoString", Peer: "peer-1"}
-	out, err := PipeAdvertisementFromElement(in.Element())
+	out, err := PipeAdvertisementFromRaw(in.Raw())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *out != *in {
 		t.Fatalf("round trip: %+v vs %+v", out, in)
 	}
-	// Through real bytes.
-	el, err := xmlutil.ParseBytes(xmlutil.Marshal(in.Element()))
-	if err != nil {
-		t.Fatal(err)
+	// Read where it stands in another document, whose root declares its
+	// namespace, its text trimmed.
+	doc := []byte(`<o:outer xmlns:o="urn:o" xmlns:p="` + Namespace + `"><p:PipeAdvertisement>` +
+		`<p:Id> pipe-9 </p:Id><o:Id>not this</o:Id><p:Peer>peer-2</p:Peer></p:PipeAdvertisement></o:outer>`)
+	tk := xmlutil.AcquireTokenizer(doc)
+	defer tk.Release()
+	var raw xmlutil.Raw
+	for kind, err := tk.Next(); err == nil && raw.Name.IsZero(); kind, err = tk.Next() {
+		if kind == xmlutil.TokenStart && tk.Depth() == 2 {
+			if raw, err = tk.Raw(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	out, err = PipeAdvertisementFromElement(el)
-	if err != nil || *out != *in {
-		t.Fatalf("bytes round trip: %+v, %v", out, err)
+	out, err = PipeAdvertisementFromRaw(raw)
+	if err != nil || *out != (PipeAdvertisement{ID: "pipe-9", Peer: "peer-2"}) {
+		t.Fatalf("read in place: %+v, %v", out, err)
 	}
 }
 
 func TestPipeAdvertErrors(t *testing.T) {
-	if _, err := PipeAdvertisementFromElement(xmlutil.NewElement(xmlutil.N(Namespace, "Wrong"))); err == nil {
+	wrong, err := xsd.MarshalRaw(Namespace, "Wrong", reflect.ValueOf(PipeAdvertisement{ID: "x"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PipeAdvertisementFromRaw(wrong); err == nil {
 		t.Fatal("wrong element accepted")
 	}
-	empty := (&PipeAdvertisement{Name: "x", Peer: "p"}).Element()
-	if _, err := PipeAdvertisementFromElement(empty); err == nil {
+	if _, err := PipeAdvertisementFromRaw((&PipeAdvertisement{Name: "x", Peer: "p"}).Raw()); err == nil {
 		t.Fatal("missing Id accepted")
 	}
 }
@@ -49,50 +63,47 @@ func TestServiceAdvertRoundTrip(t *testing.T) {
 		DefinitionPipe: &PipeAdvertisement{ID: "pipe-def", Name: "definition", Peer: "peer-9"},
 		Attrs:          map[string]string{"kind": "echo", "version": "1"},
 	}
-	el, err := xmlutil.ParseBytes(xmlutil.Marshal(in.Element()))
+	out, err := parseService(in.marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ServiceAdvertisementFromElement(el)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.ID != in.ID || out.Name != in.Name || out.Peer != in.Peer || out.Group != in.Group {
-		t.Fatalf("scalar fields: %+v", out)
-	}
-	if len(out.Pipes) != 2 || out.Pipes[1] != in.Pipes[1] {
-		t.Fatalf("pipes: %+v", out.Pipes)
-	}
-	if out.DefinitionPipe == nil || *out.DefinitionPipe != *in.DefinitionPipe {
-		t.Fatalf("definition pipe: %+v", out.DefinitionPipe)
-	}
-	if len(out.Attrs) != 2 || out.Attrs["kind"] != "echo" {
-		t.Fatalf("attrs: %+v", out.Attrs)
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip: %+v vs %+v", out, in)
 	}
 	if out.Pipe("echoBytes") == nil || out.Pipe("nope") != nil {
 		t.Fatal("Pipe lookup")
 	}
 }
 
+// TestServiceAdvertErrors: an advert without a name or whose pipe has no
+// Id is refused, and so is one whose text XML cannot carry.
 func TestServiceAdvertErrors(t *testing.T) {
-	noName := &ServiceAdvertisement{ID: "adv-1"}
-	if _, err := ServiceAdvertisementFromElement(noName.Element()); err == nil {
-		t.Fatal("missing Name accepted")
+	for _, bad := range []*ServiceAdvertisement{
+		{ID: "adv-1"},
+		{ID: "adv-1", Name: "Echo", DefinitionPipe: &PipeAdvertisement{Name: "definition"}},
+		{ID: "adv-1", Name: "Echo", Pipes: []PipeAdvertisement{{ID: "pipe-1"}, {Name: "requests"}}},
+	} {
+		if _, err := parseService(bad.marshal()); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+	for _, text := range []string{"a&#1;b", "\x01", "\xff", "&#xFFFE;"} {
+		doc := `<p:ServiceAdvertisement xmlns:p="` + Namespace + `"><p:Id>adv-1</p:Id><p:Name>Echo</p:Name>` +
+			`<p:Attributes><p:Attribute name="k">` + text + `</p:Attribute></p:Attributes></p:ServiceAdvertisement>`
+		if _, err := parseService([]byte(doc)); err == nil {
+			t.Errorf("attribute text %q accepted", text)
+		}
 	}
 }
 
 func TestPeerAdvertRoundTrip(t *testing.T) {
 	in := &PeerAdvertisement{ID: "peer-7", Name: "rdv-A", Addr: "sim://a", Group: "g1", Rendezvous: true}
-	el, err := xmlutil.ParseBytes(xmlutil.Marshal(in.Element()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := PeerAdvertisementFromElement(el)
+	out, err := parsePeer(in.marshal())
 	if err != nil || *out != *in {
 		t.Fatalf("round trip: %+v, %v", out, err)
 	}
 	in.Rendezvous = false
-	out, err = PeerAdvertisementFromElement(in.Element())
+	out, err = parsePeer(in.marshal())
 	if err != nil || out.Rendezvous {
 		t.Fatal("rendezvous=false lost")
 	}

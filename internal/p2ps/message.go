@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"wspeer/internal/query"
-	"wspeer/internal/xmlutil"
 )
 
 // Wire message types.
@@ -33,9 +32,9 @@ const (
 // tag its version does not define (the version byte is how the format
 // changes). Strings and Data are their raw bytes, TTL and Hops signed
 // varints, an attribute a uvarint key length, the key, then the value.
-// The two adverts are the bytes of their XML documents (Element /
-// ...FromElement): the advertisement format is XML, as in the paper; the
-// envelope around it is not.
+// The two adverts are the bytes of their XML documents (marshal /
+// parsePeer, parseService): the advertisement format is XML, as in the
+// paper; the envelope around it is not.
 //
 // decodeMessage does not copy Data: it is a sub-slice of the frame it was
 // handed. That is sound only because every Transport (tcp's frameReader,
@@ -194,10 +193,10 @@ func (m *message) encode() []byte {
 	}
 	var peerAdv, serviceAdv []byte
 	if m.PeerAdv != nil {
-		peerAdv = xmlutil.Marshal(m.PeerAdv.Element())
+		peerAdv = m.PeerAdv.marshal()
 	}
 	if m.ServiceAdv != nil {
-		serviceAdv = xmlutil.Marshal(m.ServiceAdv.Element())
+		serviceAdv = m.ServiceAdv.marshal()
 	}
 	w := frameWriter{size: frameHeader}
 	m.writeFields(&w, attrKeys, peerAdv, serviceAdv)
@@ -284,15 +283,9 @@ func decodeMessage(data []byte) (*message, error) {
 			}
 			m.Attrs[string(val[kl:kl+int(kn)])] = string(val[kl+int(kn):])
 		case tagPeerAdv:
-			var el *xmlutil.Element
-			if el, err = xmlutil.ParseBytes(val); err == nil {
-				m.PeerAdv, err = PeerAdvertisementFromElement(el)
-			}
+			m.PeerAdv, err = parsePeer(val)
 		case tagServiceAdv:
-			var el *xmlutil.Element
-			if el, err = xmlutil.ParseBytes(val); err == nil {
-				m.ServiceAdv, err = ServiceAdvertisementFromElement(el)
-			}
+			m.ServiceAdv, err = parseService(val)
 		case tagPipeID:
 			m.PipeID = string(val)
 		case tagData:

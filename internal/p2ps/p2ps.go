@@ -22,7 +22,7 @@ package p2ps
 
 import (
 	"crypto/rand"
-	"fmt"
+	"encoding/hex"
 	"time"
 )
 
@@ -35,25 +35,30 @@ type PeerID string
 
 // NewPeerID generates a random 128-bit peer ID.
 func NewPeerID() PeerID {
-	return PeerID("peer-" + randomHex(16))
+	return PeerID(randomID("peer-", 16))
 }
 
 // NewPipeID generates a random pipe ID.
 func NewPipeID() string {
-	return "pipe-" + randomHex(12)
+	return randomID("pipe-", 12)
 }
 
 // NewAdvertID generates a random advertisement ID.
 func NewAdvertID() string {
-	return "adv-" + randomHex(12)
+	return randomID("adv-", 12)
 }
 
-func randomHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
+// randomID is prefix and n random bytes, at most 16, in hex: built on the
+// stack, so the string is the one allocation.
+func randomID(prefix string, n int) string {
+	var b [16]byte
+	if _, err := rand.Read(b[:n]); err != nil {
 		panic("p2ps: entropy source failed: " + err.Error())
 	}
-	return fmt.Sprintf("%x", b)
+	var id [40]byte
+	copy(id[:], prefix)
+	hex.Encode(id[len(prefix):], b[:n])
+	return string(id[:len(prefix)+2*n])
 }
 
 // Transport is the wire a peer is attached to. netsim endpoints and the TCP

@@ -424,8 +424,7 @@ type Discovery struct {
 
 	mu      sync.Mutex
 	matches []*ServiceAdvertisement
-	seen    map[string]bool
-	hops    map[string]int
+	hops    map[string]int // by advert ID, of every match: the IDs seen
 	onMatch []func(*ServiceAdvertisement)
 	done    chan struct{}
 	closed  bool
@@ -507,11 +506,10 @@ func (d *Discovery) add(adv *ServiceAdvertisement) { d.addWithHops(adv, 0) }
 
 func (d *Discovery) addWithHops(adv *ServiceAdvertisement, hops int) {
 	d.mu.Lock()
-	if d.closed || d.seen[adv.ID] {
+	if _, seen := d.hops[adv.ID]; d.closed || seen {
 		d.mu.Unlock()
 		return
 	}
-	d.seen[adv.ID] = true
 	d.hops[adv.ID] = hops
 	d.matches = append(d.matches, adv)
 	fns := append([]func(*ServiceAdvertisement){}, d.onMatch...)
@@ -527,9 +525,8 @@ func (d *Discovery) addWithHops(adv *ServiceAdvertisement, hops int) {
 func (p *Peer) Discover(q Query, timeout time.Duration) *Discovery {
 	_ = q.Prepare() // compile once; malformed expressions match nothing
 	d := &Discovery{
-		ID:   "q-" + randomHex(8),
+		ID:   randomID("q-", 8),
 		peer: p,
-		seen: make(map[string]bool),
 		hops: make(map[string]int),
 		done: make(chan struct{}),
 	}
@@ -695,7 +692,7 @@ func (p *Peer) ResolvePeer(target PeerID, timeout time.Duration) *ResolveOp {
 		op.resolve(addr)
 		return op
 	}
-	qid := "r-" + randomHex(8)
+	qid := randomID("r-", 8)
 	op.setCancel(p.clock.AfterFunc(timeout, op.expire))
 	p.mu.Lock()
 	p.resolves[qid] = op

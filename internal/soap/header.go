@@ -37,8 +37,8 @@ func (b treeBlock) WriteHeader(hw *HeaderWriter) { hw.Tree(b.el) }
 // HeaderWriter is what a HeaderValue writes its blocks through, into an
 // envelope's marshal writer, twice: a first pass only gives the namespaces
 // prefixes, in the order a walk of the blocks' trees would. An element holds
-// text (Text), elements (Open, Close) or is a tree (Tree); those at the top
-// are the blocks.
+// text (Text), elements (Open, Close) or is a tree (Tree) or its bytes
+// (Raw); those at the top are the blocks.
 type HeaderWriter struct {
 	w      *xmlutil.Writer
 	assign bool // the first pass
@@ -96,6 +96,33 @@ func (hw *HeaderWriter) Tree(el *xmlutil.Element) {
 	}
 }
 
+// Raw writes r as it is, shared, not copied; a block carrying
+// mustUnderstand or actor/role attributes in the other version's
+// vocabulary is built as a tree to be written in v's.
+func (hw *HeaderWriter) Raw(r xmlutil.Raw) {
+	if hw.depth == 0 && r.Attributed() {
+		t, err := r.Tokenizer()
+		if err != nil {
+			return
+		}
+		from, actorFrom, _, _ := vocabulary(hw.v)
+		_, mu := t.Attr(xmlutil.N(from, "mustUnderstand"))
+		_, actor := t.Attr(xmlutil.N(from, actorFrom))
+		t.Release()
+		if mu || actor {
+			if el, err := r.Element(); err == nil {
+				hw.Tree(el)
+			}
+			return
+		}
+	}
+	if hw.assign {
+		hw.w.CollectRaw(r)
+	} else {
+		hw.w.Raw(r)
+	}
+}
+
 // SetMustUnderstand marks a header block with soapenv:mustUnderstand="1".
 // The attribute is written in the 1.1 namespace and normalized to the
 // envelope's version when the envelope is marshalled.
@@ -136,14 +163,20 @@ func blockAttrs(attr func(xmlutil.Name) (string, bool)) (mustUnderstand bool, ro
 	return ok && (v == "1" || v == "true"), role
 }
 
+// vocabulary is the namespace and actor attribute of the other version
+// than v, and then of v.
+func vocabulary(v Version) (from, actorFrom, to, actorTo string) {
+	if v == SOAP12 {
+		return Namespace, "actor", Namespace12, "role"
+	}
+	return Namespace12, "role", Namespace, "actor"
+}
+
 // normalized returns a header block as it is marshalled: itself, or a
 // clone with the attributes it carries in the other SOAP version's
 // vocabulary rewritten into v's.
 func normalized(h *xmlutil.Element, v Version) *xmlutil.Element {
-	from, to, actorFrom, actorTo := Namespace12, Namespace, "role", "actor"
-	if v == SOAP12 {
-		from, to, actorFrom, actorTo = Namespace, Namespace12, "actor", "role"
-	}
+	from, actorFrom, to, actorTo := vocabulary(v)
 	block := h
 	for _, local := range [2][2]string{{"mustUnderstand", "mustUnderstand"}, {actorFrom, actorTo}} {
 		name := xmlutil.N(from, local[0])

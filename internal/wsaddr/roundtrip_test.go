@@ -60,12 +60,12 @@ func sameEPR(t *testing.T, label string, a, b *EndpointReference) {
 	if a.Address != b.Address {
 		t.Fatalf("%s: address %q != %q", label, a.Address, b.Address)
 	}
-	if len(a.ReferenceProperties) != len(b.ReferenceProperties) {
-		t.Fatalf("%s: %d vs %d reference properties", label, len(a.ReferenceProperties), len(b.ReferenceProperties))
+	ap, bp := a.Properties(), b.Properties()
+	if len(ap) != len(bp) {
+		t.Fatalf("%s: %d vs %d reference properties", label, len(ap), len(bp))
 	}
-	for i := range a.ReferenceProperties {
-		if a.ReferenceProperties[i].Name != b.ReferenceProperties[i].Name ||
-			a.ReferenceProperties[i].Text() != b.ReferenceProperties[i].Text() {
+	for i := range ap {
+		if ap[i].Name != bp[i].Name || ap[i].Text() != bp[i].Text() {
 			t.Fatalf("%s: reference property %d differs", label, i)
 		}
 	}
@@ -80,12 +80,13 @@ func sameHeaders(t *testing.T, want, got *MessageHeaders) {
 	sameEPR(t, "ReplyTo", want.ReplyTo, got.ReplyTo)
 	sameEPR(t, "FaultTo", want.FaultTo, got.FaultTo)
 	sameEPR(t, "From", want.From, got.From)
-	if len(got.RefProps) != len(want.RefProps) {
-		t.Fatalf("RefProps count %d != %d", len(got.RefProps), len(want.RefProps))
+	gp, wp := got.Properties(), want.Properties()
+	if len(gp) != len(wp) {
+		t.Fatalf("RefProps count %d != %d", len(gp), len(wp))
 	}
-	for i := range want.RefProps {
-		if got.RefProps[i].Text() != want.RefProps[i].Text() {
-			t.Fatalf("RefProps[%d] = %q, want %q", i, got.RefProps[i].Text(), want.RefProps[i].Text())
+	for i := range wp {
+		if gp[i].Text() != wp[i].Text() {
+			t.Fatalf("RefProps[%d] = %q, want %q", i, gp[i].Text(), wp[i].Text())
 		}
 	}
 }

@@ -25,15 +25,17 @@ func (e *EndpointReference) Element(name xmlutil.Name) *xmlutil.Element {
 	return soap.NewEnvelope().AddHeaderValue(eprBlock{name, e}).Headers()[0]
 }
 
-// EPRFromElement reads an EPR from its XML form through the plan
-// FromEnvelope reads one with.
+// EPRFromElement reads an EPR from its XML form, marshalled, through the
+// plan FromEnvelope reads one with.
 func EPRFromElement(el *xmlutil.Element) (*EndpointReference, error) {
-	parent := xmlutil.NewElement(xmlutil.Name{})
-	parent.AppendShared(el)
-	v, err := xsd.ExtractValue(parent, el.Name.Space, el.Name.Local, reflect.TypeOf(wireEPR{}))
-	if err != nil {
+	t := xmlutil.AcquireTokenizer(xmlutil.Marshal(el))
+	defer t.Release()
+	w := new(wireEPR)
+	if _, err := t.Next(); err != nil {
 		return nil, err
 	}
-	w := v.Interface().(wireEPR)
+	if err := xsd.DecodeValue(t, el.Name.Space, reflect.ValueOf(w).Elem()); err != nil {
+		return nil, err
+	}
 	return w.read(el.Name.Local)
 }

@@ -153,11 +153,11 @@ func TestHeaderReadingRules(t *testing.T) {
 		t.Fatalf("FromEnvelope built %d header trees", n)
 	}
 	if got.To != "urn:first" || got.Action != "act" || got.ReplyTo == nil || got.ReplyTo.Address != "urn:r1" ||
-		len(got.ReplyTo.ReferenceProperties) != 1 || got.ReplyTo.ReferenceProperties[0].Text() != "1" {
+		len(got.ReplyTo.Properties()) != 1 || got.ReplyTo.Properties()[0].Text() != "1" {
 		t.Fatalf("read %+v, ReplyTo %+v", got, got.ReplyTo)
 	}
-	if len(got.RefProps) != 2 || got.RefProps[0].Name != xmlutil.N("urn:other", "To") || got.RefProps[1].Name != xmlutil.N("", "To") {
-		t.Fatalf("reference properties %v", got.RefProps)
+	if props := got.Properties(); len(props) != 2 || props[0].Name != xmlutil.N("urn:other", "To") || props[1].Name != xmlutil.N("", "To") {
+		t.Fatalf("reference properties %v", props)
 	}
 	if h := env.Header(ToName); h == nil || h.TrimmedText() != got.To || !soap.MustUnderstand(h) {
 		t.Fatalf("Header(To) = %v, FromEnvelope read %q", h, got.To)

@@ -13,8 +13,11 @@
 // MessageHeaders to an envelope as one soap.HeaderValue, which writes itself
 // into the envelope's marshal writer; FromEnvelope decodes the Header
 // through the compiled xsd plan of wireHeaders, straight from a parsed
-// message's bytes. Only reference properties are trees — opaque by
-// specification, shared, never copied.
+// message's bytes. Reference properties are opaque by specification: those
+// read from a message are held as its bytes (xmlutil.Raw, a view of them,
+// which the envelope aliases already), written into the next message from
+// them, and decoded by whoever knows their type; a caller may add trees.
+// Either is shared, never copied, and built as a tree only on demand.
 package wsaddr
 
 import (
@@ -23,6 +26,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"wspeer/internal/soap"
@@ -51,13 +55,15 @@ var (
 )
 
 // EndpointReference is a WS-Addressing endpoint reference: a mandatory
-// address URI plus arbitrary protocol-defined reference properties. The
-// property elements are immutable once they are in an EPR: the message
-// headers built from it, and every envelope those are applied to, share
-// them rather than copy them (marshalling only reads them).
+// address URI plus arbitrary protocol-defined reference properties, those
+// added as trees (ReferenceProperties), then those held as bytes. The
+// properties are immutable once they are in an EPR: the message headers
+// built from it, and every envelope those are applied to, share them rather
+// than copy them (marshalling only reads them).
 type EndpointReference struct {
 	Address             string
 	ReferenceProperties []*xmlutil.Element
+	raws                []xmlutil.Raw
 }
 
 // NewEndpointReference returns an EPR for the address.
@@ -71,15 +77,52 @@ func (e *EndpointReference) AddReferenceProperty(el *xmlutil.Element) *EndpointR
 	return e
 }
 
+// AddRawProperty appends a reference property held as bytes.
+func (e *EndpointReference) AddRawProperty(r xmlutil.Raw) *EndpointReference {
+	e.raws = append(e.raws, r)
+	return e
+}
+
 // ReferenceProperty returns the first reference property with the given
-// name, or nil.
+// name, or nil; one held as bytes is built as a tree.
 func (e *EndpointReference) ReferenceProperty(name xmlutil.Name) *xmlutil.Element {
 	for _, p := range e.ReferenceProperties {
 		if p.Name == name {
 			return p
 		}
 	}
+	if r, ok := e.RawProperty(name); ok {
+		el, _ := r.Element() // what was read whole builds
+		return el
+	}
 	return nil
+}
+
+// RawProperty returns the first reference property held as bytes with the
+// given name.
+func (e *EndpointReference) RawProperty(name xmlutil.Name) (xmlutil.Raw, bool) {
+	for _, r := range e.raws {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return xmlutil.Raw{}, false
+}
+
+// Properties returns every reference property as a tree, building those
+// held as bytes.
+func (e *EndpointReference) Properties() []*xmlutil.Element {
+	return trees(e.ReferenceProperties, e.raws)
+}
+
+func trees(els []*xmlutil.Element, raws []xmlutil.Raw) []*xmlutil.Element {
+	out := slices.Clip(els)
+	for _, r := range raws {
+		if el, err := r.Element(); err == nil {
+			out = append(out, el)
+		}
+	}
+	return out
 }
 
 // write writes the EPR as an element with the given name, if there is one.
@@ -89,10 +132,13 @@ func (e *EndpointReference) write(hw *soap.HeaderWriter, name xmlutil.Name) {
 	}
 	mark := hw.Open(name)
 	hw.Text(AddressName, e.Address, false)
-	if len(e.ReferenceProperties) > 0 {
+	if len(e.ReferenceProperties) > 0 || len(e.raws) > 0 {
 		props := hw.Open(RefPropsName)
 		for _, p := range e.ReferenceProperties {
 			hw.Tree(p)
+		}
+		for _, r := range e.raws {
+			hw.Raw(r)
 		}
 		hw.Close(RefPropsName, props)
 	}
@@ -111,9 +157,15 @@ type MessageHeaders struct {
 	From      *EndpointReference
 
 	// RefProps are the destination's reference properties, copied verbatim
-	// into the header per the WS-Addressing SOAP binding.
+	// into the header per the WS-Addressing SOAP binding: those added as
+	// trees, then those held as bytes.
 	RefProps []*xmlutil.Element
+	raws     []xmlutil.Raw
 }
+
+// Properties returns the destination's reference properties as trees,
+// building those held as bytes.
+func (h *MessageHeaders) Properties() []*xmlutil.Element { return trees(h.RefProps, h.raws) }
 
 // NewMessageID returns a fresh urn:uuid message identifier.
 func NewMessageID() string {
@@ -139,7 +191,7 @@ func NewMessageID() string {
 // action: To is the EPR's address and the EPR's reference properties,
 // shared, are the header block list.
 func HeadersFor(target *EndpointReference, action string) *MessageHeaders {
-	return &MessageHeaders{To: target.Address, Action: action, MessageID: NewMessageID(), RefProps: target.ReferenceProperties}
+	return &MessageHeaders{To: target.Address, Action: action, MessageID: NewMessageID(), RefProps: target.ReferenceProperties, raws: target.raws}
 }
 
 // Apply attaches the headers to a SOAP envelope, which holds h from then
@@ -173,6 +225,9 @@ func (h *MessageHeaders) WriteHeader(hw *soap.HeaderWriter) {
 	for _, p := range h.RefProps {
 		hw.Tree(p)
 	}
+	for _, r := range h.raws {
+		hw.Raw(r)
+	}
 }
 
 // wireHeaders is the Header as its plan reads it. A block matches a field
@@ -180,14 +235,14 @@ func (h *MessageHeaders) WriteHeader(hw *soap.HeaderWriter) {
 // property, not the address — and the first of two blocks of one name is
 // the one read: the plan's rule for every value, and what Header answers.
 type wireHeaders struct {
-	To        string             `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing To"`
-	Action    string             `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing Action"`
-	MessageID string             `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing MessageID"`
-	RelatesTo string             `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing RelatesTo"`
-	ReplyTo   *wireEPR           `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing ReplyTo"`
-	FaultTo   *wireEPR           `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing FaultTo"`
-	From      *wireEPR           `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing From"`
-	RefProps  []*xmlutil.Element `xml:",any"`
+	To        string        `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing To"`
+	Action    string        `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing Action"`
+	MessageID string        `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing MessageID"`
+	RelatesTo string        `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing RelatesTo"`
+	ReplyTo   *wireEPR      `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing ReplyTo"`
+	FaultTo   *wireEPR      `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing FaultTo"`
+	From      *wireEPR      `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing From"`
+	RefProps  []xmlutil.Raw `xml:",any"`
 
 	h MessageHeaders // what FromEnvelope returns, allocated with what it is read from
 }
@@ -195,7 +250,7 @@ type wireHeaders struct {
 type wireEPR struct {
 	Address string `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing Address"`
 	Props   struct {
-		Any []*xmlutil.Element `xml:",any"`
+		Any []xmlutil.Raw `xml:",any"`
 	} `xml:"http://schemas.xmlsoap.org/ws/2004/08/addressing ReferenceProperties"`
 
 	epr EndpointReference
@@ -210,7 +265,7 @@ func (w *wireEPR) read(name string) (*EndpointReference, error) {
 	if w.epr.Address = strings.TrimSpace(w.Address); w.epr.Address == "" {
 		return nil, fmt.Errorf("wsaddr: %s: EndpointReference without an Address", name)
 	}
-	w.epr.ReferenceProperties = w.Props.Any
+	w.epr.raws = w.Props.Any
 	return &w.epr, nil
 }
 
@@ -227,7 +282,7 @@ func FromEnvelope(env *soap.Envelope) (*MessageHeaders, error) {
 	*h = MessageHeaders{
 		To: strings.TrimSpace(w.To), Action: strings.TrimSpace(w.Action),
 		MessageID: strings.TrimSpace(w.MessageID), RelatesTo: strings.TrimSpace(w.RelatesTo),
-		RefProps: w.RefProps,
+		raws: w.RefProps,
 	}
 	var errs [3]error
 	h.ReplyTo, errs[0] = w.ReplyTo.read("ReplyTo")

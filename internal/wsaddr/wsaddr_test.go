@@ -28,8 +28,8 @@ func TestEPRRoundTrip(t *testing.T) {
 	if back.Address != "p2ps://peer-1/Echo" {
 		t.Fatalf("address = %q", back.Address)
 	}
-	if len(back.ReferenceProperties) != 1 || back.ReferenceProperties[0].Text() != "echoString" {
-		t.Fatalf("props: %+v", back.ReferenceProperties)
+	if props := back.Properties(); len(props) != 1 || props[0].Text() != "echoString" {
+		t.Fatalf("props: %+v", props)
 	}
 	if back.ReferenceProperty(xmlutil.N(p2psNS, "PipeName")) == nil {
 		t.Fatal("ReferenceProperty lookup")
@@ -104,8 +104,8 @@ func TestApplyAndExtract(t *testing.T) {
 	}
 	// The target's reference properties must have been copied into the
 	// header as standalone blocks.
-	if len(got.RefProps) != 1 || got.RefProps[0].Text() != "request" {
-		t.Fatalf("RefProps: %v", got.RefProps)
+	if props := got.Properties(); len(props) != 1 || props[0].Text() != "request" {
+		t.Fatalf("RefProps: %v", props)
 	}
 	// To and Action must be mustUnderstand per the binding.
 	toBlock := back.Header(ToName)
@@ -190,14 +190,15 @@ func TestSharedEPRConcurrentMarshal(t *testing.T) {
 					return
 				}
 				got, err := FromEnvelope(back)
-				if err != nil || got.MessageID != h.MessageID || len(got.RefProps) != 1 || got.RefProps[0].Text() != "requests" ||
-					got.ReplyTo == nil || len(got.ReplyTo.ReferenceProperties) != 1 || got.ReplyTo.ReferenceProperties[0].Text() != "replies" {
+				if err != nil || got.MessageID != h.MessageID || len(got.Properties()) != 1 || got.Properties()[0].Text() != "requests" ||
+					got.ReplyTo == nil || len(got.ReplyTo.Properties()) != 1 || got.ReplyTo.Properties()[0].Text() != "replies" {
 					t.Errorf("read back %+v, %v", got, err)
 					return
 				}
 				// What came off the wire is shared onward the same way: the
-				// provider addresses its reply with the parsed properties.
-				if rh := HeadersFor(got.ReplyTo, "urn:act#response"); rh.RefProps[0] != got.ReplyTo.ReferenceProperties[0] {
+				// provider addresses its reply with the parsed properties,
+				// held as the request's bytes.
+				if rh := HeadersFor(got.ReplyTo, "urn:act#response"); len(rh.raws) != 1 || &rh.raws[0] != &got.ReplyTo.raws[0] {
 					t.Error("reply headers copied the parsed reference property")
 				}
 			}

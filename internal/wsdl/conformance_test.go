@@ -84,9 +84,9 @@ func TestAxisStyleWSDL(t *testing.T) {
 	if det.Transport != TransportHTTP {
 		t.Fatalf("transport = %q", det.Transport)
 	}
-	// The schema element declarations are visible through the raw schemas.
-	if !d.SchemaElementDeclared(xmlutil.N(d.TargetNamespace, "echo")) {
-		t.Fatal("schema element lookup failed on Axis-style document")
+	// The schema and its element declarations are kept.
+	if schemas := d.RawSchemas(); len(schemas) != 1 || schemas[0].Child(xmlutil.N(schemaName.Space, "element")) == nil {
+		t.Fatalf("the Axis-style document's schemas: %v", schemas)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)

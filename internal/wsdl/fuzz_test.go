@@ -99,17 +99,18 @@ func undeclaredPartPrefix(doc []byte) string {
 
 // sameDefinitions: equal, the schemas as trees.
 func sameDefinitions(a, b *Definitions) bool {
-	if len(a.RawSchemas) != len(b.RawSchemas) {
+	sa, sb := a.RawSchemas(), b.RawSchemas()
+	if len(sa) != len(sb) {
 		return false
 	}
-	for i := range a.RawSchemas {
-		if !xmlutil.Equal(a.RawSchemas[i], b.RawSchemas[i]) {
+	for i := range sa {
+		if !xmlutil.Equal(sa[i], sb[i]) {
 			return false
 		}
 	}
-	ra, rb := a.RawSchemas, b.RawSchemas
-	a.RawSchemas, b.RawSchemas = nil, nil
-	defer func() { a.RawSchemas, b.RawSchemas = ra, rb }()
+	ra, rb := a.schemas, b.schemas
+	a.schemas, b.schemas = nil, nil
+	defer func() { a.schemas, b.schemas = ra, rb }()
 	return reflect.DeepEqual(a, b)
 }
 
@@ -132,7 +133,7 @@ func oddSchema(d *Definitions) bool {
 		}
 		return slices.ContainsFunc(kids, odd)
 	}
-	return slices.ContainsFunc(d.RawSchemas, odd)
+	return slices.ContainsFunc(d.RawSchemas(), odd)
 }
 
 // schemaDeclaresPrefixes reports whether an element inside wsdl:types

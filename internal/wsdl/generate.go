@@ -47,8 +47,8 @@ func (d *Definitions) assign(w *xmlutil.Writer) {
 	if d.Schema != nil {
 		d.Schema.Assign(w)
 	}
-	for _, raw := range d.RawSchemas {
-		w.Collect(raw)
+	for _, raw := range d.schemas {
+		w.CollectRaw(raw)
 	}
 }
 
@@ -104,15 +104,15 @@ func (d *Definitions) write(w *xmlutil.Writer) error {
 		w.Attr(attr("location"), imp.Location)
 		empty(x, "import")
 	}
-	if d.Schema != nil || len(d.RawSchemas) > 0 {
+	if d.Schema != nil || len(d.schemas) > 0 {
 		types := w.Open(x, "types")
 		if d.Schema != nil {
 			if err := d.Schema.WriteXML(w); err != nil {
 				return err
 			}
 		}
-		for _, raw := range d.RawSchemas {
-			w.Tree(raw)
+		for _, raw := range d.schemas {
+			w.Raw(raw)
 		}
 		w.Close(x, "types", types)
 	}

@@ -15,7 +15,7 @@ import (
 // document's tokens through the compiled plans of package xsd: into the
 // types Definitions holds where their shape is the document's (Message,
 // Part, Import), into the wire structs below where it is not, and the
-// schemas into trees.
+// schemas into a copy of their bytes (RawSchemas builds them as trees).
 func Parse(data []byte) (*Definitions, error) {
 	t := xmlutil.AcquireTokenizer(data)
 	defer t.Release()
@@ -33,7 +33,7 @@ func Parse(data []byte) (*Definitions, error) {
 type wireDefinitions struct {
 	Imports []Import `xml:"http://schemas.xmlsoap.org/wsdl/ import"`
 	Types   struct {
-		Schemas []*xmlutil.Element `xml:",any"`
+		Schemas []xmlutil.Raw `xml:",any"`
 	} `xml:"http://schemas.xmlsoap.org/wsdl/ types"`
 	Messages  []Message      `xml:"http://schemas.xmlsoap.org/wsdl/ message"`
 	PortTypes []wirePortType `xml:"http://schemas.xmlsoap.org/wsdl/ portType"`
@@ -108,7 +108,8 @@ func parse(t *xmlutil.Tokenizer) (*Definitions, error) {
 	}
 
 	d.Imports = slices.DeleteFunc(wire.Imports, func(i Import) bool { return i.Location == "" })
-	d.RawSchemas = slices.DeleteFunc(wire.Types.Schemas, func(el *xmlutil.Element) bool { return el.Name != schemaName })
+	d.schemas = slices.DeleteFunc(wire.Types.Schemas, func(r xmlutil.Raw) bool { return r.Name != schemaName })
+	xmlutil.Detach(d.schemas) // data is the caller's
 	d.Messages = pointers(wire.Messages)
 	portTypes := make([]PortType, len(wire.PortTypes))
 	for i, wpt := range wire.PortTypes {
@@ -158,23 +159,6 @@ func localOf(ref string) string {
 	return ref[strings.LastIndexByte(ref, ':')+1:]
 }
 
-// SchemaElementDeclared reports whether any raw schema in the parsed
-// document declares a top-level element with the given name.
-func (d *Definitions) SchemaElementDeclared(name xmlutil.Name) bool {
-	for _, sch := range d.RawSchemas {
-		tnsAttr, _ := sch.Attr(xmlutil.N("", "targetNamespace"))
-		if name.Space != "" && tnsAttr != name.Space {
-			continue
-		}
-		for _, el := range sch.Children(xmlutil.N(xsd.Namespace, "element")) {
-			if n, _ := el.Attr(xmlutil.N("", "name")); n == name.Local {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Fetcher retrieves an imported document by location.
 type Fetcher func(ctx context.Context, location string) ([]byte, error)
 
@@ -215,7 +199,7 @@ func (d *Definitions) resolveImports(ctx context.Context, fetch Fetcher, seen ma
 		if err := sub.resolveImports(ctx, fetch, seen, depth+1); err != nil {
 			return err
 		}
-		d.RawSchemas = append(d.RawSchemas, sub.RawSchemas...)
+		d.schemas = append(d.schemas, sub.schemas...)
 		d.Messages = append(d.Messages, sub.Messages...)
 		d.PortTypes = append(d.PortTypes, sub.PortTypes...)
 		d.Bindings = append(d.Bindings, sub.Bindings...)

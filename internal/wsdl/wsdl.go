@@ -7,8 +7,9 @@
 // Neither direction builds a tree of the document (DESIGN.md §9). Marshal
 // drives the pooled xmlutil writer by hand, indented, with the prefixes a
 // tree of the document would have had; Parse decodes the document's tokens
-// through the compiled plans of package xsd, into tagged types. Only the
-// schemas of a parsed document are trees (RawSchemas).
+// through the compiled plans of package xsd, into tagged types, and keeps
+// the schemas of a parsed document as their bytes, which Marshal writes
+// back; RawSchemas builds them as trees for whoever asks.
 package wsdl
 
 import (
@@ -41,11 +42,10 @@ type Definitions struct {
 	Name            string
 	TargetNamespace string
 
-	// Schema holds generated type definitions; RawSchemas holds schemas of
-	// parsed documents (kept as element trees). Exactly one side is
-	// typically populated.
-	Schema     *xsd.Schema
-	RawSchemas []*xmlutil.Element
+	// Schema holds generated type definitions; schemas holds those of a
+	// parsed document, as bytes. Exactly one side is typically populated.
+	Schema  *xsd.Schema
+	schemas []xmlutil.Raw
 
 	Messages  []*Message
 	PortTypes []*PortType
@@ -128,6 +128,18 @@ type Port struct {
 
 // ---------------------------------------------------------------------------
 // Lookups
+
+// RawSchemas returns the schemas of a parsed document, built as trees at
+// each call.
+func (d *Definitions) RawSchemas() []*xmlutil.Element {
+	out := make([]*xmlutil.Element, 0, len(d.schemas))
+	for _, r := range d.schemas {
+		if el, err := r.Element(); err == nil { // what was read whole builds
+			out = append(out, el)
+		}
+	}
+	return out
+}
 
 // PortType returns the named portType, or nil.
 func (d *Definitions) PortType(name string) *PortType {

@@ -109,8 +109,8 @@ func TestGenerateParseRoundTrip(t *testing.T) {
 	if back.Name != "EchoService" || back.TargetNamespace != tns {
 		t.Fatalf("header: %+v", back)
 	}
-	if len(back.RawSchemas) != 1 {
-		t.Fatalf("schemas = %d", len(back.RawSchemas))
+	if len(back.RawSchemas()) != 1 {
+		t.Fatalf("schemas = %d", len(back.RawSchemas()))
 	}
 	if len(back.Messages) != 3 || back.Message("EchoRequestMsg") == nil {
 		t.Fatalf("messages: %+v", back.Messages)
@@ -141,14 +141,7 @@ func TestGenerateParseRoundTrip(t *testing.T) {
 	if svc == nil || svc.Ports[0].Address != "http://127.0.0.1:8081/services/Echo" {
 		t.Fatalf("service: %+v", svc)
 	}
-	// The reparsed document must validate too (schema check goes through
-	// the raw schema path).
-	if !back.SchemaElementDeclared(xmlutil.N(tns, "Echo")) {
-		t.Fatal("schema element lookup on parsed document")
-	}
-	if back.SchemaElementDeclared(xmlutil.N(tns, "Zzz")) {
-		t.Fatal("schema element false positive")
-	}
+	// The reparsed document must validate too.
 	if err := back.Validate(); err != nil {
 		t.Fatalf("reparsed validate: %v", err)
 	}

@@ -92,8 +92,9 @@ type Tokenizer struct {
 	tags     []openTag
 	scope    []binding // in-scope declarations, innermost last
 	pend     []pendingAttr
-	scratch  []byte // entity-decoding buffer
-	chars    []byte // CharData's buffer for text that comes in pieces
+	scratch  []byte    // entity-decoding buffer
+	chars    []byte    // CharData's buffer for text that comes in pieces
+	rawScope []binding // the scope the last Raw was handed, which Raws in the same one share
 }
 
 var parserPool = sync.Pool{
@@ -111,7 +112,7 @@ func AcquireTokenizer(b []byte) *Tokenizer {
 
 // Release returns the scanner to its pool; Local and CharData die with it.
 func (p *Tokenizer) Release() {
-	*p = Tokenizer{intern: p.intern, nodes: p.nodes, tags: p.tags, scope: p.scope, pend: p.pend, scratch: p.scratch, chars: p.chars}
+	*p = Tokenizer{intern: p.intern, nodes: p.nodes, tags: p.tags, scope: p.scope, pend: p.pend, scratch: p.scratch, chars: p.chars, rawScope: p.rawScope}
 	if len(p.intern) > internMapMax {
 		p.intern = make(map[string]string)
 	}

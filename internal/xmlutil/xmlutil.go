@@ -494,6 +494,8 @@ type Writer struct {
 	// and whether the innermost has a child element so far.
 	depth  int
 	nested bool
+	// The scope the last FinishRaw handed out, which no Raw writes to.
+	rawScope []binding
 }
 
 // writerPool recycles marshal writers — their byte buffers and prefix maps —

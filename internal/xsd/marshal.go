@@ -2,6 +2,7 @@ package xsd
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 
@@ -97,7 +98,7 @@ func (w *Wrapper) Assign(xw *xmlutil.Writer) {
 // WriteXML writes the element to xw, which has been through Assign.
 func (w *Wrapper) WriteXML(xw *xmlutil.Writer) {
 	s := &streamSink{w: xw}
-	mark := s.open(w.Name.Space, w.Name.Local)
+	mark := s.open(w.Name.Space, w.Name.Local, nil, reflect.Value{})
 	w.encode(s)
 	s.close(w.Name.Space, w.Name.Local, mark)
 }
@@ -120,10 +121,43 @@ func AppendValue(parent *xmlutil.Element, ns, name string, v reflect.Value) erro
 	return nil
 }
 
+// Marshal writes v as the document element {ns}name, which declares every
+// namespace the document uses: the bytes xmlutil.Marshal gives for the
+// tree AppendValue builds.
+func Marshal(ns, name string, v reflect.Value) ([]byte, error) {
+	w, err := write(ns, name, v, true)
+	if err != nil {
+		return nil, err
+	}
+	return w.Finish(), nil
+}
+
+// MarshalRaw writes v as the element {ns}name, held as a Raw: what Marshal
+// writes, its namespaces declared in the Raw's scope and not by it.
+func MarshalRaw(ns, name string, v reflect.Value) (xmlutil.Raw, error) {
+	w, err := write(ns, name, v, false)
+	if err != nil {
+		return xmlutil.Raw{}, err
+	}
+	return w.FinishRaw(xmlutil.Name{Space: ns, Local: name}), nil
+}
+
+func write(ns, name string, v reflect.Value, root bool) (*xmlutil.Writer, error) {
+	p := planFor(v.Type())
+	if err := p.check(name, v); err != nil {
+		return nil, err
+	}
+	w := xmlutil.AcquireWriter()
+	p.encode(assignSink{w}, ns, name, v)
+	p.encode(&streamSink{w: w, root: root}, ns, name, v)
+	return w, nil
+}
+
 // streamSink writes elements into the marshal writer.
 type streamSink struct {
 	w          *xmlutil.Writer
 	ns, prefix string // the namespace last written in, and its prefix
+	root       bool   // the next element is the document element
 }
 
 func (s *streamSink) pfx(ns string) string {
@@ -133,40 +167,110 @@ func (s *streamSink) pfx(ns string) string {
 	return s.prefix
 }
 
-func (s *streamSink) open(ns, name string) int        { return s.w.Open(s.pfx(ns), name) }
 func (s *streamSink) close(ns, name string, mark int) { s.w.Close(s.pfx(ns), name, mark) }
 func (s *streamSink) tree(el *xmlutil.Element)        { s.w.Tree(el) }
+func (s *streamSink) raw(r xmlutil.Raw)               { s.w.Raw(r) }
+
+func (s *streamSink) open(ns, name string, attrs []fieldPlan, v reflect.Value) int {
+	if s.root {
+		s.root = false
+		s.w.StartRoot(s.pfx(ns), name)
+	} else {
+		s.w.Start(s.pfx(ns), name)
+	}
+	if attrs != nil {
+		s.attrs(attrs, v)
+	}
+	return s.w.Enter()
+}
+
+// attrs writes the attribute fields of the struct v.
+func (s *streamSink) attrs(attrs []fieldPlan, v reflect.Value) {
+	for i := range attrs {
+		f := &attrs[i]
+		name, fv := xmlutil.Name{Space: f.space, Local: f.name}, v.Field(f.index)
+		switch {
+		case f.plan.kind == kindQName:
+			s.w.QNameAttr(name, xmlutil.Name{Space: fv.Field(0).String(), Local: fv.Field(1).String()})
+		case fv.Kind() == reflect.String:
+			s.w.Attr(name, fv.String())
+		default:
+			text, _ := EncodeSimple(fv)
+			s.w.Attr(name, text)
+		}
+	}
+}
+
+func (s *streamSink) text(v reflect.Value) {
+	if v.Kind() == reflect.String {
+		s.w.Text(v.String())
+		return
+	}
+	b := s.w.Buffer() // every other lexical form needs no escaping
+	b.Write(appendSimple(b.AvailableBuffer(), v))
+}
 
 func (s *streamSink) leaf(ns, name string, v reflect.Value) {
 	if v.Kind() == reflect.String {
 		s.w.Leaf(s.pfx(ns), name, v.String())
 		return
 	}
-	// Every other lexical form needs no escaping: formatted in place.
-	mark := s.open(ns, name)
-	b := s.w.Buffer()
-	b.Write(appendSimple(b.AvailableBuffer(), v))
+	mark := s.w.Open(s.pfx(ns), name)
+	s.text(v)
 	s.close(ns, name, mark)
 }
 
 // assignSink gives the namespaces an encoding walk meets prefixes.
 type assignSink struct{ w *xmlutil.Writer }
 
-func (s assignSink) open(ns, _ string) int              { s.w.Assign(ns); return 0 }
 func (s assignSink) close(string, string, int)          {}
+func (s assignSink) text(reflect.Value)                 {}
 func (s assignSink) leaf(ns, _ string, _ reflect.Value) { s.w.Assign(ns) }
 func (s assignSink) tree(el *xmlutil.Element)           { s.w.Collect(el) }
+func (s assignSink) raw(r xmlutil.Raw)                  { s.w.CollectRaw(r) }
+
+func (s assignSink) open(ns, _ string, attrs []fieldPlan, v reflect.Value) int {
+	s.w.Assign(ns)
+	for i := range attrs {
+		s.w.Assign(attrs[i].space)
+		if attrs[i].plan.kind == kindQName {
+			s.w.Assign(v.Field(attrs[i].index).Field(0).String())
+		}
+	}
+	return 0
+}
 
 // treeSink appends elements under cur.
 type treeSink struct{ cur *xmlutil.Element }
 
-func (s *treeSink) open(ns, name string) int {
+func (s *treeSink) open(ns, name string, attrs []fieldPlan, v reflect.Value) int {
 	s.cur = s.cur.NewChild(xmlutil.N(ns, name))
+	for i := range attrs {
+		f, fv := &attrs[i], v.Field(attrs[i].index)
+		var text string
+		if f.plan.kind == kindQName {
+			text = xmlutil.QNameValue(s.cur, fv.Interface().(xmlutil.Name))
+		} else {
+			text, _ = EncodeSimple(fv)
+		}
+		s.cur.SetAttr(xmlutil.N(f.space, f.name), text)
+	}
 	return 0
 }
 
 func (s *treeSink) close(string, string, int) { s.cur = s.cur.Parent() }
 func (s *treeSink) tree(el *xmlutil.Element)  { s.cur.AppendShared(el) }
+
+func (s *treeSink) text(v reflect.Value) {
+	text, _ := EncodeSimple(v) // a plan's text is of a simple type
+	s.cur.SetText(text)
+}
+
+func (s *treeSink) raw(r xmlutil.Raw) {
+	if el, err := r.Element(); err == nil {
+		s.cur.AppendShared(el)
+	}
+}
 
 func (s *treeSink) leaf(ns, name string, v reflect.Value) {
 	text, _ := EncodeSimple(v) // a plan's leaf is of a simple type
@@ -242,6 +346,7 @@ func (r *streamReader) space() string                         { return r.Space }
 func (r *streamReader) depth() int                            { return r.t().Depth() }
 func (r *streamReader) unwind(depth int) error                { return r.t().SkipTo(depth) }
 func (r *streamReader) tree() (*xmlutil.Element, error)       { return r.t().Fragment() }
+func (r *streamReader) raw() (xmlutil.Raw, error)             { return r.t().Raw() }
 func (r *streamReader) attr(name xmlutil.Name) (string, bool) { return r.t().Attr(name) }
 func (r *streamReader) qname(s string) (xmlutil.Name, error)  { return r.t().ResolveQName(s) }
 
@@ -284,6 +389,10 @@ func (r *treeReader) space() string                         { return r.top().el.
 func (r *treeReader) depth() int                            { return len(r.stack) }
 func (r *treeReader) attr(name xmlutil.Name) (string, bool) { return r.top().el.Attr(name) }
 func (r *treeReader) qname(s string) (xmlutil.Name, error)  { return r.top().el.ResolveQName(s) }
+
+func (r *treeReader) raw() (xmlutil.Raw, error) {
+	return xmlutil.Raw{}, fmt.Errorf("xsd: a []xmlutil.Raw field is read from a message's bytes only")
+}
 
 func (r *treeReader) tree() (*xmlutil.Element, error) {
 	el := r.top().el

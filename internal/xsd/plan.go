@@ -25,19 +25,21 @@ package xsd
 //
 // A field tagged `xml:"ns local"` is named in ns, whatever namespace the
 // call is in, and so are its children; it matches exactly or not at all.
-// A `,any` field of type []*xmlutil.Element holds, as trees, the children
-// no other field names: built from the tokens for that field only (with
-// their own declarations, as in a whole-document tree), or shared from the
-// tree being read, and written as they are.
+// A `,any` field holds the children no other field names, written as they
+// are: as trees if it is a []*xmlutil.Element (built from the tokens for
+// that field only, with their own declarations as in a whole-document
+// tree, or shared from the tree being read), as their bytes if it is a
+// []xmlutil.Raw (read from a message's bytes only, a view of them).
 //
 // A field tagged `xml:"name,attr"` is an attribute of its struct's element,
-// in no namespace unless the tag qualifies it ("ns name,attr"). It is read,
-// never written: check refuses to encode a struct that has one, naming the
-// field. Its type is a simple one — read as a leaf's text is: a string as
-// it stands, others trimmed — or xmlutil.Name, a QName resolved in the
-// start tag's scope, where an undeclared prefix is an error. The attribute
-// fields are a list of their own (plan.attrs), read in decode's struct
-// case before decodeFields; an absent one is left as it is.
+// in no namespace unless the tag qualifies it ("ns name,attr"). Its type is
+// a simple one — read as a leaf's text is: a string as it stands, others
+// trimmed — or xmlutil.Name, a QName resolved in the start tag's scope,
+// where an undeclared prefix is an error. The attribute fields are a list
+// of their own (plan.attrs), written in the start tag and read in decode's
+// struct case before decodeFields; an absent one is left as it is. A field
+// tagged `xml:",chardata"`, of a simple type, is the element's text, which
+// is then all the element holds besides attributes (plan.text).
 //
 // Cached plans are complete and immutable: compilation runs under one
 // mutex and publishes a type's plan, with those of the types it reaches,
@@ -62,12 +64,14 @@ const (
 	kindStruct
 	kindIface       // encodes as its dynamic value; cannot be decoded into
 	kindTrees       // a `,any` field: the children no other field names
+	kindRaws        // the same, held as bytes
 	kindQName       // an xmlutil.Name `,attr` field: a QName in the element's scope
 	kindUnsupported // map, chan, func, complex, array, ...
 )
 
 var (
 	treesType = reflect.TypeOf([]*xmlutil.Element(nil))
+	rawsType  = reflect.TypeOf([]xmlutil.Raw(nil))
 	nameType  = reflect.TypeOf(xmlutil.Name{})
 )
 
@@ -77,16 +81,16 @@ type plan struct {
 	elem     *plan         // kindPtr, kindSlice
 	fields   []fieldPlan   // kindStruct
 	attrs    []fieldPlan   // kindStruct: its `,attr` fields, nil if none
+	text     *fieldPlan    // kindStruct: its `,chardata` field, nil if none
 	empty    reflect.Value // kindSlice: what no element at all decodes to
 	repeated bool          // a slice, or pointers to one: takes every match
-	// vet: an interface, an unsupported type or a struct with attributes
-	// may be in reach (it is taken to be, through a type that contains
-	// itself), so check looks at values.
+	// vet: an interface or an unsupported type may be in reach (it is taken
+	// to be, through a type that contains itself), so check looks at values.
 	vet bool
 	// foreign: a namespace other than the call's may be written (a qualified
 	// field, a tree, an interface), so a writer's prefixes need a walk.
 	foreign bool
-	scratch sync.Pool // kindSlice, kindTrees: *scratch, cleared
+	scratch sync.Pool // kindSlice, kindTrees, kindRaws: *scratch, cleared
 }
 
 // fieldPlan is one marshallable field of a struct, or one part of a wrapper.
@@ -160,6 +164,8 @@ func compile(t reflect.Type, building map[reflect.Type]*plan) *plan {
 				key = ",any"
 			case "attr": // attributes and elements are named apart
 				key = ",attr " + key
+			case "chardata":
+				key = ",chardata"
 			}
 			if skip || seen[key] {
 				continue
@@ -169,25 +175,33 @@ func compile(t reflect.Type, building map[reflect.Type]*plan) *plan {
 			switch {
 			case opt == "any" && f.Type == treesType:
 				fp.plan = &plan{t: f.Type, kind: kindTrees, foreign: true}
+			case opt == "any" && f.Type == rawsType:
+				fp.plan = &plan{t: f.Type, kind: kindRaws, foreign: true}
 			case opt == "attr" && f.Type == nameType:
-				fp.plan = &plan{t: f.Type, kind: kindQName}
-			case opt == "attr":
+				fp.plan = &plan{t: f.Type, kind: kindQName, foreign: true}
+			case opt == "attr" || opt == "chardata":
 				if fp.plan = compile(f.Type, building); fp.plan.kind != kindSimple {
-					fp.plan = &plan{t: f.Type, kind: kindUnsupported, vet: true} // an attribute holds a simple value or a QName
+					fp.plan = &plan{t: f.Type, kind: kindUnsupported, vet: true} // a simple value or a QName
 				}
 			case opt == "any":
-				fp.plan = &plan{t: f.Type, kind: kindUnsupported, vet: true} // `,any` holds trees only
+				fp.plan = &plan{t: f.Type, kind: kindUnsupported, vet: true} // `,any` holds trees or bytes only
 			default:
 				fp.plan = compile(f.Type, building)
 			}
-			if opt == "attr" {
+			switch opt {
+			case "attr":
 				p.attrs = append(p.attrs, fp)
-			} else {
+			case "chardata":
+				p.text = &fp
+			default:
 				p.fields = append(p.fields, fp)
 			}
 			vet, foreign = vet || fp.plan.vet, foreign || fp.plan.foreign || space != ""
 		}
-		p.vet, p.foreign = vet || p.attrs != nil, foreign
+		if p.text != nil && p.fields != nil { // the text is all the element holds
+			p.kind = kindUnsupported
+		}
+		p.vet, p.foreign = vet || p.kind == kindUnsupported, foreign
 	}
 	return p
 }
@@ -195,14 +209,17 @@ func compile(t reflect.Type, building map[reflect.Type]*plan) *plan {
 // ---------------------------------------------------------------------------
 // Encoding
 
-// sink is what an encoding walk writes to: open starts an element that
-// holds elements and close, given what open returned, ends it; leaf writes
-// an element holding a simple value, tree an element as it is.
+// sink is what an encoding walk writes to: open starts an element, with
+// the attrs of the struct v in its start tag, and close, given what open
+// returned, ends it; text writes its text, leaf an element holding a
+// simple value, tree and raw an element as it is.
 type sink interface {
-	open(ns, name string) (mark int)
+	open(ns, name string, attrs []fieldPlan, v reflect.Value) (mark int)
 	close(ns, name string, mark int)
+	text(v reflect.Value)
 	leaf(ns, name string, v reflect.Value)
 	tree(el *xmlutil.Element)
+	raw(r xmlutil.Raw)
 }
 
 // check reports why v cannot be encoded, if it cannot: encode's walk, over
@@ -231,8 +248,13 @@ func (p *plan) check(name string, v reflect.Value) error {
 			}
 		}
 	case kindStruct:
-		if p.attrs != nil {
-			return p.fieldErr(&p.attrs[0], fmt.Errorf("xsd: a ,attr field is decoded only"))
+		for i := range p.attrs {
+			if f := &p.attrs[i]; f.plan.kind == kindUnsupported {
+				return p.fieldErr(f, fmt.Errorf("xsd: an attribute holds a simple value or an xmlutil.Name, not %s", f.plan.t))
+			}
+		}
+		if f := p.text; f != nil && f.plan.kind == kindUnsupported {
+			return p.fieldErr(f, fmt.Errorf("xsd: ,chardata holds a simple value, not %s", f.plan.t))
 		}
 		for i := range p.fields {
 			f := &p.fields[i]
@@ -270,8 +292,15 @@ func (p *plan) encode(s sink, ns, name string, v reflect.Value) {
 				s.tree(el)
 			}
 		}
+	case kindRaws:
+		for i, n := 0, v.Len(); i < n; i++ {
+			s.raw(*v.Index(i).Addr().Interface().(*xmlutil.Raw))
+		}
 	case kindStruct:
-		mark := s.open(ns, name)
+		mark := s.open(ns, name, p.attrs, v)
+		if p.text != nil {
+			s.text(v.Field(p.text.index))
+		}
 		for i := range p.fields {
 			f := &p.fields[i]
 			f.plan.encode(s, f.in(ns), f.name, v.Field(f.index))
@@ -299,8 +328,10 @@ type reader interface {
 	// scalar decodes the current element's character data into dst, of a
 	// simple type, and moves out of the element.
 	scalar(dst reflect.Value) error
-	// tree is the current element as a tree; the reader moves out of it.
+	// tree is the current element as a tree, raw as its bytes; the reader
+	// moves out of it.
 	tree() (*xmlutil.Element, error)
+	raw() (xmlutil.Raw, error)
 	// attr is the current element's attribute called name; qname resolves
 	// a lexical QName in its scope.
 	attr(name xmlutil.Name) (string, bool)
@@ -342,19 +373,16 @@ func decodeFields(r reader, ns string, fields []fieldPlan, strct reflect.Value, 
 		}
 		i, rest := 0, -1
 		for ; i < len(fields); i++ {
-			if f := &fields[i]; f.plan.kind == kindTrees {
+			if f := &fields[i]; f.plan.kind == kindTrees || f.plan.kind == kindRaws {
 				rest = i
 			} else if r.is(f.name) && (f.space == "" || f.space == r.space()) {
 				break
 			}
 		}
 		if i == len(fields) && rest >= 0 {
-			el, err := r.tree()
-			if err != nil {
+			if err := gather(&items, rest, fields[rest].plan).appendRest(r); err != nil {
 				return -1, err
 			}
-			trees := gather(&items, rest, fields[rest].plan).items.Addr().Interface().(*[]*xmlutil.Element)
-			*trees = append(*trees, el)
 			continue
 		}
 		if i < len(fields) {
@@ -434,6 +462,25 @@ func gather(items **scratch, i int, p *plan) *scratch {
 	return s
 }
 
+// appendRest appends the element r is in, which it moves out of, to the
+// items of a `,any` field.
+func (s *scratch) appendRest(r reader) error {
+	if s.plan.kind == kindRaws {
+		raw, err := r.raw()
+		if err == nil {
+			raws := s.items.Addr().Interface().(*[]xmlutil.Raw)
+			*raws = append(*raws, raw)
+		}
+		return err
+	}
+	el, err := r.tree()
+	if err == nil {
+		trees := s.items.Addr().Interface().(*[]*xmlutil.Element)
+		*trees = append(*trees, el)
+	}
+	return err
+}
+
 // copyTo sets dst (nil, or nil pointers to it) to the items in one allocation
 // of exactly their number, pools s cleared, and returns s's next.
 func (s *scratch) copyTo(dst reflect.Value) (next *scratch) {
@@ -483,6 +530,12 @@ func (p *plan) decode(r reader, dst reflect.Value, ns, name string, inItem bool)
 			if err := p.decodeAttrs(r, dst); err != nil {
 				return err
 			}
+		}
+		if p.text != nil {
+			if err := r.scalar(dst.Field(p.text.index)); err != nil {
+				return p.fieldErr(p.text, err)
+			}
+			return nil
 		}
 		i, err := decodeFields(r, ns, p.fields, dst, nil)
 		if err != nil && i >= 0 {

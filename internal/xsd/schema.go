@@ -94,8 +94,8 @@ func (s *Schema) registerType(t reflect.Type) error {
 			switch {
 			case skip:
 				continue
-			case opt == "attr":
-				return fmt.Errorf("field %s: an ,attr field has no form in a schema of elements", f.Name)
+			case opt == "attr" || opt == "chardata":
+				return fmt.Errorf("field %s: an ,%s field has no form in a schema of elements", f.Name, opt)
 			case space != "" || opt == "any":
 				return fmt.Errorf("field %s: a namespace-qualified or ,any field has no form in a one-namespace schema", f.Name)
 			}
