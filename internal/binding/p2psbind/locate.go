@@ -11,7 +11,6 @@ import (
 	"wspeer/internal/wsaddr"
 	"wspeer/internal/wsdl"
 	"wspeer/internal/xmlutil"
-	"wspeer/internal/xsd"
 )
 
 // The discovery half of the binding: everything that waits out a discovery
@@ -148,7 +147,7 @@ func (b *Binding) FetchDefinitions(ctx context.Context, adv *p2ps.ServiceAdverti
 // definitionRequest is the request for adv's WSDL, down its definition
 // pipe, to be answered down reply.
 func definitionRequest(adv *p2ps.ServiceAdvertisement, reply *p2ps.PipeAdvertisement) (*soap.Envelope, *wsaddr.MessageHeaders) {
-	env := soap.NewEnvelope().SetBody(xsd.NewWrapper(xmlutil.N(p2ps.Namespace, "GetDefinition")))
+	env, _ := soap.NewBodyEnvelope(soap.SOAP11, xmlutil.N(p2ps.Namespace, "GetDefinition"))
 	hdr := wsaddr.HeadersFor(PipeToEPR(adv.DefinitionPipe, adv.Name), ActionFor(adv.Peer, adv.Name, DefinitionPipeName))
 	hdr.ReplyTo = PipeToEPR(reply, "")
 	env.AddHeaderValue(hdr) // To and Action are set: what Apply checks holds

@@ -13,7 +13,6 @@ import (
 	"wspeer/internal/transport"
 	"wspeer/internal/wsaddr"
 	"wspeer/internal/xmlutil"
-	"wspeer/internal/xsd"
 )
 
 // Spine counters for dispatch activity.
@@ -29,8 +28,6 @@ var (
 	mEngineDeadlineDropped = telemetry.Default().Meter.Counter("engine.deadline.dropped")
 )
 
-func nameInNS(ns, local string) xmlutil.Name { return xmlutil.N(ns, local) }
-
 // Handler returns the transport-facing handler for one deployed service.
 func (e *Engine) Handler(serviceName string) transport.Handler {
 	return transport.HandlerFunc(func(ctx context.Context, req *transport.Request) (*transport.Response, error) {
@@ -45,7 +42,7 @@ func (e *Engine) Handler(serviceName string) transport.Handler {
 // interceptor refusing the call — yields a Go error. One-way requests
 // produce an empty response.
 func (e *Engine) ServeRequest(ctx context.Context, serviceName string, req *transport.Request) (*transport.Response, error) {
-	return e.serve(ctx, serviceName, req, e.serveCall)
+	return e.serve(ctx, serviceName, req, e.serveFn)
 }
 
 // ServeParsed is ServeRequest for a host that had to parse the request to
@@ -237,13 +234,13 @@ func (e *Engine) dispatch(c *pipeline.Call, env *soap.Envelope) (*soap.Envelope,
 	}
 	// The results wait in the envelope as they are: their plans write them
 	// when the response is marshalled.
-	wrapper := xsd.NewWrapper(xmlutil.N(svc.namespace, op.respName))
+	resp, wrapper := soap.NewBodyEnvelope(env.Version(), xmlutil.N(svc.namespace, op.respName))
 	for i, rv := range results {
 		if err := wrapper.Add(op.outNames[i], rv); err != nil {
 			return nil, soap.ServerFault(fmt.Errorf("encoding result %q: %w", op.outNames[i], err))
 		}
 	}
-	return soap.NewEnvelopeV(env.Version()).SetBody(wrapper), nil
+	return resp, nil
 }
 
 // invoke decodes the parameters — all of them in one pass over the

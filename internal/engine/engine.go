@@ -19,6 +19,7 @@ import (
 	"wspeer/internal/pipeline"
 	"wspeer/internal/resilience"
 	"wspeer/internal/wsdl"
+	"wspeer/internal/xmlutil"
 	"wspeer/internal/xsd"
 )
 
@@ -111,7 +112,8 @@ type Engine struct {
 
 	// pipe is the server-side call pipeline every hosted request flows
 	// through: host → interceptors → parse/dispatch (see ServeRequest).
-	pipe *pipeline.Chain
+	pipe    *pipeline.Chain
+	serveFn pipeline.CallFunc // serveCall, bound once: ServeRequest's terminal
 
 	understoodMu sync.RWMutex
 	understood   map[string]bool
@@ -129,11 +131,13 @@ type Engine struct {
 
 // New returns an engine with no services and an empty pipeline.
 func New() *Engine {
-	return &Engine{
+	e := &Engine{
 		services:   make(map[string]*Service),
 		understood: make(map[string]bool),
 		pipe:       pipeline.NewChain(),
 	}
+	e.serveFn = e.serveCall
+	return e
 }
 
 // Use installs server-side pipeline interceptors around request
@@ -430,14 +434,14 @@ func (s *Service) WSDL(transportURI, address string) (*wsdl.Definitions, error) 
 		inMsg := op.name + "RequestMsg"
 		d.Messages = append(d.Messages, &wsdl.Message{
 			Name:  inMsg,
-			Parts: []wsdl.Part{{Name: "parameters", Element: nameInNS(s.namespace, op.name)}},
+			Parts: []wsdl.Part{{Name: "parameters", Element: xmlutil.N(s.namespace, op.name)}},
 		})
 		wop := &wsdl.Operation{Name: op.name, Input: inMsg, Doc: op.doc}
 		if !op.oneWay {
 			outMsg := op.name + "ResponseMsg"
 			d.Messages = append(d.Messages, &wsdl.Message{
 				Name:  outMsg,
-				Parts: []wsdl.Part{{Name: "parameters", Element: nameInNS(s.namespace, op.name+"Response")}},
+				Parts: []wsdl.Part{{Name: "parameters", Element: xmlutil.N(s.namespace, op.name+"Response")}},
 			})
 			wop.Output = outMsg
 		}

@@ -384,7 +384,8 @@ func TestHandlerChainAbort(t *testing.T) {
 }
 
 // TestServeRequestAllocs pins the allocation count of the whole server
-// side — parse, dispatch, encode, span, call record — on the echo envelope.
+// side — parse, dispatch, encode, span, call record — on the echo envelope:
+// 10, of which the pipeline's frame is the carrier alone.
 func TestServeRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -400,8 +401,10 @@ func TestServeRequestAllocs(t *testing.T) {
 			t.Fatal(err, resp)
 		}
 	})
-	if allocs > 15 {
-		t.Fatalf("ServeRequest of the echo envelope: %.0f allocs, want <= 15", allocs)
+	if allocs > 10 {
+		t.Fatalf("ServeRequest of the echo envelope: %.0f allocs, want <= 10", allocs)
+	} else {
+		t.Logf("%.0f allocations", allocs)
 	}
 }
 

@@ -54,7 +54,7 @@ func (s *Stub) PrepareEnvelope(op string, params ...Param) (*soap.Envelope, *wsd
 	if err != nil {
 		return nil, nil, err
 	}
-	wrapper := xsd.NewWrapper(det.Input)
+	env, wrapper := soap.NewBodyEnvelope(soap.SOAP11, det.Input)
 	for _, p := range params {
 		if p.Name == "" {
 			return nil, nil, fmt.Errorf("engine: parameter of %s has no name", op)
@@ -66,7 +66,7 @@ func (s *Stub) PrepareEnvelope(op string, params ...Param) (*soap.Envelope, *wsd
 			return nil, nil, fmt.Errorf("engine: encoding parameter %q: %w", p.Name, err)
 		}
 	}
-	return soap.NewEnvelope().SetBody(wrapper), det, nil
+	return env, det, nil
 }
 
 // BuildRequest serializes an operation call to a transport request.

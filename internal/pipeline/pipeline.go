@@ -21,6 +21,7 @@ package pipeline
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wspeer/internal/telemetry"
@@ -78,6 +79,8 @@ type Call struct {
 	// It is nil when tracing is disabled; interceptors annotate it
 	// without nil checks (Span methods are nil-receiver-safe).
 	Span *telemetry.Span
+	// terminal is what the innermost stage of a Chain calls (Chain.Run).
+	terminal CallFunc
 }
 
 // metaInline is how many meta pairs a Call holds without allocating.
@@ -130,11 +133,11 @@ func (c *Call) eachMeta(f func(key string, value interface{})) {
 }
 
 // Clone returns an independent copy of the call running under ctx: the
-// scalar fields and the inline meta pairs are copied by value, spilled meta
-// is deep-copied so concurrent attempts cannot race on each other's state,
-// and the Span is shared (Span methods are concurrency- and nil-safe).
-// Hedge uses it to race attempts of one logical call without aliasing the
-// carrier.
+// scalar fields, the terminal and the inline meta pairs are copied by value,
+// spilled meta is deep-copied so concurrent attempts cannot race on each
+// other's state, and the Span is shared (Span methods are concurrency- and
+// nil-safe). Hedge uses it to race attempts of one logical call without
+// aliasing the carrier.
 func (c *Call) Clone(ctx context.Context) *Call {
 	cp := *c
 	cp.Ctx = ctx
@@ -201,9 +204,10 @@ func (c *Call) Finish(start time.Time, endpoint, pattern string, err error) {
 // bytes (a transport on the client side, the engine on the server side).
 type CallFunc func(c *Call) error
 
-// Interceptor wraps the next stage of the pipeline. Implementations may
-// call next zero times (short-circuit), once (the common case), or several
-// times (Retry).
+// Interceptor wraps the next stage of the pipeline. The outer function runs
+// when a Chain is composed (at Use), so per-call state belongs in the
+// CallFunc it returns, which may call next zero times (short-circuit), once
+// or several times (Retry), with the Call it was given or a Clone of it.
 type Interceptor func(next CallFunc) CallFunc
 
 // Compose wraps terminal with the interceptors; ics[0] is outermost. With
@@ -217,47 +221,47 @@ func Compose(terminal CallFunc, ics ...Interceptor) CallFunc {
 	return fn
 }
 
-// Chain is a mutable, concurrency-safe interceptor stack. Layers that own
-// a pipeline (the client side of a peer, the engine's server side) hold a
-// Chain and snapshot it per call, so Use may race with in-flight calls.
+// Chain is a mutable, concurrency-safe interceptor stack made by NewChain,
+// held by the layers that own a pipeline (the client side of a peer, the
+// engine's server side). Use composes it; a call runs the whole stack it
+// loads, so Use may race with in-flight calls.
 type Chain struct {
-	mu  sync.RWMutex
+	mu  sync.Mutex // serialises Use
 	ics []Interceptor
+	fn  atomic.Pointer[CallFunc] // ics composed over runTerminal
 }
 
 // NewChain returns a chain preloaded with the given interceptors.
 func NewChain(ics ...Interceptor) *Chain {
-	return &Chain{ics: append([]Interceptor(nil), ics...)}
+	ch := &Chain{}
+	ch.Use(ics...)
+	return ch
 }
 
-// Use appends interceptors to the chain. Earlier-installed interceptors
-// run outermost.
+// Use appends interceptors to the chain and composes it again. Earlier-
+// installed interceptors run outermost.
 func (ch *Chain) Use(ics ...Interceptor) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	ch.ics = append(ch.ics, ics...)
+	fn := Compose(runTerminal, ch.ics...)
+	ch.fn.Store(&fn)
 }
 
 // Interceptors returns a snapshot of the installed stack.
 func (ch *Chain) Interceptors() []Interceptor {
-	ch.mu.RLock()
-	defer ch.mu.RUnlock()
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
 	return append([]Interceptor(nil), ch.ics...)
 }
 
-// Run sends the call through a snapshot of the chain into terminal,
-// recording the outcome in c.Err as well as returning it.
+// Run sends the call through the composed chain into terminal, recording
+// the outcome in c.Err as well as returning it.
 func (ch *Chain) Run(c *Call, terminal CallFunc) error {
-	ch.mu.RLock()
-	var fn CallFunc
-	if len(ch.ics) == 0 {
-		fn = terminal // fast path: no composition, no copying
-		ch.mu.RUnlock()
-	} else {
-		fn = Compose(terminal, ch.ics...)
-		ch.mu.RUnlock()
-	}
-	err := fn(c)
-	c.Err = err
-	return err
+	c.terminal = terminal
+	c.Err = (*ch.fn.Load())(c)
+	return c.Err
 }
+
+// runTerminal, the innermost stage of every Chain, calls the terminal of Run.
+func runTerminal(c *Call) error { return c.terminal(c) }

@@ -75,6 +75,96 @@ func TestChainUseDuringRun(t *testing.T) {
 	wg.Wait()
 }
 
+// TestChainComposesAtUse: an interceptor's outer function runs when the
+// chain is composed — once for each Use — and never per call.
+func TestChainComposesAtUse(t *testing.T) {
+	var composed, ran int
+	counting := func(next CallFunc) CallFunc {
+		composed++
+		return func(c *Call) error { ran++; return next(c) }
+	}
+	ch := NewChain(counting)
+	for i := 0; i < 100; i++ {
+		if err := ch.Run(&Call{Ctx: context.Background()}, func(*Call) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if composed != 1 || ran != 100 {
+		t.Fatalf("100 runs: the factory ran %d times, the stage %d; want 1 and 100", composed, ran)
+	}
+	ch.Use(func(next CallFunc) CallFunc { return next })
+	if composed != 2 {
+		t.Fatalf("after a second Use the factory ran %d times, want 2", composed)
+	}
+}
+
+// TestChainUseIsAtomic: a run racing Use runs the whole stack of one Use or
+// the next, never a part of one. Each Use installs a pair of stages of one
+// generation; every run must see generations 1..k, each with both stages.
+func TestChainUseIsAtomic(t *testing.T) {
+	ch := NewChain()
+	pair := func(gen int) []Interceptor {
+		stage := func(next CallFunc) CallFunc {
+			return func(c *Call) error {
+				seen := c.GetMeta("seen").(*[]int)
+				*seen = append(*seen, gen)
+				return next(c)
+			}
+		}
+		return []Interceptor{stage, stage}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for gen := 1; gen <= 50; gen++ {
+			ch.Use(pair(gen)...)
+		}
+	}()
+	for i := 0; i < 1000; i++ {
+		var seen []int
+		c := &Call{Ctx: context.Background()}
+		c.SetMeta("seen", &seen)
+		reached := false
+		if err := ch.Run(c, func(*Call) error { reached = true; return nil }); err != nil || !reached {
+			t.Fatalf("run %d: %v, terminal reached %v", i, err, reached)
+		}
+		if len(seen)%2 != 0 {
+			t.Fatalf("run %d saw half a Use: %v", i, seen)
+		}
+		for j, gen := range seen {
+			if gen != j/2+1 {
+				t.Fatalf("run %d saw stages %v, not generations 1..%d in order", i, seen, len(seen)/2)
+			}
+		}
+	}
+	<-done
+}
+
+// TestChainHedgeReachesTerminal: a hedged attempt runs on a clone of the
+// call, which carries the terminal Run was given.
+func TestChainHedgeReachesTerminal(t *testing.T) {
+	ch := NewChain(Hedge(HedgeOptions{Threshold: 5 * time.Millisecond, Hedgeable: func(*Call) bool { return true }}))
+	primary := make(chan struct{})
+	c := &Call{Ctx: context.Background()}
+	err := ch.Run(c, func(c *Call) error {
+		if HedgeAttempt(c) == 0 {
+			defer close(primary)
+			<-c.Ctx.Done() // the primary hangs until the hedge wins
+			return c.Ctx.Err()
+		}
+		c.Response = &transport.Response{Body: []byte("hedge")}
+		return nil
+	})
+	if err != nil || c.Response == nil || string(c.Response.Body) != "hedge" {
+		t.Fatalf("hedged run: %v, %+v", err, c.Response)
+	}
+	select {
+	case <-primary:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the primary attempt never reached the terminal")
+	}
+}
+
 func TestDeadlineEnforced(t *testing.T) {
 	ic := Deadline(10 * time.Millisecond)
 	fn := ic(func(c *Call) error {

@@ -176,11 +176,10 @@ func TestParseScansTheWholeMessage(t *testing.T) {
 // TestBodyForms: an envelope answers the same whichever way its body is
 // held, and one form gives way to another cleanly.
 func TestBodyForms(t *testing.T) {
-	wrapper := xsd.NewWrapper(xmlutil.N("urn:m", "op"))
+	values, wrapper := NewBodyEnvelope(SOAP11, xmlutil.N("urn:m", "op"))
 	if err := wrapper.Add("arg", reflect.ValueOf("v")); err != nil {
 		t.Fatal(err)
 	}
-	values := NewEnvelope().SetBody(wrapper)
 	tree := NewEnvelope().AddBodyElement(wrapper.Element())
 	parsed, err := Parse(values.Marshal())
 	if err != nil {
@@ -215,5 +214,53 @@ func TestBodyForms(t *testing.T) {
 	}
 	if _, err := empty.DecodeBody("", nil, nil); err == nil {
 		t.Error("DecodeBody of an empty Body succeeded")
+	}
+}
+
+// TestEnvelopeSize: every parsed message is an Envelope, so a field added
+// to it — a body wrapper held inline, say — costs every call that much
+// more; a built envelope's wrapper lives beside it (NewBodyEnvelope).
+func TestEnvelopeSize(t *testing.T) {
+	if size := reflect.TypeOf(Envelope{}).Size(); size != 160 {
+		t.Errorf("an Envelope is %d bytes, want 160", size)
+	}
+}
+
+type raceItem struct {
+	ID   string   `xml:"id,attr"`
+	Tags []string `xml:"urn:other tag"`
+}
+
+// TestBodyEnvelopeConcurrentMarshal: marshalling writes nothing into the
+// envelope or its wrapper, so one envelope marshalled from two goroutines
+// at once gives both the bytes it gives alone.
+func TestBodyEnvelopeConcurrentMarshal(t *testing.T) {
+	env, wrapper := NewBodyEnvelope(SOAP12, xmlutil.N("urn:m", "op"))
+	env.AddHeaderValue(&TextHeader{Name: xmlutil.N("urn:h", "Token"), Text: "t"})
+	if err := wrapper.Add("arg", reflect.ValueOf("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := wrapper.Add("item", reflect.ValueOf(raceItem{ID: "a&b", Tags: []string{"x", "y"}})); err != nil {
+		t.Fatal(err)
+	}
+	want := string(env.Marshal())
+	var wg sync.WaitGroup
+	got := make([][]string, 2)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				got[g] = append(got[g], string(env.Marshal()))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for _, b := range got[g] {
+			if b != want {
+				t.Fatalf("goroutine %d marshalled %s, want %s", g, b, want)
+			}
+		}
 	}
 }

@@ -95,6 +95,17 @@ func NewEnvelope() *Envelope { return &Envelope{} }
 // NewEnvelopeV returns an empty envelope of the given version.
 func NewEnvelopeV(v Version) *Envelope { return &Envelope{version: v} }
 
+// NewBodyEnvelope returns an envelope of version v whose only body element is
+// the wrapper it returns, called name: one allocation, kept out of Envelope.
+func NewBodyEnvelope(v Version, name xmlutil.Name) (*Envelope, *xsd.Wrapper) {
+	b := &struct {
+		env  Envelope
+		body xsd.Wrapper
+	}{Envelope{version: v}, xsd.Wrapper{Name: name}}
+	b.env.wrapper = &b.body
+	return &b.env, &b.body
+}
+
 // Version returns the envelope's SOAP version.
 func (e *Envelope) Version() Version { return e.version }
 
@@ -203,12 +214,6 @@ func (e *Envelope) AddBodyElement(el *xmlutil.Element) *Envelope {
 	}
 	e.body = append(e.Body(), el)
 	e.wrapper, e.bodyAt = nil, 0 // the body is its trees from here on
-	return e
-}
-
-// SetBody makes w the envelope's only body element.
-func (e *Envelope) SetBody(w *xsd.Wrapper) *Envelope {
-	*e = Envelope{version: e.version, raw: e.raw, blocks: e.blocks, header: e.header, wrapper: w}
 	return e
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -496,6 +497,7 @@ type Writer struct {
 	nested bool
 	// The scope the last FinishRaw handed out, which no Raw writes to.
 	rawScope []binding
+	last     binding // the namespace Prefix last read, and its prefix; Assign forgets it
 }
 
 // writerPool recycles marshal writers — their byte buffers and prefix maps —
@@ -534,7 +536,7 @@ func (w *Writer) release() {
 	}
 	w.b.Reset()
 	clear(w.prefixes)
-	w.next, w.depth, w.nested = 0, 0, false
+	w.next, w.depth, w.nested, w.last = 0, 0, false, binding{}
 	writerPool.Put(w)
 }
 
@@ -616,6 +618,7 @@ func (w *Writer) Declare(prefix, uri string) {
 // Assign gives uri a prefix if it has none: its preferred one if that is
 // free, the next unused nsN otherwise.
 func (w *Writer) Assign(uri string) {
+	w.last = binding{} // Declare assigns through here too
 	if uri == "" || uri == "http://www.w3.org/XML/1998/namespace" {
 		return
 	}
@@ -628,12 +631,21 @@ func (w *Writer) Assign(uri string) {
 	}
 	for {
 		w.next++
-		p := fmt.Sprintf("ns%d", w.next)
-		if !w.prefixUsed(p) {
+		if p := nsPrefix(w.next); !w.prefixUsed(p) {
 			w.prefixes[uri] = p
 			return
 		}
 	}
+}
+
+// nsPrefixes are the nsN a document commonly uses, made without allocating.
+var nsPrefixes = [...]string{1: "ns1", "ns2", "ns3", "ns4", "ns5", "ns6", "ns7", "ns8"}
+
+func nsPrefix(n int) string {
+	if n < len(nsPrefixes) {
+		return nsPrefixes[n]
+	}
+	return "ns" + strconv.Itoa(n)
 }
 
 func (w *Writer) prefixUsed(p string) bool {
@@ -684,7 +696,12 @@ func (w *Writer) declarations() {
 }
 
 // Prefix is the prefix assigned to uri, "" for no namespace.
-func (w *Writer) Prefix(uri string) string { return w.prefixes[uri] }
+func (w *Writer) Prefix(uri string) string {
+	if uri != w.last.uri { // elements run in one namespace: one lookup for them all
+		w.last = binding{prefix: w.prefixes[uri], uri: uri}
+	}
+	return w.last.prefix
+}
 
 // Buffer is where the writer writes, for content formatted in place
 // between an Open and its Close.
@@ -962,7 +979,7 @@ func QNameValue(scope *Element, name Name) string {
 	}
 	p := PreferredPrefixes[name.Space]
 	if p == "" {
-		p = "q" + fmt.Sprintf("%d", len(scope.nsDecls)+1)
+		p = "q" + strconv.Itoa(len(scope.nsDecls)+1)
 	}
 	for {
 		if _, taken := scope.LookupPrefix(p); !taken {

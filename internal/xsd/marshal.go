@@ -47,7 +47,8 @@ func fieldName(f reflect.StructField) (space, name, opt string, skip bool) {
 // Wrapper is an operation's request or response element held as Go values:
 // the element Name with, in its namespace, the elements each part added
 // encodes to. It is written when the message is, straight into the marshal
-// writer, or built as a tree if somebody asks.
+// writer, or built as a tree if somebody asks. Wrapper{Name: name} is one
+// without parts.
 type Wrapper struct {
 	Name  xmlutil.Name
 	parts []part
@@ -60,19 +61,15 @@ type part struct {
 	v    reflect.Value
 }
 
-// NewWrapper returns a wrapper element without parts.
-func NewWrapper(name xmlutil.Name) *Wrapper {
-	w := &Wrapper{Name: name}
-	w.parts = w.few[:0]
-	return w
-}
-
 // Add appends a part, or reports why v cannot be encoded: what Add accepts
 // writes without error.
 func (w *Wrapper) Add(name string, v reflect.Value) error {
 	p := planFor(v.Type())
 	if err := p.check(name, v); err != nil {
 		return err
+	}
+	if w.parts == nil {
+		w.parts = w.few[:0]
 	}
 	w.parts = append(w.parts, part{name: name, plan: p, v: v})
 	return nil
@@ -97,7 +94,7 @@ func (w *Wrapper) Assign(xw *xmlutil.Writer) {
 
 // WriteXML writes the element to xw, which has been through Assign.
 func (w *Wrapper) WriteXML(xw *xmlutil.Writer) {
-	s := &streamSink{w: xw}
+	s := streamSink{xw}
 	mark := s.open(w.Name.Space, w.Name.Local, nil, reflect.Value{})
 	w.encode(s)
 	s.close(w.Name.Space, w.Name.Local, mark)
@@ -149,43 +146,42 @@ func write(ns, name string, v reflect.Value, root bool) (*xmlutil.Writer, error)
 	}
 	w := xmlutil.AcquireWriter()
 	p.encode(assignSink{w}, ns, name, v)
-	p.encode(&streamSink{w: w, root: root}, ns, name, v)
+	if root {
+		p.encode(rootSink{streamSink{w}}, ns, name, v)
+	} else {
+		p.encode(streamSink{w}, ns, name, v)
+	}
 	return w, nil
 }
 
-// streamSink writes elements into the marshal writer.
-type streamSink struct {
-	w          *xmlutil.Writer
-	ns, prefix string // the namespace last written in, and its prefix
-	root       bool   // the next element is the document element
+// streamSink writes elements into the marshal writer. It is the writer and
+// nothing else, so it goes in a sink without allocating, and Marshals that
+// run at once share nothing through it.
+type streamSink struct{ w *xmlutil.Writer }
+
+// rootSink is a streamSink whose first element, written into an empty
+// writer, is the document element.
+type rootSink struct{ streamSink }
+
+func (s streamSink) close(ns, name string, mark int) { s.w.Close(s.w.Prefix(ns), name, mark) }
+func (s streamSink) tree(el *xmlutil.Element)        { s.w.Tree(el) }
+func (s streamSink) raw(r xmlutil.Raw)               { s.w.Raw(r) }
+
+func (s streamSink) open(ns, name string, attrs []fieldPlan, v reflect.Value) int {
+	s.w.Start(s.w.Prefix(ns), name)
+	return s.enter(attrs, v)
 }
 
-func (s *streamSink) pfx(ns string) string {
-	if ns != s.ns {
-		s.ns, s.prefix = ns, s.w.Prefix(ns)
+func (s rootSink) open(ns, name string, attrs []fieldPlan, v reflect.Value) int {
+	if s.w.Buffer().Len() > 0 {
+		return s.streamSink.open(ns, name, attrs, v)
 	}
-	return s.prefix
+	s.w.StartRoot(s.w.Prefix(ns), name)
+	return s.enter(attrs, v)
 }
 
-func (s *streamSink) close(ns, name string, mark int) { s.w.Close(s.pfx(ns), name, mark) }
-func (s *streamSink) tree(el *xmlutil.Element)        { s.w.Tree(el) }
-func (s *streamSink) raw(r xmlutil.Raw)               { s.w.Raw(r) }
-
-func (s *streamSink) open(ns, name string, attrs []fieldPlan, v reflect.Value) int {
-	if s.root {
-		s.root = false
-		s.w.StartRoot(s.pfx(ns), name)
-	} else {
-		s.w.Start(s.pfx(ns), name)
-	}
-	if attrs != nil {
-		s.attrs(attrs, v)
-	}
-	return s.w.Enter()
-}
-
-// attrs writes the attribute fields of the struct v.
-func (s *streamSink) attrs(attrs []fieldPlan, v reflect.Value) {
+// enter writes the attribute fields of the struct v and ends the start tag.
+func (s streamSink) enter(attrs []fieldPlan, v reflect.Value) int {
 	for i := range attrs {
 		f := &attrs[i]
 		name, fv := xmlutil.Name{Space: f.space, Local: f.name}, v.Field(f.index)
@@ -199,9 +195,10 @@ func (s *streamSink) attrs(attrs []fieldPlan, v reflect.Value) {
 			s.w.Attr(name, text)
 		}
 	}
+	return s.w.Enter()
 }
 
-func (s *streamSink) text(v reflect.Value) {
+func (s streamSink) text(v reflect.Value) {
 	if v.Kind() == reflect.String {
 		s.w.Text(v.String())
 		return
@@ -210,12 +207,12 @@ func (s *streamSink) text(v reflect.Value) {
 	b.Write(appendSimple(b.AvailableBuffer(), v))
 }
 
-func (s *streamSink) leaf(ns, name string, v reflect.Value) {
+func (s streamSink) leaf(ns, name string, v reflect.Value) {
 	if v.Kind() == reflect.String {
-		s.w.Leaf(s.pfx(ns), name, v.String())
+		s.w.Leaf(s.w.Prefix(ns), name, v.String())
 		return
 	}
-	mark := s.w.Open(s.pfx(ns), name)
+	mark := s.w.Open(s.w.Prefix(ns), name)
 	s.text(v)
 	s.close(ns, name, mark)
 }

@@ -251,7 +251,7 @@ func TestDecodeRules(t *testing.T) {
 // streamed writes what AppendValue builds straight into a marshal writer.
 func streamed(t *testing.T, name string, v interface{}) string {
 	t.Helper()
-	wrapper := NewWrapper(xmlutil.N(tns, "w"))
+	wrapper := &Wrapper{Name: xmlutil.N(tns, "w")}
 	if err := wrapper.Add(name, reflect.ValueOf(v)); err != nil {
 		t.Fatal(err)
 	}

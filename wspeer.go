@@ -154,6 +154,8 @@ type (
 	// CallFunc is the continuation an interceptor wraps.
 	CallFunc = pipeline.CallFunc
 	// CallInterceptor decorates a CallFunc with cross-cutting behaviour.
+	// Its outer function runs once, when the chain is composed (at Use);
+	// per-call state belongs in the CallFunc it returns.
 	CallInterceptor = pipeline.Interceptor
 	// CallDirection distinguishes client calls from server dispatches.
 	CallDirection = pipeline.Direction
