@@ -594,7 +594,11 @@ func archHas(ids []*archIdent, name string, ok func(*archIdent) bool) bool {
 }
 
 // TestLayering pins the import layering as an allow-list, read from the
-// files TestCensus parsed. Test files are held to the same rules.
+// files TestCensus parsed. Test files are held to the same rules, but for
+// one: no non-test file of the module imports unsafe. Strings carved from
+// shared chunks (xmlutil.Tokenizer.Carve) are sound only while no code
+// writes into bytes a strings.Builder has handed out. The bench/ module
+// is a module of its own, with an arena of its own, and is not held to it.
 func TestLayering(t *testing.T) {
 	tr := loadArch(t)
 	const internal = archModule + "/internal/"
@@ -625,6 +629,9 @@ func TestLayering(t *testing.T) {
 			file := filepath.ToSlash(tr.fset.Position(f.Pos()).Filename)
 			for _, spec := range f.Imports {
 				imp, _ := strconv.Unquote(spec.Path.Value)
+				if imp == "unsafe" && !strings.HasSuffix(file, "_test.go") && !strings.HasPrefix(file, "bench/") {
+					t.Errorf("%s imports unsafe: the module's strings are sound only without it", file)
+				}
 				if imp == "testing" && !strings.HasSuffix(file, "_test.go") && testingImporters[file] == "" {
 					t.Errorf("%s imports testing: benchmarks belong in bench/ or a _test.go file", file)
 				}

@@ -13,7 +13,7 @@ import (
 // overlay, on all three peers: the query and its answer, the matched
 // advert written by the rendezvous and read by the consumer, the
 // definitions fetched down the definition pipe and parsed, and the target
-// the advert resolves to — ≈ 163 allocations, where adverts, pipe adverts
+// the advert resolves to — ≈ 151 allocations, where adverts, pipe adverts
 // and schemas built as trees on the way cost 295.
 func TestLocateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -49,8 +49,8 @@ func TestLocateAllocs(t *testing.T) {
 		}
 	}
 	locateWithRetry(t, consumer, "Echo") // the advert cached, plans compiled, pools filled
-	if allocs := testing.AllocsPerRun(20, locate); allocs > 171 {
-		t.Fatalf("one LocateOne: %.0f allocations, want <= 171", allocs)
+	if allocs := testing.AllocsPerRun(20, locate); allocs > 158 {
+		t.Fatalf("one LocateOne: %.0f allocations, want <= 158", allocs)
 	} else {
 		t.Logf("%.0f allocations", allocs)
 	}

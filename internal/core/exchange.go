@@ -136,7 +136,10 @@ func (inv *Invocation) call(ctx context.Context, spanName string, pattern exchan
 	span.SetOp(op)
 	span.SetDir(telemetry.DirClient)
 	span.SetEndpoint(primary.Endpoint)
-	c := &pipeline.Call{Ctx: ctx, Dir: pipeline.ClientCall, Service: primary.Name, Op: op, Span: span}
+	ic := &invokeCall{inv: inv, hdr: hdr, op: op, params: params}
+	ic.Call = pipeline.Call{Ctx: ctx, Dir: pipeline.ClientCall, Service: primary.Name, Op: op, Span: span}
+	c := &ic.Call
+	c.SetMeta(metaInvokeCall, ic)
 	inv.client.mu.RLock()
 	budget := inv.client.budget
 	inv.client.mu.RUnlock()
@@ -150,23 +153,7 @@ func (inv *Invocation) call(ctx context.Context, spanName string, pattern exchan
 		c.SetMeta(exchange.MetaHeaders, hdr)
 	}
 	start := time.Now()
-	err := inv.client.chain.Run(c, func(c *pipeline.Call) error {
-		switch {
-		case hdr == nil && inv.hedge != nil:
-			// Attempt n goes to the n-th endpoint (mod fan-out), so a hedge
-			// lands on a different host than the primary it is racing, and
-			// an open breaker's refusal makes Hedge try the next at once.
-			return inv.hedge(func(c *pipeline.Call) error {
-				t := inv.targets[pipeline.HedgeAttempt(c)%len(inv.targets)]
-				_, err := inv.guarded(c, t, op, params)
-				return err
-			})(c)
-		case hdr == nil && len(inv.targets) > 1:
-			return inv.failover(c, op, params)
-		default:
-			return inv.attempt(c, inv.targets[0], op, params)
-		}
-	})
+	err := inv.client.chain.Run(c, runInvokeCall)
 	// The flight record and the span name the endpoint that answered: the
 	// last attempt's request, which Hedge copies back from the winner.
 	endpoint := primary.Endpoint
@@ -182,6 +169,42 @@ func (inv *Invocation) call(ctx context.Context, spanName string, pattern exchan
 	}
 	res, _ := c.GetMeta(MetaResult).(*engine.Result)
 	return res, nil
+}
+
+// invokeCall is one client call's carrier and what its terminal needs, in
+// one allocation; runInvokeCall reads it back through metaInvokeCall, which
+// a Clone of the carrier (a hedge's attempt) copies.
+type invokeCall struct {
+	pipeline.Call
+	inv    *Invocation
+	hdr    *wsaddr.MessageHeaders
+	op     string
+	params []engine.Param
+}
+
+// metaInvokeCall is the Meta key of a client call's invokeCall.
+const metaInvokeCall = "core.invokeCall"
+
+// runInvokeCall is the client chain's terminal: the invocation's targets,
+// tried as its hedging and failover policies say.
+func runInvokeCall(c *pipeline.Call) error {
+	ic := c.GetMeta(metaInvokeCall).(*invokeCall)
+	inv, op, params := ic.inv, ic.op, ic.params
+	switch {
+	case ic.hdr == nil && inv.hedge != nil:
+		// Attempt n goes to the n-th endpoint (mod fan-out), so a hedge
+		// lands on a different host than the primary it is racing, and
+		// an open breaker's refusal makes Hedge try the next at once.
+		return inv.hedge(func(c *pipeline.Call) error {
+			t := inv.targets[pipeline.HedgeAttempt(c)%len(inv.targets)]
+			_, err := inv.guarded(c, t, op, params)
+			return err
+		})(c)
+	case ic.hdr == nil && len(inv.targets) > 1:
+		return inv.failover(c, op, params)
+	default:
+		return inv.attempt(c, inv.targets[0], op, params)
+	}
 }
 
 // InvokeOneWay sends the operation as a fire-and-forget message through

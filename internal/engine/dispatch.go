@@ -42,7 +42,7 @@ func (e *Engine) Handler(serviceName string) transport.Handler {
 // interceptor refusing the call — yields a Go error. One-way requests
 // produce an empty response.
 func (e *Engine) ServeRequest(ctx context.Context, serviceName string, req *transport.Request) (*transport.Response, error) {
-	return e.serve(ctx, serviceName, req, e.serveFn)
+	return e.serve(ctx, serviceName, req, nil, nil)
 }
 
 // ServeParsed is ServeRequest for a host that had to parse the request to
@@ -52,15 +52,30 @@ func (e *Engine) ServeRequest(ctx context.Context, serviceName string, req *tran
 // Everything else — deadline drop, admission, interceptors, mustUnderstand
 // processing, reply delivery — is ServeRequest's.
 func (e *Engine) ServeParsed(ctx context.Context, serviceName string, req *transport.Request, env *soap.Envelope, hdr *wsaddr.MessageHeaders) (*transport.Response, error) {
-	return e.serve(ctx, serviceName, req, func(c *pipeline.Call) error {
-		return e.serveEnvelope(c, env, hdr, e.checkUnderstood(env))
-	})
+	return e.serve(ctx, serviceName, req, env, hdr)
+}
+
+// parsedCall is a ServeParsed request's carrier and what its terminal
+// needs, in one allocation; serveParsed reads it back through metaParsedCall.
+type parsedCall struct {
+	pipeline.Call
+	env *soap.Envelope
+	hdr *wsaddr.MessageHeaders
+}
+
+// metaParsedCall is the Meta key of a ServeParsed request's parsedCall.
+const metaParsedCall = "engine.parsedCall"
+
+// serveParsed is ServeParsed's terminal: serve the envelope its host parsed.
+func (e *Engine) serveParsed(c *pipeline.Call) error {
+	pc := c.GetMeta(metaParsedCall).(*parsedCall)
+	return e.serveEnvelope(c, pc.env, pc.hdr, e.checkUnderstood(pc.env))
 }
 
 // serve runs one request through admission and the server pipeline down to
-// terminal, and finishes the frame (call table, flight record, span) the
-// way the client side does.
-func (e *Engine) serve(ctx context.Context, serviceName string, req *transport.Request, terminal pipeline.CallFunc) (*transport.Response, error) {
+// serveCall, or serveParsed given env, and finishes the frame (call table,
+// flight record, span) the way the client side does.
+func (e *Engine) serve(ctx context.Context, serviceName string, req *transport.Request, env *soap.Envelope, hdr *wsaddr.MessageHeaders) (*transport.Response, error) {
 	// A caller deadline — propagated across the wire by the hosts, or
 	// native on the in-memory substrate — that has already passed means
 	// the caller is gone: drop the request before admission and dispatch
@@ -87,13 +102,16 @@ func (e *Engine) serve(ctx context.Context, serviceName string, req *transport.R
 	span, ctx := telemetry.Default().Tracer.StartSpan(ctx, "server.dispatch")
 	span.SetService(serviceName)
 	span.SetDir(telemetry.DirServer)
-	c := &pipeline.Call{
-		Ctx:     ctx,
-		Dir:     pipeline.ServerDispatch,
-		Service: serviceName,
-		Request: req,
-		Span:    span,
+	var c *pipeline.Call
+	terminal := e.serveFn
+	if env == nil {
+		c = &pipeline.Call{}
+	} else {
+		pc := &parsedCall{env: env, hdr: hdr}
+		c, terminal = &pc.Call, e.parsedFn
+		c.SetMeta(metaParsedCall, pc)
 	}
+	c.Ctx, c.Dir, c.Service, c.Request, c.Span = ctx, pipeline.ServerDispatch, serviceName, req, span
 	start := time.Now()
 	err := e.pipe.Run(c, terminal)
 	pattern := ""

@@ -112,8 +112,9 @@ type Engine struct {
 
 	// pipe is the server-side call pipeline every hosted request flows
 	// through: host → interceptors → parse/dispatch (see ServeRequest).
-	pipe    *pipeline.Chain
-	serveFn pipeline.CallFunc // serveCall, bound once: ServeRequest's terminal
+	pipe     *pipeline.Chain
+	serveFn  pipeline.CallFunc // serveCall, bound once: ServeRequest's terminal
+	parsedFn pipeline.CallFunc // serveParsed, bound once: ServeParsed's terminal
 
 	understoodMu sync.RWMutex
 	understood   map[string]bool
@@ -136,7 +137,7 @@ func New() *Engine {
 		understood: make(map[string]bool),
 		pipe:       pipeline.NewChain(),
 	}
-	e.serveFn = e.serveCall
+	e.serveFn, e.parsedFn = e.serveCall, e.serveParsed
 	return e
 }
 

@@ -36,7 +36,8 @@ const (
 // parsePeer, parseService): the advertisement format is XML, as in the
 // paper; the envelope around it is not.
 //
-// decodeMessage does not copy Data: it is a sub-slice of the frame it was
+// decodeMessage makes the string fields one string, which each is a
+// substring of, and does not copy Data: it is a sub-slice of the frame it was
 // handed. That is sound only because every Transport (tcp's frameReader,
 // LocalEndpoint.Send, netsim's Endpoint.Send) hands the receiver a buffer
 // it never writes again, and pipe listeners treat what they are given as
@@ -230,6 +231,24 @@ func frameInt(what string, val []byte) (int, error) {
 	return int(v), nil
 }
 
+// frameField splits the field at the start of rest, a frame's fields, off
+// it: its tag, its value and the fields after it.
+func frameField(rest []byte) (tag byte, val, next []byte, err error) {
+	tag = rest[0]
+	n, ln := binary.Uvarint(rest[1:])
+	if ln <= 0 {
+		return 0, nil, nil, fmt.Errorf("p2ps: field %d: bad length", tag)
+	}
+	if n > maxFrame {
+		return 0, nil, nil, fmt.Errorf("p2ps: field %d of %d bytes exceeds limit", tag, n)
+	}
+	rest = rest[1+ln:]
+	if n > uint64(len(rest)) {
+		return 0, nil, nil, fmt.Errorf("p2ps: field %d of %d bytes runs past the frame", tag, n)
+	}
+	return tag, rest[:n:n], rest[n:], nil
+}
+
 func decodeMessage(data []byte) (*message, error) {
 	if len(data) < frameHeader || string(data[:len(frameMagic)]) != frameMagic {
 		return nil, fmt.Errorf("p2ps: not a message frame")
@@ -237,42 +256,47 @@ func decodeMessage(data []byte) (*message, error) {
 	if v := data[len(frameMagic)]; v != frameVersion {
 		return nil, fmt.Errorf("p2ps: unknown frame version %d", v)
 	}
+	// A first pass checks the fields and sizes one string for every string
+	// field, each a substring of it: one allocation, which one kept keeps.
+	size := 0
+	for rest := data[frameHeader:]; len(rest) > 0; {
+		tag, val, next, err := frameField(rest)
+		if err != nil {
+			return nil, err
+		}
+		switch tag {
+		case tagFrom, tagAddr, tagGroup, tagQueryID, tagName, tagExpr, tagPipeID, tagRdvAddr, tagTargetPeer, tagResolvedAddr:
+			size += len(val)
+		}
+		rest = next
+	}
+	var text strings.Builder
+	text.Grow(size)
+	cut := func(b []byte) string { at := text.Len(); text.Write(b); return text.String()[at:] }
 	m := &message{}
 	for rest := data[frameHeader:]; len(rest) > 0; {
-		tag := rest[0]
-		n, ln := binary.Uvarint(rest[1:])
-		if ln <= 0 {
-			return nil, fmt.Errorf("p2ps: field %d: bad length", tag)
-		}
-		if n > maxFrame {
-			return nil, fmt.Errorf("p2ps: field %d of %d bytes exceeds limit", tag, n)
-		}
-		rest = rest[1+ln:]
-		if n > uint64(len(rest)) {
-			return nil, fmt.Errorf("p2ps: field %d of %d bytes runs past the frame", tag, n)
-		}
-		val := rest[:n:n]
-		rest = rest[n:]
+		tag, val, next, _ := frameField(rest)
+		rest = next
 		var err error
 		switch tag {
 		case tagType:
 			m.Type = messageType(val)
 		case tagFrom:
-			m.From = PeerID(val)
+			m.From = PeerID(cut(val))
 		case tagAddr:
-			m.Addr = string(val)
+			m.Addr = cut(val)
 		case tagGroup:
-			m.Group = string(val)
+			m.Group = cut(val)
 		case tagTTL:
 			m.TTL, err = frameInt("ttl", val)
 		case tagHops:
 			m.Hops, err = frameInt("hops", val)
 		case tagQueryID:
-			m.QueryID = string(val)
+			m.QueryID = cut(val)
 		case tagName:
-			m.Name = string(val)
+			m.Name = cut(val)
 		case tagExpr:
-			m.Expr = string(val)
+			m.Expr = cut(val)
 		case tagAttr:
 			kn, kl := binary.Uvarint(val)
 			if kl <= 0 || kn > uint64(len(val)-kl) {
@@ -287,15 +311,15 @@ func decodeMessage(data []byte) (*message, error) {
 		case tagServiceAdv:
 			m.ServiceAdv, err = parseService(val)
 		case tagPipeID:
-			m.PipeID = string(val)
+			m.PipeID = cut(val)
 		case tagData:
 			m.Data = val
 		case tagRdvAddr:
-			m.RdvAddrs = append(m.RdvAddrs, string(val))
+			m.RdvAddrs = append(m.RdvAddrs, cut(val))
 		case tagTargetPeer:
-			m.TargetPeer = PeerID(val)
+			m.TargetPeer = PeerID(cut(val))
 		case tagResolvedAddr:
-			m.ResolvedAddr = string(val)
+			m.ResolvedAddr = cut(val)
 		default:
 			return nil, fmt.Errorf("p2ps: unknown field %d", tag)
 		}

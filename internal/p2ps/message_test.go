@@ -3,6 +3,7 @@ package p2ps
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -340,5 +341,29 @@ func FuzzDecodeMessage(f *testing.F) {
 		if !reflect.DeepEqual(m, out) {
 			t.Fatalf("decode(encode(m)) != m:\nm   %+v\nout %+v", m, out)
 		}
+		// A decoded message owns its strings: overwriting the frame it came
+		// from changes none of them (Data, a view of the frame, aside).
+		for _, in := range [][]byte{frame, m.encode()} {
+			buf := bytes.Clone(in)
+			got, err := decodeMessage(buf)
+			if err != nil {
+				continue
+			}
+			before := textOf(got)
+			for i := range buf {
+				buf[i] = '#'
+			}
+			if after := textOf(got); after != before {
+				t.Fatalf("overwriting the frame changed the message:\nbefore %s\nafter  %s", before, after)
+			}
+		}
 	})
+}
+
+// textOf prints every field of m but Data, adverts included: a copy of its
+// strings.
+func textOf(m *message) string {
+	c := *m
+	c.Data, c.PeerAdv, c.ServiceAdv = nil, nil, nil
+	return fmt.Sprintf("%#v %#v %#v", c, m.PeerAdv, m.ServiceAdv)
 }

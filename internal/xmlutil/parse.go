@@ -3,6 +3,7 @@ package xmlutil
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -40,6 +41,9 @@ const (
 	elementSlab    = 32       // Elements allocated per batch
 	slabSizedBelow = 8 << 10  // inputs this long or longer start with a full slab
 	ScratchMax     = 64 << 10 // largest decoding buffer, in bytes, worth pooling
+	carveAfter     = 512      // bytes of strings a decode makes one by one before Carve cuts chunks
+	carveChunk     = 1 << 10  // the most a chunk Carve cuts strings from holds
+	carveMax       = 256      // longest string Carve cuts from a chunk (DESIGN.md §9)
 )
 
 var (
@@ -95,6 +99,9 @@ type Tokenizer struct {
 	scratch  []byte    // entity-decoding buffer
 	chars    []byte    // CharData's buffer for text that comes in pieces
 	rawScope []binding // the scope the last Raw was handed, which Raws in the same one share
+
+	made  int             // bytes of text Carve has made into strings since ResetCarve
+	chunk strings.Builder // what Carve cuts strings from; dropped, never reused, once one does not fit
 }
 
 var parserPool = sync.Pool{
@@ -128,6 +135,28 @@ func (p *Tokenizer) Release() {
 		p.scratch, p.chars, p.nodes = nil, nil, nil
 	}
 	parserPool.Put(p)
+}
+
+// ResetCarve starts a decode: Carve allocates its strings one by one
+// again, until they add up to carveAfter bytes.
+func (p *Tokenizer) ResetCarve() { p.made, p.chunk = 0, strings.Builder{} }
+
+// Carve is the text b as a string that outlives the scanner and the
+// document. Past the first few, strings are cut from a chunk sized to what
+// is left of the document: a Builder never writes over bytes it has handed
+// out, so they stay as cut, and a kept one holds at most its chunk alive.
+func (p *Tokenizer) Carve(b []byte) string {
+	n := len(b)
+	if p.made += n; p.made <= carveAfter || n > carveMax {
+		return string(b)
+	}
+	if p.chunk.Cap()-p.chunk.Len() < n {
+		p.chunk = strings.Builder{}
+		p.chunk.Grow(min(carveChunk, n+len(p.data)-p.pos))
+	}
+	at := p.chunk.Len()
+	p.chunk.Write(b)
+	return p.chunk.String()[at:]
 }
 
 // ParseBytes parses an XML document held in b.

@@ -274,17 +274,6 @@ func (e *Element) Attr(name Name) (string, bool) {
 	return "", false
 }
 
-// AttrLocal returns the value of the first attribute whose local name
-// matches, regardless of namespace.
-func (e *Element) AttrLocal(local string) (string, bool) {
-	for _, a := range e.Attrs {
-		if a.Name.Local == local {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
 // SetAttr sets (or replaces) an attribute and returns e.
 func (e *Element) SetAttr(name Name, value string) *Element {
 	for i, a := range e.Attrs {

@@ -54,8 +54,8 @@ func TestAttrs(t *testing.T) {
 	if _, ok := e.Attr(N(nsB, "a")); ok {
 		t.Fatal("Attr on missing namespace should miss")
 	}
-	if v, _ := e.AttrLocal("a"); v != "3" {
-		t.Fatalf("AttrLocal(a) = %q, want first declared", v)
+	if a := e.Attrs[0]; a.Name.Local != "a" || a.Value != "3" {
+		t.Fatalf("first attribute %v = %q, want the first declared, replaced", a.Name, a.Value)
 	}
 	if len(e.Attrs) != 2 {
 		t.Fatalf("attr count = %d, want 2", len(e.Attrs))

@@ -282,8 +282,10 @@ func (s *treeSink) leaf(ns, name string, v reflect.Value) {
 // returned, in one pass, reading through its end tag. Elements are expected
 // in the namespace ns; dst holds a settable zero value per part. On failure
 // it returns the index of the part that did not decode, or -1 if the
-// message itself is at fault.
+// message itself is at fault. The strings it sets are t.Carve's, counted
+// from this decode on.
 func DecodeTokens(t *xmlutil.Tokenizer, ns string, parts []Field, dst []reflect.Value) (int, error) {
+	t.ResetCarve()
 	return decodeParts((*streamReader)(t), ns, parts, dst)
 }
 
@@ -303,8 +305,9 @@ func decodeParts(r reader, ns string, parts []Field, dst []reflect.Value) (int, 
 
 // DecodeValue decodes the element whose start tag t has just returned into
 // dst, settable, reading through its end tag: a struct's fields are the
-// children they name in ns.
+// children they name in ns. Its strings are carved as DecodeTokens' are.
 func DecodeValue(t *xmlutil.Tokenizer, ns string, dst reflect.Value) error {
+	t.ResetCarve()
 	return planFor(dst.Type()).decode((*streamReader)(t), dst, ns, "", false)
 }
 
@@ -352,10 +355,11 @@ func (r *streamReader) scalar(dst reflect.Value) error {
 	if err != nil {
 		return err
 	}
-	if dst.Kind() != reflect.String {
-		b = bytes.TrimSpace(b)
+	if dst.Kind() == reflect.String {
+		dst.SetString(r.t().Carve(b))
+		return nil
 	}
-	return setSimple(dst, b)
+	return setSimple(dst, bytes.TrimSpace(b))
 }
 
 // treeReader walks an element tree; the top of its stack is where it is.

@@ -138,6 +138,15 @@ var fuzzSeeds = []string{
 	`<s:op xmlns:s="urn:svc" xmlns:o="urn:other"><s:r id=" a b " n=" 7 " ref="o:x" o:q="qq" q="local"><s:K>k</s:K>` +
 		`<s:Inner xmlns="urn:dflt" ref="plain" n="-2"/></s:r><s:r ref="xml:lang" id=""/><s:r ref="nope:x"/>` +
 		`<s:r n="x"/><s:r ref=":x"/><s:r xmlns:p="urn:p" ref=" p:y " id="&amp;&#13;"/></s:op>`,
+	// Records with more string text than a decode makes one by one, so
+	// that most strings, escaped text among them, are carved from chunks.
+	string(carveSeed()),
+}
+
+// carveSeed is 40 records of recordsDoc's, ≈ 3 KB of string text.
+func carveSeed() []byte {
+	doc, _ := recordsDoc(40, "z")
+	return doc
 }
 
 // decodeBothWays decodes one part of the document's root element from the
@@ -187,8 +196,42 @@ func FuzzDecodeBody(f *testing.F) {
 			case !reflect.DeepEqual(stream.Interface(), tree.Interface()):
 				t.Fatalf("%s as %v:\nfrom tokens   %#v\nfrom the tree %#v", part.Name, part.Type, stream, tree)
 			}
+			// What the tokens decode to owns its strings: a copy of the
+			// document, decoded and then overwritten, leaves the value
+			// as the document itself decodes.
+			if streamErr == nil {
+				again := decodeOverwritten(t, doc, part)
+				if i >= len(fuzzTargets) {
+					if a, b := encodedTree(t, part.Name, stream), encodedTree(t, part.Name, again); a != b {
+						t.Fatalf("%s as %v, its document overwritten:\nbefore %s\nafter  %s", part.Name, part.Type, a, b)
+					}
+				} else if !reflect.DeepEqual(stream.Interface(), again.Interface()) {
+					t.Fatalf("%s as %v, its document overwritten:\nbefore %#v\nafter  %#v", part.Name, part.Type, stream, again)
+				}
+			}
 		}
 	})
+}
+
+// decodeOverwritten decodes part from the tokens of a copy of doc, which
+// it then overwrites.
+func decodeOverwritten(t *testing.T, doc []byte, part Field) reflect.Value {
+	t.Helper()
+	buf := append([]byte(nil), doc...)
+	tok := xmlutil.AcquireTokenizer(buf)
+	v := reflect.New(part.Type).Elem()
+	_, err := tok.Next()
+	if err == nil {
+		_, err = DecodeTokens(tok, fuzzNS, []Field{part}, []reflect.Value{v})
+	}
+	tok.Release()
+	if err != nil {
+		t.Fatalf("%s as %v: a copy of the document does not decode: %v", part.Name, part.Type, err)
+	}
+	for i := range buf {
+		buf[i] = '#'
+	}
+	return v
 }
 
 // encodedTree is v encoded as a tree's elements called name, marshalled.
@@ -309,15 +352,15 @@ func TestInfiniteFloatLexicalForm(t *testing.T) {
 		if err != nil || got != tc.want {
 			t.Errorf("EncodeSimple(%v) = %q, %v; want %q", tc.v, got, err, tc.want)
 		}
-		back, err := DecodeSimple(got, reflect.TypeOf(tc.v))
+		back, err := decodeSimple(got, reflect.TypeOf(tc.v))
 		if err != nil || !reflect.DeepEqual(back.Interface(), tc.v) {
-			t.Errorf("DecodeSimple(%q) = %v, %v", got, back, err)
+			t.Errorf("decodeSimple(%q) = %v, %v", got, back, err)
 		}
 	}
 	for _, s := range []string{"+Inf", "-Inf", "Inf", "INF", "-INF"} {
-		v, err := DecodeSimple(s, reflect.TypeOf(float64(0)))
+		v, err := decodeSimple(s, reflect.TypeOf(float64(0)))
 		if err != nil || !math.IsInf(v.Float(), 0) {
-			t.Errorf("DecodeSimple(%q) = %v, %v", s, v, err)
+			t.Errorf("decodeSimple(%q) = %v, %v", s, v, err)
 		}
 	}
 	if nan, _ := EncodeSimple(reflect.ValueOf(math.NaN())); nan != "NaN" {

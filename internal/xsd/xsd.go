@@ -112,15 +112,6 @@ func appendSimple(dst []byte, v reflect.Value) []byte {
 	}
 }
 
-// DecodeSimple parses an XSD lexical form into a new Go value of type t.
-func DecodeSimple(s string, t reflect.Type) (reflect.Value, error) {
-	v := reflect.New(t).Elem()
-	if err := setSimple(v, []byte(s)); err != nil {
-		return reflect.Value{}, err
-	}
-	return v, nil
-}
-
 // setSimple parses an XSD lexical form, as the bytes of the message hold
 // it, into dst, which is addressable. Only a string copies them: a number
 // parses from a conversion that does not outlive the call.

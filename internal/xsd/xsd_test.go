@@ -41,6 +41,15 @@ func TestSimpleTypeFor(t *testing.T) {
 	}
 }
 
+// decodeSimple parses an XSD lexical form into a new Go value of type t.
+func decodeSimple(s string, t reflect.Type) (reflect.Value, error) {
+	v := reflect.New(t).Elem()
+	if err := setSimple(v, []byte(s)); err != nil {
+		return reflect.Value{}, err
+	}
+	return v, nil
+}
+
 func roundTripSimple(t *testing.T, v interface{}) interface{} {
 	t.Helper()
 	rv := reflect.ValueOf(v)
@@ -48,7 +57,7 @@ func roundTripSimple(t *testing.T, v interface{}) interface{} {
 	if err != nil {
 		t.Fatalf("encode %T: %v", v, err)
 	}
-	back, err := DecodeSimple(s, rv.Type())
+	back, err := decodeSimple(s, rv.Type())
 	if err != nil {
 		t.Fatalf("decode %q into %T: %v", s, v, err)
 	}
@@ -84,18 +93,18 @@ func TestSimpleRoundTrips(t *testing.T) {
 func TestBooleanLexicalForms(t *testing.T) {
 	boolT := reflect.TypeOf(true)
 	for _, s := range []string{"true", "1"} {
-		v, err := DecodeSimple(s, boolT)
+		v, err := decodeSimple(s, boolT)
 		if err != nil || !v.Bool() {
 			t.Errorf("decode %q: %v %v", s, v, err)
 		}
 	}
 	for _, s := range []string{"false", "0"} {
-		v, err := DecodeSimple(s, boolT)
+		v, err := decodeSimple(s, boolT)
 		if err != nil || v.Bool() {
 			t.Errorf("decode %q: %v %v", s, v, err)
 		}
 	}
-	if _, err := DecodeSimple("TRUE", boolT); err == nil {
+	if _, err := decodeSimple("TRUE", boolT); err == nil {
 		t.Error("TRUE is not a valid xsd boolean")
 	}
 }
@@ -114,8 +123,8 @@ func TestDecodeErrors(t *testing.T) {
 		{"x", reflect.TypeOf(map[string]int{})},
 	}
 	for _, c := range cases {
-		if _, err := DecodeSimple(c.s, c.t); err == nil {
-			t.Errorf("DecodeSimple(%q, %v): expected error", c.s, c.t)
+		if _, err := decodeSimple(c.s, c.t); err == nil {
+			t.Errorf("decodeSimple(%q, %v): expected error", c.s, c.t)
 		}
 	}
 }
@@ -126,7 +135,7 @@ func TestQuickIntRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		v, err := DecodeSimple(s, reflect.TypeOf(n))
+		v, err := decodeSimple(s, reflect.TypeOf(n))
 		return err == nil && v.Int() == n
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -143,7 +152,7 @@ func TestQuickFloatRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		v, err := DecodeSimple(s, reflect.TypeOf(x))
+		v, err := decodeSimple(s, reflect.TypeOf(x))
 		return err == nil && v.Float() == x
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -157,7 +166,7 @@ func TestQuickBytesRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		v, err := DecodeSimple(s, reflect.TypeOf(b))
+		v, err := decodeSimple(s, reflect.TypeOf(b))
 		if err != nil {
 			return false
 		}
