@@ -24,7 +24,8 @@ help:
 	@echo "                   xsd decoding from tokens against decoding from the tree;"
 	@echo "                   WS-Addressing headers written, parsed and read back; SOAP"
 	@echo "                   envelopes parsed, faults marshalled and parsed back; WSDL"
-	@echo "                   documents parsed, marshalled and parsed back)"
+	@echo "                   documents parsed, marshalled and parsed back; query expressions"
+	@echo "                   compiled and evaluated)"
 	@echo "  examples         run every example program once"
 	@echo "  loc              count lines of Go: non-test outside bench/, and everything;"
 	@echo "                   fails when non-test Go is over the ceiling ROADMAP.md sets"
@@ -82,10 +83,11 @@ census:
 # XML scanner, its tree builder and encoding/xml do not read alike, a
 # message the xsd plans decode differently from its bytes and from its tree,
 # addressing headers that do not read back as they were written, a SOAP
-# fault that changes on its way through marshal and parse, or WSDL
-# definitions that do, short enough for CI. `go test -fuzz` takes one
+# fault that changes on its way through marshal and parse, WSDL
+# definitions that do, or a query expression the compiler crashes on or
+# accepts past its length limit, short enough for CI. `go test -fuzz` takes one
 # target and one package at a time, hence the loop.
-FUZZ_TARGETS = internal/p2ps:FuzzDecodeMessage internal/xmlutil:FuzzParseBytes internal/xsd:FuzzDecodeBody internal/wsaddr:FuzzAddressingHeaders internal/soap:FuzzParseEnvelope internal/wsdl:FuzzParseWSDL
+FUZZ_TARGETS = internal/p2ps:FuzzDecodeMessage internal/xmlutil:FuzzParseBytes internal/xsd:FuzzDecodeBody internal/wsaddr:FuzzAddressingHeaders internal/soap:FuzzParseEnvelope internal/wsdl:FuzzParseWSDL internal/query:FuzzCompile
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -180,8 +180,7 @@ func main() {
 			fmt.Println("(one-way request accepted)")
 			return
 		}
-		os.Stdout.Write(xmlutil.MarshalIndent(res.Wrapper()))
-		fmt.Println()
+		fmt.Printf("%s\n", xmlutil.Marshal(res.Wrapper()))
 	default:
 		usage()
 	}

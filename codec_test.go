@@ -78,8 +78,14 @@ func codecPair(t *testing.T, def wspeer.ServiceDef, attach func(*wspeer.Peer)) *
 }
 
 func memPair(t *testing.T, def wspeer.ServiceDef) *wspeer.Invocation {
+	return codecPair(t, def, memAttach(t))
+}
+
+// memAttach returns what attaches an in-memory binding, on a network and a
+// directory of its own.
+func memAttach(t *testing.T) func(*wspeer.Peer) {
 	net, dir := wspeer.NewInMemNetwork(), wspeer.NewInMemDirectory()
-	return codecPair(t, def, func(p *wspeer.Peer) {
+	return func(p *wspeer.Peer) {
 		b, err := wspeer.NewInMemBinding(wspeer.InMemOptions{Network: net, Directory: dir})
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +94,7 @@ func memPair(t *testing.T, def wspeer.ServiceDef) *wspeer.Invocation {
 		if err := p.AttachBinding(b); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
 }
 
 // p2psAttach returns what attaches a P2PS binding, on a peer of its own, to
@@ -233,6 +239,42 @@ func TestMemEchoAllocs(t *testing.T) {
 	} else {
 		t.Logf("%.0f allocations", allocs)
 	}
+}
+
+// TestCallbackBudgetAllocs: a retry budget costs a callback invocation over
+// mem:// no allocation. Its carrier holds the call, the budget, the
+// exchange headers and the result, as many keys as a carrier holds without
+// a map: the headers alone mark the send as one that awaits no reply on
+// the call, with no pattern key beside them.
+func TestCallbackBudgetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	var allocs [2]float64
+	for i, budgeted := range []bool{false, true} {
+		attach := memAttach(t)
+		inv := codecPair(t, benchEchoDef(fmt.Sprintf("EchoCallback%d", i)), func(p *wspeer.Peer) {
+			attach(p)
+			if budgeted {
+				p.Client().ConfigureRetryBudget(wspeer.RetryBudgetOptions{Floor: 10, Cap: 100, Ratio: 0.1})
+			}
+		})
+		echo := func() {
+			pending, err := inv.InvokeCallback(context.Background(), "echo", wspeer.P("msg", "x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pending.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		echo() // plans compiled, pools filled, reply endpoint hosted
+		allocs[i] = testing.AllocsPerRun(200, echo)
+	}
+	if allocs[1] != allocs[0] {
+		t.Fatalf("a callback echo over mem://: %.0f allocations with a retry budget, %.0f without", allocs[1], allocs[0])
+	}
+	t.Logf("%.0f allocations", allocs[0])
 }
 
 // TestP2PSEchoAllocs pins what an echo round trip costs over the P2PS

@@ -305,7 +305,6 @@ func TestCallbackReplyHTTPToP2PS(t *testing.T) {
 	t.Cleanup(func() { consumerHTTP.Close() })
 	msgID := wsaddr.NewMessageID()
 	call := &pipeline.Call{Dir: pipeline.ClientCall, Service: "CrossCallbackA", Op: "echoString", Ctx: ctx}
-	call.SetMeta(exchange.MetaPattern, exchange.Callback)
 	call.SetMeta(exchange.MetaHeaders, &wsaddr.MessageHeaders{MessageID: msgID, ReplyTo: ep.EPR()})
 	info := &core.ServiceInfo{Name: "CrossCallbackA", Endpoint: dep.Endpoint, Definitions: dep.Definitions}
 	if _, err := consumerHTTP.Invoker().Invoke(call, info, "echoString", []engine.Param{engine.P("msg", "h2p")}); err != nil {
@@ -429,7 +428,6 @@ func TestCallbackReplyP2PSToHTTP(t *testing.T) {
 	}
 	msgID := wsaddr.NewMessageID()
 	call := &pipeline.Call{Dir: pipeline.ClientCall, Service: info.Name, Op: "echoString", Ctx: ctx}
-	call.SetMeta(exchange.MetaPattern, exchange.Callback)
 	call.SetMeta(exchange.MetaHeaders, &wsaddr.MessageHeaders{MessageID: msgID, ReplyTo: ep.EPR()})
 	if _, err := consumerP2PS.Invoker().Invoke(call, info, "echoString", []engine.Param{engine.P("msg", "p2h")}); err != nil {
 		t.Fatalf("callback send: %v", err)

@@ -15,8 +15,9 @@ import (
 )
 
 // ExchangeHeaders reads the WS-Addressing headers the exchange layer
-// stashed on a pipeline carrier, nil when the call is a plain synchronous
-// invocation (the fast path: one map lookup, no allocation).
+// stashed on a pipeline carrier: non-nil for a one-way or callback send,
+// nil when the call is a plain synchronous invocation (the fast path: one
+// map lookup, no allocation).
 func ExchangeHeaders(c *pipeline.Call) *wsaddr.MessageHeaders {
 	hdr, _ := c.GetMeta(exchange.MetaHeaders).(*wsaddr.MessageHeaders)
 	return hdr
@@ -42,13 +43,11 @@ func Invoke(c *pipeline.Call, reg *transport.Registry, svc *core.ServiceInfo, op
 	}
 	c.Request = req
 	if hdr != nil {
-		if p, _ := c.GetMeta(exchange.MetaPattern).(exchange.Pattern); p == exchange.OneWay || p == exchange.Callback {
-			if err := reg.Post(c.Ctx, req); err != nil {
-				return nil, err
-			}
-			c.Response = &transport.Response{}
-			return nil, nil
+		if err := reg.Post(c.Ctx, req); err != nil {
+			return nil, err
 		}
+		c.Response = &transport.Response{}
+		return nil, nil
 	}
 	resp, err := reg.Call(c.Ctx, req)
 	if err != nil {

@@ -612,8 +612,7 @@ func (i invoker) Invoke(c *pipeline.Call, svc *core.ServiceInfo, op string, para
 	// serialized to WS-Addressing standards, rides in the SOAP request.
 	hdr := wsaddr.HeadersFor(tgt.epr, tgt.action)
 	await := false
-	xh := binding.ExchangeHeaders(c)
-	if p, _ := c.GetMeta(exchange.MetaPattern).(exchange.Pattern); xh != nil && p != exchange.RequestResponse {
+	if xh := binding.ExchangeHeaders(c); xh != nil {
 		if xh.MessageID != "" {
 			hdr.MessageID = xh.MessageID // the ID the client's table is keyed by
 		}

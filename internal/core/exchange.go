@@ -126,8 +126,9 @@ func (c *Client) handleReply(body []byte) { c.exchangeTable().Deliver(body) }
 // exchange pattern: it opens the span, builds the carrier, runs the client
 // chain over the invocation's terminal and finishes (call table, flight
 // record, span end) through pipeline's Finish, as the engine's server side
-// does. A non-nil hdr makes it an exchange-layer send: pattern and headers
-// ride on the carrier's Meta for the binding to act on, and the send
+// does. A non-nil hdr makes it an exchange-layer send, one-way or callback:
+// the headers ride on the carrier's Meta for the binding to act on, their
+// presence alone telling it to send without awaiting a reply, and the send
 // targets the primary endpoint only.
 func (inv *Invocation) call(ctx context.Context, spanName string, pattern exchange.Pattern, hdr *wsaddr.MessageHeaders, op string, params []engine.Param) (*engine.Result, error) {
 	primary := inv.targets[0].svc
@@ -149,7 +150,6 @@ func (inv *Invocation) call(ctx context.Context, spanName string, pattern exchan
 	patternName := ""
 	if hdr != nil {
 		patternName = pattern.String()
-		c.SetMeta(exchange.MetaPattern, pattern)
 		c.SetMeta(exchange.MetaHeaders, hdr)
 	}
 	start := time.Now()

@@ -22,7 +22,8 @@ type Stamp struct {
 }
 
 // The generated WSDL documents are pinned byte for byte in
-// internal/wsdl/testdata, as the tree renderer wrote them.
+// internal/wsdl/testdata, as the writer writes them, with no whitespace
+// between tags.
 func TestGeneratedWSDLGolden(t *testing.T) {
 	echo := ServiceDef{Name: "Echo", Operations: []OperationDef{{
 		Name: "echo", Func: func(s string) string { return s }, ParamNames: []string{"msg"},

@@ -55,7 +55,9 @@ func (p Pattern) String() string {
 // chain (Retry, Hedge, Budget all keep working) by stashing its state on
 // the pipeline Call's Meta rather than widening the Call struct.
 const (
-	// MetaPattern carries the Pattern of the in-flight exchange.
+	// MetaPattern carries the Pattern of a one-way or callback exchange
+	// the engine served, on the server side only: on a client's carrier,
+	// MetaHeaders alone marks such a send.
 	MetaPattern = "exchange.pattern"
 	// MetaHeaders carries the *wsaddr.MessageHeaders the client wants
 	// stamped on the outbound envelope (MessageID, ReplyTo; the binding

@@ -41,8 +41,17 @@ func (e *Expr) Source() string { return e.source }
 // Matches evaluates the expression against a subject.
 func (e *Expr) Matches(s *Subject) bool { return e.root.eval(s) }
 
-// Compile parses an expression.
+// maxSource bounds the length of an expression Compile accepts. Parsing
+// recurses once per nesting level and evaluating once per operator, so the
+// bound keeps both stacks small whatever a query frame from a remote peer
+// holds: a stack overflow is fatal, past any recover.
+const maxSource = 4 << 10
+
+// Compile parses an expression of at most 4 KiB.
 func Compile(source string) (*Expr, error) {
+	if len(source) > maxSource {
+		return nil, fmt.Errorf("query: expression of %d bytes is over the %d-byte limit", len(source), maxSource)
+	}
 	p := &parser{lex: newLexer(source)}
 	p.next()
 	root, err := p.parseOr()

@@ -37,7 +37,7 @@ func serviceDefs(t testing.TB, name, address string, ops ...string) *Definitions
 }
 
 // TestWSDLAllocs gates the allocations of writing and reading the echo
-// WSDL (2 kB, 30 elements) and of reading an 8-operation one, whose
+// WSDL (1.7 kB, 30 elements) and of reading an 8-operation one, whose
 // schemas are kept as bytes. The tree renderer and the tree reader took
 // 112, 122 and 614; schemas read as trees, 1, 51 and 235.
 func TestWSDLAllocs(t *testing.T) {

@@ -22,8 +22,8 @@ import (
 // one it accepts as the same definitions (the schemas as trees equal but
 // for their prefixes), and that one marshals to the same bytes. Exempt
 // are documents holding text no XML document can carry (which the writer
-// does not write back), and schemas holding mixed content, to which the
-// indented writer adds whitespace, or an attribute twice; where a schema
+// does not write back), and schemas holding mixed content or an attribute
+// twice (oddSchema); where a schema
 // declares prefixes of its own, which the document's root declares once
 // written, the second document is only required to be the same tree.
 func FuzzParseWSDL(f *testing.F) {

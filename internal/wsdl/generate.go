@@ -9,12 +9,12 @@ import (
 	"wspeer/internal/xmlutil"
 )
 
-// Marshal renders the definitions as an indented WSDL document, written
-// straight into a pooled writer: the bytes a tree of the document would
-// marshal to, whose root declares tns, wsdl, wsdlsoap and a prefix for
-// each namespace of a part's element it does not declare already.
+// Marshal renders the definitions as a WSDL document, written straight
+// into a pooled writer: the bytes a tree of the document would marshal to,
+// whose root declares tns, wsdl, wsdlsoap and a prefix for each namespace
+// of a part's element it does not declare already.
 func (d *Definitions) Marshal() ([]byte, error) {
-	w := xmlutil.AcquireIndentWriter()
+	w := xmlutil.AcquireWriter()
 	d.assign(w)
 	if err := d.write(w); err != nil {
 		w.Finish() // releases the writer

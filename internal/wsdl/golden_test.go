@@ -13,7 +13,7 @@ import (
 // Marshal render them: raw schemas, a default namespace, foreign prefixes
 // and several ports. Their bytes, with those of the generated documents
 // (internal/engine's TestGeneratedWSDLGolden), are pinned in testdata as
-// the tree renderer wrote them.
+// the writer writes them, with no whitespace between tags.
 var goldenDocs = []struct{ file, doc string }{
 	{"axis.wsdl", axisStyleWSDL},
 	{"dotnet.wsdl", dotNetStyleWSDL},

@@ -5,7 +5,7 @@
 // parse definitions published by remote peers.
 //
 // Neither direction builds a tree of the document (DESIGN.md §9). Marshal
-// drives the pooled xmlutil writer by hand, indented, with the prefixes a
+// drives the pooled xmlutil writer by hand, compact, with the prefixes a
 // tree of the document would have had; Parse decodes the document's tokens
 // through the compiled plans of package xsd, into tagged types, and keeps
 // the schemas of a parsed document as their bytes, which Marshal writes

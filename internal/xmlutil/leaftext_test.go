@@ -11,27 +11,26 @@ import (
 // node of its own. The expected bytes were produced by that implementation.
 func TestLeafTextForms(t *testing.T) {
 	cases := []struct {
-		name, doc, compact, indented, text string
+		name, doc, compact, text string
 	}{
-		{"leaf", `<a>text</a>`, `<a>text</a>`, "<a>text</a>\n", "text"},
-		{"empty", `<a></a>`, `<a/>`, "<a/>\n", ""},
-		{"self-closed", `<a/>`, `<a/>`, "<a/>\n", ""},
-		{"whitespace only", `<a>   </a>`, `<a/>`, "<a/>\n", "   "},
-		{"padded", `<a>  pad  </a>`, `<a>  pad  </a>`, "<a>  pad  </a>\n", "  pad  "},
-		{"whitespace then child", "<a>\n  <b>x</b>\n</a>", `<a><b>x</b></a>`, "<a>\n  <b>x</b>\n</a>\n", "\n  \n"},
-		{"child then text", `<a><b/>tail</a>`, `<a><b/>tail</a>`, "<a>\n  <b/>tail\n</a>\n", "tail"},
-		{"text then child", `<a>head<b/></a>`, `<a>head<b/></a>`, "<a>head\n  <b/>\n</a>\n", "head"},
-		{"mixed", `<a>one<b>two</b>three</a>`, `<a>one<b>two</b>three</a>`, "<a>one\n  <b>two</b>three\n</a>\n", "onethree"},
-		{"CDATA only", `<a><![CDATA[<raw & data>]]></a>`, `<a>&lt;raw &amp; data&gt;</a>`, "<a>&lt;raw &amp; data&gt;</a>\n", "<raw & data>"},
-		{"empty CDATA", `<a><![CDATA[]]></a>`, `<a/>`, "<a/>\n", ""},
-		{"text CDATA text", `<a>x<![CDATA[y]]>z</a>`, `<a>xyz</a>`, "<a>xyz</a>\n", "xyz"},
-		{"text comment text", `<a>x<!-- c -->y</a>`, `<a>xy</a>`, "<a>xy</a>\n", "xy"},
-		{"entities", `<a>1 &lt; 2 &amp;&amp; &#65;&#x42; &quot;q&quot;</a>`, `<a>1 &lt; 2 &amp;&amp; AB &#34;q&#34;</a>`, "<a>1 &lt; 2 &amp;&amp; AB &#34;q&#34;</a>\n", `1 < 2 && AB "q"`},
-		{"multi-byte", `<a>é—𝄞</a>`, `<a>é—𝄞</a>`, "<a>é—𝄞</a>\n", "é—𝄞"},
-		{"line ends", "<a>l1\r\nl2\rl3</a>", `<a>l1&#xA;l2&#xA;l3</a>`, "<a>l1&#xA;l2&#xA;l3</a>\n", "l1\nl2\nl3"},
+		{"leaf", `<a>text</a>`, `<a>text</a>`, "text"},
+		{"empty", `<a></a>`, `<a/>`, ""},
+		{"self-closed", `<a/>`, `<a/>`, ""},
+		{"whitespace only", `<a>   </a>`, `<a/>`, "   "},
+		{"padded", `<a>  pad  </a>`, `<a>  pad  </a>`, "  pad  "},
+		{"whitespace then child", "<a>\n  <b>x</b>\n</a>", `<a><b>x</b></a>`, "\n  \n"},
+		{"child then text", `<a><b/>tail</a>`, `<a><b/>tail</a>`, "tail"},
+		{"text then child", `<a>head<b/></a>`, `<a>head<b/></a>`, "head"},
+		{"mixed", `<a>one<b>two</b>three</a>`, `<a>one<b>two</b>three</a>`, "onethree"},
+		{"CDATA only", `<a><![CDATA[<raw & data>]]></a>`, `<a>&lt;raw &amp; data&gt;</a>`, "<raw & data>"},
+		{"empty CDATA", `<a><![CDATA[]]></a>`, `<a/>`, ""},
+		{"text CDATA text", `<a>x<![CDATA[y]]>z</a>`, `<a>xyz</a>`, "xyz"},
+		{"text comment text", `<a>x<!-- c -->y</a>`, `<a>xy</a>`, "xy"},
+		{"entities", `<a>1 &lt; 2 &amp;&amp; &#65;&#x42; &quot;q&quot;</a>`, `<a>1 &lt; 2 &amp;&amp; AB &#34;q&#34;</a>`, `1 < 2 && AB "q"`},
+		{"multi-byte", `<a>é—𝄞</a>`, `<a>é—𝄞</a>`, "é—𝄞"},
+		{"line ends", "<a>l1\r\nl2\rl3</a>", `<a>l1&#xA;l2&#xA;l3</a>`, "l1\nl2\nl3"},
 		{"namespaced leaves", `<p:a xmlns:p="urn:p" k="v &amp; w"><p:b>t</p:b><c xmlns="urn:d">u</c></p:a>`,
-			`<ns1:a xmlns:ns2="urn:d" xmlns:ns1="urn:p" k="v &amp; w"><ns1:b>t</ns1:b><ns2:c>u</ns2:c></ns1:a>`,
-			"<ns1:a xmlns:ns2=\"urn:d\" xmlns:ns1=\"urn:p\" k=\"v &amp; w\">\n  <ns1:b>t</ns1:b>\n  <ns2:c>u</ns2:c>\n</ns1:a>\n", ""},
+			`<ns1:a xmlns:ns2="urn:d" xmlns:ns1="urn:p" k="v &amp; w"><ns1:b>t</ns1:b><ns2:c>u</ns2:c></ns1:a>`, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,9 +41,6 @@ func TestLeafTextForms(t *testing.T) {
 			for form, tree := range map[string]*Element{"parsed": el, "clone": el.Clone()} {
 				if got := string(Marshal(tree)); got != tc.compact {
 					t.Errorf("%s: Marshal = %q, want %q", form, got, tc.compact)
-				}
-				if got := string(MarshalIndent(tree)); got != tc.indented {
-					t.Errorf("%s: MarshalIndent = %q, want %q", form, got, tc.indented)
 				}
 				if got := tree.Text(); got != tc.text {
 					t.Errorf("%s: Text = %q, want %q", form, got, tc.text)

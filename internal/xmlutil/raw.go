@@ -17,9 +17,9 @@ type Raw struct {
 	Name  Name
 	data  []byte    // its start tag through its end tag
 	scope []binding // the declarations in scope around it, not its own
-	// written: data is what a compact Writer wrote in scope (FinishRaw),
-	// so a writer giving scope's namespaces the same prefixes writes it
-	// again byte for byte.
+	// written: data is what a Writer wrote in scope (FinishRaw), so a
+	// writer giving scope's namespaces the same prefixes writes it again
+	// byte for byte.
 	written bool
 }
 
@@ -72,7 +72,7 @@ func (w *Writer) FinishRaw(name Name) Raw {
 			w.rawScope = append(w.rawScope, binding{prefix: prefix, uri: uri})
 		}
 	}
-	r := Raw{Name: name, data: bytes.Clone(w.b.Bytes()), scope: w.rawScope, written: w.indent == ""}
+	r := Raw{Name: name, data: bytes.Clone(w.b.Bytes()), scope: w.rawScope, written: true}
 	w.release()
 	return r
 }
@@ -122,7 +122,7 @@ func (w *Writer) raw(r Raw, collect bool) {
 		case collect:
 			w.Assign(b.uri)
 			return
-		case w.indent == "" && w.prefixes[b.uri] == b.prefix:
+		case w.prefixes[b.uri] == b.prefix:
 			w.b.Write(r.data)
 			return
 		}

@@ -20,8 +20,8 @@ var rawDocs = []string{
 }
 
 // TestRawIsItsTree: every element of every document, read as a Raw, names
-// itself, builds the tree Fragment builds, and gives a writer — compact or
-// indented — the prefixes and bytes that tree gives it, without one.
+// itself, builds the tree Fragment builds, and gives a writer the prefixes
+// and bytes that tree gives it, without one.
 func TestRawIsItsTree(t *testing.T) {
 	for _, doc := range rawDocs {
 		for depth := 1; ; depth++ {
@@ -36,12 +36,10 @@ func TestRawIsItsTree(t *testing.T) {
 				if el, err := r.Element(); err != nil || !Equal(el, trees[i]) || !bytes.Equal(Marshal(el), Marshal(trees[i])) {
 					t.Errorf("%v: Raw builds %s, %v; Fragment %s", r.Name, Marshal(el), err, Marshal(trees[i]))
 				}
-				for _, indent := range []bool{false, true} {
-					fromTree := writeUnder(indent, func(w *Writer) { w.Collect(trees[i]) }, func(w *Writer) { w.Tree(trees[i]) })
-					fromRaw := writeUnder(indent, func(w *Writer) { w.CollectRaw(r) }, func(w *Writer) { w.Raw(r) })
-					if fromRaw != fromTree {
-						t.Errorf("%v (indented %v) written from its bytes:\n%s\nfrom its tree:\n%s", r.Name, indent, fromRaw, fromTree)
-					}
+				fromTree := writeUnder(func(w *Writer) { w.Collect(trees[i]) }, func(w *Writer) { w.Tree(trees[i]) })
+				fromRaw := writeUnder(func(w *Writer) { w.CollectRaw(r) }, func(w *Writer) { w.Raw(r) })
+				if fromRaw != fromTree {
+					t.Errorf("%v written from its bytes:\n%s\nfrom its tree:\n%s", r.Name, fromRaw, fromTree)
 				}
 			}
 		}
@@ -73,13 +71,11 @@ func TestRawDetachAndWrite(t *testing.T) {
 	// Written again, as it is where its namespace keeps its prefix and
 	// from its tokens where it does not, it is its tree.
 	for _, first := range []string{"urn:n", "urn:other"} {
-		for _, indent := range []bool{false, true} {
-			collect := func(w *Writer) { w.Assign(first) }
-			fromTree := writeUnder(indent, func(w *Writer) { collect(w); w.Collect(el) }, func(w *Writer) { w.Tree(el) })
-			fromRaw := writeUnder(indent, func(w *Writer) { collect(w); w.CollectRaw(r) }, func(w *Writer) { w.Raw(r) })
-			if fromRaw != fromTree {
-				t.Errorf("after %s (indented %v) written from its bytes:\n%s\nfrom its tree:\n%s", first, indent, fromRaw, fromTree)
-			}
+		collect := func(w *Writer) { w.Assign(first) }
+		fromTree := writeUnder(func(w *Writer) { collect(w); w.Collect(el) }, func(w *Writer) { w.Tree(el) })
+		fromRaw := writeUnder(func(w *Writer) { collect(w); w.CollectRaw(r) }, func(w *Writer) { w.Raw(r) })
+		if fromRaw != fromTree {
+			t.Errorf("after %s written from its bytes:\n%s\nfrom its tree:\n%s", first, fromRaw, fromTree)
 		}
 	}
 }
@@ -119,12 +115,9 @@ func elementsAt(t *testing.T, doc string, depth int) (raws []Raw, trees []*Eleme
 // writeUnder writes a document whose root, in a namespace with a prefix of
 // its own, holds what write writes, after collect has given the writer its
 // prefixes.
-func writeUnder(indent bool, collect, write func(*Writer)) string {
+func writeUnder(collect, write func(*Writer)) string {
 	const root = "http://schemas.xmlsoap.org/soap/envelope/"
 	w := AcquireWriter()
-	if indent {
-		w = AcquireIndentWriter()
-	}
 	w.Assign(root)
 	collect(w)
 	w.StartRoot(w.Prefix(root), "root")

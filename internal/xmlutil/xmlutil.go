@@ -471,19 +471,13 @@ var PreferredPrefixes = map[string]string{
 // by hand: Assign, Declare and Collect in the order a walk of the whole
 // tree would meet the namespaces, then StartRoot / Attr / Enter, Open (or
 // Start, Attr / QNameAttr, Enter) / Leaf / Tree / Close, then Finish or
-// FinishTo — and gets the bytes Marshal, or MarshalIndent for a writer
-// taken with AcquireIndentWriter, gives for the tree.
+// FinishTo — and gets the bytes Marshal gives for the tree.
 type Writer struct {
 	b        bytes.Buffer
-	indent   string
 	prefixes map[string]string // uri -> prefix, global assignment
 	next     int
 	scratch  []byte   // conversion buffer for the slow escape path
 	uris     []string // declarations' sort buffer
-	// The indented form of a document written by hand: the elements open,
-	// and whether the innermost has a child element so far.
-	depth  int
-	nested bool
 	// The scope the last FinishRaw handed out, which no Raw writes to.
 	rawScope []binding
 	last     binding // the namespace Prefix last read, and its prefix; Assign forgets it
@@ -505,19 +499,8 @@ var writerPool = sync.Pool{
 // instead of pinning their memory in the pool.
 const maxPooledWriterCap = 1 << 20
 
-// AcquireWriter returns an empty compact-form writer from the pool.
-func AcquireWriter() *Writer { return getWriter("") }
-
-// AcquireIndentWriter returns an empty writer of the form MarshalIndent
-// writes: every element on a line of its own, two spaces deeper than its
-// parent, but for an element holding only text.
-func AcquireIndentWriter() *Writer { return getWriter("  ") }
-
-func getWriter(indent string) *Writer {
-	w := writerPool.Get().(*Writer)
-	w.indent = indent
-	return w
-}
+// AcquireWriter returns an empty writer from the pool.
+func AcquireWriter() *Writer { return writerPool.Get().(*Writer) }
 
 func (w *Writer) release() {
 	if w.b.Cap() > maxPooledWriterCap || len(w.prefixes) > 64 {
@@ -525,7 +508,7 @@ func (w *Writer) release() {
 	}
 	w.b.Reset()
 	clear(w.prefixes)
-	w.next, w.depth, w.nested, w.last = 0, 0, false, binding{}
+	w.next, w.last = 0, binding{}
 	writerPool.Put(w)
 }
 
@@ -546,30 +529,19 @@ func (w *Writer) FinishTo(dst io.Writer) error {
 	return err
 }
 
-// Marshal serializes the tree to a compact byte slice (no XML declaration).
-// The returned slice is freshly allocated and never aliases pooled memory.
-func Marshal(e *Element) []byte { return getWriter("").run(e).Finish() }
+// Marshal serializes the tree to a byte slice (no XML declaration, no
+// whitespace between tags). The returned slice is freshly allocated and
+// never aliases pooled memory.
+func Marshal(e *Element) []byte { return AcquireWriter().run(e).Finish() }
 
-// MarshalIndent serializes the tree with two-space indentation.
-func MarshalIndent(e *Element) []byte { return getWriter("  ").run(e).Finish() }
-
-// MarshalTo serializes the tree (compact form) directly to dst, using a
-// pooled intermediate buffer: the bytes are written once, with no retained
-// copies.
-func MarshalTo(dst io.Writer, e *Element) error { return getWriter("").run(e).FinishTo(dst) }
+// MarshalTo serializes the tree directly to dst, using a pooled
+// intermediate buffer: the bytes are written once, with no retained copies.
+func MarshalTo(dst io.Writer, e *Element) error { return AcquireWriter().run(e).FinishTo(dst) }
 
 func (w *Writer) run(e *Element) *Writer {
 	w.Collect(e)
-	w.element(e, 0)
-	if w.indent != "" {
-		w.b.WriteByte('\n')
-	}
+	w.element(e, true)
 	return w
-}
-
-// MarshalDocument serializes with a leading XML declaration.
-func MarshalDocument(e *Element) []byte {
-	return append([]byte(xml.Header), MarshalIndent(e)...)
 }
 
 // Collect assigns a prefix to every namespace URI used in the tree.
@@ -711,16 +683,10 @@ func (w *Writer) tag(open, prefix, local string) {
 func (w *Writer) StartRoot(prefix, local string) {
 	w.tag("<", prefix, local)
 	w.declarations()
-	if w.indent != "" {
-		w.depth, w.nested = 1, false
-	}
 }
 
 // Open writes a start tag and returns the mark its Close wants.
 func (w *Writer) Open(prefix, local string) (mark int) {
-	if w.indent != "" {
-		w.startLine()
-	}
 	w.tag("<", prefix, local)
 	return w.Enter()
 }
@@ -728,9 +694,6 @@ func (w *Writer) Open(prefix, local string) (mark int) {
 // Start is Open for a start tag that goes on with attributes, up to its
 // Enter.
 func (w *Writer) Start(prefix, local string) {
-	if w.indent != "" {
-		w.startLine()
-	}
 	w.tag("<", prefix, local)
 }
 
@@ -768,10 +731,6 @@ func (w *Writer) Enter() (mark int) {
 // nothing was written since, makes its start tag an empty-element tag: the
 // form a tree's element without significant content takes.
 func (w *Writer) Close(prefix, local string, mark int) {
-	if w.indent != "" {
-		w.closeIndented(prefix, local, mark)
-		return
-	}
 	if w.b.Len() == mark {
 		w.b.Truncate(mark - 1)
 		w.b.WriteString("/>")
@@ -779,41 +738,6 @@ func (w *Writer) Close(prefix, local string, mark int) {
 	}
 	w.tag("</", prefix, local)
 	w.b.WriteByte('>')
-}
-
-// startLine puts the start tag of an element written by hand, in the
-// indented form, on a line of its own.
-func (w *Writer) startLine() {
-	w.newline(w.depth)
-	w.depth, w.nested = w.depth+1, false
-}
-
-// closeIndented is Close in the indented form: an end tag after child
-// elements goes on a line of its own, and the document ends with a newline.
-func (w *Writer) closeIndented(prefix, local string, mark int) {
-	w.depth--
-	if w.b.Len() == mark {
-		w.b.Truncate(mark - 1)
-		w.b.WriteString("/>")
-	} else {
-		if w.nested {
-			w.newline(w.depth)
-		}
-		w.tag("</", prefix, local)
-		w.b.WriteByte('>')
-	}
-	w.nested = true
-	if w.depth == 0 {
-		w.b.WriteByte('\n')
-	}
-}
-
-// newline starts the line of an element depth levels deep.
-func (w *Writer) newline(depth int) {
-	w.b.WriteByte('\n')
-	for i := 0; i < depth; i++ {
-		w.b.WriteString(w.indent)
-	}
 }
 
 // Leaf writes an element holding text.
@@ -832,22 +756,14 @@ func (w *Writer) Text(s string) {
 }
 
 // Tree writes e and everything under it, as a descendant of the root.
-func (w *Writer) Tree(e *Element) {
-	if w.indent != "" {
-		w.element(e, w.depth)
-		w.nested = true
-		return
-	}
-	w.element(e, 1)
-}
+func (w *Writer) Tree(e *Element) { w.element(e, false) }
 
-func (w *Writer) element(e *Element, depth int) {
-	if w.indent != "" && depth > 0 {
-		w.newline(depth)
-	}
+// element writes e and everything under it; the document element declares
+// every prefix.
+func (w *Writer) element(e *Element, root bool) {
 	w.b.WriteByte('<')
 	w.writeName(e.Name)
-	if depth == 0 {
+	if root {
 		w.declarations()
 	}
 	for _, a := range e.Attrs {
@@ -857,18 +773,14 @@ func (w *Writer) element(e *Element, depth int) {
 		w.escapeAttr(a.Value)
 		w.b.WriteByte('"')
 	}
-	// Classify children without materializing the significant-child slice:
-	// whitespace-only text nodes (indentation) are not significant.
-	hasSig, textOnly := !isInsignificantWS(e.text), true
+	// Look for significant content without materializing the
+	// significant-child slice: whitespace-only text nodes (indentation) are
+	// not significant.
+	hasSig := !isInsignificantWS(e.text)
 	for _, n := range e.children {
-		switch n := n.(type) {
-		case Text:
-			if !isInsignificantWS(string(n)) {
-				hasSig = true
-			}
-		case *Element:
+		if t, ok := n.(Text); !ok || !isInsignificantWS(string(t)) {
 			hasSig = true
-			textOnly = false
+			break
 		}
 	}
 	if !hasSig {
@@ -886,11 +798,8 @@ func (w *Writer) element(e *Element, depth int) {
 				w.escapeText(string(n))
 			}
 		case *Element:
-			w.element(n, depth+1)
+			w.element(n, false)
 		}
-	}
-	if !textOnly && w.indent != "" {
-		w.newline(depth)
 	}
 	w.b.WriteString("</")
 	w.writeName(e.Name)

@@ -312,32 +312,6 @@ func TestMarshalPrefixConflict(t *testing.T) {
 	}
 }
 
-func TestMarshalIndentStable(t *testing.T) {
-	root := NewElement(N(nsA, "r"))
-	root.NewChild(N(nsA, "c")).SetText("1")
-	root.NewChild(N(nsB, "d"))
-	a := string(MarshalIndent(root))
-	b := string(MarshalIndent(root))
-	if a != b {
-		t.Fatal("marshal must be deterministic")
-	}
-	if !strings.Contains(a, "\n") {
-		t.Fatal("indent output should be multiline")
-	}
-	back, err := ParseString(a)
-	if err != nil || !Equal(root, back) {
-		t.Fatalf("indented round trip failed: %v", err)
-	}
-}
-
-func TestMarshalDocumentHeader(t *testing.T) {
-	e := NewElement(N("", "doc"))
-	out := string(MarshalDocument(e))
-	if !strings.HasPrefix(out, "<?xml") {
-		t.Fatalf("missing xml decl: %s", out)
-	}
-}
-
 func TestFindAndFindAll(t *testing.T) {
 	root, _ := ParseString(`<r xmlns="` + nsA + `"><a><b/><b/></a><b/></r>`)
 	if got := len(root.FindAll(N(nsA, "b"))); got != 3 {
