@@ -17,7 +17,6 @@ import (
 	"wspeer/internal/core"
 	"wspeer/internal/engine"
 	"wspeer/internal/pipeline"
-	"wspeer/internal/resilience"
 	"wspeer/internal/soap"
 	"wspeer/internal/transport"
 	"wspeer/internal/wsaddr"
@@ -182,13 +181,9 @@ func (d deployer) Deploy(def engine.ServiceDef) (*core.Deployment, error) {
 		defer b.inflight.Done()
 		resp, err := b.Engine().ServeRequest(ctx, def.Name, req)
 		if err != nil {
-			f := soap.ServerFault(err)
-			if o, ok := resilience.AsOverload(err); ok {
-				f = o.Fault()
-			}
 			return &transport.Response{
 				ContentType: soap.ContentType,
-				Body:        soap.NewEnvelope().SetFault(f).Marshal(),
+				Body:        soap.NewEnvelope().SetFault(soap.ServerFault(err)).Marshal(),
 				Faulted:     true,
 			}, nil
 		}

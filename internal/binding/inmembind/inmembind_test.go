@@ -3,10 +3,13 @@ package inmembind
 import (
 	"context"
 	"testing"
+	"time"
 
 	"wspeer/internal/binding/bindtest"
 	"wspeer/internal/core"
 	"wspeer/internal/engine"
+	"wspeer/internal/resilience"
+	"wspeer/internal/soap"
 	"wspeer/internal/transport"
 	"wspeer/internal/wsdl"
 )
@@ -123,5 +126,54 @@ func TestForeignPublishCarriesEndpoint(t *testing.T) {
 	}
 	if transport.SchemeOf(info.Endpoint) != "http" {
 		t.Fatalf("foreign endpoint = %q", info.Endpoint)
+	}
+}
+
+// goldenOverloadFault is the fault a shed request gets over mem:// from an
+// engine whose admission advertises 2 s: captured from the tree-rendering
+// fault writer, and byte for byte HTTP's 503 body.
+const goldenOverloadFault = `<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/" xmlns:ns1="http://wspeer.dev/resilience"><soapenv:Body><soapenv:Fault><faultcode>soapenv:Server</faultcode><faultstring>resilience: server overloaded (queue full), retry after 2s</faultstring><detail><ns1:retryAfterSeconds>2</ns1:retryAfterSeconds></detail></soapenv:Fault></soapenv:Body></soapenv:Envelope>`
+
+// TestGoldenOverloadFault: the fault of a request the engine sheds does not
+// move by a byte.
+func TestGoldenOverloadFault(t *testing.T) {
+	net := transport.NewInMemNetwork()
+	b, err := New(Options{Network: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Engine().SetAdmission(resilience.NewAdmission(resilience.AdmissionOptions{MaxConcurrent: 1, RetryAfter: 2 * time.Second}))
+	entered, release := make(chan struct{}), make(chan struct{})
+	dep, err := b.Deployer().Deploy(engine.ServiceDef{Name: "Gated", Operations: []engine.OperationDef{{
+		Name: "wait", Func: func() string { entered <- struct{}{}; <-release; return "done" },
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.NewPeer()
+	if err := p.AttachBinding(b); err != nil {
+		t.Fatal(err)
+	}
+	inv, err := p.Client().NewInvocation(&core.ServiceInfo{Name: "Gated", Endpoint: dep.Endpoint, Definitions: dep.Definitions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan error, 1)
+	go func() {
+		_, err := inv.Invoke(context.Background(), "wait")
+		held <- err
+	}()
+	<-entered
+	resp, err := net.Transport().Call(context.Background(), &transport.Request{Endpoint: dep.Endpoint, ContentType: soap.ContentType, Body: []byte("<x/>")})
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-held; err != nil {
+		t.Fatalf("held invocation: %v", err)
+	}
+	if !resp.Faulted || string(resp.Body) != goldenOverloadFault {
+		t.Fatalf("shed request: faulted %v, body drifted from the golden bytes:\n got: %s\nwant: %s", resp.Faulted, resp.Body, goldenOverloadFault)
 	}
 }

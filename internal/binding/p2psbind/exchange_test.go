@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -143,8 +144,8 @@ func TestOverloadFaultOverPipes(t *testing.T) {
 	if !errors.As(err, &f) {
 		t.Fatalf("second invoke = %v, want an overload fault", err)
 	}
-	if f.Code != soap.FaultServer || f.Detail == nil || f.Detail.Name.Local != "retryAfterSeconds" {
-		t.Fatalf("fault = %+v (detail %v), want Server with retryAfterSeconds", f, f.Detail)
+	if f.Code != soap.FaultServer || f.Detail.Name.Local != "retryAfterSeconds" {
+		t.Fatalf("fault = %+v (detail %v), want Server with retryAfterSeconds", f, f.Detail.Name)
 	}
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("overload fault took %v", took)
@@ -252,5 +253,88 @@ func TestCloseClosesHostedReplyPipes(t *testing.T) {
 	case body := <-delivered:
 		t.Fatalf("closed reply pipe delivered %q", body)
 	default:
+	}
+}
+
+// goldenOverloadFault is the shed request's reply over P2PS, from an engine
+// whose admission advertises 2 s: the document element's start tag and the
+// Body, captured from the tree-rendering fault writer (the addressing
+// headers between them carry the exchange's own identifiers).
+const goldenOverloadFault = `<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/" xmlns:wsa="http://schemas.xmlsoap.org/ws/2004/08/addressing" xmlns:ns1="http://wspeer.dev/p2ps" xmlns:ns2="http://wspeer.dev/resilience"><soapenv:Body><soapenv:Fault><faultcode>soapenv:Server</faultcode><faultstring>resilience: server overloaded (queue full), retry after 2s</faultstring><detail><ns2:retryAfterSeconds>2</ns2:retryAfterSeconds></detail></soapenv:Fault></soapenv:Body></soapenv:Envelope>`
+
+// replyCapture keeps every frame its transport sends that mentions the
+// overload detail.
+type replyCapture struct {
+	p2ps.Transport
+	mu   sync.Mutex
+	sent []string
+}
+
+func (c *replyCapture) Send(to string, data []byte) error {
+	if strings.Contains(string(data), "retryAfterSeconds") {
+		c.mu.Lock()
+		c.sent = append(c.sent, string(data))
+		c.mu.Unlock()
+	}
+	return c.Transport.Send(to, data)
+}
+
+// TestGoldenOverloadFaultOverPipes: the fault a provider sends a shed
+// request does not move by a byte.
+func TestGoldenOverloadFaultOverPipes(t *testing.T) {
+	o := newOverlay(t)
+	capture := &replyCapture{Transport: o.net.NewEndpoint()}
+	node, err := p2ps.NewPeer(p2ps.Config{Transport: capture, Seeds: []string{o.rdv.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	providerBinding, err := New(Options{Peer: node, DiscoveryTimeout: 300 * time.Millisecond, ReplyTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	providerPeer := core.NewPeer()
+	providerBinding.Attach(providerPeer)
+	consumerPeer, _ := o.boundPeer()
+	ctx := context.Background()
+	providerBinding.Engine().SetAdmission(resilience.NewAdmission(resilience.AdmissionOptions{MaxConcurrent: 1, RetryAfter: 2 * time.Second}))
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	if _, err := providerPeer.Server().DeployAndPublish(ctx, blockingDef(entered, release)); err != nil {
+		t.Fatal(err)
+	}
+	inv, err := consumerPeer.Client().NewInvocation(locateWithRetry(t, consumerPeer, "Slow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan error, 1)
+	go func() {
+		_, err := inv.Invoke(ctx, "wait")
+		first <- err
+	}()
+	<-entered
+	_, err = inv.Invoke(ctx, "wait")
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("admitted invoke: %v", err)
+	}
+	var f *soap.Fault
+	if !errors.As(err, &f) {
+		t.Fatalf("second invoke = %v, want an overload fault", err)
+	}
+	capture.mu.Lock()
+	defer capture.mu.Unlock()
+	if len(capture.sent) != 1 {
+		t.Fatalf("%d frames carried the overload fault, want 1", len(capture.sent))
+	}
+	frame := capture.sent[0]
+	start, end := strings.Index(frame, "<soapenv:Envelope"), strings.Index(frame, "</soapenv:Envelope>")
+	if start < 0 || end < start {
+		t.Fatalf("no envelope in the reply frame %q", frame)
+	}
+	env := frame[start : end+len("</soapenv:Envelope>")]
+	got := env[:strings.IndexByte(env, '>')+1] + env[strings.Index(env, "<soapenv:Body>"):]
+	if got != goldenOverloadFault {
+		t.Fatalf("overload fault drifted from the golden bytes:\n got: %s\nwant: %s\n(whole envelope: %s)", got, goldenOverloadFault, env)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"wspeer/internal/exchange"
 	"wspeer/internal/p2ps"
 	"wspeer/internal/pipeline"
-	"wspeer/internal/resilience"
 	"wspeer/internal/soap"
 	"wspeer/internal/transport"
 	"wspeer/internal/wsaddr"
@@ -427,11 +426,7 @@ func (b *Binding) handleRequest(ds *deployedService, data []byte) {
 		// The engine refused the request before dispatch. An overload
 		// becomes the P2PS equivalent of HTTP 503 + Retry-After: a Server
 		// fault whose detail advertises the backoff in seconds.
-		f := soap.ServerFault(err)
-		if o, ok := resilience.AsOverload(err); ok {
-			f = o.Fault()
-		}
-		b.Engine().DeliverReply(ctx, hdr, soap.NewEnvelope().SetFault(f))
+		b.Engine().DeliverReply(ctx, hdr, soap.NewEnvelope().SetFault(soap.ServerFault(err)))
 	}
 	// The dispatch is over (slot released, span and call row recorded):
 	// now the reply the engine handed to the ReplySender may leave. None

@@ -115,7 +115,7 @@ func TestProviderParsesRequestOnce(t *testing.T) {
 	if reply.IsFault() {
 		t.Fatalf("engine parsed the request again: %+v", reply.Fault())
 	}
-	if got := reply.FirstBodyElement().ChildLocal("return"); got == nil || got.Text() != "p2ps:once" {
+	if got := reply.FirstBodyElement().Elements(); len(got) != 1 || got[0].Name.Local != "return" || got[0].Text() != "p2ps:once" {
 		t.Fatalf("reply body = %s", reply.Marshal())
 	}
 	if n := dispatches.Load(); n != 1 {

@@ -777,7 +777,7 @@ func TestSOAP12RequestGetsSOAP12Response(t *testing.T) {
 	if out == nil || out.Name.Local != "echoStringResponse" {
 		t.Fatalf("response body: %s", resp.Body)
 	}
-	if got := out.ChildLocal("return").Text(); got != "twelve" {
+	if got := out.Find(xmlutil.N(out.Name.Space, "return")).Text(); got != "twelve" {
 		t.Fatalf("return = %q", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"wspeer/internal/soap"
 	"wspeer/internal/transport"
 	"wspeer/internal/wsdl"
+	"wspeer/internal/xmlutil"
 )
 
 // Rec is the benchmark's record shape (bench/gen.go).
@@ -133,7 +134,7 @@ func TestResultDecodesFromTheBytes(t *testing.T) {
 	if n := soap.BodyTreesBuilt() - trees; n != 0 {
 		t.Fatalf("%d body trees built by an invocation and seven decodes", n)
 	}
-	if w := res.Wrapper(); w == nil || w.Name.Local != "divideResponse" || w.ChildLocal("quotient").Text() != "3.5" {
+	if w := res.Wrapper(); w == nil || w.Name.Local != "divideResponse" || w.Find(xmlutil.N(w.Name.Space, "quotient")).Text() != "3.5" {
 		t.Fatalf("Wrapper = %v", w)
 	}
 	if n := soap.BodyTreesBuilt() - trees; n != 1 {

@@ -144,7 +144,7 @@ func TestServeParsedUsesWhatItIsHanded(t *testing.T) {
 	if err != nil || env.IsFault() {
 		t.Fatalf("reply is not a response: %v, %+v", err, env.Fault())
 	}
-	if got := env.FirstBodyElement().ChildLocal("return"); got == nil || got.Text() != "handed in" {
+	if got := env.FirstBodyElement().Elements(); len(got) != 1 || got[0].Name.Local != "return" || got[0].Text() != "handed in" {
 		t.Fatalf("operation did not run on the handed-in envelope: %s", reply.Body)
 	}
 

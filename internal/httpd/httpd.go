@@ -468,30 +468,24 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 	)
 	if rt.interceptor != nil {
 		resp, handled, err = rt.interceptor(service, req)
-		if err != nil {
-			mHostFaults.Inc()
-			telemetry.Default().Log.Warn(ctx, "httpd: interceptor failed request",
-				"service", service, "err", err)
-			writeFault(w, soap.ServerFault(err))
-			return
-		}
 	}
-	if !handled {
+	if !handled && err == nil {
 		resp, err = h.eng.ServeRequest(ctx, service, req)
-		if err != nil {
-			if o, ok := resilience.AsOverload(err); ok {
-				// Admission already logged the shed with this ctx's trace;
-				// only count the HTTP-level outcome here.
-				mHostOverloads.Inc()
-				writeOverload(w, o)
-				return
-			}
-			mHostFaults.Inc()
-			telemetry.Default().Log.Warn(ctx, "httpd: dispatch failed, answering with fault",
-				"service", service, "err", err)
-			writeFault(w, soap.ServerFault(err))
+	}
+	if err != nil { // the interceptor's or the engine's
+		if o, ok := resilience.AsOverload(err); ok {
+			// Admission logged the shed with this ctx's trace; only count
+			// the HTTP-level outcome here.
+			mHostOverloads.Inc()
+			w.Header().Set("Retry-After", strconv.Itoa(o.RetryAfterSeconds()))
+			writeFault(w, http.StatusServiceUnavailable, err)
 			return
 		}
+		mHostFaults.Inc()
+		telemetry.Default().Log.Warn(ctx, "httpd: request failed, answering with fault",
+			"service", service, "err", err)
+		writeFault(w, http.StatusInternalServerError, err)
+		return
 	}
 	if len(resp.Body) == 0 {
 		w.WriteHeader(http.StatusAccepted) // one-way
@@ -564,22 +558,14 @@ func (h *Host) handleDebug(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(snap) //nolint:errcheck // best-effort debug output
 }
 
-func writeFault(w http.ResponseWriter, f *soap.Fault) {
-	env := soap.NewEnvelope().SetFault(f)
+// writeFault answers with a fault envelope under status: 500, or 503 with
+// a Retry-After header for a shed request, so well-behaved clients back off
+// instead of hammering a saturated host.
+func writeFault(w http.ResponseWriter, status int, err error) {
+	env := soap.NewEnvelope().SetFault(soap.ServerFault(err))
 	w.Header()["Content-Type"] = soapContentType
-	w.WriteHeader(http.StatusInternalServerError)
+	w.WriteHeader(status)
 	// MarshalTo streams through the pooled XML writer straight into the
 	// response, skipping the intermediate copy Marshal would make.
-	env.MarshalTo(w)
-}
-
-// writeOverload answers a shed request: a SOAP Server fault carried on
-// 503 Service Unavailable with a Retry-After header, so well-behaved
-// clients back off instead of hammering a saturated host.
-func writeOverload(w http.ResponseWriter, o *resilience.OverloadError) {
-	env := soap.NewEnvelope().SetFault(o.Fault())
-	w.Header()["Content-Type"] = soapContentType
-	w.Header().Set("Retry-After", strconv.Itoa(o.RetryAfterSeconds()))
-	w.WriteHeader(http.StatusServiceUnavailable)
 	env.MarshalTo(w)
 }

@@ -188,3 +188,40 @@ func TestOverloadQueueTimeout(t *testing.T) {
 		t.Fatalf("Retry-After = %q", resp.Header.Get("Retry-After"))
 	}
 }
+
+// goldenOverloadFault is the 503 body a shed request gets from a host whose
+// admission advertises 2 s: captured from the tree-rendering fault writer.
+const goldenOverloadFault = `<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/" xmlns:ns1="http://wspeer.dev/resilience"><soapenv:Body><soapenv:Fault><faultcode>soapenv:Server</faultcode><faultstring>resilience: server overloaded (queue full), retry after 2s</faultstring><detail><ns1:retryAfterSeconds>2</ns1:retryAfterSeconds></detail></soapenv:Fault></soapenv:Body></soapenv:Envelope>`
+
+// TestGoldenOverloadFault: the 503 body of a shed request does not move
+// by a byte.
+func TestGoldenOverloadFault(t *testing.T) {
+	adm := resilience.NewAdmission(resilience.AdmissionOptions{MaxConcurrent: 1, RetryAfter: 2 * time.Second})
+	h := newHost(t, Options{Admission: adm})
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var inFlight, peak atomic.Int64
+	endpoint, err := h.Deploy(gatedDef(entered, release, &inFlight, &peak))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan error, 1)
+	go func() {
+		_, err := stubFor(t, h, "Gated", nil).Invoke(context.Background(), "wait", engine.P("msg", "held"))
+		held <- err
+	}()
+	<-entered
+	resp, err := http.Post(endpoint, soap.ContentType, strings.NewReader("<x/>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatalf("held invocation: %v", err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || string(body) != goldenOverloadFault {
+		t.Fatalf("shed request: status %d, body drifted from the golden bytes:\n got: %s\nwant: %s", resp.StatusCode, body, goldenOverloadFault)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"wspeer/internal/soap"
 	"wspeer/internal/transport"
 )
 
@@ -317,6 +318,35 @@ func TestRetryHonorsRetryAfterHintAsFloor(t *testing.T) {
 	}
 	if len(slept) != 1 || slept[0] != 700*time.Millisecond {
 		t.Fatalf("slept = %v, want the server's 700ms floor over the 1ms base", slept)
+	}
+}
+
+// TestRetryHonorsOverloadFaultHint: an overload fault read off the wire —
+// P2PS and mem:// have no Retry-After header — floors the backoff on the
+// seconds its detail advertises.
+func TestRetryHonorsOverloadFaultHint(t *testing.T) {
+	env, err := soap.Parse([]byte(`<soapenv:Envelope xmlns:soapenv="` + soap.Namespace + `" xmlns:ns1="` + soap.RetryAfterName.Space + `">` +
+		`<soapenv:Body><soapenv:Fault><faultcode>soapenv:Server</faultcode><faultstring>overloaded</faultstring>` +
+		`<detail><ns1:retryAfterSeconds>2</ns1:retryAfterSeconds></detail></soapenv:Fault></soapenv:Body></soapenv:Envelope>`))
+	if err != nil || !env.IsFault() {
+		t.Fatalf("parse: %v", err)
+	}
+	var slept []time.Duration
+	fn := Compose(func(c *Call) error { return env.Fault() }, Retry(RetryOptions{
+		Attempts:  2,
+		BaseDelay: time.Millisecond,
+		Jitter:    0,
+		Retryable: func(*Call, error) bool { return true },
+		sleep: func(ctx context.Context, d time.Duration) error {
+			slept = append(slept, d)
+			return nil
+		},
+	}))
+	if err := fn(hedgeCall()); err != env.Fault() {
+		t.Fatalf("err = %v", err)
+	}
+	if len(slept) != 1 || slept[0] < 2*time.Second {
+		t.Fatalf("slept = %v, want at least the fault's 2s", slept)
 	}
 }
 

@@ -33,9 +33,9 @@ type RetryBudget interface {
 
 // RetryAfterHinter is implemented by errors that carry the server's
 // advertised backoff (resilience.OverloadError, the HTTP transport's
-// 503 status error). Retry floors its next delay on the hint so clients
-// honor the server's advice instead of hammering it on their own
-// schedule.
+// 503 status error, an overload's soap.Fault on any binding). Retry
+// floors its next delay on the hint so clients honor the server's advice
+// instead of hammering it on their own schedule.
 type RetryAfterHinter interface {
 	RetryAfterHint() time.Duration
 }

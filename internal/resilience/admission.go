@@ -126,9 +126,6 @@ func (e *OverloadError) Unwrap() error { return e.cause }
 // on the server's advice.
 func (e *OverloadError) RetryAfterHint() time.Duration { return e.RetryAfter }
 
-// FaultNS is the namespace of resilience-layer SOAP fault details.
-const FaultNS = "http://wspeer.dev/resilience"
-
 // RetryAfterSeconds is the advertised backoff rounded up to whole
 // seconds, never less than 1 — the value httpd puts in the Retry-After
 // header and Fault puts in the detail element.
@@ -140,15 +137,15 @@ func (e *OverloadError) RetryAfterSeconds() int {
 	return s
 }
 
-// Fault renders the overload as a SOAP Server fault whose detail carries
-// a <retryAfterSeconds> element — the binding-neutral form of HTTP's
-// Retry-After header, used by the P2PS binding where there is no status
-// line to carry the backoff.
+// Fault renders the overload as a SOAP Server fault whose detail is a
+// soap.RetryAfterName element — the binding-neutral form of HTTP's
+// Retry-After header, read back by the fault's RetryAfterHint: what
+// soap.ServerFault answers a refusal with, on every binding.
 func (e *OverloadError) Fault() *soap.Fault {
-	f := soap.NewFault(soap.FaultServer, "%s", e.Error())
-	f.Detail = xmlutil.NewElement(xmlutil.N(FaultNS, "retryAfterSeconds")).
-		SetText(strconv.Itoa(e.RetryAfterSeconds()))
-	return f
+	w, name := xmlutil.AcquireWriter(), soap.RetryAfterName
+	w.Assign(name.Space)
+	w.Leaf(w.Prefix(name.Space), name.Local, strconv.Itoa(e.RetryAfterSeconds()))
+	return &soap.Fault{Code: soap.FaultServer, String: e.Error(), Detail: w.FinishRaw(name)}
 }
 
 // AsOverload unwraps err to an *OverloadError if one is in the chain.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -388,8 +389,65 @@ func TestOverloadFaultCarriesRetryAfter(t *testing.T) {
 	if f.Code != soap.FaultServer {
 		t.Fatalf("fault code = %v, want Server", f.Code)
 	}
-	if f.Detail == nil || f.Detail.TrimmedText() != "2" {
-		t.Fatalf("fault detail = %v, want retryAfterSeconds 2", f.Detail)
+	detail, err := f.Detail.Element()
+	if f.Detail.Name != soap.RetryAfterName || err != nil || strings.TrimSpace(detail.Text()) != "2" {
+		t.Fatalf("fault detail = %v %v, want retryAfterSeconds 2", f.Detail.Name, detail)
+	}
+}
+
+// TestParsedOverloadFaultHints: the overload fault a client parses
+// advertises the server's backoff to pipeline.Retry, whatever the binding.
+func TestParsedOverloadFaultHints(t *testing.T) {
+	for _, v := range []soap.Version{soap.SOAP11, soap.SOAP12} {
+		env, err := soap.Parse(soap.NewEnvelopeV(v).SetFault(NewOverloadError("queue full", time.Second, nil).Fault()).Marshal())
+		if err != nil || !env.IsFault() {
+			t.Fatalf("%v: %v", v, err)
+		}
+		if hint := env.Fault().RetryAfterHint(); hint != time.Second {
+			t.Fatalf("%v: parsed overload fault hints %v, want 1s", v, hint)
+		}
+	}
+	if hint := soap.NewFault(soap.FaultServer, "boom").RetryAfterHint(); hint != 0 {
+		t.Fatalf("a fault without the detail hints %v", hint)
+	}
+}
+
+// TestServerFaultOfWrappedOverload: an application error that wraps an
+// overload refusal is answered with the overload's fault, retry hint and
+// all.
+func TestServerFaultOfWrappedOverload(t *testing.T) {
+	err := fmt.Errorf("calling the backend: %w", NewOverloadError("queue full", 2500*time.Millisecond, nil))
+	f := soap.ServerFault(err)
+	if f.Code != soap.FaultServer || f.Detail.Name != soap.RetryAfterName || f.RetryAfterHint() != 3*time.Second {
+		t.Fatalf("fault = %+v, hint %v; want the overload's, hinting 3s", f, f.RetryAfterHint())
+	}
+	if f := soap.ServerFault(errors.New("plain")); f.Code != soap.FaultServer || f.String != "plain" || !f.Detail.Name.IsZero() {
+		t.Fatalf("plain error's fault = %+v", f)
+	}
+}
+
+// TestFaultAllocs gates the shed request's fault: built and marshalled as
+// a host sends it, and parsed as a client reads it.
+func TestFaultAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	o := NewOverloadError("queue full", 2*time.Second, nil)
+	write := testing.AllocsPerRun(200, func() {
+		soap.NewEnvelope().SetFault(o.Fault()).MarshalTo(io.Discard)
+	})
+	data := soap.NewEnvelope().SetFault(o.Fault()).Marshal()
+	parse := testing.AllocsPerRun(200, func() {
+		if _, err := soap.Parse(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("overload fault: %.0f allocations to build and marshal, %.0f to parse", write, parse)
+	// To build and marshal: the fault, its envelope, Error's Sprintf (4)
+	// and the detail's Raw. To parse: the envelope, the fault and its two
+	// strings.
+	if write > 7 || parse > 4 {
+		t.Fatalf("overload fault: %.0f allocations to build and marshal (gate 7), %.0f to parse (gate 4)", write, parse)
 	}
 }
 

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"strings"
 	"testing"
 
 	"wspeer/internal/xmlutil"
@@ -30,7 +31,7 @@ func TestAxisStyleEnvelope(t *testing.T) {
 	if body == nil || body.Name != xmlutil.N("http://example.org/axis/EchoService", "echo") {
 		t.Fatalf("body = %v", body)
 	}
-	in0 := body.ChildLocal("in0")
+	in0 := body.Find(xmlutil.N("http://example.org/axis/EchoService", "in0"))
 	if in0 == nil || in0.Text() != "hello axis" {
 		t.Fatalf("in0 = %v", in0)
 	}
@@ -61,7 +62,7 @@ func TestDotNetStyleEnvelope(t *testing.T) {
 	if add.Name != xmlutil.N("http://tempuri.org/", "Add") {
 		t.Fatalf("wrapper = %v", add.Name)
 	}
-	if add.ChildLocal("a").Text() != "19" || add.ChildLocal("b").Text() != "23" {
+	if add.Find(xmlutil.N("http://tempuri.org/", "a")).Text() != "19" || add.Find(xmlutil.N("http://tempuri.org/", "b")).Text() != "23" {
 		t.Fatal("parameters lost")
 	}
 }
@@ -91,8 +92,8 @@ func TestAxisStyleFault(t *testing.T) {
 	if f.Code.Local != "Server.userException" || f.Code.Space != Namespace {
 		t.Fatalf("code = %v", f.Code)
 	}
-	if f.Detail == nil || f.Detail.Name.Local != "exceptionName" {
-		t.Fatalf("detail = %v", f.Detail)
+	if f.Detail.Name.Local != "exceptionName" {
+		t.Fatalf("detail = %v", f.Detail.Name)
 	}
 }
 
@@ -110,11 +111,11 @@ func TestWhitespaceHeavyEnvelope(t *testing.T) {
 	if len(env.Headers()) != 1 {
 		t.Fatalf("headers = %d", len(env.Headers()))
 	}
-	if env.Headers()[0].TrimmedText() != "abc" {
+	if strings.TrimSpace(env.Headers()[0].Text()) != "abc" {
 		t.Fatalf("header text = %q", env.Headers()[0].Text())
 	}
-	p := env.FirstBodyElement().ChildLocal("p")
-	if p.TrimmedText() != "v" {
+	p := env.FirstBodyElement().Find(xmlutil.N("urn:svc", "p"))
+	if strings.TrimSpace(p.Text()) != "v" {
 		t.Fatalf("param text = %q", p.Text())
 	}
 }
@@ -129,7 +130,7 @@ func TestUTF8Payloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := back.FirstBodyElement().ChildLocal("msg").Text(); got != text {
+	if got := back.FirstBodyElement().Find(xmlutil.N("urn:i18n", "msg")).Text(); got != text {
 		t.Fatalf("utf8 round trip: %q", got)
 	}
 }

@@ -49,12 +49,7 @@ func FuzzParseEnvelope(f *testing.F) {
 	})
 }
 
-func detailName(f *Fault) xmlutil.Name {
-	if f.Detail == nil {
-		return xmlutil.Name{}
-	}
-	return f.Detail.Name
-}
+func detailName(f *Fault) xmlutil.Name { return f.Detail.Name }
 
 // xmlText reports whether s holds only characters XML 1.0 allows.
 func xmlText(s string) bool {

@@ -36,7 +36,7 @@ func TestGoldenFaultEnvelopes(t *testing.T) {
 		SetMustUnderstand(relates) // in the 1.1 vocabulary whatever the envelope's version
 		SetActor(relates, ActorNext)
 		full := NewEnvelopeV(v).AddHeader(relates).
-			SetFault(&Fault{Code: xmlutil.N("urn:custom", "Oops"), String: "it <broke> & burned", Actor: "urn:actor:me", Detail: detail})
+			SetFault(&Fault{Code: xmlutil.N("urn:custom", "Oops"), String: "it <broke> & burned", Actor: "urn:actor:me", Detail: rawElement(detail)})
 		for i, env := range []*Envelope{full, NewEnvelopeV(v).SetFault(NewFault(FaultServer, "plain")), NewEnvelopeV(v)} {
 			if got := string(env.Marshal()); got != want[i] {
 				t.Errorf("%v envelope %d drifted from the golden bytes:\n got: %s\nwant: %s", v, i, got, want[i])
@@ -126,7 +126,7 @@ func TestLazyBody(t *testing.T) {
 			if qn, err := op.ResolveQName(typ); err != nil || qn != xmlutil.N("urn:m", "T") {
 				t.Errorf("QName %q resolves to %v, %v", typ, qn, err)
 			}
-			if qn, err := op.ChildLocal("q").ResolveQName("z:v"); err != nil || qn != xmlutil.N("urn:z", "v") {
+			if qn, err := op.Find(xmlutil.N("urn:m", "q")).ResolveQName("z:v"); err != nil || qn != xmlutil.N("urn:z", "v") {
 				t.Errorf("z:v resolves to %v, %v", qn, err)
 			}
 		}()
@@ -196,7 +196,7 @@ func TestBodyForms(t *testing.T) {
 		if got, want := string(env.Marshal()), string(values.Marshal()); got != want {
 			t.Errorf("Marshal = %s, want %s", got, want)
 		}
-		if el := env.FirstBodyElement(); el == nil || el.ChildLocal("arg").Text() != "v" {
+		if el := env.FirstBodyElement(); el == nil || el.Find(xmlutil.N("urn:m", "arg")).Text() != "v" {
 			t.Errorf("FirstBodyElement = %v", el)
 		}
 	}

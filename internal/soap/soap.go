@@ -3,26 +3,32 @@
 // blocks with mustUnderstand/actor semantics, and faults that round-trip as
 // Go errors.
 //
-// Faults are element trees; a header or a body on a call path never is.
-// Going out, the body is an xsd.Wrapper and the header blocks are values
-// (HeaderValue: the addressing headers, a TextHeader), and Marshal writes the
-// Envelope/Header/Body shell, the blocks and the body's values into one
-// pooled writer. Coming in, Parse scans the whole message, notes one
-// HeaderInfo per header block — enough for mustUnderstand processing — and
+// No header, body or fault on a call path is an element tree. Going out,
+// the body is an xsd.Wrapper, the header blocks are values (HeaderValue:
+// the addressing headers, a TextHeader) and a fault is a struct, and
+// Marshal writes the Envelope/Header/Body shell, the blocks and the body's
+// values or the fault's fields into one pooled writer. Coming in, Parse
+// scans the whole message, notes one HeaderInfo per header block — enough
+// for mustUnderstand processing — reads a fault's fields as it passes, and
 // leaves Header and Body in the message's bytes, which the envelope aliases
 // from then on (every transport hands a message over in a buffer of its
-// own); DecodeHeader, HeaderText and DecodeBody read them again, straight
-// into Go values. Headers, Header, Body and FirstBodyElement still answer
-// with trees, built at the first call, for whoever wants one.
+// own): a fault's detail views them too. DecodeHeader, HeaderText and
+// DecodeBody read them again, straight into Go values. Headers, Header,
+// Body and FirstBodyElement still answer with trees, built at the first
+// call, for whoever wants one.
 package soap
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wspeer/internal/xmlutil"
 	"wspeer/internal/xsd"
@@ -227,7 +233,10 @@ func (e *Envelope) Body() []*xmlutil.Element {
 			e.body = []*xmlutil.Element{e.wrapper.Element()}
 		case e.bodyAt > 0:
 			bodyTrees.Add(1)
-			e.body = e.bodyTree().Elements()
+			t := e.scan(e.bodyAt)
+			defer t.Release()
+			body, _ := t.Element()
+			e.body = body.Elements()
 		}
 	})
 	return e.body
@@ -243,14 +252,6 @@ func (e *Envelope) scan(at int) *xmlutil.Tokenizer {
 	t.Seek(at)
 	t.Next()
 	return t
-}
-
-// bodyTree builds a parsed message's Body element.
-func (e *Envelope) bodyTree() *xmlutil.Element {
-	t := e.scan(e.bodyAt)
-	defer t.Release()
-	body, _ := t.Element()
-	return body
 }
 
 // FirstBodyElement returns the first body element, or nil.
@@ -311,29 +312,6 @@ func (e *Envelope) Fault() *Fault { return e.fault }
 // IsFault reports whether the envelope carries a fault.
 func (e *Envelope) IsFault() bool { return e.fault != nil }
 
-// Element renders the envelope as an element tree in its version's
-// namespace, the caller's to edit: header blocks (their mustUnderstand and
-// actor/role attributes normalized to the version) and body are cloned.
-func (e *Envelope) Element() *xmlutil.Element {
-	ns := e.version.Namespace()
-	root := xmlutil.NewElement(xmlutil.N(ns, "Envelope"))
-	root.DeclarePrefix("soapenv", ns)
-	if headers := e.Headers(); len(headers) > 0 {
-		hdr := root.NewChild(xmlutil.N(ns, "Header"))
-		for _, h := range headers {
-			hdr.AddChild(normalized(h.Clone(), e.version))
-		}
-	}
-	body := root.NewChild(xmlutil.N(ns, "Body"))
-	if e.fault != nil {
-		body.AddChild(e.fault.tree(e.version))
-	}
-	for _, b := range e.Body() {
-		body.AddChild(b.Clone())
-	}
-	return root
-}
-
 // write serializes the envelope into a pooled writer: the bytes
 // xmlutil.Marshal gives for Element(), without the tree. Prefixes are
 // assigned in the order a walk of that tree meets the namespaces — the
@@ -359,7 +337,7 @@ func (e *Envelope) write() *xmlutil.Writer {
 	var body []*xmlutil.Element
 	switch {
 	case e.fault != nil:
-		body = []*xmlutil.Element{e.fault.tree(e.version)}
+		e.fault.assign(w, e.version)
 	case e.wrapper != nil:
 		e.wrapper.Assign(w)
 	default:
@@ -383,12 +361,14 @@ func (e *Envelope) write() *xmlutil.Writer {
 	*hw = HeaderWriter{}
 	headerWriters.Put(hw)
 	mark := w.Open(env, "Body")
-	if e.wrapper != nil {
+	switch {
+	case e.fault != nil:
+		e.fault.write(w, e.version)
+	case e.wrapper != nil:
 		e.wrapper.WriteXML(w)
-	} else {
-		for _, b := range body {
-			w.Tree(b)
-		}
+	}
+	for _, b := range body {
+		w.Tree(b)
 	}
 	w.Close(env, "Body", mark)
 	w.Close(env, "Envelope", 0)
@@ -424,7 +404,6 @@ func Parse(data []byte) (*Envelope, error) {
 	case xmlutil.N(Namespace12, "Envelope"):
 		env, ns = NewEnvelopeV(SOAP12), Namespace12
 	}
-	var faulted bool
 	for depth := t.Depth(); ; {
 		kind, err := t.Next()
 		if err != nil {
@@ -464,8 +443,12 @@ func Parse(data []byte) (*Envelope, error) {
 			case env.first.Local == "":
 				env.first = t.Name()
 				fallthrough
-			default:
-				faulted = faulted || (t.Space == ns && string(t.Local) == "Fault")
+			case env.fault == nil:
+				if t.Space == ns && string(t.Local) == "Fault" { // read here, through its end tag
+					if env.fault, err = readFault(t, env.version); err != nil {
+						return malformed(err)
+					}
+				}
 			}
 		}
 	}
@@ -476,19 +459,12 @@ func Parse(data []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("soap: document element is %v, not Envelope", root)
 	case env.bodyAt == 0:
 		return nil, fmt.Errorf("soap: envelope has no Body")
-	case !faulted:
+	case env.fault == nil:
 		return env, nil
+	case env.fault.Code.Local == "" && env.version == SOAP12:
+		return nil, fmt.Errorf("soap: 1.2 fault without a Code")
 	}
-	// A fault is a document: it is read from a tree.
-	parseFault := faultFromElement
-	if env.version == SOAP12 {
-		parseFault = faultFromElement12
-	}
-	fault, err := parseFault(env.bodyTree().Child(xmlutil.N(ns, "Fault")))
-	if err != nil {
-		return nil, err
-	}
-	return env.SetFault(fault), nil
+	return env.SetFault(env.fault), nil
 }
 
 // VersionMismatchError reports an envelope in an unsupported SOAP version's
@@ -503,26 +479,42 @@ func (e *VersionMismatchError) Error() string {
 // ---------------------------------------------------------------------------
 // Faults
 
-// Fault is a SOAP 1.1 fault. It implements error so engine and application
-// code can return it directly.
+// Fault is a SOAP fault, in 1.1's terms (a 1.2 fault maps onto them). It
+// implements error so engine and application code can return it directly.
 type Fault struct {
 	Code   xmlutil.Name // e.g. FaultServer
 	String string       // human-readable explanation
 	Actor  string       // optional URI of the faulting node
-	Detail *xmlutil.Element
+	// Detail is the detail's first element; a zero Name: none. A parsed
+	// fault's is a view of the message.
+	Detail xmlutil.Raw
 }
+
+// RetryAfterName is an overload fault's detail: the server's backoff in whole
+// seconds, the binding-neutral form of HTTP's Retry-After header.
+var RetryAfterName = xmlutil.N("http://wspeer.dev/resilience", "retryAfterSeconds")
 
 // NewFault constructs a fault with the given code and message.
 func NewFault(code xmlutil.Name, format string, args ...interface{}) *Fault {
 	return &Fault{Code: code, String: fmt.Sprintf(format, args...)}
 }
 
-// ServerFault wraps an application error as a Server fault.
+// ServerFault is the fault that answers err: err itself if it is one, that
+// of the first error in its chain with a Fault method (an overload
+// refusal's, which advertises the backoff), or a Server fault with err's
+// text.
 func ServerFault(err error) *Fault {
-	if f, ok := err.(*Fault); ok {
-		return f
+	switch e := err.(type) {
+	case *Fault:
+		return e
+	case interface{ Fault() *Fault }: // a refusal as it comes: errors.As's target costs an allocation
+		return e.Fault()
 	}
-	return NewFault(FaultServer, "%s", err.Error())
+	var faulter interface{ Fault() *Fault }
+	if errors.As(err, &faulter) {
+		return faulter.Fault()
+	}
+	return &Fault{Code: FaultServer, String: err.Error()}
 }
 
 // Error implements the error interface.
@@ -536,50 +528,151 @@ func (f *Fault) ErrorClass() string { return "fault" }
 // IsClient reports whether the fault blames the sender.
 func (f *Fault) IsClient() bool { return f.Code == FaultClient }
 
-// tree renders the fault in a SOAP version's vocabulary.
-func (f *Fault) tree(v Version) *xmlutil.Element {
+// RetryAfterHint is the backoff an overload fault's detail advertises, 0
+// for any other fault: pipeline.Retry floors its next delay on it, on
+// every binding.
+func (f *Fault) RetryAfterHint() time.Duration {
+	var n int
+	if t, err := f.Detail.Tokenizer(); err == nil {
+		if text, _ := t.CharData(); f.Detail.Name == RetryAfterName {
+			n, _ = strconv.Atoi(string(bytes.TrimSpace(text)))
+		}
+		t.Release()
+	}
+	return time.Duration(max(n, 0)) * time.Second
+}
+
+// assign gives the fault's namespaces prefixes: a 1.1 code's asks for its
+// preferred one or q1 (1.2's is the envelope's), then the detail's.
+func (f *Fault) assign(w *xmlutil.Writer, v Version) {
+	if v == SOAP11 && f.Code.Space != "" {
+		p, ok := xmlutil.PreferredPrefixes[f.Code.Space]
+		if !ok {
+			p = "q1"
+		}
+		w.Declare(p, f.Code.Space)
+	}
+	if !f.Detail.Name.IsZero() {
+		w.CollectRaw(f.Detail)
+	}
+}
+
+// faultChildren name a Fault's children in each version, in the order of
+// Fault's fields, and the leaf under one that holds its content ("*": any
+// element): 1.1's are unqualified, 1.2's in the envelope's namespace.
+var faultChildren = [2][4][2]string{
+	{{"faultcode"}, {"faultstring"}, {"faultactor"}, {"detail", "*"}},
+	{{"Code", "Value"}, {"Reason", "Text"}, {"Role"}, {"Detail", "*"}},
+}
+
+// write writes the fault in v's vocabulary.
+func (f *Fault) write(w *xmlutil.Writer, v Version) {
+	env := w.Prefix(v.Namespace())
+	names, ns := faultChildren[v], ""
+	mark := w.Open(env, "Fault")
 	if v == SOAP12 {
-		return f.element12()
+		ns = env
+		code := w.Open(ns, "Code")
+		writeQName(w, ns, "Value", faultCode12(f.Code))
+		w.Close(ns, "Code", code)
+		reason := w.Open(ns, "Reason")
+		w.Start(ns, "Text")
+		w.Attr(xmlutil.N("http://www.w3.org/XML/1998/namespace", "lang"), "en")
+		text := w.Enter()
+		w.Text(f.String)
+		w.Close(ns, "Text", text)
+		w.Close(ns, "Reason", reason)
+	} else {
+		writeQName(w, ns, names[0][0], f.Code)
+		w.Leaf(ns, names[1][0], f.String)
 	}
-	return f.element()
-}
-
-func (f *Fault) element() *xmlutil.Element {
-	el := xmlutil.NewElement(xmlutil.N(Namespace, "Fault"))
-	// Per SOAP 1.1 the fault sub-elements are unqualified; faultcode holds
-	// a QName value.
-	code := el.NewChild(xmlutil.N("", "faultcode"))
-	code.SetText(xmlutil.QNameValue(el, f.Code))
-	el.NewChild(xmlutil.N("", "faultstring")).SetText(f.String)
 	if f.Actor != "" {
-		el.NewChild(xmlutil.N("", "faultactor")).SetText(f.Actor)
+		w.Leaf(ns, names[2][0], f.Actor)
 	}
-	if f.Detail != nil {
-		el.NewChild(xmlutil.N("", "detail")).AddChild(f.Detail.Clone())
+	if !f.Detail.Name.IsZero() {
+		detail := w.Open(ns, names[3][0])
+		w.Raw(f.Detail)
+		w.Close(ns, names[3][0], detail)
 	}
-	return el
+	w.Close(env, "Fault", mark)
 }
 
-func faultFromElement(el *xmlutil.Element) (*Fault, error) {
+// writeQName writes a leaf holding name, prefixed as the writer assigned.
+func writeQName(w *xmlutil.Writer, prefix, local string, name xmlutil.Name) {
+	mark := w.Open(prefix, local)
+	if p := w.Prefix(name.Space); p != "" {
+		w.Buffer().WriteString(p)
+		w.Buffer().WriteByte(':')
+	}
+	w.Text(name.Local)
+	w.Close(prefix, local, mark)
+}
+
+// readFault reads the Fault whose start tag t has just returned, through
+// its end tag: of its children, the first of each name v gives them.
+func readFault(t *xmlutil.Tokenizer, v Version) (*Fault, error) {
 	f := &Fault{}
-	if c := el.ChildLocal("faultcode"); c != nil {
-		qn, err := c.ResolveQName(c.TrimmedText())
-		if err != nil {
-			// Tolerate unresolvable prefixes from sloppy peers: keep local.
-			qn = xmlutil.N("", c.TrimmedText())
+	var seen [4]bool
+	for depth := t.Depth(); ; {
+		if ok, err := nextChild(t, depth, "", "*"); !ok {
+			return f, err
 		}
-		f.Code = qn
-	}
-	if s := el.ChildLocal("faultstring"); s != nil {
-		f.String = s.TrimmedText()
-	}
-	if a := el.ChildLocal("faultactor"); a != nil {
-		f.Actor = a.TrimmedText()
-	}
-	if d := el.ChildLocal("detail"); d != nil {
-		if kids := d.Elements(); len(kids) > 0 {
-			f.Detail = kids[0]
+		i := slices.IndexFunc(faultChildren[v][:], func(names [2]string) bool { return names[0] == string(t.Local) })
+		if i < 0 || seen[i] || v == SOAP12 && t.Space != Namespace12 {
+			continue
+		}
+		seen[i] = true
+		if err := f.read(t, v, i); err != nil {
+			return nil, err
 		}
 	}
-	return f, nil
+}
+
+// read reads the Fault's child t has just started into field i.
+func (f *Fault) read(t *xmlutil.Tokenizer, v Version, i int) (err error) {
+	if leaf := faultChildren[v][i][1]; leaf != "" {
+		if ok, err := nextChild(t, t.Depth(), Namespace12, leaf); !ok {
+			return err
+		}
+	}
+	if i == 3 {
+		f.Detail, err = t.Raw()
+		return err
+	}
+	text, err := t.CharData()
+	s := string(bytes.TrimSpace(text))
+	switch i {
+	case 0:
+		// A code whose prefix is undeclared in its own scope (a sloppy
+		// peer's), or bound to no namespace, keeps its local part: no
+		// declaration elsewhere in the message re-binds it once re-sent.
+		if f.Code, _ = t.ResolveQName(s); f.Code.Space == "" {
+			f.Code = xmlutil.N("", string(bytes.TrimSpace(text[bytes.LastIndexByte(text, ':')+1:])))
+		}
+		if v == SOAP12 {
+			f.Code = canonicalFaultCode(f.Code)
+		}
+	case 1:
+		f.String = s
+	case 2:
+		f.Actor = s
+	}
+	return err
+}
+
+// nextChild reads on to the start tag of the next child {space}local ("*":
+// any child) of the element open at depth; false: there is none, and t has
+// read through that element's end tag.
+func nextChild(t *xmlutil.Tokenizer, depth int, space, local string) (bool, error) {
+	for {
+		kind, err := t.Next()
+		switch {
+		case err != nil:
+			return false, err
+		case kind == xmlutil.TokenEnd && t.Depth() < depth:
+			return false, nil
+		case kind == xmlutil.TokenStart && t.Depth() == depth+1 && (local == "*" || t.Space == space && string(t.Local) == local):
+			return true, nil
+		}
+	}
 }

@@ -78,7 +78,7 @@ func TestSOAP12ActorRoleNormalization(t *testing.T) {
 func TestSOAP12FaultRoundTrip(t *testing.T) {
 	f := NewFault(FaultClient, "bad input")
 	f.Actor = "urn:node"
-	f.Detail = xmlutil.NewElement(xmlutil.N(appNS, "Why")).SetText("because")
+	f.Detail = rawElement(xmlutil.NewElement(xmlutil.N(appNS, "Why")).SetText("because"))
 	env := NewEnvelopeV(SOAP12).SetFault(f)
 	data := env.Marshal()
 	if !strings.Contains(string(data), "Sender") {
@@ -99,8 +99,8 @@ func TestSOAP12FaultRoundTrip(t *testing.T) {
 	if bf.String != "bad input" || bf.Actor != "urn:node" {
 		t.Fatalf("fields: %+v", bf)
 	}
-	if bf.Detail == nil || bf.Detail.Text() != "because" {
-		t.Fatalf("detail: %+v", bf.Detail)
+	if bf.Detail.Name != xmlutil.N(appNS, "Why") || detailText(bf) != "because" {
+		t.Fatalf("detail: %v %q", bf.Detail.Name, detailText(bf))
 	}
 }
 

@@ -42,7 +42,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if b == nil || b.Name != xmlutil.N(appNS, "Echo") {
 		t.Fatalf("body lost: %s", data)
 	}
-	if got := b.Child(xmlutil.N(appNS, "msg")).Text(); got != "hello" {
+	if got := b.Find(xmlutil.N(appNS, "msg")).Text(); got != "hello" {
 		t.Fatalf("body content: %q", got)
 	}
 }
@@ -64,7 +64,7 @@ func TestFaultRoundTrip(t *testing.T) {
 	detail := xmlutil.NewElement(xmlutil.N(appNS, "Cause")).SetText("db down")
 	f := NewFault(FaultServer, "backend unavailable: %s", "db")
 	f.Actor = "urn:node-7"
-	f.Detail = detail
+	f.Detail = rawElement(detail)
 	env := NewEnvelope().SetFault(f)
 
 	data := env.Marshal()
@@ -85,8 +85,8 @@ func TestFaultRoundTrip(t *testing.T) {
 	if bf.Actor != "urn:node-7" {
 		t.Fatalf("actor = %q", bf.Actor)
 	}
-	if bf.Detail == nil || bf.Detail.Name != xmlutil.N(appNS, "Cause") {
-		t.Fatalf("detail = %v", bf.Detail)
+	if bf.Detail.Name != xmlutil.N(appNS, "Cause") || detailText(bf) != "db down" {
+		t.Fatalf("detail = %v %q", bf.Detail.Name, detailText(bf))
 	}
 	if !strings.Contains(bf.Error(), "backend unavailable") {
 		t.Fatalf("Error() = %q", bf.Error())
@@ -190,18 +190,27 @@ func TestParsedFaultWithUnresolvablePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !env.IsFault() || env.Fault().Code.Local != "undeclared:Server" {
+	// It keeps the local part, in no namespace: no declaration elsewhere
+	// in a message it is re-sent in can bind the prefix.
+	if !env.IsFault() || env.Fault().Code != xmlutil.N("", "Server") {
 		t.Fatalf("lenient faultcode handling: %+v", env.Fault())
 	}
 }
 
-func TestEnvelopeElementIsolation(t *testing.T) {
-	// Mutating the rendered tree must not corrupt the envelope.
-	body := xmlutil.NewElement(xmlutil.N(appNS, "Op"))
-	env := NewEnvelope().AddBodyElement(body)
-	el := env.Element()
-	el.Find(xmlutil.N(appNS, "Op")).SetText("mutated")
-	if body.Text() == "mutated" {
-		t.Fatal("Element must deep-copy body blocks")
+// rawElement is el written as a Raw, the form a fault's detail takes: what
+// a hand-driven Writer gives for it, as resilience writes an overload's.
+func rawElement(el *xmlutil.Element) xmlutil.Raw {
+	w := xmlutil.AcquireWriter()
+	w.Collect(el)
+	w.Tree(el)
+	return w.FinishRaw(el.Name)
+}
+
+// detailText is the text of f's detail element.
+func detailText(f *Fault) string {
+	el, err := f.Detail.Element()
+	if err != nil {
+		return err.Error()
 	}
+	return el.Text()
 }

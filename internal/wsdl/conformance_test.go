@@ -85,7 +85,7 @@ func TestAxisStyleWSDL(t *testing.T) {
 		t.Fatalf("transport = %q", det.Transport)
 	}
 	// The schema and its element declarations are kept.
-	if schemas := d.RawSchemas(); len(schemas) != 1 || schemas[0].Child(xmlutil.N(schemaName.Space, "element")) == nil {
+	if schemas := d.RawSchemas(); len(schemas) != 1 || schemas[0].Find(xmlutil.N(schemaName.Space, "element")) == nil {
 		t.Fatalf("the Axis-style document's schemas: %v", schemas)
 	}
 	if err := d.Validate(); err != nil {

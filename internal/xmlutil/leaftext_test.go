@@ -71,7 +71,7 @@ func TestEqualAcrossTextForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	padded.RemoveChild(padded.ChildLocal("b"))
+	padded.RemoveChild(padded.Elements()[0])
 	for _, other := range []*Element{general, padded} {
 		if !Equal(inline, other) || !Equal(other, inline) {
 			t.Errorf("%q and %q should be equal", Marshal(inline), Marshal(other))
@@ -118,7 +118,7 @@ func TestTextAndChildrenKeepDocumentOrder(t *testing.T) {
 	}
 
 	// SetText replaces everything, children included, and detaches them.
-	kid := e.ChildLocal("b")
+	kid := e.Elements()[0]
 	e.SetText("only")
 	if kid.Parent() != nil || len(e.Elements()) != 0 || e.Text() != "only" {
 		t.Errorf("SetText left %s (kid parent %v)", Marshal(e), kid.Parent())
@@ -218,11 +218,11 @@ func TestSharedTreeConcurrentReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if got := tree.Child(N("urn:r", "leaf")).Text(); got != "value" {
+				if got := tree.Find(N("urn:r", "leaf")).Text(); got != "value" {
 					t.Errorf("leaf text = %q", got)
 					return
 				}
-				if got := tree.ChildLocal("mixed").Text(); got != "ab" {
+				if got := tree.Find(N("urn:r", "mixed")).Text(); got != "ab" {
 					t.Errorf("mixed text = %q", got)
 					return
 				}

@@ -95,6 +95,7 @@ type Tokenizer struct {
 	nodes    []Node // build's open elements, each followed by its child nodes so far
 	tags     []openTag
 	scope    []binding // in-scope declarations, innermost last
+	named    int       // len(scope) in the element ResolveQName resolves in
 	pend     []pendingAttr
 	scratch  []byte    // entity-decoding buffer
 	chars    []byte    // CharData's buffer for text that comes in pieces
@@ -538,7 +539,7 @@ func (p *Tokenizer) Seek(tagOffset int) { p.pos, p.empty = tagOffset, false }
 // CharData is Element.Text for the element just started, read through its
 // end tag and over child elements; valid until the scanner is used again.
 func (p *Tokenizer) CharData() ([]byte, error) {
-	inside := len(p.tags)
+	inside, named := len(p.tags), p.named
 	p.chars = p.chars[:0]
 	for {
 		kind, err := p.Next()
@@ -551,10 +552,12 @@ func (p *Tokenizer) CharData() ([]byte, error) {
 			if len(p.chars) == 0 && bytes.HasPrefix(p.data[p.pos:], endTagMark) {
 				text := p.text
 				_, err := p.Next()
+				p.named = named
 				return text, err
 			}
 			p.chars = append(p.chars, p.text...)
 		case kind == TokenEnd && len(p.tags) < inside:
+			p.named = named
 			return p.chars, nil
 		}
 	}
@@ -572,17 +575,22 @@ func (p *Tokenizer) Attr(name Name) (string, bool) {
 }
 
 // ResolveQName is Element.ResolveQName in the scope of the start tag Next
-// last returned: unlike a name of the markup, a QName in content with an
+// last returned, or of the element CharData last read (whose text is a
+// QName's, then): unlike a name of the markup, a QName in content with an
 // undeclared prefix is an error.
 func (p *Tokenizer) ResolveQName(s string) (Name, error) { return resolveQName(s, p.lookup) }
+
+// lookup reads the bindings of an element past its end tag too: scope's
+// array holds them until the next start tag, which moves named.
 
 func (p *Tokenizer) lookup(prefix string) (string, bool) {
 	if prefix == "xml" {
 		return xmlNamespace, true
 	}
-	for i := len(p.scope) - 1; i >= 0; i-- {
-		if p.scope[i].prefix == prefix {
-			return p.scope[i].uri, true
+	scope := p.scope[:p.named]
+	for i := len(scope) - 1; i >= 0; i-- {
+		if scope[i].prefix == prefix {
+			return scope[i].uri, true
 		}
 	}
 	return "", false
@@ -821,5 +829,6 @@ func (p *Tokenizer) startTag() error {
 	p.Space = p.resolve(rawEl.prefix, true)
 	p.Local = rawEl.local
 	p.tags = append(p.tags, tag)
+	p.named = len(p.scope)
 	return nil
 }

@@ -46,7 +46,7 @@ func TestParseNamespaceScoping(t *testing.T) {
 	if el.Name != N("urn:d", "a") {
 		t.Errorf("root = %s", el.Name)
 	}
-	b := el.ChildLocal("b")
+	b := el.Find(N("urn:p", "b"))
 	if b.Name != N("urn:p", "b") {
 		t.Errorf("b = %s", b.Name)
 	}
@@ -58,7 +58,7 @@ func TestParseNamespaceScoping(t *testing.T) {
 	if v, ok := b.Attr(N("", "plain")); !ok || v != "w" {
 		t.Errorf("plain = %q, %v", v, ok)
 	}
-	if c := el.ChildLocal("c"); c.Name != N("urn:d", "c") {
+	if c := el.Elements()[1]; c.Name != N("urn:d", "c") {
 		t.Errorf("c = %s (default namespace should apply)", c.Name)
 	}
 }
@@ -101,7 +101,7 @@ func TestParseUndeclaredPrefixKeptVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := el.ChildLocal("b"); b.Name.Space != "w" {
+	if b := el.Elements()[0]; b.Name.Space != "w" {
 		t.Errorf("undeclared prefix resolved to %q, want \"w\"", b.Name.Space)
 	}
 }

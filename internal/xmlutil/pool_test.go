@@ -83,7 +83,7 @@ func TestParseConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if el.ChildLocal("b").Text() != "text & more" {
+				if el.Find(N("urn:d", "b")).Text() != "text & more" {
 					t.Error("bad parse")
 					return
 				}

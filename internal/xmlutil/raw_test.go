@@ -65,7 +65,7 @@ func TestRawDetachAndWrite(t *testing.T) {
 	w.Close(w.Prefix("urn:n"), "P", mark)
 	r := w.FinishRaw(N("urn:n", "P"))
 	el, err := r.Element()
-	if err != nil || el.Child(N("urn:n", "Id")).Text() != "a&b" || r.Attributed() {
+	if err != nil || el.Find(N("urn:n", "Id")).Text() != "a&b" || r.Attributed() {
 		t.Fatalf("a written Raw reads %v, %v", el, err)
 	}
 	// Written again, as it is where its namespace keeps its prefix and

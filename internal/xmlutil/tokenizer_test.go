@@ -42,7 +42,7 @@ func TestCharDataIsElementText(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", leaf, err)
 		}
-		want := root.ChildLocal("v").Text()
+		want := root.Find(N("urn:r", "v")).Text()
 		p := open(t, doc, "v")
 		got, err := p.CharData()
 		if err != nil || string(got) != want {

@@ -106,27 +106,6 @@ func (e *Element) Children(name Name) []*Element {
 	return out
 }
 
-// Child returns the first child element with the given name, or nil.
-func (e *Element) Child(name Name) *Element {
-	for _, n := range e.children {
-		if el, ok := n.(*Element); ok && el.Name == name {
-			return el
-		}
-	}
-	return nil
-}
-
-// ChildLocal returns the first child element whose local name matches,
-// regardless of namespace, or nil.
-func (e *Element) ChildLocal(local string) *Element {
-	for _, n := range e.children {
-		if el, ok := n.(*Element); ok && el.Name.Local == local {
-			return el
-		}
-	}
-	return nil
-}
-
 // Find returns the first descendant (depth-first, including e itself) with
 // the given name, or nil.
 func (e *Element) Find(name Name) *Element {
@@ -260,9 +239,6 @@ func (e *Element) Text() string {
 	}
 	return b.String()
 }
-
-// TrimmedText returns Text with surrounding whitespace removed.
-func (e *Element) TrimmedText() string { return strings.TrimSpace(e.Text()) }
 
 // Attr returns the value of the named attribute.
 func (e *Element) Attr(name Name) (string, bool) {

@@ -16,17 +16,11 @@ func TestBuildAndQuery(t *testing.T) {
 	c2.SetText("two")
 	root.NewChild(N(nsA, "other"))
 
-	if got := root.Child(N(nsA, "child")); got != c1 {
-		t.Fatalf("Child(a:child) = %v, want c1", got)
+	if got := root.Children(N(nsA, "child")); len(got) != 1 || got[0] != c1 {
+		t.Fatalf("Children(a:child) = %v, want c1", got)
 	}
-	if got := root.Child(N(nsB, "child")); got != c2 {
-		t.Fatalf("Child(b:child) = %v, want c2", got)
-	}
-	if got := len(root.Children(N(nsA, "child"))); got != 1 {
-		t.Fatalf("Children(a:child) len = %d, want 1", got)
-	}
-	if got := root.ChildLocal("child"); got != c1 {
-		t.Fatalf("ChildLocal(child) should return first match in document order")
+	if got := root.Children(N(nsB, "child")); len(got) != 1 || got[0] != c2 {
+		t.Fatalf("Children(b:child) = %v, want c2", got)
 	}
 	if got := c1.Text(); got != "one" {
 		t.Fatalf("Text = %q, want one", got)
@@ -95,7 +89,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if root.Name != N(nsA, "root") {
 		t.Fatalf("root name = %v", root.Name)
 	}
-	item := root.Child(N(nsA, "item"))
+	item := root.Find(N(nsA, "item"))
 	if item == nil {
 		t.Fatal("missing a:item")
 	}
@@ -141,7 +135,7 @@ func TestDefaultNamespace(t *testing.T) {
 	if root.Name.Space != nsA {
 		t.Fatalf("default ns not applied: %v", root.Name)
 	}
-	if root.Child(N(nsA, "kid")) == nil {
+	if root.Find(N(nsA, "kid")) == nil {
 		t.Fatal("kid should inherit default namespace")
 	}
 }
@@ -164,7 +158,7 @@ func TestResolveQName(t *testing.T) {
 		t.Fatalf("plain = %v, %v", n, err)
 	}
 	// Inner scope shadows p.
-	inner := root.ChildLocal("inner")
+	inner := root.Find(N(nsB, "inner"))
 	n, err = inner.ResolveQName("p:thing")
 	if err != nil || n != N(nsB, "thing") {
 		t.Fatalf("shadowed p:thing = %v, %v", n, err)
@@ -219,13 +213,13 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	kid.SetText("changed")
 	root.SetAttr(N("", "x"), "2")
-	if c.ChildLocal("kid").Text() != "v" {
+	if c.Elements()[0].Text() != "v" {
 		t.Fatal("clone shares child text")
 	}
 	if v, _ := c.Attr(N("", "x")); v != "1" {
 		t.Fatal("clone shares attrs")
 	}
-	if c.ChildLocal("kid").Parent() != c {
+	if c.Elements()[0].Parent() != c {
 		t.Fatal("clone parent pointers wrong")
 	}
 	if uri, ok := c.LookupPrefix("a"); !ok || uri != nsA {
@@ -254,7 +248,7 @@ func TestEqualDifferences(t *testing.T) {
 		t.Fatal("attr diff")
 	}
 	b = base()
-	b.ChildLocal("c").SetText("u")
+	b.Elements()[0].SetText("u")
 	if Equal(base(), b) {
 		t.Fatal("text diff")
 	}

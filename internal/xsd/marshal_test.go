@@ -43,7 +43,7 @@ func marshalOne(t *testing.T, name string, v interface{}) *xmlutil.Element {
 
 func TestMarshalSimpleField(t *testing.T) {
 	parent := marshalOne(t, "msg", "hello")
-	el := parent.Child(xmlutil.N(tns, "msg"))
+	el := parent.Find(xmlutil.N(tns, "msg"))
 	if el == nil || el.Text() != "hello" {
 		t.Fatalf("bad marshal: %s", xmlutil.Marshal(parent))
 	}

@@ -45,7 +45,7 @@ func TestSchemaGeneration(t *testing.T) {
 	if echo == nil {
 		t.Fatal("Echo element missing")
 	}
-	seq := echo.Child(xmlutil.N(Namespace, "complexType")).Child(xmlutil.N(Namespace, "sequence"))
+	seq := echo.Find(xmlutil.N(Namespace, "sequence"))
 	members := seq.Children(xmlutil.N(Namespace, "element"))
 	if len(members) != 2 {
 		t.Fatalf("Echo members = %d", len(members))
@@ -113,7 +113,7 @@ func TestSchemaOccursConstraints(t *testing.T) {
 		t.Fatal("Box complexType missing")
 	}
 	byName := map[string]*xmlutil.Element{}
-	for _, m := range box.Child(xmlutil.N(Namespace, "sequence")).Children(xmlutil.N(Namespace, "element")) {
+	for _, m := range box.Find(xmlutil.N(Namespace, "sequence")).Children(xmlutil.N(Namespace, "element")) {
 		n, _ := m.Attr(xmlutil.N("", "name"))
 		byName[n] = m
 	}
